@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
@@ -191,21 +190,6 @@ class ContextRegistry:
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
-    @classmethod
-    def from_file(cls, stream: TextIO) -> "ContextRegistry":
-        """Load an override registry, one line per context: id,vessel_type,nav_status."""
-        labels = []
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"bad registry line: {line!r}")
-            labels.append(ContextLabel(
-                int(parts[0]), VesselType(parts[1]), NavStatus(parts[2])))
-        return cls(labels)
-
 
 def context_registry() -> ContextRegistry:
     """The built-in 26-context registry with stable ids c0..c25."""
@@ -305,12 +289,6 @@ def serialize_messages(messages: Iterable[AisMessage], stream: TextIO) -> None:
             m.mmsi, m.timestamp, repr(m.lat), repr(m.lon), repr(m.sog),
             repr(m.cog), heading, m.nav_status.value, m.vessel_type.value,
         ])
-
-
-def messages_to_csv(messages: Iterable[AisMessage]) -> str:
-    buf = io.StringIO()
-    serialize_messages(messages, buf)
-    return buf.getvalue()
 
 
 def group_trajectories(messages: Iterable[AisMessage]) -> list[Trajectory]:

@@ -1,12 +1,18 @@
 """The four detector variants and their routing, scoring, and persistence.
 
-* ae:   one encoder + one decoder for all traffic (global baseline)
-* moe:  one full autoencoder per context
-* cae:  one shared encoder + one decoder per context
-* gcae: one shared encoder + one decoder per context group
+All four are one model: an encoder and a map from context to decoder key.
 
-A window is always scored through the decoder its (claimed) context routes
-to; scoring and verdicts never look at ground truth.
+* ae:   one shared encoder, every context maps to the one decoder (SHARED)
+* cae:  one shared encoder, each context maps to its own decoder
+* gcae: one shared encoder, each context maps to its group's decoder
+* moe:  the ae trainer run once per context, so each context also has its
+        own encoder
+
+Routing is two dict lookups: the encoder is the context's own or the shared
+one, and the decoder key is the context's group (its own id without a
+grouping), falling back to SHARED. A window is always scored through the
+decoder its (claimed) context routes to; scoring and verdicts never look at
+ground truth.
 """
 
 from __future__ import annotations
@@ -42,20 +48,17 @@ class Detector:
     reports: dict[str, TrainReport] = field(default_factory=dict)
 
     def decoder_key(self, context_id: int) -> int:
-        if self.kind == "ae":
-            return SHARED
-        if self.kind == "gcae":
-            if context_id not in self.grouping:
-                raise UnroutedContext(f"context {context_id} has no decoder group")
-            return self.grouping[context_id]
-        if context_id not in self.decoders:
+        key = (self.grouping or {}).get(context_id, context_id)
+        if key not in self.decoders:
+            key = SHARED
+        if key not in self.decoders:
             raise UnroutedContext(f"context {context_id} has no decoder")
-        return context_id
+        return key
 
     def route(self, context_id: int) -> tuple[Sequential, Sequential]:
-        if self.kind == "moe" and context_id not in self.encoders:
+        enc = self.encoders.get(context_id, self.encoders.get(SHARED))
+        if enc is None:
             raise UnroutedContext(f"context {context_id} has no encoder")
-        enc = self.encoders[context_id if self.kind == "moe" else SHARED]
         return enc, self.decoders[self.decoder_key(context_id)]
 
     def score(self, x: np.ndarray, context_id: int) -> np.ndarray:
@@ -144,17 +147,8 @@ def train_moe(split: DatasetSplit, spec: AutoencoderSpec,
 
 def train_cae(split: DatasetSplit, spec: AutoencoderSpec,
               config: TrainConfig) -> Detector:
-    rng = np.random.default_rng([config.seed, 13])
-    enc = spec.build_encoder(rng)
-    train_ctx = _by_context(split.train)
-    decoders = {cid: spec.build_decoder(np.random.default_rng([config.seed, 14, cid]))
-                for cid in train_ctx}
-    report = train_multi_decoder(enc, decoders, train_ctx,
-                                 _val_aligned(split, train_ctx), config,
-                                 weights_by_key=_weights_by_context(split))
-    return Detector(kind="cae", spec=spec, contexts=tuple(sorted(train_ctx)),
-                    encoders={SHARED: enc}, decoders=decoders,
-                    reports={"cae": report})
+    """Shared encoder with one decoder per context: gcae under the identity map."""
+    return _train_shared(split, spec, config, "cae", None, enc_tag=13, dec_tag=14)
 
 
 def train_gcae(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfig,
@@ -164,8 +158,22 @@ def train_gcae(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfig,
     grouping maps every trained context to its decoder key (the group's
     representative context id).
     """
+    return _train_shared(split, spec, config, "gcae", grouping,
+                         enc_tag=15, dec_tag=16)
+
+
+def _train_shared(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfig,
+                  kind: str, grouping: dict[int, int] | None,
+                  enc_tag: int, dec_tag: int) -> Detector:
+    """Train a shared encoder and one decoder per key of the context map.
+
+    A grouping of None maps every context to itself. Each key's training
+    and validation windows are its member contexts' windows in context
+    order.
+    """
     train_ctx = _by_context(split.train)
-    missing = sorted(set(train_ctx) - set(grouping))
+    key_of = grouping if grouping is not None else {c: c for c in train_ctx}
+    missing = sorted(set(train_ctx) - set(key_of))
     if missing:
         raise IncompleteGrouping(f"contexts without a group: {missing}")
 
@@ -174,22 +182,22 @@ def train_gcae(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfig,
     train_by_key: dict[int, np.ndarray] = {}
     val_by_key: dict[int, np.ndarray] = {}
     weights_by_key: dict[int, np.ndarray] = {}
-    for key in sorted(set(grouping[c] for c in train_ctx)):
-        members = sorted(c for c in train_ctx if grouping[c] == key)
+    for key in sorted(set(key_of[c] for c in train_ctx)):
+        members = sorted(c for c in train_ctx if key_of[c] == key)
         train_by_key[key] = np.concatenate([train_ctx[c] for c in members])
         val_by_key[key] = np.concatenate([val_ctx[c] for c in members])
         weights_by_key[key] = np.concatenate([weights_ctx[c] for c in members])
 
-    rng = np.random.default_rng([config.seed, 15])
-    enc = spec.build_encoder(rng)
-    decoders = {key: spec.build_decoder(np.random.default_rng([config.seed, 16, key]))
+    enc = spec.build_encoder(np.random.default_rng([config.seed, enc_tag]))
+    decoders = {key: spec.build_decoder(np.random.default_rng([config.seed, dec_tag, key]))
                 for key in train_by_key}
     report = train_multi_decoder(enc, decoders, train_by_key, val_by_key,
                                  config, weights_by_key=weights_by_key)
-    return Detector(kind="gcae", spec=spec, contexts=tuple(sorted(train_ctx)),
+    return Detector(kind=kind, spec=spec, contexts=tuple(sorted(train_ctx)),
                     encoders={SHARED: enc}, decoders=decoders,
-                    grouping={c: grouping[c] for c in sorted(train_ctx)},
-                    reports={"gcae": report})
+                    grouping=(None if grouping is None
+                              else {c: grouping[c] for c in sorted(train_ctx)}),
+                    reports={kind: report})
 
 
 def _val_aligned(split: DatasetSplit, train_ctx: dict[int, np.ndarray]
@@ -236,7 +244,6 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
         "norm_stats_hash": detector.norm_stats_hash,
         "encoders": {str(k): _ckpt_name("encoder", k) for k in detector.encoders},
         "decoders": {str(k): _ckpt_name("decoder", k) for k in detector.decoders},
-        "thresholds": "thresholds.csv" if detector.thresholds else None,
         "training": {
             branch: {
                 "best_epoch": r.best_epoch,
@@ -254,8 +261,12 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
     for key, dec in detector.decoders.items():
         save_checkpoint(out_dir / _ckpt_name("decoder", key), dec,
                         meta={"role": "decoder", "key": key, "kind": detector.kind})
+    thresholds_path = out_dir / "thresholds.csv"
     if detector.thresholds is not None:
-        th.save_table(out_dir / "thresholds.csv", detector.thresholds)
+        th.save_table(thresholds_path, detector.thresholds)
+    else:
+        # a retrained bundle must not inherit the previous model's taus
+        thresholds_path.unlink(missing_ok=True)
 
 
 def load_detector(bundle_dir: Path) -> Detector:
@@ -267,9 +278,8 @@ def load_detector(bundle_dir: Path) -> Detector:
                 for k, name in manifest["encoders"].items()}
     decoders = {int(k): load_checkpoint(bundle_dir / name)[0]
                 for k, name in manifest["decoders"].items()}
-    table = None
-    if manifest.get("thresholds"):
-        table = th.load_table(bundle_dir / manifest["thresholds"])
+    thresholds_path = bundle_dir / "thresholds.csv"
+    table = th.load_table(thresholds_path) if thresholds_path.exists() else None
     grouping = manifest.get("grouping")
     return Detector(
         kind=manifest["kind"],

@@ -53,10 +53,6 @@ class UnregisteredFalsification(CtxaeError):
     pass
 
 
-class SpanOutOfRange(CtxaeError):
-    pass
-
-
 # --- network / training ------------------------------------------------------
 
 class ShapeMismatch(NumericalError):
@@ -72,10 +68,6 @@ class EmptyTrainingSet(CtxaeError):
 
 
 # --- detectors / thresholds / grouping ---------------------------------------
-
-class EmptyContext(CtxaeError):
-    """A registered context has no training windows."""
-
 
 class UnroutedContext(CtxaeError):
     pass

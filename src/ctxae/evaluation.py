@@ -73,15 +73,6 @@ class ConfusionMatrix:
         }
 
 
-def confusion_global_vs_context(scores: np.ndarray, context_ids: np.ndarray,
-                                table: ThresholdTable) -> ConfusionMatrix:
-    """Classify every window under the pooled and the per-context threshold."""
-    scores = np.asarray(scores, dtype=np.float64)
-    global_verdicts = scores > table.global_tau
-    taus = np.array([table.tau(int(c)) for c in context_ids])
-    return ConfusionMatrix.from_verdicts(global_verdicts, scores > taus)
-
-
 @dataclass
 class OverlapReport:
     sizes: dict[str, int]
@@ -96,18 +87,6 @@ class OverlapReport:
             for b in names[i + 1:]:
                 inter[(a, b)] = len(sets[a] & sets[b])
         return cls(sizes=sizes, intersections=inter)
-
-    def count(self, a: str, b: str) -> int:
-        if a == b:
-            return self.sizes[a]
-        key = (a, b) if (a, b) in self.intersections else (b, a)
-        return self.intersections[key]
-
-    def fraction_of(self, a: str, b: str) -> float | None:
-        """|A intersect B| as a fraction of B's anomaly count."""
-        if self.sizes[b] == 0:
-            return None
-        return self.count(a, b) / self.sizes[b]
 
     def to_dict(self) -> dict:
         return {

@@ -212,15 +212,6 @@ def save_matrix(path: Path, matrix: LossMatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_matrix(path: Path) -> LossMatrix:
-    lines = Path(path).read_text().splitlines()
-    context_ids = tuple(int(tok[1:]) for tok in lines[0].split(",")[1:])
-    counts = np.array([int(tok) for tok in lines[1].split(",")[1:]])
-    values = np.array([[float(tok) for tok in line.split(",")[1:]]
-                       for line in lines[2:]])
-    return LossMatrix(context_ids=context_ids, values=values, counts=counts)
-
-
 def save_grouping(path: Path, result: GroupingResult) -> None:
     Path(path).write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
 

@@ -7,6 +7,7 @@ wrong answer.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,8 +26,12 @@ def sha256_text(text: str) -> str:
 
 
 def config_hash(config) -> str:
-    """Stable hash of the run configuration via its repr tree."""
-    return sha256_text(repr(config))
+    """Stable hash of the run configuration via its repr tree.
+
+    The output directory is left out: one config and seed hash alike
+    wherever the run is written.
+    """
+    return sha256_text(repr(dataclasses.replace(config, out_dir=None)))
 
 
 def write_manifest(out_dir: Path, stage: str, config_digest: str,

@@ -1,8 +1,11 @@
 """Adam optimizer, weighted-MSE training loop, and early stopping.
 
-Batch order is a deterministic shuffle from the config seed, so identical
-config + seed reproduce identical loss sequences. Re-running a plateaued
-validation loss keeps the earliest best epoch (strict improvement only).
+One epoch loop trains a shared encoder with one decoder per key;
+``train_autoencoder`` is its single-key case under key 0 and
+``train_multi_decoder`` its general case. Batch order is a deterministic
+shuffle from the config seed, so identical config + seed reproduce identical
+loss sequences. Re-running a plateaued validation loss keeps the earliest
+best epoch (strict improvement only).
 """
 
 from __future__ import annotations
@@ -100,17 +103,6 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     return loss
 
 
-def evaluate_loss(encoder: Sequential, decoder: Sequential, x: np.ndarray,
-                  batch_size: int = 512) -> float:
-    """Unweighted mean per-sample MSE in inference mode."""
-    total = 0.0
-    for start in range(0, x.shape[0], batch_size):
-        batch = x[start:start + batch_size]
-        x_hat = decoder.forward(encoder.forward(batch, training=False), training=False)
-        total += float(mse_per_sample(batch, x_hat).sum())
-    return total / x.shape[0]
-
-
 def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray,
                   batch_size: int = 512) -> np.ndarray:
     """Per-window reconstruction loss in inference mode; shape (n,)."""
@@ -122,54 +114,87 @@ def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray,
     return out
 
 
-def train_autoencoder(encoder: Sequential, decoder: Sequential,
-                      train_x: np.ndarray, val_x: np.ndarray,
-                      config: TrainConfig,
-                      sample_weights: np.ndarray | None = None) -> TrainReport:
-    """Train a single encoder/decoder pair with early stopping.
+def evaluate_loss(encoder: Sequential, decoder: Sequential, x: np.ndarray,
+                  batch_size: int = 512) -> float:
+    """Unweighted mean per-sample MSE in inference mode."""
+    return float(score_windows(encoder, decoder, x, batch_size).mean())
 
-    Stops when the validation loss fails to improve for ``patience``
+
+def _train(encoder: Sequential, decoders: dict[int, Sequential],
+           train_by_key: dict[int, np.ndarray], val_by_key: dict[int, np.ndarray],
+           config: TrainConfig, weights_by_key: dict[int, np.ndarray] | None
+           ) -> TrainReport:
+    """The epoch loop: a shared encoder with one decoder branch per key.
+
+    Every mini-batch is drawn from one key and flows through the shared
+    encoder plus that key's decoder; batches from all keys are interleaved
+    in a seeded shuffle. The encoder receives a gradient step on every
+    batch, each decoder only on its own batches (per-branch Adam state).
+    The validation loss is the per-key mean weighted by each key's share of
+    the validation windows. Stops when it fails to improve for ``patience``
     consecutive epochs; the best-epoch state (parameters and batch-norm
     running stats) is restored before returning.
     """
-    n = train_x.shape[0]
-    if n == 0:
+    keys = sorted(decoders)
+    if sorted(train_by_key) != keys or sorted(val_by_key) != keys:
+        raise ValueError("decoders, train and val keys must agree")
+    sizes = {k: train_by_key[k].shape[0] for k in keys}
+    total = sum(sizes.values())
+    if total == 0:
         raise EmptyTrainingSet("no training windows")
-    if val_x.shape[0] == 0:
+    if 0 in sizes.values():
+        raise EmptyTrainingSet("a decoder key has no training windows")
+    total_val = sum(val_by_key[k].shape[0] for k in keys)
+    if total_val == 0:
         raise EmptyTrainingSet("no validation windows")
-    if sample_weights is None or not config.weighting:
-        weights = np.ones(n)
+    if weights_by_key is None or not config.weighting:
+        weights_by_key = {k: np.ones(sizes[k]) for k in keys}
     else:
-        weights = np.asarray(sample_weights, dtype=np.float64)
-        if weights.shape[0] != n:
-            raise ValueError("sample_weights length must match training set")
+        weights_by_key = {k: np.asarray(weights_by_key[k], dtype=np.float64)
+                          for k in keys}
+        if any(weights_by_key[k].shape[0] != sizes[k] for k in keys):
+            raise ValueError("sample weights must match each key's training set")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(encoder.params() + decoder.params(), config)
+    enc_adam = Adam(encoder.params(), config)
+    dec_adams = {k: Adam(decoders[k].params(), config) for k in keys}
+    models = [encoder] + [decoders[k] for k in keys]
     report = TrainReport()
-    best_state: list[np.ndarray] | None = None
+    best_state: list[list[np.ndarray]] | None = None
     bad_epochs = 0
     started = time.perf_counter()
 
     for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            loss = _weighted_batch_step(encoder, decoder, train_x[idx], weights[idx])
-            optimizer.step(encoder.params() + decoder.params(),
-                           encoder.grads() + decoder.grads())
-            epoch_loss += loss * idx.shape[0]
-            report.samples_seen[0] = report.samples_seen.get(0, 0) + idx.shape[0]
-        report.train_losses.append(epoch_loss / n)
+        schedule: list[tuple[int, np.ndarray]] = []
+        for k in keys:
+            perm = rng.permutation(sizes[k])
+            for start in range(0, sizes[k], config.batch_size):
+                schedule.append((k, perm[start:start + config.batch_size]))
+        if len(keys) > 1:
+            # a single key's batches already come in permutation order
+            rng.shuffle(schedule)
 
-        val_loss = evaluate_loss(encoder, decoder, val_x)
+        epoch_loss = 0.0
+        for k, idx in schedule:
+            loss = _weighted_batch_step(encoder, decoders[k], train_by_key[k][idx],
+                                        weights_by_key[k][idx])
+            enc_adam.step(encoder.params(), encoder.grads())
+            dec_adams[k].step(decoders[k].params(), decoders[k].grads())
+            epoch_loss += loss * idx.shape[0]
+            report.samples_seen[k] = report.samples_seen.get(k, 0) + idx.shape[0]
+        report.train_losses.append(epoch_loss / total)
+
+        val_loss = 0.0
+        for k in keys:
+            if val_by_key[k].shape[0]:
+                val_loss += evaluate_loss(encoder, decoders[k], val_by_key[k]) \
+                    * (val_by_key[k].shape[0] / total_val)
         _check_finite(val_loss)
         report.val_losses.append(val_loss)
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_state = encoder.snapshot() + decoder.snapshot()
+            best_state = [m.snapshot() for m in models]
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -177,11 +202,19 @@ def train_autoencoder(encoder: Sequential, decoder: Sequential,
         if bad_epochs >= config.patience:
             break
 
-    n_enc = len(encoder.state())
-    encoder.restore(best_state[:n_enc])
-    decoder.restore(best_state[n_enc:])
+    for model, state in zip(models, best_state):
+        model.restore(state)
     report.wall_time_s = time.perf_counter() - started
     return report
+
+
+def train_autoencoder(encoder: Sequential, decoder: Sequential,
+                      train_x: np.ndarray, val_x: np.ndarray,
+                      config: TrainConfig,
+                      sample_weights: np.ndarray | None = None) -> TrainReport:
+    """Train a single encoder/decoder pair: the one-key case, under key 0."""
+    weights = None if sample_weights is None else {0: sample_weights}
+    return _train(encoder, {0: decoder}, {0: train_x}, {0: val_x}, config, weights)
 
 
 def train_multi_decoder(encoder: Sequential, decoders: dict[int, Sequential],
@@ -190,89 +223,6 @@ def train_multi_decoder(encoder: Sequential, decoders: dict[int, Sequential],
                         config: TrainConfig,
                         weights_by_key: dict[int, np.ndarray] | None = None,
                         ) -> TrainReport:
-    """Joint shared-encoder training with one decoder branch per key.
-
-    Every mini-batch is drawn from one key and flows through the shared
-    encoder plus that key's decoder; batches from all keys are interleaved
-    in a seeded shuffle. The encoder receives a gradient step on every
-    batch, each decoder only on its own batches (per-branch Adam state).
-    """
-    keys = sorted(decoders)
-    if sorted(train_by_key) != keys or sorted(val_by_key) != keys:
-        raise ValueError("decoders, train and val keys must agree")
-    total = sum(train_by_key[k].shape[0] for k in keys)
-    if total == 0:
-        raise EmptyTrainingSet("no training windows")
-    if any(train_by_key[k].shape[0] == 0 for k in keys):
-        raise EmptyTrainingSet("a decoder key has no training windows")
-    total_val = sum(val_by_key[k].shape[0] for k in keys)
-    if total_val == 0:
-        raise EmptyTrainingSet("no validation windows")
-
-    if weights_by_key is None or not config.weighting:
-        weights_by_key = {k: np.ones(train_by_key[k].shape[0]) for k in keys}
-
-    rng = np.random.default_rng(config.seed)
-    enc_adam = Adam(encoder.params(), config)
-    dec_adams = {k: Adam(decoders[k].params(), config) for k in keys}
-    report = TrainReport()
-    best_state: list[np.ndarray] | None = None
-    bad_epochs = 0
-    started = time.perf_counter()
-
-    def full_snapshot() -> list[np.ndarray]:
-        state = encoder.snapshot()
-        for k in keys:
-            state.extend(decoders[k].snapshot())
-        return state
-
-    def full_restore(state: list[np.ndarray]) -> None:
-        n_enc = len(encoder.state())
-        encoder.restore(state[:n_enc])
-        offset = n_enc
-        for k in keys:
-            n_dec = len(decoders[k].state())
-            decoders[k].restore(state[offset:offset + n_dec])
-            offset += n_dec
-
-    for epoch in range(1, config.max_epochs + 1):
-        schedule: list[tuple[int, np.ndarray]] = []
-        for k in keys:
-            perm = rng.permutation(train_by_key[k].shape[0])
-            for start in range(0, perm.shape[0], config.batch_size):
-                schedule.append((k, perm[start:start + config.batch_size]))
-        rng.shuffle(schedule)
-
-        epoch_loss = 0.0
-        for k, idx in schedule:
-            x = train_by_key[k][idx]
-            w = weights_by_key[k][idx]
-            loss = _weighted_batch_step(encoder, decoders[k], x, w)
-            enc_adam.step(encoder.params(), encoder.grads())
-            dec_adams[k].step(decoders[k].params(), decoders[k].grads())
-            epoch_loss += loss * idx.shape[0]
-            report.samples_seen[k] = report.samples_seen.get(k, 0) + idx.shape[0]
-        report.train_losses.append(epoch_loss / total)
-
-        val_sum = 0.0
-        for k in keys:
-            if val_by_key[k].shape[0]:
-                val_sum += evaluate_loss(encoder, decoders[k], val_by_key[k]) \
-                    * val_by_key[k].shape[0]
-        val_loss = val_sum / total_val
-        _check_finite(val_loss)
-        report.val_losses.append(val_loss)
-        if val_loss < report.best_val_loss:
-            report.best_val_loss = val_loss
-            report.best_epoch = epoch
-            best_state = full_snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        report.stopped_epoch = epoch
-        if bad_epochs >= config.patience:
-            break
-
-    full_restore(best_state)
-    report.wall_time_s = time.perf_counter() - started
-    return report
+    """Joint shared-encoder training with one decoder branch per key."""
+    return _train(encoder, decoders, train_by_key, val_by_key, config,
+                  weights_by_key)

@@ -218,7 +218,7 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
                                               cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
     out_dir = _model_dir(cfg, kind)
-    detectors.save_detector(out_dir, det)
+    th.save_table(out_dir / "thresholds.csv", table)
     summary = {
         "kind": kind,
         "lam": table.lam,

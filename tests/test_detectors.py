@@ -304,3 +304,20 @@ def test_save_load_round_trip(tmp_path, rng):
 def test_load_detector_requires_manifest(tmp_path):
     with pytest.raises(MissingArtifact):
         load_detector(tmp_path / "nowhere")
+
+
+def test_thresholds_live_in_their_own_file(tmp_path, rng):
+    split = _split(rng, contexts=(0, 1))
+    det = train_cae(split, _toy_spec(), _fast_config())
+    save_detector(tmp_path, det)
+    assert load_detector(tmp_path).thresholds is None
+
+    # the thresholds stage writes only the table next to the bundle
+    th.save_table(tmp_path / "thresholds.csv", fit_detector_thresholds(det, split))
+    assert load_detector(tmp_path).thresholds.tau(1) == det.thresholds.tau(1)
+
+    # a retrained bundle does not inherit the previous model's thresholds
+    det.thresholds = None
+    save_detector(tmp_path, det)
+    assert not (tmp_path / "thresholds.csv").exists()
+    assert load_detector(tmp_path).thresholds is None

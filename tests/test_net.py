@@ -200,6 +200,23 @@ def test_multi_decoder_routes_batches_per_key(rng):
     assert report.samples_seen == {5: 20 * ep, 9: 12 * ep}
 
 
+def test_single_pair_training_is_the_one_key_case(rng):
+    spec = _toy_spec()
+    x = _toy_data(rng, n=48)
+    w = rng.uniform(0.5, 2.0, size=32)
+    cfg = TrainConfig(max_epochs=4, patience=3, batch_size=8, seed=4)
+    enc_a, dec_a = _build_pair(spec, seed=6)
+    single = train_autoencoder(enc_a, dec_a, x[:32], x[32:], cfg, sample_weights=w)
+    enc_b, dec_b = _build_pair(spec, seed=6)
+    keyed = train_multi_decoder(enc_b, {0: dec_b}, {0: x[:32]}, {0: x[32:]}, cfg,
+                                weights_by_key={0: w})
+    assert single.train_losses == keyed.train_losses
+    assert single.val_losses == keyed.val_losses
+    assert single.samples_seen == keyed.samples_seen == {0: 32 * single.stopped_epoch}
+    for a, b in zip(enc_a.state() + dec_a.state(), enc_b.state() + dec_b.state()):
+        assert np.array_equal(a, b)
+
+
 def test_multi_decoder_key_agreement_enforced(rng):
     spec = _toy_spec()
     srng = np.random.default_rng(9)
