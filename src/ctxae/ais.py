@@ -196,16 +196,6 @@ def context_registry() -> ContextRegistry:
     return ContextRegistry()
 
 
-def ctx(vessel_type: VesselType, nav_status: NavStatus,
-        registry: ContextRegistry | None = None) -> ContextLabel | None:
-    """Context for a (vessel type, status) pair; None means unregistered."""
-    reg = registry if registry is not None else _SHARED_REGISTRY
-    return reg.lookup(vessel_type, nav_status)
-
-
-_SHARED_REGISTRY = ContextRegistry()
-
-
 # --- ingestion ----------------------------------------------------------------
 
 CANONICAL_FIELDS = (

@@ -8,7 +8,6 @@ the BLAS environment variables (e.g. OMP_NUM_THREADS) only.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -16,6 +15,7 @@ import click
 
 from . import pipeline
 from .config import load_config
+from .detectors import KINDS
 from .errors import ConfigError, CtxaeError, MissingArtifact, NumericalError
 
 _EXIT_CODES = ((ConfigError, 2), (MissingArtifact, 3), (NumericalError, 4),
@@ -23,16 +23,15 @@ _EXIT_CODES = ((ConfigError, 2), (MissingArtifact, 3), (NumericalError, 4),
 
 
 def _config_options(fn):
-    @click.option("--config", "-c", "config_path", required=True,
-                  type=click.Path(), help="Run configuration YAML.")
-    @click.option("--seed", type=int, default=None,
-                  help="Override the config seed.")
-    @click.option("--out", "out_dir", type=click.Path(), default=None,
-                  help="Override the output directory.")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-    return wrapper
+    fn = click.option("--out", "out_dir", type=click.Path(), default=None,
+                      help="Override the output directory.")(fn)
+    fn = click.option("--seed", type=int, default=None,
+                      help="Override the config seed.")(fn)
+    return click.option("--config", "-c", "config_path", required=True,
+                        type=click.Path(), help="Run configuration YAML.")(fn)
+
+
+_kind_option = click.option("--kind", type=click.Choice(KINDS), required=True)
 
 
 def _run(stage_fn, config_path, seed, out_dir, **kwargs):
@@ -78,8 +77,7 @@ def build(config_path, seed, out_dir):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["ae", "moe", "cae", "gcae"]),
-              required=True)
+@_kind_option
 @_config_options
 def train(kind, config_path, seed, out_dir):
     """Train one detector variant on the built dataset."""
@@ -87,8 +85,7 @@ def train(kind, config_path, seed, out_dir):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["ae", "moe", "cae", "gcae"]),
-              required=True)
+@_kind_option
 @_config_options
 def thresholds(kind, config_path, seed, out_dir):
     """Fit per-context and global thresholds for a trained detector."""
@@ -103,8 +100,7 @@ def group(config_path, seed, out_dir):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["ae", "moe", "cae", "gcae"]),
-              required=True)
+@_kind_option
 @_config_options
 def detect(kind, config_path, seed, out_dir):
     """Score the test split and write verdicts."""

@@ -14,6 +14,7 @@ import yaml
 
 from .ais import NavStatus
 from .dataset import OutlierCaps
+from .detectors import KINDS
 from .errors import ConfigError
 from .net import TrainConfig
 from .synth import PRESETS, BehaviorModel, ContextPlan, SynthConfig
@@ -82,9 +83,6 @@ class ArchParams:
             raise ConfigError("latent size must be positive")
 
 
-MODEL_KINDS = ("ae", "moe", "cae", "gcae")
-
-
 @dataclass
 class RunConfig:
     seed: int
@@ -98,12 +96,15 @@ class RunConfig:
     arch: ArchParams = field(default_factory=ArchParams)
     thresholds: ThresholdParams = field(default_factory=ThresholdParams)
     grouping: GroupingParams = field(default_factory=GroupingParams)
-    models: tuple[str, ...] = MODEL_KINDS
+    models: tuple[str, ...] = KINDS
 
     def __post_init__(self):
         if self.synth is None and self.records is None:
             raise ConfigError("config needs either a synth section or a records path")
-        bad = [m for m in self.models if m not in MODEL_KINDS]
+        if self.synth is not None \
+                and self.synth.messages_per_vessel < self.dataset.window_len:
+            raise ConfigError("vessels must emit at least one window of messages")
+        bad = [m for m in self.models if m not in KINDS]
         if bad:
             raise ConfigError(f"unknown model kinds: {bad}")
 
@@ -142,7 +143,7 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
             vessels=int(entry.get("vessels", 10)),
             falsify_to=falsify,
         ))
-    known = {"contexts", "messages_per_vessel", "window_len", "contextual_rate",
+    known = {"contexts", "messages_per_vessel", "contextual_rate",
              "collective_rate", "collective_span", "collective_magnitude_m",
              "ports", "base_mmsi"}
     bad = set(raw) - known
@@ -190,7 +191,7 @@ def config_from_dict(raw: dict, seed: int | None = None,
 
     synth = _build_synth(raw["synth"], seed) if raw.get("synth") else None
     train = _section(raw, "train", TrainConfig, seed=seed)
-    models = tuple(raw.get("models", MODEL_KINDS))
+    models = tuple(raw.get("models", KINDS))
     return RunConfig(
         seed=seed,
         out_dir=Path(out),

@@ -1,9 +1,12 @@
 """Window dataset construction: segmentation, filtering, splitting, weighting.
 
 Windows are cut per maximal constant-context run of each trajectory, so a
-window never mixes contexts. Splits are made by vessel id (no mmsi crosses
-splits) and per-context caps are applied after splitting. All randomness is
-seeded, and saved datasets are byte-identical across runs.
+window never mixes contexts. Ground truth arrives as message spans, each a
+stretch of one vessel's messages between two timestamps; a window carries
+the tag of the span of its vessel that overlaps it, whatever the window
+length and stride. Splits are made by vessel id (no mmsi crosses splits)
+and per-context caps are applied after splitting. All randomness is seeded,
+and saved datasets are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -48,6 +51,21 @@ class Truth:
 CLEAN = Truth()
 
 
+@dataclass(frozen=True)
+class TruthSpan:
+    """Messages of one vessel from first_ts to last_ts, both inclusive."""
+
+    mmsi: int
+    first_ts: int
+    last_ts: int
+    truth: Truth
+
+    def __post_init__(self):
+        if self.first_ts > self.last_ts:
+            raise ValueError(f"first_ts {self.first_ts} is after "
+                             f"last_ts {self.last_ts}")
+
+
 @dataclass(eq=False)
 class Window:
     """One fixed-length feature window of a single vessel and context."""
@@ -57,7 +75,7 @@ class Window:
     mmsi: int
     start_ts: int
     truth: Truth = CLEAN
-    index_in_vessel: int = 0
+    end_ts: int | None = None             # last message's timestamp, dropped on save
     positions: np.ndarray | None = None   # (window_len, 2) lat/lon, dropped on save
 
     @property
@@ -71,15 +89,12 @@ def segment(trajectory: Trajectory, features: np.ndarray,
             stride: int | None = None) -> list[Window]:
     """Cut constant-context runs into fixed-length windows.
 
-    The trailing remainder of each run is dropped; windows in runs whose
-    (vessel type, status) pair is unregistered are skipped. index_in_vessel
-    counts emitted candidate positions per vessel in order, so it stays
-    aligned with any later filtering.
+    The trailing remainder of each run is dropped; runs whose (vessel type,
+    status) pair is unregistered are skipped.
     """
     stride = stride or window_len
     msgs = trajectory.messages
     windows: list[Window] = []
-    index = 0
 
     run_start = 0
     runs: list[tuple[int, int]] = []
@@ -91,34 +106,31 @@ def segment(trajectory: Trajectory, features: np.ndarray,
 
     for start, end in runs:
         label = registry.lookup(msgs[start].vessel_type, msgs[start].nav_status)
+        if label is None:
+            continue
         for ws in range(start, end - window_len + 1, stride):
-            if label is not None:
-                tensor = features[ws:ws + window_len].copy()
-                positions = np.array(
-                    [(m.lat, m.lon) for m in msgs[ws:ws + window_len]])
-                windows.append(Window(
-                    tensor=tensor, context_id=label.id, mmsi=trajectory.mmsi,
-                    start_ts=msgs[ws].timestamp, index_in_vessel=index,
-                    positions=positions))
-            index += 1
+            cut = msgs[ws:ws + window_len]
+            windows.append(Window(
+                tensor=features[ws:ws + window_len].copy(), context_id=label.id,
+                mmsi=trajectory.mmsi, start_ts=cut[0].timestamp,
+                end_ts=cut[-1].timestamp,
+                positions=np.array([(m.lat, m.lon) for m in cut])))
     return windows
 
 
-def attach_truth(windows: list[Window],
-                 truth_lookup: dict[tuple[int, int], Truth]) -> list[Window]:
-    """Tag windows from the (mmsi, index_in_vessel) sidecar lookup."""
+def attach_truth(windows: list[Window], spans: list[TruthSpan]) -> list[Window]:
+    """Tag each window with the first span of its vessel that overlaps it."""
+    by_vessel: dict[int, list[TruthSpan]] = {}
+    for span in spans:
+        by_vessel.setdefault(span.mmsi, []).append(span)
     out = []
     for w in windows:
-        tag = truth_lookup.get((w.mmsi, w.index_in_vessel))
-        out.append(replace_truth(w, tag) if tag is not None else w)
+        for s in by_vessel.get(w.mmsi, ()):
+            if s.first_ts <= w.end_ts and w.start_ts <= s.last_ts:
+                w = replace(w, truth=s.truth)
+                break
+        out.append(w)
     return out
-
-
-def replace_truth(window: Window, truth: Truth) -> Window:
-    return Window(tensor=window.tensor, context_id=window.context_id,
-                  mmsi=window.mmsi, start_ts=window.start_ts, truth=truth,
-                  index_in_vessel=window.index_in_vessel,
-                  positions=window.positions)
 
 
 def filter_near_ports(windows: list[Window], ports: list[tuple[float, float]],
@@ -206,7 +218,7 @@ def indices_by_context(windows: list[Window]) -> dict[int, np.ndarray]:
 
 
 def _sort_key(w: Window):
-    return (w.mmsi, w.start_ts, w.index_in_vessel)
+    return (w.mmsi, w.start_ts)
 
 
 def split_by_vessel(windows: list[Window], ratios: tuple[float, float, float],
@@ -307,11 +319,11 @@ def normalize_split(split: DatasetSplit) -> DatasetSplit:
 
 # --- persistence ---------------------------------------------------------------
 
-def _truth_fields(t: Truth) -> tuple[str, str]:
+def truth_fields(t: Truth) -> tuple[str, str]:
     return t.kind, "" if t.true_context is None else str(t.true_context)
 
 
-def _parse_truth(kind: str, true_context: str) -> Truth:
+def parse_truth(kind: str, true_context: str) -> Truth:
     return Truth(kind=kind, true_context=int(true_context) if true_context else None)
 
 
@@ -352,7 +364,7 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
                 cols.append("weight")
             writer.writerow(cols)
             for i, w in enumerate(ws):
-                kind, true_ctx = _truth_fields(w.truth)
+                kind, true_ctx = truth_fields(w.truth)
                 row = [w.mmsi, w.context_id, w.start_ts, kind, true_ctx]
                 if name == "train":
                     row.append(repr(float(split.weights[i])))
@@ -384,8 +396,7 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
                     context_id=int(row["context_id"]),
                     mmsi=int(row["mmsi"]),
                     start_ts=int(row["start_ts"]),
-                    truth=_parse_truth(row["truth"], row["true_context"]),
-                    index_in_vessel=i,
+                    truth=parse_truth(row["truth"], row["true_context"]),
                 ))
                 if name == "train":
                     w_list.append(float(row["weight"]))

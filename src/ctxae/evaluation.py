@@ -158,9 +158,6 @@ class TruthMetrics:
             return None
         return self.clean_flagged / self.clean_total
 
-    def recall(self, kind: str) -> float | None:
-        return self.per_kind[kind]["recall"]
-
     def to_dict(self) -> dict:
         return {
             "per_kind": self.per_kind,

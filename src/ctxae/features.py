@@ -109,7 +109,3 @@ def fit_norm(train_tensors: np.ndarray) -> NormStats:
 
 def apply_norm(stats: NormStats, tensor: np.ndarray) -> np.ndarray:
     return (np.asarray(tensor, dtype=np.float64) - stats.location) / stats.scale
-
-
-def invert_norm(stats: NormStats, tensor: np.ndarray) -> np.ndarray:
-    return np.asarray(tensor, dtype=np.float64) * stats.scale + stats.location

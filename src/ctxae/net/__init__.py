@@ -14,7 +14,7 @@ from .layers import (
     infer_shape,
     spec_param_count,
 )
-from .model import AutoencoderSpec, Sequential, default_autoencoder_spec, mse, mse_per_sample
+from .model import AutoencoderSpec, Sequential, default_autoencoder_spec, mse_per_sample
 from .training import (Adam, TrainConfig, TrainReport, evaluate_loss,
                        score_windows, train_autoencoder, train_multi_decoder)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -23,7 +23,7 @@ __all__ = [
     "Activation", "BatchNorm", "Conv1D", "ConvTranspose1D", "Dense", "Layer",
     "LayerSpec", "MaxPool1D", "UpsampleNearest", "build_layer", "infer_shape",
     "spec_param_count", "AutoencoderSpec", "Sequential",
-    "default_autoencoder_spec", "mse", "mse_per_sample", "Adam", "TrainConfig",
+    "default_autoencoder_spec", "mse_per_sample", "Adam", "TrainConfig",
     "TrainReport", "evaluate_loss", "score_windows", "train_autoencoder",
     "train_multi_decoder", "load_checkpoint", "save_checkpoint",
 ]

@@ -169,11 +169,3 @@ def mse_per_sample(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     diff = x_hat - x
     return (diff * diff).reshape(x.shape[0], -1).mean(axis=1)
-
-
-def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean-over-elements squared error of a single window or batch."""
-    if x.shape != x_hat.shape:
-        raise ShapeMismatch(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    diff = x_hat - x
-    return float((diff * diff).mean())

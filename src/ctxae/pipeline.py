@@ -64,7 +64,7 @@ def stage_simulate(cfg: RunConfig) -> dict:
     summary = {
         "vessels": len(result.trajectories),
         "messages": sum(len(t.messages) for t in result.trajectories),
-        "truth_rows": len(result.truth),
+        "truth_spans": len(result.truth),
     }
     write_manifest(paths["synth"], "simulate", config_hash(cfg), {},
                    {name: paths["synth"] / name
@@ -106,7 +106,7 @@ def stage_build(cfg: RunConfig) -> dict:
     records = _records_path(cfg)
     truth_path = _optional_path(cfg.truth, paths["synth"] / "truth.csv")
     ports_path = _optional_path(cfg.ports, paths["synth"] / "ports.csv")
-    truth_lookup = synth.load_truth(truth_path) if truth_path else {}
+    spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
 
     with open(records, newline="") as fh:
@@ -118,7 +118,7 @@ def stage_build(cfg: RunConfig) -> dict:
                                window_len=cfg.dataset.window_len,
                                stride=cfg.dataset.stride))
     total_cut = len(windows)
-    windows = attach_truth(windows, truth_lookup)
+    windows = attach_truth(windows, spans)
     windows = filter_near_ports(windows, ports, cfg.dataset.port_radius_m)
     after_ports = len(windows)
     windows = remove_outliers(windows, cfg.dataset.caps())

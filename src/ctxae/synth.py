@@ -3,12 +3,18 @@
 Behaviors are small per-step motion models (transit, zigzag fishing, anchor
 drift, moored, loitering, sailing). Every vessel draws from its own RNG
 stream seeded by (run seed, mmsi), so fleets are reproducible regardless of
-generation order. Two anomaly types can be injected with exact truth tags:
+generation order. Two anomaly types can be injected, each recorded as one
+exact truth span of messages (mmsi, first_ts, last_ts, both inclusive):
 
-* contextual: a vessel broadcasts a false navigational status, so its windows
-  land in the wrong context while the motion stays true to the real one.
+* contextual: a vessel broadcasts a false navigational status on every
+  message, so its windows land in the wrong context while the motion stays
+  true to the real one. The span runs from its first to its last message.
 * collective: a short run of consecutive positions is displaced by a fixed
-  large step, inconsistent with the reported speeds.
+  large step, inconsistent with the reported speeds. The span covers the
+  displaced messages.
+
+Truth never refers to windows: which windows a span tags is decided when the
+dataset is cut, for any window length and stride.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .ais import (AisMessage, ContextRegistry, NavStatus, Trajectory,
                   serialize_messages)
-from .dataset import Truth
+from .dataset import Truth, TruthSpan, parse_truth, truth_fields
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
 from .geo import bearing, destination, haversine
 
@@ -110,7 +116,6 @@ class SynthConfig:
     seed: int
     plans: tuple[ContextPlan, ...]
     messages_per_vessel: int = 4000
-    window_len: int = 50
     contextual_rate: float = 0.0
     collective_rate: float = 0.0
     collective_span: int = 12
@@ -127,8 +132,8 @@ class SynthConfig:
             raise ConfigError("collective_rate must be in [0, 1]")
         if self.collective_span < 2:
             raise ConfigError("collective_span must be >= 2")
-        if self.messages_per_vessel < self.window_len:
-            raise ConfigError("vessels must emit at least one window of messages")
+        if self.messages_per_vessel < 1:
+            raise ConfigError("messages_per_vessel must be positive")
         ids = [p.context_id for p in self.plans]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate context ids in synthetic plan")
@@ -137,16 +142,8 @@ class SynthConfig:
 @dataclass
 class SynthResult:
     trajectories: list[Trajectory]
-    truth: dict[tuple[int, int], Truth]   # (mmsi, window index) -> tag
+    truth: list[TruthSpan]   # sorted by (mmsi, first_ts, last_ts)
     ports: tuple[tuple[float, float], ...]
-
-    @property
-    def truth_rows(self) -> list[tuple[int, int, str, str]]:
-        rows = []
-        for (mmsi, widx), tag in sorted(self.truth.items()):
-            rows.append((mmsi, widx, tag.kind,
-                         "" if tag.true_context is None else str(tag.true_context)))
-        return rows
 
 
 def _wrap_deg(angle: float) -> float:
@@ -416,8 +413,7 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
                       for j in pick_rng.choice(len(pool), size=k, replace=False)}
 
     trajectories: list[Trajectory] = []
-    truth: dict[tuple[int, int], Truth] = {}
-    n_windows = config.messages_per_vessel // config.window_len
+    truth: list[TruthSpan] = []
 
     for plan in config.plans:
         for mmsi, _ in plan_vessels[plan.context_id]:
@@ -427,9 +423,9 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 
             if mmsi in falsified:
                 traj = inject_contextual(traj, plan.falsify_to, registry)
-                tag = Truth(kind="contextual", true_context=plan.context_id)
-                for widx in range(n_windows):
-                    truth[(mmsi, widx)] = tag
+                truth.append(TruthSpan(
+                    mmsi, traj.messages[0].timestamp, traj.messages[-1].timestamp,
+                    Truth(kind="contextual", true_context=plan.context_id)))
 
             if mmsi in collective:
                 inj_rng = np.random.default_rng([config.seed, mmsi, 3])
@@ -440,10 +436,10 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
                 traj = inject_collective(traj, start, span,
                                          config.collective_magnitude_m,
                                          heading_deg)
-                for m in range(start + 1, start + span + 1):
-                    widx = m // config.window_len
-                    if widx < n_windows:
-                        truth[(mmsi, widx)] = Truth(kind="collective")
+                truth.append(TruthSpan(
+                    mmsi, traj.messages[start + 1].timestamp,
+                    traj.messages[start + span].timestamp,
+                    Truth(kind="collective")))
 
             trajectories.append(traj)
 
@@ -453,6 +449,9 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 
 # --- file round-trip -------------------------------------------------------------
 
+TRUTH_COLUMNS = ("mmsi", "first_ts", "last_ts", "kind", "true_context")
+
+
 def write_fleet(out_dir: Path, result: SynthResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     messages = [m for t in result.trajectories for m in t.messages]
@@ -461,8 +460,10 @@ def write_fleet(out_dir: Path, result: SynthResult) -> None:
         serialize_messages(messages, fh)
     with open(out_dir / "truth.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mmsi", "window_index", "kind", "true_context"])
-        writer.writerows(result.truth_rows)
+        writer.writerow(TRUTH_COLUMNS)
+        for s in sorted(result.truth,
+                        key=lambda s: (s.mmsi, s.first_ts, s.last_ts)):
+            writer.writerow([s.mmsi, s.first_ts, s.last_ts, *truth_fields(s.truth)])
     with open(out_dir / "ports.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lat", "lon"])
@@ -470,15 +471,23 @@ def write_fleet(out_dir: Path, result: SynthResult) -> None:
             writer.writerow([repr(float(lat)), repr(float(lon))])
 
 
-def load_truth(path: Path) -> dict[tuple[int, int], Truth]:
-    lookup: dict[tuple[int, int], Truth] = {}
+def load_truth(path: Path) -> list[TruthSpan]:
+    """Truth spans in file order; a malformed file raises ConfigError."""
+    spans: list[TruthSpan] = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tag = Truth(kind=row["kind"],
-                        true_context=int(row["true_context"])
-                        if row["true_context"] else None)
-            lookup[(int(row["mmsi"]), int(row["window_index"]))] = tag
-    return lookup
+        reader = csv.DictReader(fh)
+        missing = [c for c in TRUTH_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"truth file {path} lacks columns {missing}")
+        for row in reader:
+            try:
+                spans.append(TruthSpan(
+                    int(row["mmsi"]), int(row["first_ts"]), int(row["last_ts"]),
+                    parse_truth(row["kind"], row["true_context"])))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"truth file {path} line {reader.line_num}: {exc}") from exc
+    return spans
 
 
 def load_ports(path: Path) -> list[tuple[float, float]]:

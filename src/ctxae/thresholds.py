@@ -51,15 +51,6 @@ class ThresholdTable:
     def global_tau(self) -> float:
         return self.tau(GLOBAL_ID)
 
-    def classify(self, score: float, context_id: int) -> bool:
-        """True iff the score is anomalous under the context threshold."""
-        return score > self.tau(context_id)
-
-    def severity(self, score: float, context_id: int) -> float:
-        t = self.tau(context_id)
-        return (score - t) / t
-
-
 def _entry(context_id: int, losses: np.ndarray, lam: float) -> ThresholdEntry:
     losses = np.asarray(losses, dtype=np.float64)
     n = int(losses.shape[0])

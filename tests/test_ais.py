@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from ctxae.ais import (AisMessage, NavStatus, Trajectory, VesselType, ctx,
+from ctxae.ais import (AisMessage, NavStatus, Trajectory, VesselType,
                        context_registry, group_trajectories, parse_messages,
                        serialize_messages)
 from ctxae.errors import ParseError
@@ -48,13 +48,15 @@ class TestRegistry:
         (VesselType.DRIFTING_LONGLINES, NavStatus.ENGAGED_IN_FISHING, 16),
     ])
     def test_known_ids(self, vt, ns, cid):
-        label = ctx(vt, ns)
+        label = context_registry().lookup(vt, ns)
         assert label is not None and label.id == cid
         assert label.name == f"c{cid}"
 
     def test_unregistered_pair_maps_to_none(self):
-        assert ctx(VesselType.SET_LONGLINES, NavStatus.MOORED) is None
-        assert ctx(VesselType.UNKNOWN, NavStatus.UNDER_WAY_USING_ENGINE) is None
+        reg = context_registry()
+        assert reg.lookup(VesselType.SET_LONGLINES, NavStatus.MOORED) is None
+        assert reg.lookup(VesselType.UNKNOWN,
+                          NavStatus.UNDER_WAY_USING_ENGINE) is None
 
     def test_lookup_matches_by_id(self):
         reg = context_registry()

@@ -1,0 +1,54 @@
+"""Command line: exit codes and the one-line JSON summary."""
+
+import json
+
+import yaml
+from click.testing import CliRunner
+
+from ctxae.cli import main
+
+TINY = {
+    "seed": 2,
+    "synth": {
+        "messages_per_vessel": 100,
+        "contexts": [{"id": 0, "behavior": "transit", "vessels": 3}],
+    },
+}
+
+
+def _invoke(tmp_path, args, raw=TINY):
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    return CliRunner().invoke(
+        main, [*args, "--config", str(config), "--out", str(tmp_path / "run")])
+
+
+def test_simulate_prints_its_summary(tmp_path):
+    result = _invoke(tmp_path, ["simulate"])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["ok"] == "simulate"
+    assert summary["vessels"] == 3
+    assert summary["messages"] == 300
+    assert (tmp_path / "run" / "synth" / "truth.csv").exists()
+
+
+def test_config_error_exits_2(tmp_path):
+    result = _invoke(tmp_path, ["simulate"], raw={**TINY, "bogus": 1})
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: ")
+
+
+def test_detect_before_train_exits_3(tmp_path):
+    assert _invoke(tmp_path, ["simulate"]).exit_code == 0
+    assert _invoke(tmp_path, ["build"]).exit_code == 0
+    result = _invoke(tmp_path, ["detect", "--kind", "cae"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("MissingArtifact: ")
+    assert "detector.json" in result.stderr
+
+
+def test_kind_must_be_a_detector(tmp_path):
+    result = _invoke(tmp_path, ["train", "--kind", "svm"])
+    assert result.exit_code == 2
+    assert "'svm' is not one of 'ae', 'moe', 'cae', 'gcae'" in result.output

@@ -8,6 +8,7 @@ from ctxae.dataset import (
     CLEAN,
     OutlierCaps,
     Truth,
+    TruthSpan,
     Window,
     attach_truth,
     filter_near_ports,
@@ -22,6 +23,7 @@ from ctxae.dataset import (
     stack_tensors,
 )
 from ctxae.features import enrich
+from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 
 from conftest import make_message
 
@@ -36,22 +38,21 @@ def _traj(n, mmsi=1001, status=NavStatus.UNDER_WAY_USING_ENGINE, start_ts=0):
 
 
 def _window(mmsi=1, cid=0, start_ts=0, truth=CLEAN, fill=1.0, dt=30.0,
-            index_in_vessel=0, n=50):
+            end_ts=None, n=50):
     tensor = np.full((n, 6), fill)
     tensor[:, 3] = dt
     tensor[0, 3] = 0.0
     tensor[:, 4] = 5.0
     return Window(tensor=tensor, context_id=cid, mmsi=mmsi, start_ts=start_ts,
-                  truth=truth, index_in_vessel=index_in_vessel)
+                  truth=truth, end_ts=end_ts)
 
 
 def test_segment_cuts_non_overlapping_windows():
     traj = _traj(120)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     assert len(windows) == 2
-    assert windows[0].start_ts == 0
-    assert windows[1].start_ts == 50 * 30
-    assert [w.index_in_vessel for w in windows] == [0, 1]
+    assert [(w.start_ts, w.end_ts) for w in windows] == [
+        (0, 49 * 30), (50 * 30, 99 * 30)]
     assert all(w.context_id == 0 for w in windows)
     assert all(w.tensor.shape == (50, 6) for w in windows)
     assert windows[0].positions.shape == (50, 2)
@@ -73,7 +74,7 @@ def test_segment_respects_context_runs():
     assert windows[1].start_ts == 30 * 60
 
 
-def test_segment_skips_unregistered_context_but_counts_index():
+def test_segment_skips_unregistered_context():
     msgs = [make_message(timestamp=30 * i, lat=10.0 + 0.001 * i)
             for i in range(50)]
     msgs += [make_message(timestamp=30 * (50 + i), lat=10.05 + 0.001 * i,
@@ -83,7 +84,8 @@ def test_segment_skips_unregistered_context_but_counts_index():
              for i in range(50)]
     traj = Trajectory(mmsi=1001, messages=tuple(msgs))
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
-    assert [w.index_in_vessel for w in windows] == [0, 2]
+    assert [(w.start_ts, w.end_ts) for w in windows] == [
+        (0, 49 * 30), (100 * 30, 149 * 30)]
 
 
 def test_segment_short_run_yields_nothing():
@@ -91,14 +93,58 @@ def test_segment_short_run_yields_nothing():
     assert segment(traj, enrich(traj), REGISTRY, window_len=50) == []
 
 
-def test_attach_truth_by_vessel_and_index():
-    windows = [_window(mmsi=7, index_in_vessel=i) for i in range(3)]
+def test_attach_truth_by_overlapping_span():
+    windows = [_window(mmsi=7, start_ts=100 * i, end_ts=100 * i + 49)
+               for i in range(4)]
     tag = Truth(kind="contextual", true_context=16)
-    tagged = attach_truth(windows, {(7, 1): tag})
-    assert tagged[0].truth.kind == "none"
-    assert tagged[1].truth.kind == "contextual"
+    tagged = attach_truth(windows, [
+        TruthSpan(8, 0, 400, Truth(kind="collective")),   # another vessel
+        TruthSpan(7, 120, 130, tag),                      # inside window 1
+        TruthSpan(7, 249, 300, Truth(kind="collective")), # ends inclusive
+    ])
+    assert [w.truth.kind for w in tagged] == [
+        "none", "contextual", "collective", "collective"]
     assert tagged[1].truth.true_context == 16
-    assert tagged[2].truth.kind == "none"
+    assert tagged[1].tensor is windows[1].tensor
+
+
+def test_attach_truth_takes_the_first_overlapping_span():
+    window = _window(mmsi=7, start_ts=0, end_ts=49)
+    first, second = Truth(kind="collective"), Truth(kind="point")
+    assert attach_truth([window], [TruthSpan(7, 40, 60, first),
+                                   TruthSpan(7, 0, 10, second)])[0].truth is first
+    assert attach_truth([window], [TruthSpan(7, 0, 10, second),
+                                   TruthSpan(7, 40, 60, first)])[0].truth is second
+
+
+def test_truth_tags_line_up_with_windows_at_any_stride():
+    # the truth file knows nothing of windows: at stride 25 every window of
+    # a falsified vessel and every window touching a collective span is
+    # tagged, and no other window is
+    plans = (ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=12,
+                         falsify_to=NavStatus.MOORED),
+             ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=10))
+    res = generate(SynthConfig(seed=7, plans=plans, messages_per_vessel=400,
+                               contextual_rate=0.1, collective_rate=0.05), REGISTRY)
+    kinds = {s.truth.kind for s in res.truth}
+    assert kinds == {"contextual", "collective"}
+    spans = {s.mmsi: s for s in res.truth}
+    for traj in res.trajectories:
+        windows = attach_truth(segment(traj, enrich(traj), REGISTRY,
+                                       window_len=50, stride=25), res.truth)
+        assert len(windows) == 15
+        span = spans.get(traj.mmsi)
+        if span is None:
+            expected = ["none"] * 15
+        elif span.truth.kind == "contextual":
+            expected = ["contextual"] * 15
+        else:
+            stamps = [m.timestamp for m in traj.messages]
+            lo, hi = stamps.index(span.first_ts), stamps.index(span.last_ts)
+            expected = ["collective" if ws <= hi and lo <= ws + 49 else "none"
+                        for ws in range(0, 351, 25)]
+            assert expected.count("collective") >= 2
+        assert [w.truth.kind for w in windows] == expected
 
 
 def test_truth_validation():
@@ -140,8 +186,7 @@ def test_remove_outliers_drops_short_span():
 
 
 def test_split_by_vessel_is_mmsi_disjoint():
-    windows = [_window(mmsi=m, cid=m % 2, start_ts=i * 1500,
-                       index_in_vessel=i)
+    windows = [_window(mmsi=m, cid=m % 2, start_ts=i * 1500)
                for m in range(1, 21) for i in range(5)]
     split = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=3)
     seen = {}
@@ -153,7 +198,7 @@ def test_split_by_vessel_is_mmsi_disjoint():
 
 
 def test_split_by_vessel_sends_anomalous_vessels_to_test():
-    windows = [_window(mmsi=m, start_ts=i * 1500, index_in_vessel=i)
+    windows = [_window(mmsi=m, start_ts=i * 1500)
                for m in range(1, 11) for i in range(3)]
     windows.append(_window(mmsi=99, start_ts=0,
                            truth=Truth(kind="collective")))
@@ -164,7 +209,7 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
 
 
 def test_split_by_vessel_is_deterministic():
-    windows = [_window(mmsi=m, start_ts=i * 1500, index_in_vessel=i)
+    windows = [_window(mmsi=m, start_ts=i * 1500)
                for m in range(1, 16) for i in range(4)]
     a = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
     b = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
@@ -178,7 +223,7 @@ def test_split_by_vessel_is_deterministic():
 
 
 def test_split_by_vessel_applies_eval_caps():
-    windows = [_window(mmsi=m, start_ts=i * 1500, index_in_vessel=i)
+    windows = [_window(mmsi=m, start_ts=i * 1500)
                for m in range(1, 6) for i in range(40)]
     split = split_by_vessel(windows, (0.34, 0.33, 0.33), seed=2,
                             max_train_per_context=30, max_eval_per_context=10)
@@ -190,9 +235,9 @@ def test_split_by_vessel_applies_eval_caps():
 def test_split_excludes_contexts_missing_from_train():
     # one lone vessel holds context 5; whenever it lands outside train the
     # context must vanish from every split
-    windows = [_window(mmsi=m, cid=0, start_ts=i * 1500, index_in_vessel=i)
+    windows = [_window(mmsi=m, cid=0, start_ts=i * 1500)
                for m in range(1, 8) for i in range(3)]
-    windows += [_window(mmsi=50, cid=5, start_ts=i * 1500, index_in_vessel=i)
+    windows += [_window(mmsi=50, cid=5, start_ts=i * 1500)
                 for i in range(3)]
     for seed in range(20):
         split = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=seed)
@@ -206,8 +251,8 @@ def test_split_excludes_contexts_missing_from_train():
 
 
 def test_sample_weights_balance_contexts():
-    windows = [_window(mmsi=1, cid=0, index_in_vessel=i) for i in range(6)]
-    windows += [_window(mmsi=2, cid=5, index_in_vessel=i) for i in range(2)]
+    windows = [_window(mmsi=1, cid=0) for _ in range(6)]
+    windows += [_window(mmsi=2, cid=5) for _ in range(2)]
     w = sample_weights(windows)
     # total=8, k=2 -> context 0 weight 8/(2*6), context 5 weight 8/(2*2)
     assert np.allclose(w[:6], 8 / 12)
@@ -218,9 +263,8 @@ def test_sample_weights_balance_contexts():
 
 
 def test_stack_and_group_helpers():
-    windows = [_window(mmsi=1, cid=5, index_in_vessel=0),
-               _window(mmsi=1, cid=0, index_in_vessel=1),
-               _window(mmsi=2, cid=5, index_in_vessel=0)]
+    windows = [_window(mmsi=1, cid=5), _window(mmsi=1, cid=0),
+               _window(mmsi=2, cid=5)]
     stacked = stack_tensors(windows)
     assert stacked.shape == (3, 50, 6)
     groups = indices_by_context(windows)
@@ -230,10 +274,9 @@ def test_stack_and_group_helpers():
 
 def _small_split(seed=4):
     windows = [_window(mmsi=m, cid=(0 if m % 2 else 5), start_ts=i * 1500,
-                       index_in_vessel=i, fill=float(m + i))
+                       fill=float(m + i))
                for m in range(1, 13) for i in range(4)]
-    windows[-1] = _window(mmsi=12, cid=5, start_ts=3 * 1500,
-                          index_in_vessel=3, fill=3.3,
+    windows[-1] = _window(mmsi=12, cid=5, start_ts=3 * 1500, fill=3.3,
                           truth=Truth(kind="contextual", true_context=16))
     return split_by_vessel(windows, (0.5, 0.25, 0.25), seed=seed)
 

@@ -10,7 +10,6 @@ from ctxae.net.model import (
     AutoencoderSpec,
     Sequential,
     default_autoencoder_spec,
-    mse,
     mse_per_sample,
 )
 from ctxae.net.training import (
@@ -56,13 +55,15 @@ def test_mse_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 5, 3))
     y = rng.normal(size=(4, 5, 3))
     got = mse_per_sample(x, y)
+    total = 0.0
     for b in range(4):
         acc = 0.0
         for t in range(5):
             for c in range(3):
                 acc += (x[b, t, c] - y[b, t, c]) ** 2
         assert abs(got[b] - acc / 15.0) < 1e-9
-    assert abs(mse(x, y) - got.mean()) < 1e-9
+        total += acc
+    assert abs(got.mean() - total / 60.0) < 1e-9
 
 
 def test_score_windows_matches_per_sample_mse(rng):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ctxae.ais import ContextRegistry, NavStatus
+from ctxae.dataset import attach_truth, segment
 from ctxae.errors import (ConfigError, UnmappedContext,
                           UnregisteredFalsification)
+from ctxae.features import enrich
 from ctxae.geo import haversine
 from ctxae.synth import (BehaviorModel, ContextPlan, PRESETS, SynthConfig,
                          generate, inject_collective, inject_contextual,
@@ -46,7 +48,7 @@ def test_rejects_duplicate_context_ids():
 @pytest.mark.parametrize("field,value", [
     ("contextual_rate", -0.1), ("contextual_rate", 1.5),
     ("collective_rate", 2.0), ("collective_span", 1),
-    ("messages_per_vessel", 49),
+    ("messages_per_vessel", 0),
 ])
 def test_rejects_bad_scalars(field, value):
     with pytest.raises(ConfigError):
@@ -134,7 +136,7 @@ def test_stationary_vessels_settle_outside_port_radius():
     # repositioning occupies the first two windows; from there on a moored
     # vessel must not wander back inside the exclusion radius
     res = generate(small_config(), REGISTRY)
-    falsified = {m for (m, _), t in res.truth.items() if t.kind == "contextual"}
+    falsified = {s.mmsi for s in res.truth if s.truth.kind == "contextual"}
     moored = [t for t in res.trajectories
               if t.messages[0].nav_status == NavStatus.MOORED
               and t.mmsi not in falsified]
@@ -185,17 +187,15 @@ def test_contextual_rejects_unregistered_claim():
 
 
 def test_contextual_truth_tags_whole_vessel():
-    cfg = small_config()
-    res = generate(cfg, REGISTRY)
-    ctx_tags = {(m, w): t for (m, w), t in res.truth.items()
-                if t.kind == "contextual"}
-    assert ctx_tags, "rate 0.25 over 4 falsifiable vessels injects at least one"
-    n_windows = cfg.messages_per_vessel // cfg.window_len
-    carriers = {m for m, _ in ctx_tags}
-    for mmsi in carriers:
-        windows = sorted(w for m, w in ctx_tags if m == mmsi)
-        assert windows == list(range(n_windows))
-        assert all(ctx_tags[(mmsi, w)].true_context == 0 for w in windows)
+    res = generate(small_config(), REGISTRY)
+    spans = [s for s in res.truth if s.truth.kind == "contextual"]
+    assert spans, "rate 0.25 over 4 falsifiable vessels injects at least one"
+    by_mmsi = {t.mmsi: t for t in res.trajectories}
+    assert len({s.mmsi for s in spans}) == len(spans)    # one span per vessel
+    for s in spans:
+        msgs = by_mmsi[s.mmsi].messages
+        assert (s.first_ts, s.last_ts) == (msgs[0].timestamp, msgs[-1].timestamp)
+        assert s.truth.true_context == 0
 
 
 # --- collective injection ----------------------------------------------------------
@@ -231,22 +231,30 @@ def test_collective_rejects_bad_span():
 def test_collective_truth_tags_touched_windows():
     cfg = small_config(contextual_rate=0.0)
     res = generate(cfg, REGISTRY)
-    coll = {(m, w) for (m, w), t in res.truth.items() if t.kind == "collective"}
-    assert coll
-    span_windows = cfg.collective_span // cfg.window_len + 2
-    by_vessel: dict[int, list[int]] = {}
-    for m, w in coll:
-        by_vessel.setdefault(m, []).append(w)
-    for windows in by_vessel.values():
-        assert len(windows) <= span_windows
-        ws = sorted(windows)
-        assert ws == list(range(ws[0], ws[0] + len(ws)))
+    spans = [s for s in res.truth if s.truth.kind == "collective"]
+    assert spans
+    by_mmsi = {t.mmsi: t for t in res.trajectories}
+    for s in spans:
+        traj = by_mmsi[s.mmsi]
+        stamps = [m.timestamp for m in traj.messages]
+        lo, hi = stamps.index(s.first_ts), stamps.index(s.last_ts)
+        # the span is exactly the displaced messages, each one a full step
+        assert hi - lo + 1 == cfg.collective_span
+        for i in range(lo, hi + 1):
+            a, b = traj.messages[i - 1], traj.messages[i]
+            assert haversine(a.lat, a.lon, b.lat, b.lon) == pytest.approx(
+                cfg.collective_magnitude_m, rel=1e-6)
+        # the windows cut from the vessel carry the tag iff they touch the span
+        windows = attach_truth(segment(traj, enrich(traj), REGISTRY), res.truth)
+        touched = [w.truth.kind == "collective" for w in windows]
+        assert touched == [ws <= hi and lo <= ws + 49
+                           for ws in range(0, len(stamps) - 49, 50)]
 
 
 def test_anomaly_rate_rounds_up_to_one():
     cfg = small_config(contextual_rate=0.01, collective_rate=0.01)
     res = generate(cfg, REGISTRY)
-    kinds = {t.kind for t in res.truth.values()}
+    kinds = {s.truth.kind for s in res.truth}
     assert kinds == {"contextual", "collective"}
 
 
@@ -259,6 +267,9 @@ def test_fleet_files_round_trip(tmp_path):
     assert (tmp_path / "records.csv").exists()
     truth = load_truth(tmp_path / "truth.csv")
     assert truth == res.truth
+    lines = (tmp_path / "truth.csv").read_text().splitlines()
+    assert lines[0] == "mmsi,first_ts,last_ts,kind,true_context"
+    assert len(lines) == len(res.truth) + 1
     ports = load_ports(tmp_path / "ports.csv")
     assert [tuple(p) for p in ports] == [tuple(p) for p in res.ports]
 
@@ -270,3 +281,20 @@ def test_fleet_files_byte_identical(tmp_path):
     for name in ("records.csv", "truth.csv", "ports.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_load_truth_refuses_a_file_without_span_columns(tmp_path):
+    path = tmp_path / "truth.csv"
+    # a file keyed by window number has no span columns
+    path.write_text("mmsi,window,kind,true_context\n7,0,collective,\n")
+    with pytest.raises(ConfigError, match="truth.csv.*first_ts"):
+        load_truth(path)
+
+
+def test_load_truth_refuses_a_reversed_span(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("mmsi,first_ts,last_ts,kind,true_context\n"
+                    "7,100,200,collective,\n"
+                    "8,300,299,contextual,5\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        load_truth(path)

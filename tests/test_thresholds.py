@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxae.detectors import SHARED, Detector
 from ctxae.errors import MissingThreshold
+from ctxae.net import layers as L
+from ctxae.net.model import AutoencoderSpec
 from ctxae.thresholds import (
     DEFAULT_LAMBDA,
     GLOBAL_ID,
+    ThresholdEntry,
     ThresholdTable,
     fit,
     load_table,
@@ -49,18 +53,43 @@ def test_fit_matches_loop_oracle(rng):
     assert g.n == len(pooled)
 
 
-def test_boundary_score_is_normal():
-    table = fit({1: np.array([0.0, 2.0])})
-    assert not table.classify(6.0, 1)        # exactly tau -> normal
-    assert table.classify(6.0 + 1e-12, 1)
-    assert not table.classify(5.999, 1)
+def _scored_windows(rng):
+    """An untrained detector, one window in each of contexts 1..3, its scores."""
+    spec = AutoencoderSpec(
+        input_shape=(10, 2),
+        encoder=(L.conv1d(2, 3, 3), L.relu(), L.dense(24, 4)), latent=4,
+        decoder=(L.dense(4, 24, out_shape=(8, 3)), L.relu(),
+                 L.conv1d_transpose(3, 2, 3)))
+    det = Detector(kind="ae", spec=spec, contexts=(1, 2, 3),
+                   encoders={SHARED: spec.build_encoder(rng)},
+                   decoders={SHARED: spec.build_decoder(rng)})
+    x = rng.normal(size=(3, 10, 2))
+    cids = np.array([1, 2, 3])
+    return det, x, cids, det.score_mixed(x, cids)
 
 
-def test_severity_is_normalized_margin():
-    table = fit({1: np.array([0.0, 2.0])})   # tau = 6
-    assert table.severity(9.0, 1) == pytest.approx(0.5)
-    assert table.severity(6.0, 1) == 0.0
-    assert table.severity(3.0, 1) == pytest.approx(-0.5)
+def _table(taus: dict[int, float]) -> ThresholdTable:
+    return ThresholdTable(lam=DEFAULT_LAMBDA, fit_split="train", entries={
+        c: ThresholdEntry(c, 2, 0.0, 0.0, float(t)) for c, t in taus.items()})
+
+
+def test_boundary_score_is_normal(rng):
+    det, x, cids, scores = _scored_windows(rng)
+    # scores: exactly at tau, one ulp above tau, below tau
+    det.thresholds = _table({1: scores[0], 2: np.nextafter(scores[1], -np.inf),
+                             3: scores[2] * 1.001})
+    _, verdicts, _ = det.detect(x, cids)
+    assert verdicts.tolist() == [False, True, False]
+
+
+def test_severity_is_normalized_margin(rng):
+    det, x, cids, scores = _scored_windows(rng)
+    det.thresholds = _table({1: scores[0] / 1.5, 2: scores[1],
+                             3: scores[2] * 2.0})
+    _, _, severities = det.detect(x, cids)
+    assert severities[0] == pytest.approx(0.5)
+    assert severities[1] == 0.0
+    assert severities[2] == pytest.approx(-0.5)
 
 
 def test_single_sample_context_is_flagged_not_fitted():
