@@ -1,10 +1,21 @@
 """Layer math for the 1-D convolutional autoencoder.
 
-Arrays are float64, shaped (batch, length, channels). Each layer caches the
-forward inputs it needs, accumulates parameter gradients in ``backward`` and
-returns the input gradient. Convolutions use valid padding and stride 1; the
-decoder recovers length through nearest-neighbour upsampling and transposed
-convolutions.
+Arrays are float64, shaped (batch, length, channels). A training-mode
+forward caches what ``backward`` needs; an inference-mode forward caches
+nothing, so it may run between a training forward and its backward.
+``backward`` accumulates parameter gradients and returns the input gradient.
+Convolutions use valid padding and stride 1; the decoder recovers length
+through nearest-neighbour upsampling and transposed convolutions.
+
+Fast paths: ReLU, max pooling, the upsampling gradient and batch norm use
+masks kept from the forward pass instead of ``np.where`` or an argmax
+scatter, whole-array ufunc calls instead of strided reductions, and
+arithmetic in place. Each performs the same float operations in the same
+order as its textbook form (kept as the oracle in ``tests/test_layers.py``),
+so it returns the same bits, with two exceptions. A masked-out gradient may
+be -0.0 where the textbook form wrote 0.0. ReLU maps NaN to NaN where the
+textbook form gave 0.0, and max pooling routes no gradient into a window
+whose maximum is NaN.
 """
 
 from __future__ import annotations
@@ -122,7 +133,8 @@ class Conv1D(Layer):
             raise ShapeMismatch(f"conv1d expected (b, L, {self.c_in}), got {x.shape}")
         if x.shape[1] < self.k:
             raise ShapeMismatch(f"conv1d input length {x.shape[1]} < kernel {self.k}")
-        self._x = x
+        if training:
+            self._x = x
         l_out = x.shape[1] - self.k + 1
         y = np.broadcast_to(self.b, (x.shape[0], l_out, self.c_out)).copy()
         for i in range(self.k):
@@ -166,7 +178,8 @@ class ConvTranspose1D(Layer):
     def forward(self, x, training):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ShapeMismatch(f"conv1d_transpose expected (b, L, {self.c_in}), got {x.shape}")
-        self._x = x
+        if training:
+            self._x = x
         l_in = x.shape[1]
         y = np.zeros((x.shape[0], l_in + self.k - 1, self.c_out))
         for i in range(self.k):
@@ -186,30 +199,52 @@ class ConvTranspose1D(Layer):
         return dx
 
 
+def _fold(op, blocks: np.ndarray) -> np.ndarray:
+    """Reduce axis 2 of (b, l, p, c) with a binary ufunc, left to right.
+
+    The same order as ``op.reduce(blocks, axis=2)``, whose strided inner loop
+    is several times slower than p - 1 whole-array calls.
+    """
+    p = blocks.shape[2]
+    out = blocks[:, :, 0].copy() if p == 1 else op(blocks[:, :, 0], blocks[:, :, 1])
+    for j in range(2, p):
+        op(out, blocks[:, :, j], out=out)
+    return out
+
+
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling along length; trailing remainder dropped."""
+    """Non-overlapping max pooling along length; trailing remainder dropped.
+
+    Training mode keeps a mask of the first maximum in each window, so a tie
+    routes the gradient where ``argmax`` would.
+    """
 
     def __init__(self, spec: LayerSpec):
         self.spec = spec
         self.pool = spec.args["pool"]
-        self._argmax: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
         self._in_shape: tuple | None = None
 
     def forward(self, x, training):
         p = self.pool
         l_out = x.shape[1] // p
-        self._in_shape = x.shape
         trimmed = x[:, :l_out * p, :].reshape(x.shape[0], l_out, p, x.shape[2])
-        self._argmax = trimmed.argmax(axis=2)
-        return trimmed.max(axis=2)
+        y = _fold(np.maximum, trimmed)
+        if training:
+            mask = trimmed == y[:, :, None, :]
+            for j in range(1, p):
+                mask[:, :, j] &= ~mask[:, :, :j].any(axis=2)
+            self._mask = mask
+            self._in_shape = x.shape
+        return y
 
     def backward(self, dy):
         b, l_out, c = dy.shape
         p = self.pool
-        dx = np.zeros(self._in_shape)
+        dx = np.empty(self._in_shape)
+        dx[:, l_out * p:, :] = 0.0
         windows = dx[:, :l_out * p, :].reshape(b, l_out, p, c)
-        bi, li, ci = np.ogrid[:b, :l_out, :c]
-        windows[bi, li, self._argmax, ci] = dy
+        np.multiply(self._mask, dy[:, :, None, :], out=windows)
         return dx
 
 
@@ -223,7 +258,18 @@ class UpsampleNearest(Layer):
 
     def backward(self, dy):
         b, l_out, c = dy.shape
-        return dy.reshape(b, l_out // self.factor, self.factor, c).sum(axis=2)
+        return _fold(np.add, dy.reshape(b, l_out // self.factor, self.factor, c))
+
+
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a (batch, length, channels) array.
+
+    The same bits as ``a.sum(axis=(0, 1))``, which adds rows one after
+    another: einsum adds them in that order too and runs several times
+    faster. For a single channel numpy's sum turns pairwise, so it stays.
+    """
+    flat = a.reshape(-1, a.shape[-1])
+    return np.einsum("ij->j", flat) if flat.shape[1] > 1 else flat.sum(axis=0)
 
 
 class BatchNorm(Layer):
@@ -264,30 +310,43 @@ class BatchNorm(Layer):
     def forward(self, x, training):
         if x.shape[2] != self.channels:
             raise ShapeMismatch(f"batchnorm expected {self.channels} channels, got {x.shape}")
-        if training:
-            mean = x.mean(axis=(0, 1))
-            var = x.var(axis=(0, 1))
-            self.running_mean *= self.MOMENTUM
-            self.running_mean += (1.0 - self.MOMENTUM) * mean
-            self.running_var *= self.MOMENTUM
-            self.running_var += (1.0 - self.MOMENTUM) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not training:
+            y = x - self.running_mean
+            y *= 1.0 / np.sqrt(self.running_var + self.EPS)
+            y *= self.gamma
+            y += self.beta
+            return y
+        n = x.shape[0] * x.shape[1]
+        mean = _channel_sums(x) / n
+        # x - mean serves the variance (as in np.var) and then x_hat
+        x_hat = x - mean
+        sq = np.multiply(x_hat, x_hat)
+        var = _channel_sums(sq) / n
+        self.running_mean *= self.MOMENTUM
+        self.running_mean += (1.0 - self.MOMENTUM) * mean
+        self.running_var *= self.MOMENTUM
+        self.running_var += (1.0 - self.MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = (x - mean) * inv_std
-        if training:
-            self._cache = (x_hat, inv_std, x.shape[0] * x.shape[1])
-        return self.gamma * x_hat + self.beta
+        x_hat *= inv_std
+        self._cache = (x_hat, inv_std, n)
+        y = np.multiply(x_hat, self.gamma, out=sq)
+        y += self.beta
+        return y
 
     def backward(self, dy):
         x_hat, inv_std, n = self._cache
-        self.dgamma += (dy * x_hat).sum(axis=(0, 1))
-        self.dbeta += dy.sum(axis=(0, 1))
+        prod = np.multiply(dy, x_hat)
+        self.dgamma += _channel_sums(prod)
+        self.dbeta += _channel_sums(dy)
         dxhat = dy * self.gamma
-        # batch statistics couple every sample in the batch
-        term = dxhat - dxhat.mean(axis=(0, 1)) - x_hat * (dxhat * x_hat).mean(axis=(0, 1))
-        return term * inv_std
+        # batch statistics couple every sample in the batch:
+        # dx = (dxhat - mean(dxhat) - x_hat * mean(dxhat * x_hat)) * inv_std
+        np.multiply(dxhat, x_hat, out=prod)
+        proj = _channel_sums(prod) / n
+        dxhat -= _channel_sums(dxhat) / n
+        dxhat -= np.multiply(x_hat, proj, out=prod)
+        dxhat *= inv_std
+        return dxhat
 
 
 class Dense(Layer):
@@ -316,11 +375,12 @@ class Dense(Layer):
         return self.n_in * self.n_out + self.n_out
 
     def forward(self, x, training):
-        self._in_shape = x.shape
         x2d = x.reshape(x.shape[0], -1)
         if x2d.shape[1] != self.n_in:
             raise ShapeMismatch(f"dense expected {self.n_in} inputs, got {x2d.shape[1]}")
-        self._x2d = x2d
+        if training:
+            self._in_shape = x.shape
+            self._x2d = x2d
         y = x2d @ self.w + self.b
         if self.out_shape is not None:
             y = y.reshape(x.shape[0], *self.out_shape)
@@ -341,11 +401,12 @@ class Activation(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x, training):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        if training:
+            self._mask = x > 0.0
+        return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0.0)
+        return np.multiply(dy, self._mask)
 
 
 def build_layer(spec: LayerSpec, rng: np.random.Generator) -> Layer:

@@ -6,6 +6,10 @@ One epoch loop trains a shared encoder with one decoder per key;
 shuffle from the config seed, so identical config + seed reproduce identical
 loss sequences. Re-running a plateaued validation loss keeps the earliest
 best epoch (strict improvement only).
+
+``Adam.step`` updates its moments in place and reuses two scratch arrays
+per parameter. It performs the textbook update's float operations in the
+same order, so parameters come out with the same bits.
 """
 
 from __future__ import annotations
@@ -65,17 +69,27 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """p -= lr * (m / c1) / (sqrt(v / c2) + eps), with m and v decayed in place."""
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / correction1
-            v_hat = self.v[i] / correction2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(v, correction2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, correction1, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
 
 def _check_finite(loss: float) -> None:
@@ -95,7 +109,9 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     loss = float((w * per_sample).mean())
     _check_finite(loss)
     batch, elements = x.shape[0], x[0].size
-    d_xhat = (2.0 / (batch * elements)) * w[:, None, None] * (x_hat - x)
+    # x_hat is no layer's cache, so the gradient can take its place
+    d_xhat = np.subtract(x_hat, x, out=x_hat)
+    d_xhat *= (2.0 / (batch * elements)) * w[:, None, None]
     encoder.zero_grads()
     decoder.zero_grads()
     dz = decoder.backward(d_xhat)

@@ -206,14 +206,21 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     return summary
 
 
-def _load_detector(cfg: RunConfig, kind: str) -> detectors.Detector:
-    return detectors.load_detector(_model_dir(cfg, kind))
+def _load_detector(cfg: RunConfig, kind: str, split: DatasetSplit) -> detectors.Detector:
+    """Load a trained bundle; refuse one trained on other normalisation stats."""
+    det = detectors.load_detector(_model_dir(cfg, kind))
+    expected = split.norm_stats.content_hash()
+    if det.norm_stats_hash != expected:
+        raise ConfigError(
+            f"{kind} detector was trained on norm_stats_hash {det.norm_stats_hash}, "
+            f"but the dataset has {expected}; retrain {kind}")
+    return det
 
 
 def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind)
+    det = _load_detector(cfg, kind, split)
     table = detectors.fit_detector_thresholds(det, split,
                                               cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
@@ -235,7 +242,7 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
 def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, "cae")
+    det = _load_detector(cfg, "cae", split)
     if det.thresholds is None and cfg.grouping.tau_dit is None:
         raise MissingArtifact("grouping with per-context caps needs fitted "
                               "cae thresholds; run the thresholds stage first")
@@ -275,7 +282,7 @@ DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
 def stage_detect(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind)
+    det = _load_detector(cfg, kind, split)
     if det.thresholds is None:
         raise MissingArtifact(f"{kind} bundle has no thresholds; "
                               "run the thresholds stage first")

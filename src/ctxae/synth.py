@@ -134,6 +134,11 @@ class SynthConfig:
             raise ConfigError("collective_span must be >= 2")
         if self.messages_per_vessel < 1:
             raise ConfigError("messages_per_vessel must be positive")
+        # an injection starts at least 5 messages from either end of the track
+        if self.collective_rate > 0 and self.messages_per_vessel <= self.collective_span + 10:
+            raise ConfigError(
+                f"messages_per_vessel {self.messages_per_vessel} leaves no room for "
+                f"collective_span {self.collective_span}; it must exceed the span by 10")
         ids = [p.context_id for p in self.plans]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate context ids in synthetic plan")

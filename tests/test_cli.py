@@ -39,6 +39,15 @@ def test_config_error_exits_2(tmp_path):
     assert result.stderr.startswith("ConfigError: ")
 
 
+def test_collective_span_that_does_not_fit_exits_2(tmp_path):
+    raw = {**TINY, "dataset": {"window_len": 20},
+           "synth": {**TINY["synth"], "messages_per_vessel": 20, "collective_rate": 0.5}}
+    result = _invoke(tmp_path, ["simulate"], raw=raw)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: messages_per_vessel 20 ")
+    assert "collective_span 12" in result.stderr
+
+
 def test_detect_before_train_exits_3(tmp_path):
     assert _invoke(tmp_path, ["simulate"]).exit_code == 0
     assert _invoke(tmp_path, ["build"]).exit_code == 0

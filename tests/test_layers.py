@@ -1,9 +1,11 @@
-"""Analytic gradients vs central finite differences, per layer kind.
+"""Analytic gradients vs central finite differences, per layer kind, and the
+fast layer paths vs their textbook forms.
 
-Each case runs a scalar loss ``sum(w * layer(x))`` so the upstream gradient
-is the fixed random tensor ``w``. A gradient entry passes when it matches
-the finite-difference estimate within 1e-4 relative error, or 1e-8 absolute
-for entries whose true gradient is numerically zero.
+Each gradcheck case runs a scalar loss ``sum(w * layer(x))`` so the upstream
+gradient is the fixed random tensor ``w``. A gradient entry passes when it
+matches the finite-difference estimate within 1e-4 relative error, or 1e-8
+absolute for entries whose true gradient is numerically zero. The fast-path
+cases at the end require exact equality with the textbook forms.
 """
 
 import numpy as np
@@ -121,11 +123,12 @@ def test_batchnorm_eval_uses_running_stats():
 
 def test_maxpool_routes_gradient_to_argmax():
     layer = build_layer(maxpool(2), np.random.default_rng(0))
-    x = np.array([[[1.0], [4.0], [2.0], [3.0]]])
+    # the last window ties: its gradient goes to the first maximum only
+    x = np.array([[[1.0], [4.0], [2.0], [3.0], [5.0], [5.0]]])
     out = layer.forward(x, training=True)
-    assert out.tolist() == [[[4.0], [3.0]]]
-    dx = layer.backward(np.array([[[10.0], [20.0]]]))
-    assert dx.tolist() == [[[0.0], [10.0], [0.0], [20.0]]]
+    assert out.tolist() == [[[4.0], [3.0], [5.0]]]
+    dx = layer.backward(np.array([[[10.0], [20.0], [30.0]]]))
+    assert dx.tolist() == [[[0.0], [10.0], [0.0], [20.0], [30.0], [0.0]]]
 
 
 def test_upsample_repeats_and_sums_back():
@@ -144,6 +147,23 @@ def test_relu_masks_negatives():
     assert out.tolist() == [[[0.0], [2.0], [0.0]]]
     dx = layer.backward(np.ones_like(x))
     assert dx.tolist() == [[[0.0], [1.0], [0.0]]]
+
+
+def test_relu_propagates_nan_and_blocks_its_gradient():
+    layer = build_layer(relu(), np.random.default_rng(0))
+    x = np.array([[[np.nan], [2.0], [-np.inf]]])
+    out = layer.forward(x, training=True)
+    assert np.isnan(out[0, 0, 0]) and out[0, 1:, 0].tolist() == [2.0, 0.0]
+    assert layer.backward(np.ones_like(x)).tolist() == [[[0.0], [1.0], [0.0]]]
+
+
+def test_maxpool_of_a_nan_window_is_nan_and_routes_no_gradient():
+    layer = build_layer(maxpool(2), np.random.default_rng(0))
+    x = np.array([[[1.0], [np.nan], [2.0], [3.0]]])
+    out = layer.forward(x, training=True)
+    assert np.isnan(out[0, 0, 0]) and out[0, 1, 0] == 3.0
+    assert layer.backward(np.array([[[10.0], [20.0]]])).tolist() \
+        == [[[0.0], [0.0], [0.0], [20.0]]]
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -204,3 +224,140 @@ def test_conv1d_transpose_forward_matches_loop_oracle():
                     for co in range(3):
                         expected[b, t + dt, co] += x[b, t, ci] * kernel[dt, ci, co]
     assert np.allclose(out, expected, atol=1e-12)
+
+
+# --- fast paths against their reference forms --------------------------------
+# ReLU, MaxPool, UpsampleNearest and BatchNorm run fast paths that must equal
+# these textbook forms element for element (BatchNorm and the upsampling
+# gradient bit for bit).
+
+def _reference_relu(x, dy):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), np.where(mask, dy, 0.0)
+
+
+def _reference_maxpool(x, dy, pool):
+    b, length, c = x.shape
+    l_out = length // pool
+    trimmed = x[:, :l_out * pool, :].reshape(b, l_out, pool, c)
+    argmax = trimmed.argmax(axis=2)
+    dx = np.zeros(x.shape)
+    windows = dx[:, :l_out * pool, :].reshape(b, l_out, pool, c)
+    bi, li, ci = np.ogrid[:b, :l_out, :c]
+    windows[bi, li, argmax, ci] = dy
+    return trimmed.max(axis=2), dx
+
+
+def _reference_batchnorm(x, dy, gamma, beta, eps):
+    mean = x.mean(axis=(0, 1))
+    var = x.var(axis=(0, 1))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean) * inv_std
+    y = gamma * x_hat + beta
+    dgamma = (dy * x_hat).sum(axis=(0, 1))
+    dbeta = dy.sum(axis=(0, 1))
+    dxhat = dy * gamma
+    term = dxhat - dxhat.mean(axis=(0, 1)) - x_hat * (dxhat * x_hat).mean(axis=(0, 1))
+    return y, term * inv_std, dgamma, dbeta, mean, var
+
+
+def _reference_batchnorm_infer(x, gamma, beta, running_mean, running_var, eps):
+    x_hat = (x - running_mean) * (1.0 / np.sqrt(running_var + eps))
+    return gamma * x_hat + beta
+
+
+def _input(rng, shape, fill):
+    if fill == "normal":
+        return rng.normal(size=shape)
+    if fill == "ties":
+        # small integers: ties in every pooling window, exact zeros everywhere
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    # signed zeros mixed into normal values
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.3] = -0.0
+    return x
+
+
+def _equal(fast, ref):
+    assert fast.shape == ref.shape and np.array_equal(fast, ref)
+
+
+def _same_bits(fast, ref):
+    assert fast.shape == ref.shape and fast.dtype == ref.dtype
+    assert fast.tobytes() == ref.tobytes()
+
+
+SHAPES = [(1, 7, 3), (1, 8, 1), (3, 20, 1), (3, 9, 2), (4, 50, 16), (2, 11, 5)]
+FILLS = ["normal", "ties", "signed_zeros"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fill", FILLS)
+def test_relu_matches_reference(shape, fill):
+    rng = np.random.default_rng(21)
+    layer = build_layer(relu(), rng)
+    x, dy = _input(rng, shape, fill), _input(rng, shape, fill)
+    y_ref, dx_ref = _reference_relu(x, dy)
+    _equal(layer.forward(x, training=True), y_ref)
+    # an inference pass between forward and backward leaves the gradient alone
+    other = _input(rng, shape, fill)
+    _equal(layer.forward(other, training=False), _reference_relu(other, dy)[0])
+    _equal(layer.backward(dy), dx_ref)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("pool", [2, 3])
+def test_maxpool_matches_reference(shape, fill, pool):
+    rng = np.random.default_rng(22)
+    layer = build_layer(maxpool(pool), rng)
+    x = _input(rng, shape, fill)
+    dy = _input(rng, (shape[0], shape[1] // pool, shape[2]), fill)
+    y_ref, dx_ref = _reference_maxpool(x, dy, pool)
+    _equal(layer.forward(x, training=True), y_ref)
+    other = _input(rng, shape, fill)
+    _equal(layer.forward(other, training=False), _reference_maxpool(other, dy, pool)[0])
+    _equal(layer.backward(dy), dx_ref)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fill", FILLS)
+def test_batchnorm_matches_reference_bit_for_bit(shape, fill):
+    rng = np.random.default_rng(23)
+    c = shape[2]
+    layer = build_layer(batchnorm(c), rng)
+    layer.gamma[:] = rng.normal(1.0, 0.5, size=c)
+    layer.beta[:] = rng.normal(0.0, 0.5, size=c)
+    layer.running_mean[:] = rng.normal(size=c)
+    layer.running_var[:] = rng.uniform(0.5, 2.0, size=c)
+    running = [b.copy() for b in layer.buffers()]
+    x, dy = _input(rng, shape, fill), _input(rng, shape, fill)
+    y_ref, dx_ref, dgamma_ref, dbeta_ref, mean, var = _reference_batchnorm(
+        x, dy, layer.gamma, layer.beta, layer.EPS)
+
+    _same_bits(layer.forward(x, training=True), y_ref)
+    m = layer.MOMENTUM
+    _same_bits(layer.running_mean, m * running[0] + (1.0 - m) * mean)
+    _same_bits(layer.running_var, m * running[1] + (1.0 - m) * var)
+    other = _input(rng, shape, fill)
+    _same_bits(layer.forward(other, training=False), _reference_batchnorm_infer(
+        other, layer.gamma, layer.beta, layer.running_mean, layer.running_var, layer.EPS))
+    layer.zero_grads()
+    _same_bits(layer.backward(dy), dx_ref)
+    _same_bits(layer.dgamma, np.zeros(c) + dgamma_ref)
+    _same_bits(layer.dbeta, np.zeros(c) + dbeta_ref)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (3, 9, 2), (4, 24, 16)])
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_upsample_gradient_matches_reference_bit_for_bit(shape, factor):
+    rng = np.random.default_rng(24)
+    layer = build_layer(upsample(factor), rng)
+    x = rng.normal(size=shape)
+    _same_bits(layer.forward(x, training=True), np.repeat(x, factor, axis=1))
+    # magnitudes far apart, so that another order of addition rounds differently
+    dy = rng.normal(size=(shape[0], shape[1] * factor, shape[2]))
+    dy *= 10.0 ** rng.integers(-8, 8, size=dy.shape)
+    ref = dy.reshape(shape[0], shape[1], factor, shape[2]).sum(axis=2)
+    _same_bits(layer.backward(dy), ref)

@@ -166,6 +166,24 @@ def test_weighted_loss_matches_manual_average(rng):
     assert loss == pytest.approx(expected, rel=1e-9)
 
 
+def test_weighted_batch_step_gradients_match_reference(rng):
+    spec = _toy_spec()
+    x = _toy_data(rng, n=6)
+    w = rng.uniform(0.5, 2.0, size=6)
+
+    enc, dec = _build_pair(spec, seed=5)
+    x_hat = dec.forward(enc.forward(x, training=True), training=True)
+    d_xhat = (2.0 / (x.shape[0] * x[0].size)) * w[:, None, None] * (x_hat - x)
+    enc.zero_grads()
+    dec.zero_grads()
+    enc.backward(dec.backward(d_xhat))
+
+    enc2, dec2 = _build_pair(spec, seed=5)
+    training_mod._weighted_batch_step(enc2, dec2, x, w)
+    for g_ref, g in zip(enc.grads() + dec.grads(), enc2.grads() + dec2.grads()):
+        assert g.tobytes() == g_ref.tobytes()
+
+
 def test_training_rejects_empty_sets(rng):
     spec = _toy_spec()
     enc, dec = _build_pair(spec)
@@ -305,3 +323,40 @@ def test_sequential_snapshot_restore_round_trip(rng):
     assert not np.array_equal(enc.forward(x, training=False), before)
     enc.restore(snap)
     assert np.array_equal(enc.forward(x, training=False), before)
+
+
+class _ReferenceAdam:
+    """The textbook out-of-place Adam update, kept as the in-place step's oracle."""
+
+    def __init__(self, params, config):
+        self.lr, self.eps = config.learning_rate, config.epsilon
+        self.beta1, self.beta2 = config.beta1, config.beta2
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        correction1 = 1.0 - self.beta1 ** self.t
+        correction2 = 1.0 - self.beta2 ** self.t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / correction1
+            v_hat = self.v[i] / correction2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def test_adam_in_place_step_matches_out_of_place_reference(rng):
+    cfg = TrainConfig(learning_rate=3e-3)
+    shapes = [(7, 5), (5,), (3, 2, 4)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    opt, ref = Adam(params, cfg), _ReferenceAdam(ref_params, cfg)
+    for _ in range(50):
+        grads = [rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=s) for s in shapes]
+        grads[1][rng.random(5) < 0.3] = 0.0
+        opt.step(params, grads)
+        ref.step(ref_params, [g.copy() for g in grads])
+        for p, p_ref in zip(params, ref_params):
+            assert p.tobytes() == p_ref.tobytes()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from ctxae import pipeline
 from ctxae.config import config_from_dict
+from ctxae.errors import ConfigError
 from ctxae.manifest import config_hash, sha256_file
 from ctxae.pipeline import run_all
 
@@ -62,3 +64,32 @@ def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
     assert config_hash(_tiny(tmp_path / "a")) == config_hash(_tiny(tmp_path / "b"))
     assert config_hash(_tiny(tmp_path / "a", seed=3)) \
         != config_hash(_tiny(tmp_path / "a", seed=4))
+
+
+def _prepare(cfg):
+    pipeline.stage_simulate(cfg)
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_build(cfg)
+
+
+def test_stages_refuse_a_detector_trained_on_another_dataset(tmp_path):
+    out_dir = tmp_path / "run"
+    _prepare(_tiny(out_dir, seed=3))
+    for kind in ("ae", "cae"):
+        pipeline.stage_train(_tiny(out_dir, seed=3), kind)
+    pipeline.stage_thresholds(_tiny(out_dir, seed=3), "ae")
+    trained = json.loads((out_dir / "models" / "ae" / "detector.json").read_text())
+    stale_hash = trained["norm_stats_hash"]
+
+    # another seed rebuilds the dataset in place with other normalisation stats
+    cfg = _tiny(out_dir, seed=4)
+    _prepare(cfg)
+    header = json.loads((out_dir / "dataset" / "header.json").read_text())
+    fresh_hash = header["norm_stats_hash"]
+    assert fresh_hash != stale_hash
+    for stage in (lambda: pipeline.stage_thresholds(cfg, "ae"),
+                  lambda: pipeline.stage_detect(cfg, "ae"),
+                  lambda: pipeline.stage_group(cfg)):
+        with pytest.raises(ConfigError) as err:
+            stage()
+        assert stale_hash in str(err.value) and fresh_hash in str(err.value)

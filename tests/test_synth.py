@@ -55,6 +55,16 @@ def test_rejects_bad_scalars(field, value):
         small_config(**{field: value})
 
 
+def test_rejects_collective_span_that_does_not_fit():
+    # generate() would draw a start from an empty range
+    with pytest.raises(ConfigError, match=r"messages_per_vessel 22 .*collective_span 12"):
+        small_config(messages_per_vessel=22, collective_span=12, collective_rate=0.5)
+    small_config(messages_per_vessel=22, collective_span=12, collective_rate=0.0)
+    res = generate(small_config(messages_per_vessel=23, collective_span=12,
+                                collective_rate=1.0), REGISTRY)
+    assert any(s.truth.kind == "collective" for s in res.truth)
+
+
 def test_rejects_nonpositive_vessel_count():
     with pytest.raises(ConfigError):
         ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=0)
