@@ -1,19 +1,42 @@
-"""AIS domain model: messages, trajectories, and the context registry.
+"""AIS domain model: message columns, trajectories, and the context registry.
 
 A *context* is a (vessel type, navigational status) pair. The built-in
 registry enumerates the 26 registered pairs with stable ids c0..c25; pairs
-outside the registry map to ``UNREGISTERED``.
+outside the registry have no context (id -1 in a column lookup).
+
+Messages are held as column arrays, never as one object per message. A
+``MessageTable`` holds parsed records in input order and a ``Trajectory``
+holds one vessel's messages in time order, both with the columns ``ts``
+(int64 seconds), ``lat``, ``lon``, ``sog``, ``cog``, ``heading`` (float64),
+``status`` and ``vtype`` (uint8 codes that index ``NAV_STATUSES`` and
+``VESSEL_TYPES``). ``heading`` is NaN exactly where the vessel reported it
+unavailable (``heading_unavailable``); a parsed heading is never NaN, since
+the range check refuses one.
+
+Parsing converts a whole column at a time with the same Python ``int`` and
+``float`` calls the row parser makes, then checks ranges on the arrays. A
+row that fails any check is parsed again by ``parse_record``, the scalar
+row parser, which names the fault, so every ParseError has the same class,
+line number and text whichever path saw the row first. Ingest writes the
+parsed table once as raw little-endian column files (``save_table``), and
+the dataset build reads them back (``load_table``) instead of parsing again.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .errors import MissingField, ParseError, RangeError, UnknownEnumToken
+import numpy as np
+
+from .errors import (MissingArtifact, MissingField, ParseError, RangeError,
+                     UnknownEnumToken)
 
 
 class NavStatus(Enum):
@@ -36,41 +59,68 @@ class VesselType(Enum):
     UNKNOWN = "unknown"
 
 
-# Raw AIS encodes "heading unavailable" as 511 degrees; internally the
-# sentinel is None so it can never leak into angle arithmetic.
-HEADING_UNAVAILABLE_TOKEN = "511"
+# the code of a status or vessel type is its index here
+NAV_STATUSES = tuple(NavStatus)
+VESSEL_TYPES = tuple(VesselType)
+_STATUS_CODES = {s.value: i for i, s in enumerate(NAV_STATUSES)}
+_TYPE_CODES = {t.value: i for i, t in enumerate(VESSEL_TYPES)}
+
+# Raw AIS encodes "heading unavailable" as 511 degrees.
+HEADING_UNAVAILABLE_TOKENS = ("unavailable", "511", "511.0")
+
+MESSAGE_COLUMNS = ("ts", "lat", "lon", "sog", "cog", "heading", "status", "vtype")
+# on-disk and in-memory dtype of every table column, in parse_record order
+TABLE_DTYPES = {"mmsi": "<i8", "ts": "<i8", "lat": "<f8", "lon": "<f8",
+                "sog": "<f8", "cog": "<f8", "heading": "<f8",
+                "status": "u1", "vtype": "u1"}
+TABLE_VERSION = 1
+# records read or written per block, so the raw text never sits in memory whole
+BLOCK_ROWS = 1024
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
-class AisMessage:
-    """One time-stamped position report.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class _Columns:
+    """Per-message columns of equal length."""
 
-    heading is None when the vessel reported it unavailable.
-    """
+    ts: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    sog: np.ndarray
+    cog: np.ndarray
+    heading: np.ndarray
+    status: np.ndarray
+    vtype: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ts.shape[0]
+
+    @property
+    def heading_unavailable(self) -> np.ndarray:
+        return np.isnan(self.heading)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class MessageTable(_Columns):
+    """Records in input order, with the mmsi of each as one more column."""
+
+    mmsi: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Trajectory(_Columns):
+    """Messages of a single vessel, timestamps non-decreasing."""
 
     mmsi: int
-    timestamp: int
-    lat: float
-    lon: float
-    sog: float
-    cog: float
-    heading: float | None
-    nav_status: NavStatus
-    vessel_type: VesselType
 
     def __post_init__(self):
-        if self.mmsi <= 0:
-            raise ValueError(f"mmsi must be positive, got {self.mmsi}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"lat out of range: {self.lat}")
-        if not -180.0 < self.lon <= 180.0:
-            raise ValueError(f"lon out of range: {self.lon}")
-        if self.sog < 0.0:
-            raise ValueError(f"sog must be >= 0, got {self.sog}")
-        if not 0.0 <= self.cog < 360.0:
-            raise ValueError(f"cog out of range: {self.cog}")
-        if self.heading is not None and not 0.0 <= self.heading < 360.0:
-            raise ValueError(f"heading out of range: {self.heading}")
+        n = len(self.ts)
+        if n == 0:
+            raise ValueError("trajectory must hold at least one message")
+        if any(len(getattr(self, c)) != n for c in MESSAGE_COLUMNS):
+            raise ValueError("trajectory columns must have equal lengths")
+        if (np.diff(self.ts) < 0).any():
+            raise ValueError("timestamps must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -82,26 +132,6 @@ class ContextLabel:
     @property
     def name(self) -> str:
         return f"c{self.id}"
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered messages of a single vessel (timestamps non-decreasing)."""
-
-    mmsi: int
-    messages: tuple[AisMessage, ...]
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("trajectory must hold at least one message")
-        if any(m.mmsi != self.mmsi for m in self.messages):
-            raise ValueError("all messages must share the trajectory mmsi")
-        ts = [m.timestamp for m in self.messages]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("timestamps must be non-decreasing")
-
-    def __len__(self) -> int:
-        return len(self.messages)
 
 
 # Registered (status, vessel type) pairs, ids c0..c25. Grouped by status:
@@ -160,6 +190,10 @@ class ContextRegistry:
         for label in self.labels:
             if label.vessel_type is VesselType.UNKNOWN or label.nav_status is NavStatus.OTHER:
                 raise ValueError("unknown type / other status can never be registered")
+        self._ids = np.full((len(VESSEL_TYPES), len(NAV_STATUSES)), -1, dtype=np.int64)
+        for l in self.labels:
+            self._ids[VESSEL_TYPES.index(l.vessel_type),
+                      NAV_STATUSES.index(l.nav_status)] = l.id
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -171,14 +205,15 @@ class ContextRegistry:
         """Total context function: the registry entry, or None if unregistered."""
         return self._by_pair.get((vessel_type, nav_status))
 
+    def context_ids(self, vtype: np.ndarray, status: np.ndarray) -> np.ndarray:
+        """Context id per (vessel type code, status code) pair; -1 if unregistered."""
+        return self._ids[vtype, status]
+
     def by_id(self, context_id: int) -> ContextLabel:
         return self._by_id[context_id]
 
     def has_id(self, context_id: int) -> bool:
         return context_id in self._by_id
-
-    def context_of(self, message: AisMessage) -> ContextLabel | None:
-        return self.lookup(message.vessel_type, message.nav_status)
 
     def serialize(self) -> str:
         lines = [
@@ -204,14 +239,27 @@ CANONICAL_FIELDS = (
 )
 
 
-def _parse_record(record: dict[str, str], schema: dict[str, str],
-                  line_no: int) -> AisMessage:
+def _heading_value(token: str) -> float:
+    """A heading token as degrees; NaN for a token meaning unavailable."""
+    token = token.strip().lower()
+    return float("nan") if token in HEADING_UNAVAILABLE_TOKENS else float(token)
+
+
+def parse_record(row: list[str], index: dict[str, int], schema: dict[str, str],
+                 line_no: int) -> tuple:
+    """One CSV row as a tuple in TABLE_DTYPES order, or a located ParseError.
+
+    index maps header names to row positions; schema renames canonical
+    fields to the columns that hold them.
+    """
     values: dict[str, str] = {}
     for field in CANONICAL_FIELDS:
         column = schema.get(field, field)
-        if column not in record or record[column] == "":
+        i = index.get(column)
+        # a short row lacks its trailing fields, like an empty one
+        if i is None or i >= len(row) or row[i] == "":
             raise MissingField(line_no, f"missing field {field!r} (column {column!r})")
-        values[field] = record[column]
+        values[field] = row[i]
 
     try:
         mmsi = int(values["mmsi"])
@@ -223,71 +271,156 @@ def _parse_record(record: dict[str, str], schema: dict[str, str],
     except ValueError as exc:
         raise RangeError(line_no, f"non-numeric field: {exc}") from None
 
-    heading_token = values["heading"].strip().lower()
-    if heading_token in ("unavailable", HEADING_UNAVAILABLE_TOKEN, "511.0"):
-        heading: float | None = None
-    else:
-        try:
-            heading = float(heading_token)
-        except ValueError:
-            raise RangeError(line_no, f"bad heading {values['heading']!r}") from None
+    try:
+        heading = _heading_value(values["heading"])
+    except ValueError:
+        raise RangeError(line_no, f"bad heading {values['heading']!r}") from None
+    unavailable = values["heading"].strip().lower() in HEADING_UNAVAILABLE_TOKENS
 
     try:
-        nav_status = NavStatus(values["nav_status"].strip().lower())
-    except ValueError:
+        status = _STATUS_CODES[values["nav_status"].strip().lower()]
+    except KeyError:
         raise UnknownEnumToken(line_no, f"unknown nav_status {values['nav_status']!r}") from None
     try:
-        vessel_type = VesselType(values["vessel_type"].strip().lower())
-    except ValueError:
+        vtype = _TYPE_CODES[values["vessel_type"].strip().lower()]
+    except KeyError:
         raise UnknownEnumToken(line_no, f"unknown vessel_type {values['vessel_type']!r}") from None
 
+    if mmsi <= 0:
+        raise RangeError(line_no, f"mmsi must be positive, got {mmsi}")
+    if mmsi > _INT64_MAX:
+        raise RangeError(line_no, f"mmsi out of range: {mmsi}")
+    if not _INT64_MIN <= timestamp <= _INT64_MAX:
+        raise RangeError(line_no, f"timestamp out of range: {timestamp}")
+    if not -90.0 <= lat <= 90.0:
+        raise RangeError(line_no, f"lat out of range: {lat}")
+    if not -180.0 < lon <= 180.0:
+        raise RangeError(line_no, f"lon out of range: {lon}")
+    if sog < 0.0:
+        raise RangeError(line_no, f"sog must be >= 0, got {sog}")
+    if not 0.0 <= cog < 360.0:
+        raise RangeError(line_no, f"cog out of range: {cog}")
+    if not unavailable and not 0.0 <= heading < 360.0:
+        raise RangeError(line_no, f"heading out of range: {heading}")
+    return mmsi, timestamp, lat, lon, sog, cog, heading, status, vtype
+
+
+# converters of the column path, in TABLE_DTYPES order
+_CONVERTERS = (int, int, float, float, float, float, _heading_value,
+               lambda token: _STATUS_CODES[token.strip().lower()],
+               lambda token: _TYPE_CODES[token.strip().lower()])
+
+
+def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str],
+                 first_line: int) -> tuple[dict[str, np.ndarray], list[ParseError]]:
+    """Columns of the well-formed rows, and an error for each other row."""
+    index = {name: i for i, name in enumerate(header)}
+    n = len(rows)
+    cols = {name: np.zeros(n, dtype) for name, dtype in TABLE_DTYPES.items()}
+    bad = np.ones(n, dtype=bool)
     try:
-        return AisMessage(mmsi=mmsi, timestamp=timestamp, lat=lat, lon=lon,
-                          sog=sog, cog=cog, heading=heading,
-                          nav_status=nav_status, vessel_type=vessel_type)
-    except ValueError as exc:
-        raise RangeError(line_no, str(exc)) from None
+        # a missing column, a row of another width or a token a converter
+        # refuses sends the whole block to the row parser
+        positions = [index[schema.get(f, f)] for f in CANONICAL_FIELDS]
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("ragged rows")
+        tokens = list(zip(*rows)) or [()] * len(header)
+        for (name, dtype), convert, i in zip(TABLE_DTYPES.items(), _CONVERTERS, positions):
+            cols[name] = np.fromiter(map(convert, tokens[i]), dtype, n)
+        lat, lon, cog, heading = (cols[c] for c in ("lat", "lon", "cog", "heading"))
+        bad = ((cols["mmsi"] <= 0) | ~((lat >= -90.0) & (lat <= 90.0))
+               | ~((lon > -180.0) & (lon <= 180.0)) | (cols["sog"] < 0.0)
+               | ~((cog >= 0.0) & (cog < 360.0)) | (heading < 0.0) | (heading >= 360.0))
+        # a NaN heading no unavailable token gave was parsed from "nan"
+        for i in np.flatnonzero(np.isnan(heading)).tolist():
+            token = tokens[positions[CANONICAL_FIELDS.index("heading")]][i].strip().lower()
+            bad[i] |= token not in HEADING_UNAVAILABLE_TOKENS
+    except (KeyError, ValueError, OverflowError):
+        pass
+
+    errors: list[ParseError] = []
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            record = parse_record(rows[i], index, schema, first_line + i)
+        except ParseError as exc:
+            errors.append(exc)
+            continue
+        for column, value in zip(cols.values(), record):
+            column[i] = value
+        bad[i] = False
+    return {name: c[~bad] for name, c in cols.items()}, errors
 
 
 def parse_messages(stream: TextIO, schema: dict[str, str] | None = None,
-                   ) -> tuple[list[AisMessage], list[ParseError]]:
-    """Parse a CSV record stream (header row required) into messages.
+                   ) -> tuple[MessageTable, list[ParseError]]:
+    """Parse a CSV record stream (header row required) into a message table.
 
     Malformed records are collected as located errors, never silently
-    dropped; well-formed records keep their input order.
+    dropped; well-formed records keep their input order. Line numbers count
+    the header as line 1 and skip blank lines, as csv.DictReader does.
+    Records are read in blocks of BLOCK_ROWS, which bounds the memory the
+    raw text takes.
     """
     schema = schema or {}
-    reader = csv.DictReader(stream)
-    messages: list[AisMessage] = []
+    reader = csv.reader(stream)
+    header = next(reader, [])
+    parts = [{name: np.zeros(0, dtype) for name, dtype in TABLE_DTYPES.items()}]
     errors: list[ParseError] = []
-    # line 1 is the header, data starts at line 2
-    for line_no, record in enumerate(reader, start=2):
-        try:
-            messages.append(_parse_record(record, schema, line_no))
-        except ParseError as exc:
-            errors.append(exc)
-    return messages, errors
+    line_no = 2   # line 1 is the header
+    while block := list(islice(reader, BLOCK_ROWS)):
+        rows = [row for row in block if row]
+        cols, block_errors = _parse_block(rows, header, schema, line_no)
+        parts.append(cols)
+        errors.extend(block_errors)
+        line_no += len(rows)
+    return MessageTable(**{name: np.concatenate([p[name] for p in parts])
+                           for name in TABLE_DTYPES}), errors
 
 
-def serialize_messages(messages: Iterable[AisMessage], stream: TextIO) -> None:
-    """Write messages back out in the canonical CSV column order."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CANONICAL_FIELDS)
-    for m in messages:
-        heading = "unavailable" if m.heading is None else repr(m.heading)
-        writer.writerow([
-            m.mmsi, m.timestamp, repr(m.lat), repr(m.lon), repr(m.sog),
-            repr(m.cog), heading, m.nav_status.value, m.vessel_type.value,
-        ])
+def table_of(trajectories: list[Trajectory]) -> MessageTable:
+    """The trajectories' messages as one table, in list order."""
+    return MessageTable(
+        mmsi=np.concatenate([np.full(len(t), t.mmsi, dtype=np.int64)
+                             for t in trajectories]),
+        **{c: np.concatenate([getattr(t, c) for t in trajectories])
+           for c in MESSAGE_COLUMNS})
 
 
-def group_trajectories(messages: Iterable[AisMessage]) -> list[Trajectory]:
+def group_trajectories(table: MessageTable) -> list[Trajectory]:
     """One trajectory per mmsi, time-sorted with a stable tie-break on input order."""
-    by_mmsi: dict[int, list[AisMessage]] = {}
-    for message in messages:
-        by_mmsi.setdefault(message.mmsi, []).append(message)
-    trajectories = []
-    for mmsi in sorted(by_mmsi):
-        ordered = sorted(by_mmsi[mmsi], key=lambda m: m.timestamp)  # stable
-        trajectories.append(Trajectory(mmsi=mmsi, messages=tuple(ordered)))
-    return trajectories
+    order = np.argsort(table.ts, kind="stable")
+    order = order[np.argsort(table.mmsi[order], kind="stable")]
+    mmsi = table.mmsi[order]
+    cuts = np.flatnonzero(mmsi[1:] != mmsi[:-1]) + 1
+    starts = [0, *cuts.tolist()]
+    ends = [*cuts.tolist(), len(order)]
+    sorted_cols = {c: getattr(table, c)[order] for c in MESSAGE_COLUMNS}
+    return [Trajectory(mmsi=int(mmsi[a]),
+                       **{c: v[a:b] for c, v in sorted_cols.items()})
+            for a, b in zip(starts, ends) if b > a]
+
+
+def save_table(out_dir: Path, table: MessageTable) -> list[Path]:
+    """Write one raw little-endian file per column plus a JSON header (bit-exact)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / "header.json"] + [out_dir / f"{name}.bin" for name in TABLE_DTYPES]
+    header = {"version": TABLE_VERSION, "rows": len(table), "columns": TABLE_DTYPES}
+    paths[0].write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    for path, (name, dtype) in zip(paths[1:], TABLE_DTYPES.items()):
+        path.write_bytes(getattr(table, name).astype(dtype, copy=False).tobytes())
+    return paths
+
+
+def load_table(table_dir: Path) -> MessageTable:
+    """Read a table written by save_table; a missing or truncated one is refused."""
+    header_path = table_dir / "header.json"
+    if not header_path.exists():
+        raise MissingArtifact(f"no ingest table at {table_dir}; run the ingest stage first")
+    rows = json.loads(header_path.read_text())["rows"]
+    cols = {name: np.frombuffer((table_dir / f"{name}.bin").read_bytes(), dtype)
+            for name, dtype in TABLE_DTYPES.items()}
+    short = [name for name, c in cols.items() if c.shape[0] != rows]
+    if short:
+        raise MissingArtifact(f"ingest table columns {short} in {table_dir} do not "
+                              f"hold {rows} rows; run the ingest stage again")
+    return MessageTable(**cols)

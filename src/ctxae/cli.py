@@ -65,7 +65,7 @@ def simulate(config_path, seed, out_dir):
 @main.command()
 @_config_options
 def ingest(config_path, seed, out_dir):
-    """Parse and validate input records; report counts per context."""
+    """Parse and validate input records once; write the table and context counts."""
     _run(pipeline.stage_ingest, config_path, seed, out_dir)
 
 

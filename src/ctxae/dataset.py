@@ -7,6 +7,12 @@ the tag of the span of its vessel that overlaps it, whatever the window
 length and stride. Splits are made by vessel id (no mmsi crosses splits)
 and per-context caps are applied after splitting. All randomness is seeded,
 and saved datasets are byte-identical across runs.
+
+Trajectories arrive as column arrays (see ``ais``): context runs start
+where the status or vessel type code changes, and the port filter is one
+windows x positions x ports distance reduction through
+``geo.haversine_array``, which equals the scalar ``geo.haversine`` bit for
+bit, so a window on the radius is kept or dropped exactly as before.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 
 from .ais import ContextRegistry, Trajectory
 from .errors import MissingArtifact
-from .features import FEATURE_NAMES, NormStats, apply_norm, enrich, fit_norm
-from .geo import haversine
+from .features import FEATURE_NAMES, NormStats, apply_norm, fit_norm
+from .geo import haversine_array
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +38,8 @@ SPLIT_NAMES = ("train", "val", "test")
 # feature column indices
 COL_DT = FEATURE_NAMES.index("dt")
 COL_DD = FEATURE_NAMES.index("dd")
+# windows per distance reduction in filter_near_ports
+PORT_FILTER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -93,28 +101,22 @@ def segment(trajectory: Trajectory, features: np.ndarray,
     status) pair is unregistered are skipped.
     """
     stride = stride or window_len
-    msgs = trajectory.messages
+    t = trajectory
+    change = np.flatnonzero((t.status[1:] != t.status[:-1])
+                            | (t.vtype[1:] != t.vtype[:-1])) + 1
+    starts = [0, *change.tolist()]
+    ends = [*change.tolist(), len(t)]
+    context_ids = registry.context_ids(t.vtype[starts], t.status[starts]).tolist()
     windows: list[Window] = []
-
-    run_start = 0
-    runs: list[tuple[int, int]] = []
-    for i in range(1, len(msgs) + 1):
-        if i == len(msgs) or (msgs[i].nav_status, msgs[i].vessel_type) != (
-                msgs[run_start].nav_status, msgs[run_start].vessel_type):
-            runs.append((run_start, i))
-            run_start = i
-
-    for start, end in runs:
-        label = registry.lookup(msgs[start].vessel_type, msgs[start].nav_status)
-        if label is None:
+    for start, end, cid in zip(starts, ends, context_ids):
+        if cid < 0:
             continue
         for ws in range(start, end - window_len + 1, stride):
-            cut = msgs[ws:ws + window_len]
+            we = ws + window_len
             windows.append(Window(
-                tensor=features[ws:ws + window_len].copy(), context_id=label.id,
-                mmsi=trajectory.mmsi, start_ts=cut[0].timestamp,
-                end_ts=cut[-1].timestamp,
-                positions=np.array([(m.lat, m.lon) for m in cut])))
+                tensor=features[ws:we].copy(), context_id=cid,
+                mmsi=t.mmsi, start_ts=int(t.ts[ws]), end_ts=int(t.ts[we - 1]),
+                positions=np.column_stack((t.lat[ws:we], t.lon[ws:we]))))
     return windows
 
 
@@ -136,20 +138,19 @@ def attach_truth(windows: list[Window], spans: list[TruthSpan]) -> list[Window]:
 def filter_near_ports(windows: list[Window], ports: list[tuple[float, float]],
                       radius_m: float = 5000.0) -> list[Window]:
     """Drop a window iff any of its positions lies within radius of any port."""
-    if not ports:
+    if not ports or not windows:
         return list(windows)
-    kept = []
-    for w in windows:
-        if w.positions is None:
-            raise ValueError("port filtering requires window positions")
-        near = any(
-            haversine(lat, lon, plat, plon) < radius_m
-            for lat, lon in w.positions
-            for plat, plon in ports
-        )
-        if not near:
-            kept.append(w)
-    return kept
+    if any(w.positions is None for w in windows):
+        raise ValueError("port filtering requires window positions")
+    port = np.asarray(ports, dtype=np.float64)
+    near = []
+    # a block of windows at a time bounds the libm round trip's Python floats
+    for first in range(0, len(windows), PORT_FILTER_BLOCK):
+        pos = np.stack([w.positions for w in windows[first:first + PORT_FILTER_BLOCK]])
+        dist = haversine_array(pos[:, :, None, 0], pos[:, :, None, 1],
+                               port[:, 0], port[:, 1])
+        near.extend((dist < radius_m).any(axis=(1, 2)).tolist())
+    return [w for w, drop in zip(windows, near) if not drop]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ Each message yields the six-feature vector
 against the previous message of the same trajectory (zero for the first
 message). Unavailable headings are replaced by the message's cog so the
 tensor stays dense.
+
+``enrich`` works on a trajectory's columns in one pass. Its distances and
+bearings come from ``geo.haversine_array`` and ``geo.bearing_array``, which
+route ``asin``, ``atan2`` and squaring through libm with ``map``, so every
+value equals the per-message scalar computation bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ais import Trajectory
-from .geo import bearing as geo_bearing
-from .geo import haversine
+from .geo import bearing_array, haversine_array
 
 FEATURE_NAMES = ("sog", "cog", "heading", "dt", "dd", "bearing")
 NUM_FEATURES = len(FEATURE_NAMES)
@@ -27,19 +31,16 @@ SCALE_FLOOR = 1e-8
 
 def enrich(trajectory: Trajectory) -> np.ndarray:
     """Feature matrix of shape (len(trajectory), 6), float64."""
-    msgs = trajectory.messages
-    out = np.zeros((len(msgs), NUM_FEATURES), dtype=np.float64)
-    prev = None
-    for i, m in enumerate(msgs):
-        heading = m.cog if m.heading is None else m.heading
-        if prev is None:
-            dt = dd = brg = 0.0
-        else:
-            dt = float(m.timestamp - prev.timestamp)
-            dd = haversine(prev.lat, prev.lon, m.lat, m.lon)
-            brg = geo_bearing(prev.lat, prev.lon, m.lat, m.lon)
-        out[i] = (m.sog, m.cog, heading, dt, dd, brg)
-        prev = m
+    t = trajectory
+    out = np.zeros((len(t), NUM_FEATURES), dtype=np.float64)
+    out[:, 0] = t.sog
+    out[:, 1] = t.cog
+    out[:, 2] = np.where(t.heading_unavailable, t.cog, t.heading)
+    if len(t) > 1:
+        prev, cur = slice(None, -1), slice(1, None)
+        out[1:, 3] = np.diff(t.ts).astype(np.float64)
+        out[1:, 4] = haversine_array(t.lat[prev], t.lon[prev], t.lat[cur], t.lon[cur])
+        out[1:, 5] = bearing_array(t.lat[prev], t.lon[prev], t.lat[cur], t.lon[cur])
     return out
 
 

@@ -75,9 +75,19 @@ def relu() -> LayerSpec:
 
 
 class Layer:
-    """Base layer; parameter-free by default."""
+    """Base layer; parameter-free by default.
+
+    Private attributes (a leading underscore) hold only what a training
+    forward keeps for backward.
+    """
 
     spec: LayerSpec
+
+    def drop_cache(self) -> None:
+        """Forget what the last training forward kept for backward."""
+        for name in vars(self):
+            if name.startswith("_"):
+                setattr(self, name, None)
 
     def params(self) -> list[np.ndarray]:
         return []

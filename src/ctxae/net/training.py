@@ -149,7 +149,8 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     The validation loss is the per-key mean weighted by each key's share of
     the validation windows. Stops when it fails to improve for ``patience``
     consecutive epochs; the best-epoch state (parameters and batch-norm
-    running stats) is restored before returning.
+    running stats) is restored and every layer cache dropped before
+    returning.
     """
     keys = sorted(decoders)
     if sorted(train_by_key) != keys or sorted(val_by_key) != keys:
@@ -220,6 +221,8 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
 
     for model, state in zip(models, best_state):
         model.restore(state)
+        for layer in model.layers:
+            layer.drop_cache()
     report.wall_time_s = time.perf_counter() - started
     return report
 

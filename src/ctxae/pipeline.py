@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, evaluation, grouping, synth, thresholds as th
-from .ais import context_registry, group_trajectories, parse_messages
+from .ais import (MessageTable, context_registry, group_trajectories,
+                  load_table, parse_messages, save_table)
 from .config import RunConfig
 from .dataset import (DatasetSplit, attach_truth, filter_near_ports,
                       load_dataset, normalize_split, remove_outliers,
                       save_dataset, segment, split_by_vessel, stack_tensors)
 from .errors import ConfigError, MissingArtifact
 from .features import NUM_FEATURES, enrich
-from .manifest import config_hash, write_manifest
+from .manifest import config_hash, sha256_file, write_manifest
 from .net import TrainConfig, default_autoencoder_spec
 
 REPORT_VERSION = 1
@@ -32,6 +33,7 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
     return {
         "out": out,
         "synth": out / "synth",
+        "messages": out / "messages",
         "dataset": out / "dataset",
         "models": out / "models",
         "grouping": out / "grouping",
@@ -63,7 +65,7 @@ def stage_simulate(cfg: RunConfig) -> dict:
     synth.write_fleet(paths["synth"], result)
     summary = {
         "vessels": len(result.trajectories),
-        "messages": sum(len(t.messages) for t in result.trajectories),
+        "messages": sum(len(t) for t in result.trajectories),
         "truth_spans": len(result.truth),
     }
     write_manifest(paths["synth"], "simulate", config_hash(cfg), {},
@@ -78,16 +80,14 @@ def stage_ingest(cfg: RunConfig) -> dict:
     records = _records_path(cfg)
     registry = context_registry()
     with open(records, newline="") as fh:
-        messages, errors = parse_messages(fh)
-    trajectories = group_trajectories(messages)
-    context_counts: dict[str, int] = {}
-    for m in messages:
-        label = registry.context_of(m)
-        key = label.name if label else "unregistered"
-        context_counts[key] = context_counts.get(key, 0) + 1
+        table, errors = parse_messages(fh)
+    ids, counts = np.unique(registry.context_ids(table.vtype, table.status),
+                            return_counts=True)
+    context_counts = {registry.by_id(c).name if c >= 0 else "unregistered": n
+                      for c, n in zip(ids.tolist(), counts.tolist())}
     summary = {
-        "messages": len(messages),
-        "vessels": len(trajectories),
+        "messages": len(table),
+        "vessels": len(np.unique(table.mmsi)),
         "parse_errors": len(errors),
         "first_errors": [str(e) for e in errors[:10]],
         "context_counts": dict(sorted(context_counts.items())),
@@ -95,9 +95,28 @@ def stage_ingest(cfg: RunConfig) -> dict:
     paths["out"].mkdir(parents=True, exist_ok=True)
     ingest_path = paths["out"] / "ingest.json"
     ingest_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    outputs = {"ingest": ingest_path}
+    for path in save_table(paths["messages"], table):
+        outputs[f"messages/{path.name}"] = path
     write_manifest(paths["out"], "ingest", config_hash(cfg),
-                   {"records": records}, {"ingest": ingest_path})
+                   {"records": records}, outputs)
     return summary
+
+
+def _ingested_table(cfg: RunConfig, records: Path) -> MessageTable:
+    """The table ingest parsed from records; refuse one parsed from another file."""
+    paths = _paths(cfg)
+    manifest_path = paths["out"] / "ingest.manifest.json"
+    if not manifest_path.exists():
+        raise MissingArtifact(f"no ingest manifest at {manifest_path}; "
+                              "run the ingest stage first")
+    parsed = json.loads(manifest_path.read_text())["inputs"]["records"]
+    current = sha256_file(records)
+    if parsed != current:
+        raise ConfigError(
+            f"the ingest table was parsed from records with sha256 {parsed}, but "
+            f"{records} now has sha256 {current}; run the ingest stage again")
+    return load_table(paths["messages"])
 
 
 def stage_build(cfg: RunConfig) -> dict:
@@ -109,10 +128,8 @@ def stage_build(cfg: RunConfig) -> dict:
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
 
-    with open(records, newline="") as fh:
-        messages, _ = parse_messages(fh)
     windows = []
-    for traj in group_trajectories(messages):
+    for traj in group_trajectories(_ingested_table(cfg, records)):
         feats = enrich(traj)
         windows.extend(segment(traj, feats, registry,
                                window_len=cfg.dataset.window_len,

@@ -15,21 +15,30 @@ exact truth span of messages (mmsi, first_ts, last_ts, both inclusive):
 
 Truth never refers to windows: which windows a span tags is decided when the
 dataset is cut, for any window length and stride.
+
+A vessel is simulated step by step, since each step moves from the last;
+the per-step values become the columns of a ``Trajectory``. The reported
+position is the true one displaced by measurement noise. That
+displacement never feeds back into the motion, so its RNG draws stay in the
+loop, in their order, while ``geo.destination_array`` applies all of them
+after it; that function equals the scalar ``geo.destination`` bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from math import nan
 from pathlib import Path
 
 import numpy as np
 
-from .ais import (AisMessage, ContextRegistry, NavStatus, Trajectory,
-                  serialize_messages)
+from .ais import (BLOCK_ROWS, CANONICAL_FIELDS, NAV_STATUSES, TABLE_DTYPES,
+                  VESSEL_TYPES, ContextRegistry, NavStatus, Trajectory, table_of)
 from .dataset import Truth, TruthSpan, parse_truth, truth_fields
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
-from .geo import bearing, destination, haversine
+from .geo import (bearing, bearing_array, destination, destination_array,
+                  haversine, haversine_array)
 
 KNOT_MPS = 0.514444
 START_TS = 1_600_000_000
@@ -212,7 +221,7 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
     quality = 1.0
 
     event_left = 0
-    msgs: list[AisMessage] = []
+    steps: list[tuple] = []
 
     for i in range(n_msgs):
         if quality_left == 0:
@@ -262,17 +271,16 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
             pass_left -= 1
             if pass_left <= 0:
                 pass_left = int(rng.integers(100, 221))
-                amp = float(np.clip(
-                    rng.normal(behavior.zigzag_amplitude_deg, 7.0),
-                    22.0, 58.0))
+                amp = min(max(rng.normal(behavior.zigzag_amplitude_deg, 7.0),
+                              22.0), 58.0)
                 base_speed = float(rng.uniform(behavior.speed_lo,
                                                behavior.speed_hi))
-                half_period = int(np.clip(
-                    round(rng.normal(behavior.zigzag_period, 1.5)), 7, 14))
+                half_period = min(max(
+                    round(rng.normal(behavior.zigzag_period, 1.5)), 7), 14)
             cyc = (i + zz_phase) // half_period
             sign = 1.0 if cyc % 2 == 0 else -1.0
-            base_course = float(np.clip(
-                base_course + rng.normal(0.0, 0.5), 75.0, 285.0))
+            base_course = min(max(base_course + rng.normal(0.0, 0.5), 75.0),
+                              285.0)
             course = base_course + sign * amp + float(
                 rng.normal(0.0, behavior.turn_sigma_deg))
             speed = base_speed + float(rng.normal(0.0, 0.3))
@@ -313,41 +321,41 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
             # they do not ride the receiver-quality spell
             noise_sigma = behavior.pos_noise_m * behavior.event_speed_factor
         noise_r = abs(float(rng.normal(0.0, noise_sigma)))
-        rep_lat, rep_lon = destination(lat, lon, float(rng.uniform(0.0, 360.0)),
-                                       noise_r)
+        noise_brg = float(rng.uniform(0.0, 360.0))
 
         sog = round(min(max(speed + float(rng.normal(0.0, 0.1 * quality)),
                             0.0), 40.0), 1)
         cog = _wrap_deg(round(_wrap_deg(
             course + float(rng.normal(0.0, 1.0 * quality))), 1))
         if rng.random() < behavior.heading_unavailable_rate:
-            heading = None
+            heading = nan
         else:
             heading = float(int(_wrap_deg(
                 course + float(rng.normal(0.0, 2.0 * quality)))))
+        steps.append((ts, lat, lon, noise_brg, noise_r, sog, cog, heading))
 
-        msgs.append(AisMessage(
-            mmsi=mmsi, timestamp=ts, lat=rep_lat, lon=rep_lon, sog=sog,
-            cog=cog, heading=heading, nav_status=label.nav_status,
-            vessel_type=label.vessel_type))
-
-    return Trajectory(mmsi=mmsi, messages=tuple(msgs))
+    ts, lat, lon, noise_brg, noise_r, sog, cog, heading = map(np.array, zip(*steps))
+    rep_lat, rep_lon = destination_array(lat, lon, noise_brg, noise_r)
+    return Trajectory(
+        mmsi=mmsi, ts=ts, lat=rep_lat, lon=rep_lon, sog=sog, cog=cog, heading=heading,
+        status=np.full(n_msgs, NAV_STATUSES.index(label.nav_status), dtype=np.uint8),
+        vtype=np.full(n_msgs, VESSEL_TYPES.index(label.vessel_type), dtype=np.uint8))
 
 
 def inject_contextual(trajectory: Trajectory, claimed: NavStatus,
                       registry: ContextRegistry) -> Trajectory:
     """Broadcast a false navigational status on every message."""
-    first = trajectory.messages[0]
-    true_label = registry.lookup(first.vessel_type, first.nav_status)
-    claimed_label = registry.lookup(first.vessel_type, claimed)
+    vessel_type = VESSEL_TYPES[trajectory.vtype[0]]
+    true_label = registry.lookup(vessel_type, NAV_STATUSES[trajectory.status[0]])
+    claimed_label = registry.lookup(vessel_type, claimed)
     if claimed_label is None:
         raise UnregisteredFalsification(
-            f"({first.vessel_type.value}, {claimed.value}) is not a registered context")
+            f"({vessel_type.value}, {claimed.value}) is not a registered context")
     if true_label is not None and claimed_label.id == true_label.id:
         raise UnregisteredFalsification(
             "falsified status maps to the vessel's true context")
-    msgs = tuple(replace(m, nav_status=claimed) for m in trajectory.messages)
-    return Trajectory(mmsi=trajectory.mmsi, messages=msgs)
+    return replace(trajectory, status=np.full(len(trajectory), NAV_STATUSES.index(claimed),
+                                              dtype=np.uint8))
 
 
 def inject_collective(trajectory: Trajectory, start: int, span: int,
@@ -358,26 +366,26 @@ def inject_collective(trajectory: Trajectory, start: int, span: int,
     new location, so only the span itself is anomalous. Reported speeds stay
     untouched and become inconsistent with the motion.
     """
-    msgs = list(trajectory.messages)
-    n = len(msgs)
+    n = len(trajectory)
     if not 0 <= start < start + span < n:
         raise ValueError(f"span [{start}, {start + span}] outside trajectory of {n}")
 
-    steps = []
-    for i in range(1, n):
-        a, b = msgs[i - 1], msgs[i]
-        steps.append((bearing(a.lat, a.lon, b.lat, b.lon),
-                      haversine(a.lat, a.lon, b.lat, b.lon)))
+    # the original steps replayed after the span, each message from the one before
+    end = start + span
+    prev = (trajectory.lat[end:-1], trajectory.lon[end:-1])
+    cur = (trajectory.lat[end + 1:], trajectory.lon[end + 1:])
+    steps = list(zip(bearing_array(*prev, *cur).tolist(),
+                     haversine_array(*prev, *cur).tolist()))
 
-    lat, lon = msgs[start].lat, msgs[start].lon
+    lats, lons = trajectory.lat.copy(), trajectory.lon.copy()
+    lat, lon = float(lats[start]), float(lons[start])
     for i in range(start + 1, n):
-        if i <= start + span:
+        if i <= end:
             lat, lon = destination(lat, lon, heading_deg, magnitude_m)
         else:
-            brg, dist = steps[i - 1]
-            lat, lon = destination(lat, lon, brg, dist)
-        msgs[i] = replace(msgs[i], lat=lat, lon=lon)
-    return Trajectory(mmsi=trajectory.mmsi, messages=tuple(msgs))
+            lat, lon = destination(lat, lon, *steps[i - end - 1])
+        lats[i], lons[i] = lat, lon
+    return replace(trajectory, lat=lats, lon=lons)
 
 
 def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
@@ -429,7 +437,7 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
             if mmsi in falsified:
                 traj = inject_contextual(traj, plan.falsify_to, registry)
                 truth.append(TruthSpan(
-                    mmsi, traj.messages[0].timestamp, traj.messages[-1].timestamp,
+                    mmsi, int(traj.ts[0]), int(traj.ts[-1]),
                     Truth(kind="contextual", true_context=plan.context_id)))
 
             if mmsi in collective:
@@ -442,8 +450,7 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
                                          config.collective_magnitude_m,
                                          heading_deg)
                 truth.append(TruthSpan(
-                    mmsi, traj.messages[start + 1].timestamp,
-                    traj.messages[start + span].timestamp,
+                    mmsi, int(traj.ts[start + 1]), int(traj.ts[start + span]),
                     Truth(kind="collective")))
 
             trajectories.append(traj)
@@ -459,10 +466,20 @@ TRUTH_COLUMNS = ("mmsi", "first_ts", "last_ts", "kind", "true_context")
 
 def write_fleet(out_dir: Path, result: SynthResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    messages = [m for t in result.trajectories for m in t.messages]
-    messages.sort(key=lambda m: (m.mmsi, m.timestamp))
+    table = table_of(result.trajectories)
+    order = np.lexsort((table.ts, table.mmsi))
+    status_names = [s.value for s in NAV_STATUSES]
+    type_names = [t.value for t in VESSEL_TYPES]
     with open(out_dir / "records.csv", "w", newline="") as fh:
-        serialize_messages(messages, fh)
+        fh.write(",".join(CANONICAL_FIELDS) + "\n")
+        for first in range(0, len(order), BLOCK_ROWS):
+            rows = order[first:first + BLOCK_ROWS]
+            fh.write("".join(
+                f"{mmsi},{ts},{lat!r},{lon!r},{sog!r},{cog!r},"
+                f"{'unavailable' if heading != heading else repr(heading)},"
+                f"{status_names[status]},{type_names[vtype]}\n"
+                for mmsi, ts, lat, lon, sog, cog, heading, status, vtype in zip(
+                    *(getattr(table, c)[rows].tolist() for c in TABLE_DTYPES))))
     with open(out_dir / "truth.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRUTH_COLUMNS)

@@ -1,21 +1,49 @@
 """Message validation, the context registry, and CSV round-trips."""
 
+import csv
 import io
+import math
 
+import numpy as np
 import pytest
 
-from ctxae.ais import (AisMessage, NavStatus, Trajectory, VesselType,
-                       context_registry, group_trajectories, parse_messages,
-                       serialize_messages)
-from ctxae.errors import ParseError
+from ctxae import ais
+from ctxae.ais import (CANONICAL_FIELDS, MESSAGE_COLUMNS, NAV_STATUSES,
+                       TABLE_DTYPES, VESSEL_TYPES, MessageTable, NavStatus,
+                       VesselType, context_registry, group_trajectories,
+                       load_table, parse_messages, parse_record, save_table,
+                       table_of)
+from ctxae.errors import (MissingArtifact, MissingField, ParseError,
+                          RangeError, UnknownEnumToken)
+from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate, write_fleet
 
-from conftest import make_message
+from conftest import make_track
+
+HEADER = ",".join(CANONICAL_FIELDS)
+VALID = {"mmsi": "1001", "timestamp": "0", "lat": "10.0", "lon": "-30.0",
+         "sog": "8.0", "cog": "45.0", "heading": "44.0",
+         "nav_status": "under_way_using_engine",
+         "vessel_type": "drifting_longlines"}
+
+
+def records(*overrides):
+    """A records file with one row per dict of field overrides."""
+    lines = [HEADER] + [",".join({**VALID, **o}[f] for f in CANONICAL_FIELDS)
+                        for o in overrides]
+    return "\n".join(lines) + "\n"
+
+
+def table_rows(table):
+    """The table as tuples in parse_record order."""
+    return list(zip(*(getattr(table, c).tolist() for c in TABLE_DTYPES)))
 
 
 class TestMessageValidation:
     def test_valid_message(self):
-        m = make_message()
-        assert m.mmsi == 1001
+        table, errors = parse_messages(io.StringIO(records({})))
+        assert errors == []
+        assert table_rows(table) == [(1001, 0, 10.0, -30.0, 8.0, 45.0, 44.0,
+                                      0, 0)]
 
     @pytest.mark.parametrize("field,value", [
         ("mmsi", 0), ("lat", 91.0), ("lat", -90.5), ("lon", -180.0),
@@ -23,12 +51,17 @@ class TestMessageValidation:
         ("heading", 360.0),
     ])
     def test_out_of_range_rejected(self, field, value):
-        kwargs = {field: value}
-        with pytest.raises(ValueError):
-            make_message(**kwargs)
+        table, errors = parse_messages(io.StringIO(records({field: str(value)})))
+        assert len(table) == 0
+        assert [type(e) for e in errors] == [RangeError]
+        assert str(errors[0]).startswith(f"line 2: {field}")
 
     def test_heading_none_allowed(self):
-        assert make_message(heading=None).heading is None
+        table, errors = parse_messages(io.StringIO(records({"heading": "unavailable"})))
+        assert errors == []
+        assert table.heading_unavailable.tolist() == [True]
+        assert make_track([0, 30], heading=[None, 44.0]).heading_unavailable.tolist() \
+            == [True, False]
 
 
 class TestRegistry:
@@ -64,27 +97,97 @@ class TestRegistry:
             assert reg.by_id(label.id) is label
             assert reg.lookup(label.vessel_type, label.nav_status) is label
 
+    def test_context_ids_match_lookup_on_every_code_pair(self):
+        reg = context_registry()
+        vtype, status = np.meshgrid(np.arange(len(VESSEL_TYPES), dtype=np.uint8),
+                                    np.arange(len(NAV_STATUSES), dtype=np.uint8))
+        ids = reg.context_ids(vtype.ravel(), status.ravel()).tolist()
+        for v, s, cid in zip(vtype.ravel().tolist(), status.ravel().tolist(), ids):
+            label = reg.lookup(VESSEL_TYPES[v], NAV_STATUSES[s])
+            assert cid == (-1 if label is None else label.id)
+
     def test_content_hash_stable(self):
         assert context_registry().content_hash() == context_registry().content_hash()
 
 
+def scalar_parse(text, schema):
+    """The reference: every non-blank row through the scalar row parser."""
+    reader = csv.reader(io.StringIO(text))
+    index = {name: i for i, name in enumerate(next(reader))}
+    rows, errors = [], []
+    for line_no, row in enumerate((r for r in reader if r), start=2):
+        try:
+            rows.append(parse_record(row, index, schema, line_no))
+        except ParseError as exc:
+            errors.append(exc)
+    return rows, errors
+
+
+# one row per fault the parser knows, plus the tokens it must accept;
+# the timestamp column is renamed, so the parse needs a schema
+PARITY_HEADER = "mmsi,time,lat,lon,sog,cog,heading,nav_status,vessel_type,note"
+PARITY_ROWS = [
+    "7,0,1.0,2.0,3.0,4.0,5,moored,trawlers,ok",
+    "7,1,1.0,2.0",                                       # short row
+    "7,2,1.0,2.0,,4.0,5,moored,trawlers,x",              # empty field
+    "7,3,abc,2.0,3.0,4.0,5,moored,trawlers,x",           # non-numeric
+    "7,4,1e3,2.0,3.0,4.0,5,moored,trawlers,x",           # lat out of range
+    "7,5,1.0,-180.0,3.0,4.0,5,moored,trawlers,x",        # lon out of range
+    "7,6,1.0,2.0,-0.5,4.0,5,moored,trawlers,x",          # sog out of range
+    "7,7,1.0,2.0,3.0,360.0,5,moored,trawlers,x",         # cog out of range
+    "7,8,1.0,2.0,3.0,4.0,360,moored,trawlers,x",         # heading out of range
+    "0,9,1.0,2.0,3.0,4.0,5,moored,trawlers,x",           # mmsi <= 0
+    "-3,10,1.0,2.0,3.0,4.0,5,moored,trawlers,x",         # mmsi <= 0
+    "7,11,1.0,2.0,3.0,4.0,5,warping,trawlers,x",         # bad status token
+    "7,12,1.0,2.0,3.0,4.0,5,moored,submarine,x",         # bad type token
+    "7,13,1.0,2.0,3.0,4.0,511,moored,trawlers,x",        # unavailable
+    "7,14,1.0,2.0,3.0,4.0,511.0,moored,trawlers,x",      # unavailable
+    "7,15,1.0,2.0,3.0,4.0,unavailable,moored,trawlers,x",
+    "7,16,1.0,2.0,3.0,4.0, UNAVAILABLE ,moored,trawlers,x",
+    "7,17,1.0,2.0,3.0,4.0,5, MOORED ,Trawlers ,x",       # padded, upper case
+    "",                                                   # blank, skipped
+    "7,18,1.0,2.0,3.0,4.0,nan,moored,trawlers,x",        # parsed NaN heading
+    "7,19,1.0,2.0,3.0,4.0,north,moored,trawlers,x",      # bad heading token
+    "7,20,nan,2.0,3.0,4.0,5,moored,trawlers,x",          # NaN lat
+    "7,21,1.0,2.0,nan,4.0,5,moored,trawlers,x",          # NaN sog passes
+    "7,1e2,1.0,2.0,3.0,4.0,5,moored,trawlers,x",         # non-integer time
+    f"{2 ** 70},22,1.0,2.0,3.0,4.0,5,moored,trawlers,x",  # mmsi beyond int64
+    f"7,{-2 ** 70},1.0,2.0,3.0,4.0,5,moored,trawlers,x",  # time beyond int64
+    "7,23,1.0,2.0,3.0,4.0,5,moored,trawlers,x,extra",    # long row is fine
+    " 8 ,24, 1.5 ,2.0,3.0,4.0,5.5,at_anchor,trawlers,x",  # padded numbers
+    "7,25,-90.0,180.0,0.0,0.0,0,moored,trawlers,x",      # range ends accepted
+]
+PARITY_ERRORS = [
+    (MissingField, 3), (MissingField, 4), (RangeError, 5), (RangeError, 6),
+    (RangeError, 7), (RangeError, 8), (RangeError, 9), (RangeError, 10),
+    (RangeError, 11), (RangeError, 12), (UnknownEnumToken, 13),
+    (UnknownEnumToken, 14), (RangeError, 20), (RangeError, 21),
+    (RangeError, 22), (RangeError, 24), (RangeError, 25), (RangeError, 26),
+]
+
+
 class TestParsing:
-    def test_round_trip(self):
-        msgs = [make_message(timestamp=i, heading=None if i == 1 else 44.0)
-                for i in range(3)]
-        buf = io.StringIO()
-        serialize_messages(msgs, buf)
-        buf.seek(0)
-        parsed, errors = parse_messages(buf)
+    def test_round_trip(self, tmp_path):
+        plans = tuple(ContextPlan(context_id=cid, behavior=PRESETS[name], vessels=2)
+                      for cid, name in ((0, "transit"), (12, "moored")))
+        res = generate(SynthConfig(seed=3, plans=plans, messages_per_vessel=80),
+                       context_registry())
+        write_fleet(tmp_path, res)
+        with open(tmp_path / "records.csv", newline="") as fh:
+            parsed, errors = parse_messages(fh)
         assert errors == []
-        assert parsed == msgs
+        written = table_of(res.trajectories)
+        assert written.heading_unavailable.any()
+        for name in TABLE_DTYPES:
+            assert np.array_equal(getattr(parsed, name), getattr(written, name),
+                                  equal_nan=name == "heading"), name
 
     def test_heading_sentinel_becomes_none(self):
-        header = "mmsi,timestamp,lat,lon,sog,cog,heading,nav_status,vessel_type"
-        row = "7,0,1.0,2.0,3.0,4.0,511,moored,trawlers"
-        parsed, errors = parse_messages(io.StringIO(f"{header}\n{row}\n"))
+        text = records(*({"heading": h} for h in ("511", "511.0", "unavailable",
+                                                  " UNAVAILABLE ", "44")))
+        table, errors = parse_messages(io.StringIO(text))
         assert errors == []
-        assert parsed[0].heading is None
+        assert table.heading_unavailable.tolist() == [True] * 4 + [False]
 
     def test_bad_rows_collected_with_line_numbers(self):
         header = "mmsi,timestamp,lat,lon,sog,cog,heading,nav_status,vessel_type"
@@ -101,28 +204,92 @@ class TestParsing:
 
     def test_unknown_status_token_maps_to_other(self):
         # statuses outside the enum are a parse error, not silently dropped
-        header = "mmsi,timestamp,lat,lon,sog,cog,heading,nav_status,vessel_type"
-        row = "7,0,1.0,2.0,3.0,4.0,5,other,trawlers"
-        parsed, errors = parse_messages(io.StringIO(f"{header}\n{row}\n"))
+        table, errors = parse_messages(io.StringIO(records({"nav_status": "other"})))
         assert errors == []
-        assert parsed[0].nav_status is NavStatus.OTHER
+        assert NAV_STATUSES[table.status[0]] is NavStatus.OTHER
+
+    # one block sends the file through the row parser, as it holds short and
+    # long rows; a block of one row puts every full-width row on the column path
+    @pytest.mark.parametrize("block_rows", [ais.BLOCK_ROWS, 3, 1])
+    def test_columnar_parse_matches_the_row_parser(self, monkeypatch, block_rows):
+        monkeypatch.setattr(ais, "BLOCK_ROWS", block_rows)
+        text = "\n".join([PARITY_HEADER] + PARITY_ROWS) + "\n"
+        schema = {"timestamp": "time"}
+        table, errors = parse_messages(io.StringIO(text), schema)
+        ref_rows, ref_errors = scalar_parse(text, schema)
+        assert [(type(e), e.line_no) for e in errors] == PARITY_ERRORS
+        assert [(type(e), e.line_no, str(e)) for e in errors] == \
+            [(type(e), e.line_no, str(e)) for e in ref_errors]
+        got = table_rows(table)
+        assert len(got) == len(ref_rows) == 10
+        assert repr(got) == repr(ref_rows)
+        assert table.heading_unavailable.sum() == 4
+        assert math.isnan(table.sog[table.ts == 21][0])
+
+    def test_missing_column_fails_every_row(self):
+        text = records({}, {}).replace("timestamp", "time")
+        table, errors = parse_messages(io.StringIO(text))
+        assert len(table) == 0
+        assert [str(e) for e in errors] == [
+            f"line {n}: missing field 'timestamp' (column 'timestamp')" for n in (2, 3)]
+
+    def test_empty_stream_gives_an_empty_table(self):
+        for text in ("", HEADER + "\n"):
+            table, errors = parse_messages(io.StringIO(text))
+            assert len(table) == 0 and errors == []
+
+    def test_table_files_round_trip(self, tmp_path):
+        table, _ = parse_messages(io.StringIO(records({}, {"heading": "511"},
+                                                      {"mmsi": "9"})))
+        paths = save_table(tmp_path / "t", table)
+        assert [p.name for p in paths] == ["header.json"] + [f"{c}.bin" for c in TABLE_DTYPES]
+        loaded = load_table(tmp_path / "t")
+        assert repr(table_rows(loaded)) == repr(table_rows(table))
+        first = [p.read_bytes() for p in paths]
+        save_table(tmp_path / "t", loaded)
+        assert [p.read_bytes() for p in paths] == first
+        (tmp_path / "t" / "lat.bin").write_bytes(first[3][:8])
+        with pytest.raises(MissingArtifact, match=r"\['lat'\] .* do not hold 3 rows"):
+            load_table(tmp_path / "t")
+        with pytest.raises(MissingArtifact, match="run the ingest stage"):
+            load_table(tmp_path / "none")
 
 
 class TestTrajectories:
     def test_grouping_sorts_by_vessel_then_time(self):
-        msgs = [make_message(mmsi=2, timestamp=5), make_message(mmsi=1, timestamp=9),
-                make_message(mmsi=1, timestamp=3), make_message(mmsi=2, timestamp=1)]
-        trajs = group_trajectories(msgs)
+        n = 5
+        table = MessageTable(
+            mmsi=np.array([2, 1, 1, 2, 1]), ts=np.array([5, 9, 3, 1, 3]),
+            lat=np.arange(n, dtype=float), lon=np.zeros(n), sog=np.zeros(n),
+            cog=np.zeros(n), heading=np.zeros(n),
+            status=np.zeros(n, dtype=np.uint8), vtype=np.zeros(n, dtype=np.uint8))
+        trajs = group_trajectories(table)
         assert [t.mmsi for t in trajs] == [1, 2]
-        assert [m.timestamp for m in trajs[0].messages] == [3, 9]
-        assert [m.timestamp for m in trajs[1].messages] == [1, 5]
+        assert trajs[0].ts.tolist() == [3, 3, 9]
+        # equal timestamps keep their input order
+        assert trajs[0].lat.tolist() == [2.0, 4.0, 1.0]
+        assert trajs[1].ts.tolist() == [1, 5]
 
     def test_trajectory_rejects_decreasing_time(self):
-        msgs = (make_message(timestamp=5), make_message(timestamp=4))
         with pytest.raises(ValueError):
-            Trajectory(mmsi=1001, messages=msgs)
+            make_track([5, 4])
 
-    def test_trajectory_rejects_foreign_mmsi(self):
-        msgs = (make_message(mmsi=1), make_message(mmsi=2, timestamp=1))
+    def test_trajectory_rejects_ragged_columns(self):
+        track = make_track([0, 30, 60])
         with pytest.raises(ValueError):
-            Trajectory(mmsi=1, messages=msgs)
+            type(track)(mmsi=1, **{c: getattr(track, c)[:2 if c == "lat" else 3]
+                                   for c in MESSAGE_COLUMNS})
+        with pytest.raises(ValueError):
+            make_track([])
+
+    def test_grouping_keeps_each_row_with_its_vessel(self):
+        # rows of three vessels interleaved: a row's lat encodes its vessel
+        mmsi = np.array([3, 1, 2] * 4)
+        n = mmsi.shape[0]
+        table = MessageTable(
+            mmsi=mmsi, ts=np.arange(n), lat=mmsi * 10.0, lon=np.zeros(n),
+            sog=np.zeros(n), cog=np.zeros(n), heading=np.zeros(n),
+            status=np.zeros(n, dtype=np.uint8), vtype=np.zeros(n, dtype=np.uint8))
+        for traj in group_trajectories(table):
+            assert len(traj) == 4
+            assert (traj.lat == traj.mmsi * 10.0).all()

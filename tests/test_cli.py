@@ -48,9 +48,17 @@ def test_collective_span_that_does_not_fit_exits_2(tmp_path):
     assert "collective_span 12" in result.stderr
 
 
-def test_detect_before_train_exits_3(tmp_path):
+def test_build_before_ingest_exits_3(tmp_path):
     assert _invoke(tmp_path, ["simulate"]).exit_code == 0
-    assert _invoke(tmp_path, ["build"]).exit_code == 0
+    result = _invoke(tmp_path, ["build"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("MissingArtifact: ")
+    assert "run the ingest stage first" in result.stderr
+
+
+def test_detect_before_train_exits_3(tmp_path):
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage]).exit_code == 0
     result = _invoke(tmp_path, ["detect", "--kind", "cae"])
     assert result.exit_code == 3
     assert result.stderr.startswith("MissingArtifact: ")

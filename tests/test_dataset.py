@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctxae.ais import NavStatus, Trajectory, context_registry
+from ctxae.ais import NavStatus, VesselType, context_registry
 from ctxae.dataset import (
     CLEAN,
     OutlierCaps,
@@ -23,18 +23,18 @@ from ctxae.dataset import (
     stack_tensors,
 )
 from ctxae.features import enrich
+from ctxae.geo import haversine
 from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 
-from conftest import make_message
+from conftest import make_track
 
 REGISTRY = context_registry()
 
 
 def _traj(n, mmsi=1001, status=NavStatus.UNDER_WAY_USING_ENGINE, start_ts=0):
-    msgs = [make_message(mmsi=mmsi, timestamp=start_ts + 30 * i,
-                         lat=10.0 + 0.001 * i, nav_status=status)
-            for i in range(n)]
-    return Trajectory(mmsi=mmsi, messages=tuple(msgs))
+    i = np.arange(n)
+    return make_track(start_ts + 30 * i, mmsi=mmsi, lat=10.0 + 0.001 * i,
+                      status=status)
 
 
 def _window(mmsi=1, cid=0, start_ts=0, truth=CLEAN, fill=1.0, dt=30.0,
@@ -60,12 +60,11 @@ def test_segment_cuts_non_overlapping_windows():
 
 def test_segment_respects_context_runs():
     # 60 engine + 70 fishing messages: one window per run, remainders dropped
-    msgs = [make_message(timestamp=30 * i, lat=10.0 + 0.001 * i)
-            for i in range(60)]
-    msgs += [make_message(timestamp=30 * (60 + i), lat=10.06 + 0.001 * i,
-                          nav_status=NavStatus.ENGAGED_IN_FISHING)
-             for i in range(70)]
-    traj = Trajectory(mmsi=1001, messages=tuple(msgs))
+    engine, fishing = NavStatus.UNDER_WAY_USING_ENGINE, NavStatus.ENGAGED_IN_FISHING
+    traj = make_track(30 * np.arange(130),
+                      lat=[10.0 + 0.001 * i for i in range(60)]
+                      + [10.06 + 0.001 * i for i in range(70)],
+                      status=[engine] * 60 + [fishing] * 70)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     assert len(windows) == 2
     assert windows[0].context_id == 0
@@ -75,14 +74,12 @@ def test_segment_respects_context_runs():
 
 
 def test_segment_skips_unregistered_context():
-    msgs = [make_message(timestamp=30 * i, lat=10.0 + 0.001 * i)
-            for i in range(50)]
-    msgs += [make_message(timestamp=30 * (50 + i), lat=10.05 + 0.001 * i,
-                          nav_status=NavStatus.OTHER)      # not registered
-             for i in range(50)]
-    msgs += [make_message(timestamp=30 * (100 + i), lat=10.1 + 0.001 * i)
-             for i in range(50)]
-    traj = Trajectory(mmsi=1001, messages=tuple(msgs))
+    engine = NavStatus.UNDER_WAY_USING_ENGINE
+    traj = make_track(30 * np.arange(150),
+                      lat=[base + 0.001 * i for base in (10.0, 10.05, 10.1)
+                           for i in range(50)],
+                      # the middle run is not registered
+                      status=[engine] * 50 + [NavStatus.OTHER] * 50 + [engine] * 50)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     assert [(w.start_ts, w.end_ts) for w in windows] == [
         (0, 49 * 30), (100 * 30, 149 * 30)]
@@ -139,7 +136,7 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
         elif span.truth.kind == "contextual":
             expected = ["contextual"] * 15
         else:
-            stamps = [m.timestamp for m in traj.messages]
+            stamps = traj.ts.tolist()
             lo, hi = stamps.index(span.first_ts), stamps.index(span.last_ts)
             expected = ["collective" if ws <= hi and lo <= ws + 49 else "none"
                         for ws in range(0, 351, 25)]
@@ -163,6 +160,35 @@ def test_filter_near_ports_drops_any_touching_window():
     assert kept[0].start_ts == windows[1].start_ts
     # empty port list keeps everything
     assert len(filter_near_ports(windows, [])) == 2
+
+
+def test_filter_near_ports_matches_the_scalar_loop():
+    # a radius equal to a window's nearest distance to a port keeps it: the
+    # comparison is strict and the distance must be the scalar one exactly
+    traj = _traj(400)
+    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    ports = [(10.05, -30.01), (10.3, -29.99), (-5.0, 40.0)]
+    radius = min(haversine(lat, lon, plat, plon)
+                 for lat, lon in windows[2].positions for plat, plon in ports)
+    for r in (radius, np.nextafter(radius, np.inf), 1500.0):
+        want = [w for w in windows
+                if not any(haversine(lat, lon, plat, plon) < r
+                           for lat, lon in w.positions for plat, plon in ports)]
+        assert filter_near_ports(windows, ports, r) == want
+    assert windows[2] in filter_near_ports(windows, ports, radius)
+    assert windows[2] not in filter_near_ports(windows, ports,
+                                               np.nextafter(radius, np.inf))
+
+
+def test_segment_runs_split_on_vessel_type_too():
+    traj = make_track(30 * np.arange(100), lat=10.0 + 0.001 * np.arange(100),
+                      lon=[-30.0 - 0.001 * i for i in range(100)],
+                      vtype=[VesselType.DRIFTING_LONGLINES] * 50
+                      + [VesselType.TRAWLERS] * 50)
+    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    assert [w.context_id for w in windows] == [0, 3]
+    assert np.array_equal(windows[1].positions,
+                          np.column_stack((traj.lat[50:], traj.lon[50:])))
 
 
 def test_remove_outliers_caps_are_inclusive():

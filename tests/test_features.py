@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxae.ais import Trajectory
+from ctxae.ais import context_registry
 from ctxae.features import (
     FEATURE_NAMES,
     NUM_FEATURES,
@@ -19,8 +19,27 @@ from ctxae.features import (
     fit_norm,
 )
 from ctxae.geo import bearing, haversine
+from ctxae.synth import PRESET_KINDS, PRESETS, ContextPlan, SynthConfig, generate
 
-from conftest import make_message
+from conftest import make_track
+
+
+def scalar_enrich(trajectory):
+    """The per-message loop enrich replaced: the reference for its bits."""
+    t = trajectory
+    ts, lat, lon = t.ts.tolist(), t.lat.tolist(), t.lon.tolist()
+    sog, cog, heading = t.sog.tolist(), t.cog.tolist(), t.heading.tolist()
+    out = np.zeros((len(t), NUM_FEATURES), dtype=np.float64)
+    for i in range(len(t)):
+        h = cog[i] if math.isnan(heading[i]) else heading[i]
+        if i == 0:
+            dt = dd = brg = 0.0
+        else:
+            dt = float(ts[i] - ts[i - 1])
+            dd = haversine(lat[i - 1], lon[i - 1], lat[i], lon[i])
+            brg = bearing(lat[i - 1], lon[i - 1], lat[i], lon[i])
+        out[i] = (sog[i], cog[i], h, dt, dd, brg)
+    return out
 
 
 def test_feature_order_is_fixed():
@@ -29,12 +48,8 @@ def test_feature_order_is_fixed():
 
 
 def test_enrich_first_row_has_zero_deltas():
-    traj = Trajectory(mmsi=1001, messages=(
-        make_message(timestamp=100, lat=10.0, lon=20.0, sog=5.0, cog=45.0,
-                     heading=44.0),
-        make_message(timestamp=130, lat=10.01, lon=20.0, sog=5.5, cog=10.0,
-                     heading=12.0),
-    ))
+    traj = make_track([100, 130], lat=[10.0, 10.01], lon=20.0, sog=[5.0, 5.5],
+                      cog=[45.0, 10.0], heading=[44.0, 12.0])
     feats = enrich(traj)
     assert feats.shape == (2, 6)
     sog, cog, heading, dt, dd, brg = feats[0]
@@ -43,14 +58,9 @@ def test_enrich_first_row_has_zero_deltas():
 
 
 def test_enrich_deltas_match_scalar_oracles():
-    traj = Trajectory(mmsi=1001, messages=(
-        make_message(timestamp=1000, lat=55.0, lon=10.0, sog=3.0, cog=90.0,
-                     heading=91.0),
-        make_message(timestamp=1031, lat=55.002, lon=10.004, sog=3.2,
-                     cog=88.0, heading=87.0),
-        make_message(timestamp=1060, lat=55.004, lon=10.009, sog=3.1,
-                     cog=86.0, heading=None),
-    ))
+    traj = make_track([1000, 1031, 1060], lat=[55.0, 55.002, 55.004],
+                      lon=[10.0, 10.004, 10.009], sog=[3.0, 3.2, 3.1],
+                      cog=[90.0, 88.0, 86.0], heading=[91.0, 87.0, None])
     feats = enrich(traj)
     assert feats[1][3] == 31.0
     assert feats[1][4] == pytest.approx(
@@ -63,13 +73,29 @@ def test_enrich_deltas_match_scalar_oracles():
 
 
 def test_enrich_missing_heading_falls_back_to_cog():
-    traj = Trajectory(mmsi=1001, messages=(
-        make_message(timestamp=0, heading=None, cog=123.4),
-        make_message(timestamp=30, heading=200.0, cog=10.0),
-    ))
+    traj = make_track([0, 30], heading=[None, 200.0], cog=[123.4, 10.0])
     feats = enrich(traj)
     assert feats[0][2] == pytest.approx(123.4)
     assert feats[1][2] == pytest.approx(200.0)
+
+
+def test_enrich_matches_the_scalar_loop_bit_for_bit():
+    # every behaviour preset, with unavailable headings and a collective
+    # displacement, plus hand-made edge cases: one message, a repeated fix,
+    # a sub-metre step, the antimeridian and a pole-ward step
+    plans = tuple(ContextPlan(context_id=cid, behavior=PRESETS[kind], vessels=2)
+                  for cid, kind in zip((0, 16, 10, 5, 12, 21), PRESET_KINDS))
+    fleet = generate(SynthConfig(seed=11, plans=plans, messages_per_vessel=400,
+                                 collective_rate=0.2), context_registry())
+    edge = [make_track([0]),
+            make_track([0, 30, 60, 90, 120, 150],
+                       lat=[10.0, 10.0, 10.000001, 0.5, 0.5, 89.9],
+                       lon=[179.9999, 179.9999, 179.9999, 180.0, -179.9999, 0.0],
+                       heading=[None, 1.0, None, 359.0, 0.0, None])]
+    for traj in fleet.trajectories + edge:
+        got, want = enrich(traj), scalar_enrich(traj)
+        assert got.shape == (len(traj), NUM_FEATURES)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fit_norm_matches_loop_oracle(rng):

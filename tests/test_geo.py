@@ -4,16 +4,19 @@ The haversine implementation is cross-checked with the spherical law of
 cosines (a different derivation of the same distance), and destination() is
 checked by measuring the distance and initial bearing from the start to the
 point it returns. Bearings are compared on the circle, so 359.9999 and 0.0
-are a hair apart, not 360 degrees apart.
+are a hair apart, not 360 degrees apart. The array functions are checked
+against the scalar ones bit for bit.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxae.geo import EARTH_RADIUS_M, bearing, destination, haversine
+from ctxae.geo import (EARTH_RADIUS_M, bearing, bearing_array, destination,
+                       destination_array, haversine, haversine_array)
 
 lat_st = st.floats(min_value=-85.0, max_value=85.0)
 lon_st = st.floats(min_value=-179.9, max_value=180.0)
@@ -119,3 +122,75 @@ def test_destination_zero_distance_is_identity():
 def test_destination_wraps_antimeridian():
     lat2, lon2 = destination(0.0, 179.9, 90.0, 50_000.0)
     assert lon2 < -179.0
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def _near(t):
+    # the second point a small step from the first, as consecutive fixes are
+    lat, lon, dlat, dlon = t
+    lon2 = (lon + dlon + 180.0) % 360.0 - 180.0
+    return lat, lon, min(max(lat + dlat, -90.0), 90.0), lon2 if lon2 > -180.0 else 180.0
+
+
+step_st = st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5), st.floats(-0.05, 0.05))
+pair_st = st.one_of(st.tuples(lat_st, lon_st, lat_st, lon_st),
+                    st.tuples(lat_st, lon_st, step_st, step_st).map(_near))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_st, min_size=1, max_size=16))
+@example([(10.0, 10.0, 10.000001, 10.0)])        # displacement under 1 m
+@example([(0.0, 1e-300, 1.0, 0.0)])              # atan2 rounds to 360.0, folded to 0.0
+@example([(12.3, -45.6, 12.3, -45.6)])           # zero distance
+@example([(0.0, 179.9999, 0.0, -179.9999),       # across the antimeridian
+          (-10.0, -179.95, -10.01, 179.97)])
+def test_haversine_and_bearing_arrays_equal_scalar_bits(pairs):
+    lat1, lon1, lat2, lon2 = (np.array(c) for c in zip(*pairs))
+    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2),
+                      [haversine(*p) for p in pairs])
+    assert _same_bits(bearing_array(lat1, lon1, lat2, lon2),
+                      [bearing(*p) for p in pairs])
+
+
+dist_st = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(0.0, 2_000_000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(lat_st, lon_st, st.floats(0.0, 359.99), dist_st),
+                min_size=1, max_size=16))
+@example([(12.0, 34.0, 56.0, 0.0), (0.0, -180.0, 0.0, 0.0)])  # zero distance
+@example([(10.0, 10.0, 137.0, 0.5)])             # displacement under 1 m
+@example([(0.0, 179.9, 90.0, 50_000.0),          # across the antimeridian
+          (0.0, -179.9, 270.0, 50_000.0)])
+@example([(0.0, 1.6767586496058462e-220, 0.0, 1001.0)])
+def test_destination_array_equals_scalar_bits(rows):
+    lat, lon, brg, dist = (np.array(c) for c in zip(*rows))
+    got_lat, got_lon = destination_array(lat, lon, brg, dist)
+    want = [destination(*r) for r in rows]
+    assert _same_bits(got_lat, [w[0] for w in want])
+    assert _same_bits(got_lon, [w[1] for w in want])
+
+
+def test_arrays_equal_scalar_bits_on_many_nearby_pairs():
+    # consecutive fixes: numpy's square and arcsin change about one distance
+    # in two thousand here, so a dense sample catches either
+    rng = np.random.default_rng(1)
+    n = 20_000
+    lat1, lon1 = rng.uniform(-80.0, 80.0, n), rng.uniform(-180.0, 180.0, n)
+    step = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 3e-4, n),
+                    rng.uniform(0.0, 0.05, n))
+    lat2, lon2 = lat1 + step * rng.normal(size=n), lon1 + step * rng.normal(size=n)
+    pairs = list(zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist()))
+    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2),
+                      [haversine(*p) for p in pairs])
+    assert _same_bits(bearing_array(lat1, lon1, lat2, lon2),
+                      [bearing(*p) for p in pairs])
+    brg, dist = rng.uniform(0.0, 360.0, n), np.abs(rng.normal(0.0, 30.0, n))
+    got_lat, got_lon = destination_array(lat1, lon1, brg, dist)
+    want = [destination(*r) for r in zip(lat1.tolist(), lon1.tolist(),
+                                         brg.tolist(), dist.tolist())]
+    assert _same_bits(got_lat, [w[0] for w in want])
+    assert _same_bits(got_lon, [w[1] for w in want])

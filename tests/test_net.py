@@ -236,6 +236,29 @@ def test_single_pair_training_is_the_one_key_case(rng):
         assert np.array_equal(a, b)
 
 
+def _kept_caches(*models):
+    """(layer, attribute) of every training cache still held."""
+    return [(type(layer).__name__, name) for model in models
+            for layer in model.layers for name, value in vars(layer).items()
+            if name.startswith("_") and value is not None]
+
+
+def test_layers_drop_their_caches_when_training_ends(rng):
+    spec = default_autoencoder_spec()
+    srng = np.random.default_rng(5)
+    cfg = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=1)
+    x = rng.normal(size=(24, 50, 6))
+    enc, dec = spec.build_encoder(srng), spec.build_decoder(srng)
+    enc.forward(x[:4], training=True)
+    assert _kept_caches(enc)   # a training forward does fill them
+    train_autoencoder(enc, dec, x[:16], x[16:], cfg)
+    assert _kept_caches(enc, dec) == []
+    decoders = {0: spec.build_decoder(srng), 3: spec.build_decoder(srng)}
+    train_multi_decoder(enc, decoders, {0: x[:8], 3: x[8:16]},
+                        {0: x[16:20], 3: x[20:]}, cfg)
+    assert _kept_caches(enc, *decoders.values()) == []
+
+
 def test_multi_decoder_key_agreement_enforced(rng):
     spec = _toy_spec()
     srng = np.random.default_rng(9)

@@ -1,12 +1,13 @@
 """End to end: run_all on a tiny fleet is deterministic per seed."""
 
+import hashlib
 import json
 
 import pytest
 
 from ctxae import pipeline
 from ctxae.config import config_from_dict
-from ctxae.errors import ConfigError
+from ctxae.errors import ConfigError, MissingArtifact
 from ctxae.manifest import config_hash, sha256_file
 from ctxae.pipeline import run_all
 
@@ -93,3 +94,82 @@ def test_stages_refuse_a_detector_trained_on_another_dataset(tmp_path):
         with pytest.raises(ConfigError) as err:
             stage()
         assert stale_hash in str(err.value) and fresh_hash in str(err.value)
+
+
+def test_build_refuses_a_missing_ingest_table(tmp_path):
+    cfg = _tiny(tmp_path / "run")
+    pipeline.stage_simulate(cfg)
+    with pytest.raises(MissingArtifact, match="run the ingest stage first"):
+        pipeline.stage_build(cfg)
+    pipeline.stage_ingest(cfg)
+    (tmp_path / "run" / "messages" / "header.json").unlink()
+    with pytest.raises(MissingArtifact, match="run the ingest stage first"):
+        pipeline.stage_build(cfg)
+
+
+def test_build_refuses_a_table_parsed_from_other_records(tmp_path):
+    out_dir = tmp_path / "run"
+    _prepare(_tiny(out_dir, seed=3))
+    parsed = sha256_file(out_dir / "synth" / "records.csv")
+    # another seed rewrites the records but not the ingest table
+    cfg = _tiny(out_dir, seed=4)
+    pipeline.stage_simulate(cfg)
+    current = sha256_file(out_dir / "synth" / "records.csv")
+    assert current != parsed
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_build(cfg)
+    assert parsed in str(err.value) and current in str(err.value)
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_build(cfg)
+
+
+# every behaviour preset, contextual and collective injection, three ports
+GOLDEN_FLEET = {
+    "synth": {
+        "messages_per_vessel": 300,
+        "ports": [[12.0, -40.0], [-8.0, -32.0], [4.0, -20.0]],
+        "contextual_rate": 0.5,
+        "collective_rate": 0.2,
+        "contexts": [
+            {"id": 0, "behavior": "transit", "vessels": 2, "falsify_to": "moored"},
+            {"id": 16, "behavior": "fishing_zigzag", "vessels": 2,
+             "falsify_to": "under_way_using_engine"},
+            {"id": 10, "behavior": "loiter", "vessels": 2},
+            {"id": 5, "behavior": "anchor_drift", "vessels": 2},
+            {"id": 12, "behavior": "moored", "vessels": 2},
+            {"id": 21, "behavior": "sailing", "vessels": 2},
+        ],
+    },
+}
+GOLDEN_SHA256 = {
+    "synth/records.csv": "121ef0fd8c68e70122a7f352aaecc4fe992bc8e218c0b9849a47d80f59c6d7a7",
+    "synth/truth.csv": "3b4e6b0499ccdde0d44b0c1837a72cf9e35d4b8faa6e8e718690a6e19bf153cb",
+    "synth/ports.csv": "e10026f54451753a77e165421c8533a6ca71a4181bf37fd90c4c0e5303e92d37",
+    "ingest.json": "a6e420339816e25260ee178212414900799c7c4a298e5aea4daac92841c28eaa",
+    "dataset/header.json": "82c46d0b8dc531eecdf07856e5c25d1c8d8bf164b279a6d517a442437ab1012d",
+    "dataset/norm_stats.json": "329277c919c3062dd649d9f1406ce304d32fa257da9ab31e870d8300a4e728bd",
+    "dataset/test.f32": "43061604b9d93418b10b49b94591b1c992675ee70504b3bc786f54cef14930bc",
+    "dataset/test.index.csv": "9d3c6a7d43a41ea463ee0664770448e8b3c3b02f958e88a401652efd5e417922",
+    "dataset/train.f32": "a9dc39f668056a2f7878d26e7c78e858eb4559734bcc7f82cfd536c433913233",
+    "dataset/train.index.csv": "aaea8a8380747a0fff64c9fd70d929179da0586d0208ddb295a42f0541920f43",
+    "dataset/val.f32": "5e2ff9768af622310d12150f590ebd16d12c5e64d890ca9c1a1db2bd87f86910",
+    "dataset/val.index.csv": "3f36a848c89dd1bfbba3c4eb09265b13ccdfccdfba04c8cce860e46c84979806",
+}
+
+
+def test_data_path_bytes_are_pinned(tmp_path):
+    """simulate, ingest and build write the bytes the per-message object model wrote.
+
+    The digests were taken on an x86-64 Linux machine with glibc's libm. The
+    data path rounds as that libm does (geodesy routes asin, atan2 and pow
+    through Python's math), so another libm may legitimately give other
+    digests; on the reference machine any change is a regression.
+    """
+    out_dir = tmp_path / "run"
+    _prepare(config_from_dict(GOLDEN_FLEET, seed=1, out_dir=out_dir))
+    written = sorted(str(p.relative_to(out_dir)) for p in out_dir.glob("dataset/*")
+                     if not p.name.endswith("manifest.json"))
+    assert written == sorted(n for n in GOLDEN_SHA256 if n.startswith("dataset/"))
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctxae.ais import ContextRegistry, NavStatus
+from ctxae.ais import NAV_STATUSES, ContextRegistry, NavStatus, table_of
 from ctxae.dataset import attach_truth, segment
 from ctxae.errors import (ConfigError, UnmappedContext,
                           UnregisteredFalsification)
@@ -98,18 +98,17 @@ def test_same_seed_same_fleet():
     assert len(a.trajectories) == len(b.trajectories)
     for ta, tb in zip(a.trajectories, b.trajectories):
         assert ta.mmsi == tb.mmsi
-        for ma, mb in zip(ta.messages, tb.messages):
-            assert (ma.lat, ma.lon, ma.sog, ma.cog) == (mb.lat, mb.lon,
-                                                        mb.sog, mb.cog)
+        for col in ("ts", "lat", "lon", "sog", "cog", "heading", "status", "vtype"):
+            assert np.array_equal(getattr(ta, col), getattr(tb, col),
+                                  equal_nan=col == "heading")
     assert a.truth == b.truth
 
 
 def test_different_seeds_differ():
     a = generate(small_config(seed=5), REGISTRY)
     b = generate(small_config(seed=6), REGISTRY)
-    pa = [(m.lat, m.lon) for m in a.trajectories[0].messages[:20]]
-    pb = [(m.lat, m.lon) for m in b.trajectories[0].messages[:20]]
-    assert pa != pb
+    ta, tb = a.trajectories[0], b.trajectories[0]
+    assert not np.array_equal(ta.lat[:20], tb.lat[:20])
 
 
 def test_vessel_stream_isolated_from_plan_edits():
@@ -127,8 +126,7 @@ def test_vessel_stream_isolated_from_plan_edits():
                                   contextual_rate=0.0), REGISTRY)
     for ta, tb in zip(base.trajectories[:4], grown.trajectories[:4]):
         assert ta.mmsi == tb.mmsi
-        assert [(m.lat, m.lon) for m in ta.messages] == \
-            [(m.lat, m.lon) for m in tb.messages]
+        assert np.array_equal(ta.lat, tb.lat) and np.array_equal(ta.lon, tb.lon)
 
 
 # --- voyage geometry ---------------------------------------------------------------
@@ -136,8 +134,7 @@ def test_vessel_stream_isolated_from_plan_edits():
 def test_vessels_start_inside_port_radius():
     res = generate(small_config(), REGISTRY)
     for traj in res.trajectories:
-        first = traj.messages[0]
-        dists = [haversine(first.lat, first.lon, plat, plon)
+        dists = [haversine(traj.lat[0], traj.lon[0], plat, plon)
                  for plat, plon in res.ports]
         assert min(dists) < 5_000.0
 
@@ -148,25 +145,23 @@ def test_stationary_vessels_settle_outside_port_radius():
     res = generate(small_config(), REGISTRY)
     falsified = {s.mmsi for s in res.truth if s.truth.kind == "contextual"}
     moored = [t for t in res.trajectories
-              if t.messages[0].nav_status == NavStatus.MOORED
+              if NAV_STATUSES[t.status[0]] == NavStatus.MOORED
               and t.mmsi not in falsified]
     assert moored
     for traj in moored:
-        mid = traj.messages[50]
-        dists = [haversine(mid.lat, mid.lon, plat, plon)
+        dists = [haversine(traj.lat[50], traj.lon[50], plat, plon)
                  for plat, plon in res.ports]
         assert min(dists) < 5_000.0
-        for m in traj.messages[100:]:
-            dists = [haversine(m.lat, m.lon, plat, plon)
+        for lat, lon in zip(traj.lat[100:], traj.lon[100:]):
+            dists = [haversine(lat, lon, plat, plon)
                      for plat, plon in res.ports]
             assert min(dists) > 5_000.0
 
 
 def test_heading_sometimes_unavailable():
     res = generate(small_config(), REGISTRY)
-    headings = [m.heading for t in res.trajectories for m in t.messages]
-    missing = sum(1 for h in headings if h is None)
-    assert 0 < missing < len(headings) * 0.2
+    missing = table_of(res.trajectories).heading_unavailable
+    assert 0 < missing.sum() < len(missing) * 0.2
 
 
 # --- contextual injection ----------------------------------------------------------
@@ -175,10 +170,10 @@ def test_contextual_swaps_status_everywhere():
     traj = generate(small_config(contextual_rate=0.0, collective_rate=0.0),
                     REGISTRY).trajectories[0]
     swapped = inject_contextual(traj, NavStatus.MOORED, REGISTRY)
-    assert all(m.nav_status == NavStatus.MOORED for m in swapped.messages)
+    assert all(NAV_STATUSES[c] == NavStatus.MOORED for c in swapped.status)
     # motion itself is untouched
-    assert [(m.lat, m.lon, m.sog) for m in swapped.messages] == \
-        [(m.lat, m.lon, m.sog) for m in traj.messages]
+    for col in ("ts", "lat", "lon", "sog", "cog", "vtype"):
+        assert np.array_equal(getattr(swapped, col), getattr(traj, col))
 
 
 def test_contextual_rejects_identity_claim():
@@ -203,8 +198,8 @@ def test_contextual_truth_tags_whole_vessel():
     by_mmsi = {t.mmsi: t for t in res.trajectories}
     assert len({s.mmsi for s in spans}) == len(spans)    # one span per vessel
     for s in spans:
-        msgs = by_mmsi[s.mmsi].messages
-        assert (s.first_ts, s.last_ts) == (msgs[0].timestamp, msgs[-1].timestamp)
+        ts = by_mmsi[s.mmsi].ts
+        assert (s.first_ts, s.last_ts) == (ts[0], ts[-1])
         assert s.truth.true_context == 0
 
 
@@ -215,20 +210,20 @@ def test_collective_displaces_span_only():
                     REGISTRY).trajectories[0]
     start, span, mag = 40, 6, 3000.0
     shifted = inject_collective(traj, start, span, mag, heading_deg=90.0)
-    orig, new = traj.messages, shifted.messages
-    assert [(m.lat, m.lon) for m in new[:start + 1]] == \
-        [(m.lat, m.lon) for m in orig[:start + 1]]
+    orig, new = traj, shifted
+    assert np.array_equal(new.lat[:start + 1], orig.lat[:start + 1])
+    assert np.array_equal(new.lon[:start + 1], orig.lon[:start + 1])
     for i in range(start + 1, start + span + 1):
-        step = haversine(new[i - 1].lat, new[i - 1].lon, new[i].lat, new[i].lon)
+        step = haversine(new.lat[i - 1], new.lon[i - 1], new.lat[i], new.lon[i])
         assert step == pytest.approx(mag, rel=1e-6)
     # afterwards the original displacement vectors replay from the new spot
     for i in range(start + span + 1, len(orig)):
-        d_orig = haversine(orig[i - 1].lat, orig[i - 1].lon,
-                           orig[i].lat, orig[i].lon)
-        d_new = haversine(new[i - 1].lat, new[i - 1].lon,
-                          new[i].lat, new[i].lon)
+        d_orig = haversine(orig.lat[i - 1], orig.lon[i - 1],
+                           orig.lat[i], orig.lon[i])
+        d_new = haversine(new.lat[i - 1], new.lon[i - 1],
+                          new.lat[i], new.lon[i])
         assert d_new == pytest.approx(d_orig, rel=1e-4, abs=0.5)
-    assert [m.sog for m in new] == [m.sog for m in orig]
+    assert np.array_equal(new.sog, orig.sog)
 
 
 def test_collective_rejects_bad_span():
@@ -246,13 +241,13 @@ def test_collective_truth_tags_touched_windows():
     by_mmsi = {t.mmsi: t for t in res.trajectories}
     for s in spans:
         traj = by_mmsi[s.mmsi]
-        stamps = [m.timestamp for m in traj.messages]
+        stamps = traj.ts.tolist()
         lo, hi = stamps.index(s.first_ts), stamps.index(s.last_ts)
         # the span is exactly the displaced messages, each one a full step
         assert hi - lo + 1 == cfg.collective_span
         for i in range(lo, hi + 1):
-            a, b = traj.messages[i - 1], traj.messages[i]
-            assert haversine(a.lat, a.lon, b.lat, b.lon) == pytest.approx(
+            assert haversine(traj.lat[i - 1], traj.lon[i - 1], traj.lat[i],
+                             traj.lon[i]) == pytest.approx(
                 cfg.collective_magnitude_m, rel=1e-6)
         # the windows cut from the vessel carry the tag iff they touch the span
         windows = attach_truth(segment(traj, enrich(traj), REGISTRY), res.truth)
