@@ -30,8 +30,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from math import inf
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -296,8 +297,8 @@ def parse_record(row: list[str], index: dict[str, int], schema: dict[str, str],
         raise RangeError(line_no, f"lat out of range: {lat}")
     if not -180.0 < lon <= 180.0:
         raise RangeError(line_no, f"lon out of range: {lon}")
-    if sog < 0.0:
-        raise RangeError(line_no, f"sog must be >= 0, got {sog}")
+    if not 0.0 <= sog < inf:
+        raise RangeError(line_no, f"sog must be finite and >= 0, got {sog}")
     if not 0.0 <= cog < 360.0:
         raise RangeError(line_no, f"cog out of range: {cog}")
     if not unavailable and not 0.0 <= heading < 360.0:
@@ -312,8 +313,11 @@ _CONVERTERS = (int, int, float, float, float, float, _heading_value,
 
 
 def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str],
-                 first_line: int) -> tuple[dict[str, np.ndarray], list[ParseError]]:
-    """Columns of the well-formed rows, and an error for each other row."""
+                 line_nos: Sequence[int]) -> tuple[dict[str, np.ndarray], list[ParseError]]:
+    """Columns of the well-formed rows, and an error for each other row.
+
+    line_nos holds the file line on which each row starts.
+    """
     index = {name: i for i, name in enumerate(header)}
     n = len(rows)
     cols = {name: np.zeros(n, dtype) for name, dtype in TABLE_DTYPES.items()}
@@ -327,9 +331,9 @@ def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str
         tokens = list(zip(*rows)) or [()] * len(header)
         for (name, dtype), convert, i in zip(TABLE_DTYPES.items(), _CONVERTERS, positions):
             cols[name] = np.fromiter(map(convert, tokens[i]), dtype, n)
-        lat, lon, cog, heading = (cols[c] for c in ("lat", "lon", "cog", "heading"))
+        lat, lon, sog, cog, heading = (cols[c] for c in ("lat", "lon", "sog", "cog", "heading"))
         bad = ((cols["mmsi"] <= 0) | ~((lat >= -90.0) & (lat <= 90.0))
-               | ~((lon > -180.0) & (lon <= 180.0)) | (cols["sog"] < 0.0)
+               | ~((lon > -180.0) & (lon <= 180.0)) | ~((sog >= 0.0) & (sog < np.inf))
                | ~((cog >= 0.0) & (cog < 360.0)) | (heading < 0.0) | (heading >= 360.0))
         # a NaN heading no unavailable token gave was parsed from "nan"
         for i in np.flatnonzero(np.isnan(heading)).tolist():
@@ -341,7 +345,7 @@ def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str
     errors: list[ParseError] = []
     for i in np.flatnonzero(bad).tolist():
         try:
-            record = parse_record(rows[i], index, schema, first_line + i)
+            record = parse_record(rows[i], index, schema, line_nos[i])
         except ParseError as exc:
             errors.append(exc)
             continue
@@ -351,28 +355,37 @@ def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str
     return {name: c[~bad] for name, c in cols.items()}, errors
 
 
+def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row of a csv.reader with the file line it starts on."""
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def parse_messages(stream: TextIO, schema: dict[str, str] | None = None,
                    ) -> tuple[MessageTable, list[ParseError]]:
     """Parse a CSV record stream (header row required) into a message table.
 
     Malformed records are collected as located errors, never silently
-    dropped; well-formed records keep their input order. Line numbers count
-    the header as line 1 and skip blank lines, as csv.DictReader does.
-    Records are read in blocks of BLOCK_ROWS, which bounds the memory the
-    raw text takes.
+    dropped; well-formed records keep their input order. An error names the
+    physical file line on which its record starts, as csv.reader counts
+    them: the header starts at line 1, and blank lines and quoted fields
+    that span lines count too. Records are read in blocks of BLOCK_ROWS,
+    which bounds the memory the raw text takes.
     """
     schema = schema or {}
     reader = csv.reader(stream)
     header = next(reader, [])
+    records = _numbered(reader)
     parts = [{name: np.zeros(0, dtype) for name, dtype in TABLE_DTYPES.items()}]
     errors: list[ParseError] = []
-    line_no = 2   # line 1 is the header
-    while block := list(islice(reader, BLOCK_ROWS)):
-        rows = [row for row in block if row]
-        cols, block_errors = _parse_block(rows, header, schema, line_no)
+    while block := list(islice(records, BLOCK_ROWS)):
+        line_nos, rows = zip(*block)
+        cols, block_errors = _parse_block(list(rows), header, schema, line_nos)
         parts.append(cols)
         errors.extend(block_errors)
-        line_no += len(rows)
     return MessageTable(**{name: np.concatenate([p[name] for p in parts])
                            for name in TABLE_DTYPES}), errors
 

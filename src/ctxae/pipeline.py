@@ -354,6 +354,20 @@ def _read_detections(path: Path) -> dict[str, np.ndarray]:
     }
 
 
+def _check_detections(cfg: RunConfig, kind: str, dataset_hash: str) -> None:
+    """Refuse detections with no manifest or scored on another dataset."""
+    manifest_path = _paths(cfg)["detections"] / f"detect-{kind}.manifest.json"
+    if not manifest_path.exists():
+        raise MissingArtifact(f"no detect manifest at {manifest_path}; "
+                              f"run the detect stage for {kind} again")
+    scored = json.loads(manifest_path.read_text())["inputs"]["dataset"]
+    if scored != dataset_hash:
+        raise ConfigError(
+            f"{kind} detections were scored on the dataset with header sha256 {scored}, "
+            f"but the dataset header now has sha256 {dataset_hash}; "
+            f"run the detect stage again")
+
+
 def _primary_mode(kind: str) -> str:
     """AE is the global-threshold baseline; the rest use context thresholds."""
     return "global" if kind == "ae" else "context"
@@ -368,6 +382,9 @@ def stage_evaluate(cfg: RunConfig) -> dict:
              if (paths["detections"] / f"{k}.csv").exists()]
     if not kinds:
         raise MissingArtifact("no detection files to evaluate; run detect first")
+    dataset_hash = sha256_file(paths["dataset"] / "header.json")
+    for kind in kinds:
+        _check_detections(cfg, kind, dataset_hash)
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}

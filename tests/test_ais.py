@@ -2,7 +2,6 @@
 
 import csv
 import io
-import math
 
 import numpy as np
 import pytest
@@ -111,15 +110,19 @@ class TestRegistry:
 
 
 def scalar_parse(text, schema):
-    """The reference: every non-blank row through the scalar row parser."""
+    """The reference: every non-blank row through the scalar row parser,
+    numbered by the file line it starts on."""
     reader = csv.reader(io.StringIO(text))
     index = {name: i for i, name in enumerate(next(reader))}
     rows, errors = [], []
-    for line_no, row in enumerate((r for r in reader if r), start=2):
-        try:
-            rows.append(parse_record(row, index, schema, line_no))
-        except ParseError as exc:
-            errors.append(exc)
+    line_no = reader.line_num + 1
+    for row in reader:
+        if row:
+            try:
+                rows.append(parse_record(row, index, schema, line_no))
+            except ParseError as exc:
+                errors.append(exc)
+        line_no = reader.line_num + 1
     return rows, errors
 
 
@@ -149,20 +152,26 @@ PARITY_ROWS = [
     "7,18,1.0,2.0,3.0,4.0,nan,moored,trawlers,x",        # parsed NaN heading
     "7,19,1.0,2.0,3.0,4.0,north,moored,trawlers,x",      # bad heading token
     "7,20,nan,2.0,3.0,4.0,5,moored,trawlers,x",          # NaN lat
-    "7,21,1.0,2.0,nan,4.0,5,moored,trawlers,x",          # NaN sog passes
+    "7,21,1.0,2.0,nan,4.0,5,moored,trawlers,x",          # NaN sog
+    "7,21,1.0,2.0,inf,4.0,5,moored,trawlers,x",          # infinite sog
     "7,1e2,1.0,2.0,3.0,4.0,5,moored,trawlers,x",         # non-integer time
     f"{2 ** 70},22,1.0,2.0,3.0,4.0,5,moored,trawlers,x",  # mmsi beyond int64
     f"7,{-2 ** 70},1.0,2.0,3.0,4.0,5,moored,trawlers,x",  # time beyond int64
     "7,23,1.0,2.0,3.0,4.0,5,moored,trawlers,x,extra",    # long row is fine
     " 8 ,24, 1.5 ,2.0,3.0,4.0,5.5,at_anchor,trawlers,x",  # padded numbers
     "7,25,-90.0,180.0,0.0,0.0,0,moored,trawlers,x",      # range ends accepted
+    '7,26,1.0,2.0,3.0,4.0,5,moored,trawlers,"a note\non two lines"',
+    "7,27,1.0,2.0,3.0,400.0,5,moored,trawlers,x",        # after a two-line record
 ]
+# (class, file line); the blank line is line 20 and the two-line record
+# spans lines 32 and 33
 PARITY_ERRORS = [
     (MissingField, 3), (MissingField, 4), (RangeError, 5), (RangeError, 6),
     (RangeError, 7), (RangeError, 8), (RangeError, 9), (RangeError, 10),
     (RangeError, 11), (RangeError, 12), (UnknownEnumToken, 13),
-    (UnknownEnumToken, 14), (RangeError, 20), (RangeError, 21),
-    (RangeError, 22), (RangeError, 24), (RangeError, 25), (RangeError, 26),
+    (UnknownEnumToken, 14), (RangeError, 21), (RangeError, 22),
+    (RangeError, 23), (RangeError, 24), (RangeError, 25), (RangeError, 26),
+    (RangeError, 27), (RangeError, 28), (RangeError, 34),
 ]
 
 
@@ -224,7 +233,10 @@ class TestParsing:
         assert len(got) == len(ref_rows) == 10
         assert repr(got) == repr(ref_rows)
         assert table.heading_unavailable.sum() == 4
-        assert math.isnan(table.sog[table.ts == 21][0])
+        assert np.isfinite(table.sog).all()
+        assert [str(e) for e in errors if e.line_no in (24, 25)] == [
+            "line 24: sog must be finite and >= 0, got nan",
+            "line 25: sog must be finite and >= 0, got inf"]
 
     def test_missing_column_fails_every_row(self):
         text = records({}, {}).replace("timestamp", "time")

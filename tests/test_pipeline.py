@@ -96,6 +96,29 @@ def test_stages_refuse_a_detector_trained_on_another_dataset(tmp_path):
         assert stale_hash in str(err.value) and fresh_hash in str(err.value)
 
 
+def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir, seed=3)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "ae")
+    pipeline.stage_thresholds(cfg, "ae")
+    pipeline.stage_detect(cfg, "ae")
+    pipeline.stage_evaluate(cfg)
+    scored = sha256_file(out_dir / "dataset" / "header.json")
+
+    # another seed rebuilds the dataset in place; the detections stay
+    cfg = _tiny(out_dir, seed=4)
+    _prepare(cfg)
+    current = sha256_file(out_dir / "dataset" / "header.json")
+    assert current != scored
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_evaluate(cfg)
+    assert scored in str(err.value) and current in str(err.value)
+    (out_dir / "detections" / "detect-ae.manifest.json").unlink()
+    with pytest.raises(MissingArtifact, match="run the detect stage for ae"):
+        pipeline.stage_evaluate(cfg)
+
+
 def test_build_refuses_a_missing_ingest_table(tmp_path):
     cfg = _tiny(tmp_path / "run")
     pipeline.stage_simulate(cfg)

@@ -1,16 +1,21 @@
 """Fleet generator: determinism, injection semantics, truth bookkeeping."""
 
+from dataclasses import replace
+from math import nan
+
 import numpy as np
 import pytest
 
-from ctxae.ais import NAV_STATUSES, ContextRegistry, NavStatus, table_of
+from ctxae import synth
+from ctxae.ais import (MESSAGE_COLUMNS, NAV_STATUSES, VESSEL_TYPES, ContextRegistry,
+                       NavStatus, Trajectory, table_of)
 from ctxae.dataset import attach_truth, segment
 from ctxae.errors import (ConfigError, UnmappedContext,
                           UnregisteredFalsification)
 from ctxae.features import enrich
-from ctxae.geo import haversine
-from ctxae.synth import (BehaviorModel, ContextPlan, PRESETS, SynthConfig,
-                         generate, inject_collective, inject_contextual,
+from ctxae.geo import bearing, destination, destination_array, haversine
+from ctxae.synth import (KNOT_MPS, START_TS, BehaviorModel, ContextPlan, PRESETS,
+                         SynthConfig, generate, inject_collective, inject_contextual,
                          load_ports, load_truth, write_fleet)
 
 REGISTRY = ContextRegistry()
@@ -303,3 +308,230 @@ def test_load_truth_refuses_a_reversed_span(tmp_path):
                     "8,300,299,contextual,5\n")
     with pytest.raises(ConfigError, match="line 3"):
         load_truth(path)
+
+
+# --- the simulation loop against its reference form ---------------------------
+# _simulate_vessel draws through numpy's own definitions of uniform and normal
+# and computes the measurement channels in one numpy pass after its loop. This
+# is the loop it replaced, kept as written: every uniform and normal draw
+# through the Generator methods and every channel computed on its step. The
+# two must give the same columns bit for bit.
+
+def _reference_wrap_deg(angle: float) -> float:
+    return angle % 360.0
+
+
+def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
+                               n_msgs: int, seed: int, registry: ContextRegistry,
+                               ports: tuple[tuple[float, float], ...]) -> Trajectory:
+    label = registry.by_id(context_id)
+    rng = np.random.default_rng([seed, mmsi])
+
+    ts = START_TS + int(rng.integers(0, 86_400))
+    base_speed = float(rng.uniform(behavior.speed_lo, behavior.speed_hi))
+    # reported angles live on a 0/360 seam; any behavior whose course dwells
+    # near it produces wrap jumps in the cog/heading/bearing channels that no
+    # decoder can reconstruct, so every course band below keeps a margin.
+    base_course = float(rng.uniform(75.0, 285.0))
+    course = base_course
+
+    # every voyage opens near a port and heads out along its base course.
+    # The first half-window of a record stream has no predecessor for the
+    # delta features and the motion model is still settling, so those steps
+    # must stay inside the port exclusion radius where no kept window can
+    # see them. Slow vessels get a repositioning leg out to their berth or
+    # anchorage; it ends, brake included, inside the excluded span.
+    port = ports[int(rng.integers(0, len(ports)))]
+    stationary = behavior.kind in ("anchor_drift", "moored")
+    start_dist = float(rng.uniform(300.0, 900.0)) if stationary \
+        else float(rng.uniform(3500.0, 4700.0))
+    lat, lon = destination(port[0], port[1], base_course, start_dist)
+    prologue_steps = 100 if stationary else 0
+
+    anchor = (lat, lon)
+    current_bearing = float(rng.uniform(0.0, 360.0))
+
+    # voyage legs for under-way vessels: course, speed and sea-state wiggle
+    # are redrawn per leg so a single trajectory samples the whole operating
+    # envelope instead of one point of it. Within a window the course is then
+    # near-constant, which is the regularity a decoder can hold on to.
+    leg_course = base_course
+    leg_speed = base_speed
+    leg_left = int(rng.integers(300, 600))
+    turn_target: float | None = None
+    turn_rate = 0.0
+    wiggle = 0.0
+    wig_mult = float(rng.uniform(0.5, 1.75))
+
+    # zigzag geometry is redrawn per trawl pass (a few windows long) so the
+    # spread lives between windows rather than averaging out inside one, and
+    # no vessel owns a private operating point
+    half_period = max(3, int(round(rng.normal(behavior.zigzag_period, 1.0))))
+    zz_phase = int(rng.integers(0, 2 * half_period))
+    pass_left = 0
+    amp = behavior.zigzag_amplitude_deg
+
+    # receiver quality drifts in spells of a few windows. Reconstruction can
+    # never predict measurement noise, so the per-window loss floor tracks
+    # the spell level; that spread is what keeps loss thresholds honest.
+    quality_left = 0
+    quality = 1.0
+
+    event_left = 0
+    steps: list[tuple] = []
+
+    for i in range(n_msgs):
+        if quality_left == 0:
+            quality_left = int(rng.integers(150, 400))
+            quality = float(rng.uniform(0.8, 1.8))
+        quality_left -= 1
+
+        if event_left == 0 and rng.random() < behavior.event_rate:
+            event_left = int(rng.integers(behavior.event_len_lo,
+                              behavior.event_len_hi + 1))
+        in_event = event_left > 0
+        if event_left:
+            event_left -= 1
+        turn_factor = behavior.event_turn_factor if in_event else 1.0
+        speed_factor = behavior.event_speed_factor if in_event else 1.0
+
+        kind = behavior.kind
+        if prologue_steps and i == prologue_steps:
+            anchor = (lat, lon)
+        if i < prologue_steps:
+            course = base_course + float(rng.normal(0.0, 1.5))
+            if i < prologue_steps - 5:
+                speed = 4.5 + float(rng.normal(0.0, 0.1))
+            else:
+                speed = 0.9 * float(prologue_steps - 1 - i)
+        elif kind in ("transit", "sailing"):
+            if turn_target is None:
+                leg_left -= 1
+                if leg_left <= 0:
+                    turn_target = float(rng.uniform(50.0, 310.0))
+                    turn_rate = float(rng.uniform(1.0, 1.8))
+                    leg_speed = float(rng.uniform(behavior.speed_lo,
+                                                  behavior.speed_hi))
+                    leg_left = int(rng.integers(300, 600))
+                    wig_mult = float(rng.uniform(0.5, 1.75))
+            else:
+                step = min(turn_rate, abs(turn_target - leg_course))
+                leg_course += step if turn_target > leg_course else -step
+                if leg_course == turn_target:
+                    turn_target = None
+            wiggle = 0.9 * wiggle + float(
+                rng.normal(0.0, behavior.turn_sigma_deg * wig_mult
+                           * turn_factor))
+            course = leg_course + wiggle
+            speed = leg_speed + float(rng.normal(0.0, 0.2))
+        elif kind == "fishing_zigzag":
+            pass_left -= 1
+            if pass_left <= 0:
+                pass_left = int(rng.integers(100, 221))
+                amp = min(max(rng.normal(behavior.zigzag_amplitude_deg, 7.0),
+                              22.0), 58.0)
+                base_speed = float(rng.uniform(behavior.speed_lo,
+                                               behavior.speed_hi))
+                half_period = min(max(
+                    round(rng.normal(behavior.zigzag_period, 1.5)), 7), 14)
+            cyc = (i + zz_phase) // half_period
+            sign = 1.0 if cyc % 2 == 0 else -1.0
+            base_course = min(max(base_course + rng.normal(0.0, 0.5), 75.0),
+                              285.0)
+            course = base_course + sign * amp + float(
+                rng.normal(0.0, behavior.turn_sigma_deg))
+            speed = base_speed + float(rng.normal(0.0, 0.3))
+        elif kind == "loiter":
+            course += float(rng.normal(0.0, behavior.turn_sigma_deg * turn_factor))
+            base_speed = min(max(base_speed + float(rng.normal(0.0, 0.05)),
+                                 behavior.speed_lo), behavior.speed_hi)
+            speed = base_speed + float(rng.normal(0.0, 0.1))
+        elif kind == "anchor_drift":
+            current_bearing += float(rng.normal(0.0, 4.0))
+            course = current_bearing + float(
+                rng.normal(0.0, behavior.turn_sigma_deg))
+            if haversine(lat, lon, *anchor) > behavior.anchor_radius_m:
+                course = bearing(lat, lon, *anchor) + float(rng.normal(0.0, 10.0))
+            speed = abs(float(rng.normal(0.0, 0.15)))
+        else:  # moored
+            course = base_course + float(
+                rng.normal(0.0, behavior.turn_sigma_deg * turn_factor))
+            speed = min(abs(float(rng.normal(0.0, 0.03))), 0.1) * speed_factor
+
+        course = _reference_wrap_deg(course)
+        speed = min(max(speed, 0.0), 30.0)
+
+        if i > 0:
+            dt = max(1, int(round(behavior.interval_s + float(
+                rng.uniform(-behavior.interval_jitter_s,
+                            behavior.interval_jitter_s)))))
+            ts += dt
+            lat, lon = destination(lat, lon, course, speed * KNOT_MPS * dt)
+
+        # measurement noise: mostly tight, occasionally 3x (heavy tail). For
+        # anchored vessels an event is a burst of degraded position fixes,
+        # which moves the reported track without moving the vessel.
+        noise_mult = 3.0 if rng.random() < 0.1 else 1.0
+        noise_sigma = behavior.pos_noise_m * noise_mult * quality
+        if kind == "anchor_drift" and in_event:
+            # degraded-fix bursts have a characteristic level of their own;
+            # they do not ride the receiver-quality spell
+            noise_sigma = behavior.pos_noise_m * behavior.event_speed_factor
+        noise_r = abs(float(rng.normal(0.0, noise_sigma)))
+        noise_brg = float(rng.uniform(0.0, 360.0))
+
+        sog = round(min(max(speed + float(rng.normal(0.0, 0.1 * quality)),
+                            0.0), 40.0), 1)
+        cog = _reference_wrap_deg(round(_reference_wrap_deg(
+            course + float(rng.normal(0.0, 1.0 * quality))), 1))
+        if rng.random() < behavior.heading_unavailable_rate:
+            heading = nan
+        else:
+            heading = float(int(_reference_wrap_deg(
+                course + float(rng.normal(0.0, 2.0 * quality)))))
+        steps.append((ts, lat, lon, noise_brg, noise_r, sog, cog, heading))
+
+    ts, lat, lon, noise_brg, noise_r, sog, cog, heading = map(np.array, zip(*steps))
+    rep_lat, rep_lon = destination_array(lat, lon, noise_brg, noise_r)
+    return Trajectory(
+        mmsi=mmsi, ts=ts, lat=rep_lat, lon=rep_lon, sog=sog, cog=cog, heading=heading,
+        status=np.full(n_msgs, NAV_STATUSES.index(label.nav_status), dtype=np.uint8),
+        vtype=np.full(n_msgs, VESSEL_TYPES.index(label.vessel_type), dtype=np.uint8))
+
+
+ORACLE_PLANS = (
+    ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=2,
+                falsify_to=NavStatus.MOORED),
+    ContextPlan(context_id=16, behavior=PRESETS["fishing_zigzag"], vessels=2,
+                falsify_to=NavStatus.UNDER_WAY_USING_ENGINE),
+    ContextPlan(context_id=10, behavior=PRESETS["loiter"], vessels=2),
+    ContextPlan(context_id=5, behavior=PRESETS["anchor_drift"], vessels=2),
+    ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=2),
+    ContextPlan(context_id=21, behavior=PRESETS["sailing"], vessels=2),
+    # frequent short events, so turns, anchored fix bursts and moored speed
+    # events all occur on every seed
+    ContextPlan(context_id=1, vessels=2, behavior=replace(
+        PRESETS["transit"], event_rate=0.01, event_turn_factor=3.0)),
+    ContextPlan(context_id=6, vessels=2, behavior=replace(
+        PRESETS["anchor_drift"], event_rate=0.01, event_len_lo=20, event_len_hi=40)),
+    ContextPlan(context_id=13, vessels=2, behavior=replace(
+        PRESETS["moored"], event_rate=0.01, event_len_lo=20, event_len_hi=40)),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 11])
+def test_simulation_equals_the_reference_loop_bit_for_bit(monkeypatch, seed):
+    cfg = SynthConfig(seed=seed, plans=ORACLE_PLANS, messages_per_vessel=400,
+                      contextual_rate=0.5, collective_rate=0.2,
+                      ports=((12.0, -40.0), (-8.0, -32.0), (4.0, -20.0)))
+    fast = generate(cfg, REGISTRY)
+    monkeypatch.setattr(synth, "_simulate_vessel", _reference_simulate_vessel)
+    reference = generate(cfg, REGISTRY)
+    assert {s.truth.kind for s in reference.truth} == {"contextual", "collective"}
+    assert fast.truth == reference.truth
+    assert [t.mmsi for t in fast.trajectories] == [t.mmsi for t in reference.trajectories]
+    for got, want in zip(fast.trajectories, reference.trajectories):
+        assert np.isnan(want.heading).any()
+        for col in MESSAGE_COLUMNS:
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (got.mmsi, col)
