@@ -9,7 +9,7 @@ files byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +100,6 @@ class OverlapReport:
                 for pair, n in sorted(self.intersections.items())
             ],
         }
-
-
-def overlap(anomaly_sets: dict[str, set]) -> OverlapReport:
-    return OverlapReport.from_sets(anomaly_sets)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Manifests carry no timestamps, so identical runs write identical manifests
 and stale-artifact reuse shows up as a hash mismatch instead of a silent
-wrong answer.
+wrong answer: a stage that reads a produced artifact first calls
+check_inputs on the manifest of the stage that produced it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+
+from .errors import ConfigError, MissingArtifact
 
 
 def sha256_file(path: Path) -> str:
@@ -48,3 +51,19 @@ def write_manifest(out_dir: Path, stage: str, config_digest: str,
     path = Path(out_dir) / f"{stage}.manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path], rerun: str) -> None:
+    """Raise unless each named input still has the bytes stage's manifest records."""
+    path = Path(out_dir) / f"{stage}.manifest.json"
+    if not path.exists():
+        raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
+    recorded = json.loads(path.read_text())["inputs"]
+    for name, input_path in sorted(inputs.items()):
+        if not Path(input_path).exists():
+            raise MissingArtifact(f"{stage} read {name} from {input_path}, "
+                                  f"which is gone; {rerun}")
+        current = sha256_file(input_path)
+        if recorded.get(name) != current:
+            raise ConfigError(f"{stage} read {name} with sha256 {recorded.get(name)}, but "
+                              f"{input_path} now has sha256 {current}; {rerun}")

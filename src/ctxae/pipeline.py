@@ -3,6 +3,12 @@
 Every stage reads its inputs from the run directory, writes its artifacts
 plus a manifest, and is idempotent for a fixed config + seed. Stage order:
 simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
+
+One staleness rule: a stage refuses an artifact whose producer's manifest is
+missing (MissingArtifact) or records other bytes for an input than the file
+now holds (ConfigError naming both sha256 values); manifest.check_inputs is
+the one place that checks it. Detector bundles are checked instead by the
+norm_stats_hash they store, which holds exactly while the train split does.
 """
 
 from __future__ import annotations
@@ -14,16 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, evaluation, grouping, synth, thresholds as th
-from .ais import (MessageTable, context_registry, group_trajectories,
-                  load_table, parse_messages, save_table)
+from .ais import (context_registry, group_trajectories, load_table,
+                  parse_messages, save_table)
 from .config import RunConfig
 from .dataset import (DatasetSplit, attach_truth, filter_near_ports,
                       load_dataset, normalize_split, remove_outliers,
                       save_dataset, segment, split_by_vessel, stack_tensors)
 from .errors import ConfigError, MissingArtifact
 from .features import NUM_FEATURES, enrich
-from .manifest import config_hash, sha256_file, write_manifest
-from .net import TrainConfig, default_autoencoder_spec
+from .manifest import check_inputs, config_hash, write_manifest
+from .net import default_autoencoder_spec
 
 REPORT_VERSION = 1
 
@@ -103,22 +109,6 @@ def stage_ingest(cfg: RunConfig) -> dict:
     return summary
 
 
-def _ingested_table(cfg: RunConfig, records: Path) -> MessageTable:
-    """The table ingest parsed from records; refuse one parsed from another file."""
-    paths = _paths(cfg)
-    manifest_path = paths["out"] / "ingest.manifest.json"
-    if not manifest_path.exists():
-        raise MissingArtifact(f"no ingest manifest at {manifest_path}; "
-                              "run the ingest stage first")
-    parsed = json.loads(manifest_path.read_text())["inputs"]["records"]
-    current = sha256_file(records)
-    if parsed != current:
-        raise ConfigError(
-            f"the ingest table was parsed from records with sha256 {parsed}, but "
-            f"{records} now has sha256 {current}; run the ingest stage again")
-    return load_table(paths["messages"])
-
-
 def stage_build(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     registry = context_registry()
@@ -128,8 +118,10 @@ def stage_build(cfg: RunConfig) -> dict:
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
 
+    check_inputs(paths["out"], "ingest", {"records": records},
+                 "run the ingest stage first")
     windows = []
-    for traj in group_trajectories(_ingested_table(cfg, records)):
+    for traj in group_trajectories(load_table(paths["messages"])):
         feats = enrich(traj)
         windows.extend(segment(traj, feats, registry,
                                window_len=cfg.dataset.window_len,
@@ -189,6 +181,7 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     split = _load_split(cfg)
     spec = _spec(cfg)
     train_cfg = cfg.train
+    inputs = {"dataset": paths["dataset"] / "header.json"}
 
     if kind == "ae":
         det = detectors.train_ae(split, spec, train_cfg)
@@ -197,11 +190,8 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     elif kind == "cae":
         det = detectors.train_cae(split, spec, train_cfg)
     else:
-        grouping_path = paths["grouping"] / "grouping.json"
-        if not grouping_path.exists():
-            raise MissingArtifact(f"gcae training needs {grouping_path}; "
-                                  "run the group stage first")
-        result = grouping.load_grouping(grouping_path)
+        inputs["grouping"] = _checked_grouping(cfg)
+        result = grouping.load_grouping(inputs["grouping"])
         det = detectors.train_gcae(split, spec, train_cfg, result.as_map())
 
     det.norm_stats_hash = split.norm_stats.content_hash()
@@ -217,8 +207,7 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     }
     outputs = {f.name: f for f in sorted(out_dir.glob("*"))
                if not f.name.endswith("manifest.json")}
-    write_manifest(out_dir, "train", config_hash(cfg),
-                   {"dataset": paths["dataset"] / "header.json"}, outputs,
+    write_manifest(out_dir, "train", config_hash(cfg), inputs, outputs,
                    extra=summary)
     return summary
 
@@ -256,6 +245,21 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
     return summary
 
 
+def _group_inputs(cfg: RunConfig) -> dict[str, Path]:
+    """The cae bundle, and its taus unless tau_dit is configured."""
+    inputs = {"cae": _model_dir(cfg, "cae") / "detector.json"}
+    if cfg.grouping.tau_dit is None:
+        inputs["cae_thresholds"] = _model_dir(cfg, "cae") / "thresholds.csv"
+    return inputs
+
+
+def _checked_grouping(cfg: RunConfig) -> Path:
+    """grouping.json, refused unless derived from the current cae bundle."""
+    group_dir = _paths(cfg)["grouping"]
+    check_inputs(group_dir, "group", _group_inputs(cfg), "run the group stage first")
+    return group_dir / "grouping.json"
+
+
 def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
@@ -283,8 +287,7 @@ def stage_group(cfg: RunConfig) -> dict:
         "delta": result.delta,
         "strategy": result.strategy,
     }
-    write_manifest(paths["grouping"], "group", config_hash(cfg),
-                   {"cae": _model_dir(cfg, "cae") / "detector.json"},
+    write_manifest(paths["grouping"], "group", config_hash(cfg), _group_inputs(cfg),
                    {"loss_matrix": paths["grouping"] / "loss_matrix.csv",
                     "grouping": paths["grouping"] / "grouping.json"},
                    extra=summary)
@@ -294,6 +297,14 @@ def stage_group(cfg: RunConfig) -> dict:
 DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
                     "tau_context", "tau_global", "global_verdict",
                     "context_verdict", "margin_context")
+
+
+def _detect_inputs(cfg: RunConfig, kind: str) -> dict[str, Path]:
+    """The dataset header, and the bundle and taus of kind."""
+    bundle = _model_dir(cfg, kind)
+    return {"dataset": _paths(cfg)["dataset"] / "header.json",
+            "detector": bundle / "detector.json",
+            "thresholds": bundle / "thresholds.csv"}
 
 
 def stage_detect(cfg: RunConfig, kind: str) -> dict:
@@ -330,9 +341,7 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
         "global_anomalies": int(global_verdicts.sum()),
     }
     write_manifest(paths["detections"], f"detect-{kind}", config_hash(cfg),
-                   {"detector": _model_dir(cfg, kind) / "detector.json",
-                    "dataset": paths["dataset"] / "header.json"},
-                   {f"{kind}.csv": det_path}, extra=summary)
+                   _detect_inputs(cfg, kind), {f"{kind}.csv": det_path}, extra=summary)
     return summary
 
 
@@ -354,18 +363,18 @@ def _read_detections(path: Path) -> dict[str, np.ndarray]:
     }
 
 
-def _check_detections(cfg: RunConfig, kind: str, dataset_hash: str) -> None:
-    """Refuse detections with no manifest or scored on another dataset."""
-    manifest_path = _paths(cfg)["detections"] / f"detect-{kind}.manifest.json"
-    if not manifest_path.exists():
-        raise MissingArtifact(f"no detect manifest at {manifest_path}; "
-                              f"run the detect stage for {kind} again")
-    scored = json.loads(manifest_path.read_text())["inputs"]["dataset"]
-    if scored != dataset_hash:
-        raise ConfigError(
-            f"{kind} detections were scored on the dataset with header sha256 {scored}, "
-            f"but the dataset header now has sha256 {dataset_hash}; "
-            f"run the detect stage again")
+def _checked_detections(cfg: RunConfig) -> dict[str, Path]:
+    """Each model's detections CSV, refused unless scored with the current
+    dataset, bundle and thresholds."""
+    det_dir = _paths(cfg)["detections"]
+    found = {k: det_dir / f"{k}.csv" for k in cfg.models
+             if (det_dir / f"{k}.csv").exists()}
+    if not found:
+        raise MissingArtifact("no detection files to evaluate; run detect first")
+    for kind in found:
+        check_inputs(det_dir, f"detect-{kind}", _detect_inputs(cfg, kind),
+                     f"run the detect stage for {kind} first")
+    return found
 
 
 def _primary_mode(kind: str) -> str:
@@ -378,19 +387,13 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     split = _load_split(cfg)
     truth_by_id = {w.uid: w.truth.kind for w in split.test}
 
-    kinds = [k for k in cfg.models
-             if (paths["detections"] / f"{k}.csv").exists()]
-    if not kinds:
-        raise MissingArtifact("no detection files to evaluate; run detect first")
-    dataset_hash = sha256_file(paths["dataset"] / "header.json")
-    for kind in kinds:
-        _check_detections(cfg, kind, dataset_hash)
+    detections = _checked_detections(cfg)
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}
     severity_by_id: dict[str, dict] = {}
-    for kind in kinds:
-        d = _read_detections(paths["detections"] / f"{kind}.csv")
+    for kind, det_path in detections.items():
+        d = _read_detections(det_path)
         n = d["score"].shape[0]
         uids = list(zip(d["mmsi"].tolist(), d["start_ts"].tolist()))
         truth_kinds = [truth_by_id[uid] for uid in uids]
@@ -438,7 +441,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
 
     report = {
         "models": models_report,
-        "overlap": evaluation.overlap(anomaly_sets).to_dict(),
+        "overlap": evaluation.OverlapReport.from_sets(anomaly_sets).to_dict(),
         "anomaly_ids": {k: sorted(map(list, v)) for k, v in anomaly_sets.items()},
         "severity_by_id": {
             k: {f"{m}:{t}": s for (m, t), s in sorted(v.items())}
@@ -449,36 +452,31 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     eval_path = paths["evaluation"] / "evaluation.json"
     eval_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     write_manifest(paths["evaluation"], "evaluate", config_hash(cfg),
-                   {f"{k}.csv": paths["detections"] / f"{k}.csv" for k in kinds},
+                   {f"{k}.csv": p for k, p in detections.items()},
                    {"evaluation": eval_path})
     return report
 
 
 def stage_report(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
+    detections = _checked_detections(cfg)
+    check_inputs(paths["evaluation"], "evaluate",
+                 {f"{k}.csv": p for k, p in detections.items()},
+                 "run the evaluate stage first")
     eval_path = paths["evaluation"] / "evaluation.json"
-    if not eval_path.exists():
-        raise MissingArtifact("no evaluation.json; run evaluate first")
     evaluation_report = json.loads(eval_path.read_text())
 
     models = {}
-    for kind in cfg.models:
-        manifest_path = _model_dir(cfg, kind) / "detector.json"
-        if not manifest_path.exists():
-            continue
-        manifest = json.loads(manifest_path.read_text())
-        table_path = _model_dir(cfg, kind) / "thresholds.csv"
-        taus = {}
-        if table_path.exists():
-            table = th.load_table(table_path)
-            taus = {("global" if c == th.GLOBAL_ID else str(c)): e.tau
-                    for c, e in sorted(table.entries.items())}
+    for kind in detections:
+        manifest = json.loads((_model_dir(cfg, kind) / "detector.json").read_text())
+        table = th.load_table(_model_dir(cfg, kind) / "thresholds.csv")
         models[kind] = {
             "param_count": manifest["param_count"],
             "decoder_count": manifest["decoder_count"],
             "contexts": manifest["contexts"],
-            "thresholds": taus,
-            **evaluation_report["models"].get(kind, {}),
+            "thresholds": {("global" if c == th.GLOBAL_ID else str(c)): e.tau
+                           for c, e in sorted(table.entries.items())},
+            **evaluation_report["models"][kind],
         }
 
     report = {
@@ -489,9 +487,8 @@ def stage_report(cfg: RunConfig) -> dict:
         "anomaly_ids": evaluation_report["anomaly_ids"],
         "severity_by_id": evaluation_report["severity_by_id"],
     }
-    grouping_path = paths["grouping"] / "grouping.json"
-    if grouping_path.exists():
-        report["grouping"] = json.loads(grouping_path.read_text())
+    if "gcae" in detections:
+        report["grouping"] = json.loads(_checked_grouping(cfg).read_text())
 
     report_path = paths["out"] / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

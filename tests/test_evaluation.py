@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctxae.errors import NonAnomalyInSet
-from ctxae.evaluation import (ConfusionMatrix, export_distributions, overlap,
+from ctxae.evaluation import (ConfusionMatrix, OverlapReport, export_distributions,
                               severity, truth_metrics)
 from ctxae.thresholds import fit
 
@@ -31,9 +31,9 @@ def test_confusion_refuses_misaligned_verdicts():
 
 
 def test_overlap_counts_pairwise_intersections():
-    report = overlap({"cae": {(1, 0), (1, 50), (2, 0)},
-                      "ae": {(1, 0), (3, 0)},
-                      "moe": set()})
+    report = OverlapReport.from_sets({"cae": {(1, 0), (1, 50), (2, 0)},
+                                      "ae": {(1, 0), (3, 0)},
+                                      "moe": set()})
     d = report.to_dict()
     assert d["sizes"] == {"ae": 2, "cae": 3, "moe": 0}
     by_pair = {tuple(e["models"]): e for e in d["intersections"]}

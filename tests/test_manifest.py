@@ -1,0 +1,49 @@
+"""Stage manifests: the input check every stage makes before it reads an artifact."""
+
+import pytest
+
+from ctxae.errors import ConfigError, MissingArtifact
+from ctxae.manifest import check_inputs, sha256_file, write_manifest
+
+
+@pytest.fixture
+def produced(tmp_path):
+    """A stage "make" that read source.txt, and the source as it was then."""
+    source = tmp_path / "source.txt"
+    source.write_text("first\n")
+    output = tmp_path / "made.txt"
+    output.write_text("made\n")
+    write_manifest(tmp_path, "make", "cfg", {"source": source}, {"made": output})
+    return source
+
+
+def test_matching_inputs_pass(produced):
+    check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+    check_inputs(produced.parent, "make", {}, "run make first")
+
+
+def test_a_missing_manifest_is_refused_with_the_hint(tmp_path):
+    source = tmp_path / "source.txt"
+    source.write_text("first\n")
+    with pytest.raises(MissingArtifact, match="no make manifest at .*; run make first"):
+        check_inputs(tmp_path, "make", {"source": source}, "run make first")
+
+
+def test_a_changed_input_is_refused_naming_both_hashes(produced):
+    recorded = sha256_file(produced)
+    produced.write_text("second\n")
+    current = sha256_file(produced)
+    with pytest.raises(ConfigError, match="run make first") as err:
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+    assert recorded in str(err.value) and current in str(err.value)
+
+
+def test_an_input_the_manifest_does_not_name_is_refused(produced):
+    with pytest.raises(ConfigError, match="sha256 None"):
+        check_inputs(produced.parent, "make", {"other": produced}, "run make first")
+
+
+def test_a_deleted_input_is_refused_as_missing(produced):
+    produced.unlink()
+    with pytest.raises(MissingArtifact, match="run make first"):
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")

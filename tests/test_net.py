@@ -8,7 +8,6 @@ from ctxae.errors import EmptyTrainingSet, NumericalError
 from ctxae.net.checkpoint import load_checkpoint, save_checkpoint
 from ctxae.net.model import (
     AutoencoderSpec,
-    Sequential,
     default_autoencoder_spec,
     mse_per_sample,
 )

@@ -119,6 +119,65 @@ def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
         pipeline.stage_evaluate(cfg)
 
 
+def test_report_refuses_an_evaluation_of_another_dataset(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir, seed=3)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "ae")
+    pipeline.stage_thresholds(cfg, "ae")
+    pipeline.stage_detect(cfg, "ae")
+    pipeline.stage_evaluate(cfg)
+    evaluated = sha256_file(out_dir / "dataset" / "header.json")
+
+    # another seed rebuilds the dataset in place; the evaluation stays
+    cfg = _tiny(out_dir, seed=4)
+    _prepare(cfg)
+    current = sha256_file(out_dir / "dataset" / "header.json")
+    assert current != evaluated
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_report(cfg)
+    assert evaluated in str(err.value) and current in str(err.value)
+
+
+def test_evaluate_refuses_detections_scored_with_other_thresholds(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "ae")
+    pipeline.stage_thresholds(cfg, "ae")
+    pipeline.stage_detect(cfg, "ae")
+    scored = sha256_file(out_dir / "models" / "ae" / "thresholds.csv")
+
+    # refit the taus with another lambda and do not detect again
+    pipeline.stage_thresholds(config_from_dict(
+        {**TINY_FLEET, "thresholds": {"lam": 1.0}}, seed=3, out_dir=out_dir), "ae")
+    current = sha256_file(out_dir / "models" / "ae" / "thresholds.csv")
+    assert current != scored
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_evaluate(cfg)
+    assert scored in str(err.value) and current in str(err.value)
+
+
+def test_gcae_refuses_a_grouping_of_an_older_cae(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    pipeline.stage_group(cfg)
+    pipeline.stage_train(cfg, "gcae")
+    grouped = sha256_file(out_dir / "models" / "cae" / "detector.json")
+
+    # retrain cae for another number of epochs and do not group again
+    longer = {**TINY_FLEET, "train": {"max_epochs": 3, "patience": 2, "batch_size": 64}}
+    pipeline.stage_train(config_from_dict(longer, seed=3, out_dir=out_dir), "cae")
+    current = sha256_file(out_dir / "models" / "cae" / "detector.json")
+    assert current != grouped
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_train(cfg, "gcae")
+    assert grouped in str(err.value) and current in str(err.value)
+
+
 def test_build_refuses_a_missing_ingest_table(tmp_path):
     cfg = _tiny(tmp_path / "run")
     pipeline.stage_simulate(cfg)
