@@ -32,7 +32,6 @@ class DatasetParams:
     port_radius_m: float = 5000.0
     max_train_per_context: int = 50_000
     max_eval_per_context: int = 5_000
-    anomalous_to_test: bool = True
 
     def caps(self) -> OutlierCaps:
         return OutlierCaps(max_time_gap_s=self.max_time_gap_s,
@@ -63,15 +62,12 @@ class ThresholdParams:
 class GroupingParams:
     strategy: str = "full"
     delta: float | None = None      # None: one std of the matrix diagonal
-    tau_dit: float | None = None    # None: per-context threshold caps
 
     def __post_init__(self):
         if self.strategy not in ("full", "contextual-only"):
             raise ConfigError(f"unknown grouping strategy {self.strategy!r}")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError("delta must be positive")
-        if self.tau_dit is not None and self.tau_dit <= 0:
-            raise ConfigError("tau_dit must be positive")
 
 
 @dataclass(frozen=True)

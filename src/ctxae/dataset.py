@@ -1,5 +1,15 @@
 """Window dataset construction: segmentation, filtering, splitting, weighting.
 
+A set of windows is one ``WindowTable`` of column arrays, row i of every
+column being window i: ``tensor`` (n, window_len, 6), ``context_id``,
+``mmsi``, ``start_ts``, the truth kind ``truth`` and ``true_context``
+(NO_CONTEXT unless the kind is contextual). The build stage also carries
+``end_ts`` and ``positions`` (n, window_len, 2), which are not saved, and
+the train split carries ``weight``. Each step maps a table to a table, and
+selecting a context is a boolean mask over one. Iterating a table yields one
+``WindowRow`` per window (mmsi, context_id, start_ts and a view of its
+tensor), the only per-window object.
+
 Windows are cut per maximal constant-context run of each trajectory, so a
 window never mixes contexts. Ground truth arrives as message spans, each a
 stretch of one vessel's messages between two timestamps; a window carries
@@ -20,8 +30,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,6 +45,10 @@ log = logging.getLogger(__name__)
 
 DATASET_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
+TRUTH_KINDS = ("none", "point", "collective", "contextual")
+TRUTH_DTYPE = f"U{max(map(len, TRUTH_KINDS))}"
+# true_context of a window whose truth is not contextual
+NO_CONTEXT = -1
 
 # feature column indices
 COL_DT = FEATURE_NAMES.index("dt")
@@ -46,17 +61,14 @@ PORT_FILTER_BLOCK = 64
 class Truth:
     """Ground-truth tag; kind 'none' means a clean window."""
 
-    kind: str = "none"  # none | point | collective | contextual
+    kind: str = "none"  # one of TRUTH_KINDS
     true_context: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "point", "collective", "contextual"):
+        if self.kind not in TRUTH_KINDS:
             raise ValueError(f"unknown truth kind {self.kind!r}")
         if self.kind == "contextual" and self.true_context is None:
             raise ValueError("contextual truth must record the true context")
-
-
-CLEAN = Truth()
 
 
 @dataclass(frozen=True)
@@ -74,27 +86,57 @@ class TruthSpan:
                              f"last_ts {self.last_ts}")
 
 
-@dataclass(eq=False)
-class Window:
-    """One fixed-length feature window of a single vessel and context."""
+class WindowRow(NamedTuple):
+    """One window of a table; tensor is a view into the table's tensor."""
 
-    tensor: np.ndarray          # (window_len, 6)
-    context_id: int
     mmsi: int
+    context_id: int
     start_ts: int
-    truth: Truth = CLEAN
-    end_ts: int | None = None             # last message's timestamp, dropped on save
-    positions: np.ndarray | None = None   # (window_len, 2) lat/lon, dropped on save
+    tensor: np.ndarray
 
-    @property
-    def uid(self) -> tuple[int, int]:
-        """Cross-model anomaly identity."""
-        return (self.mmsi, self.start_ts)
+
+@dataclass(eq=False)
+class WindowTable:
+    """Fixed-length feature windows as column arrays, one row per window."""
+
+    tensor: np.ndarray          # (n, window_len, 6)
+    context_id: np.ndarray      # (n,) int64
+    mmsi: np.ndarray            # (n,) int64
+    start_ts: np.ndarray        # (n,) int64
+    truth: np.ndarray           # (n,) truth kind
+    true_context: np.ndarray    # (n,) int64
+    end_ts: np.ndarray | None = None      # last message's timestamp, not saved
+    positions: np.ndarray | None = None   # (n, window_len, 2) lat/lon, not saved
+    weight: np.ndarray | None = None      # sample weight, train split only
+
+    def __len__(self) -> int:
+        return self.context_id.shape[0]
+
+    def __iter__(self) -> Iterator[WindowRow]:
+        return map(WindowRow, self.mmsi.tolist(), self.context_id.tolist(),
+                   self.start_ts.tolist(), self.tensor)
+
+    def take(self, rows: np.ndarray) -> WindowTable:
+        """The selected rows, by boolean mask or row indices, in that order."""
+        return _map_columns(lambda col: col[rows], self)
+
+
+def _map_columns(fn, *tables: WindowTable) -> WindowTable:
+    """Apply fn to each column across tables; a column one table lacks stays None."""
+    def column(name):
+        cols = [getattr(t, name) for t in tables]
+        return None if any(c is None for c in cols) else fn(*cols)
+    return WindowTable(**{f.name: column(f.name) for f in fields(WindowTable)})
+
+
+def concat(tables: list[WindowTable]) -> WindowTable:
+    """The rows of each table in turn."""
+    return _map_columns(lambda *cols: np.concatenate(cols), *tables)
 
 
 def segment(trajectory: Trajectory, features: np.ndarray,
             registry: ContextRegistry, window_len: int = 50,
-            stride: int | None = None) -> list[Window]:
+            stride: int | None = None) -> WindowTable:
     """Cut constant-context runs into fixed-length windows.
 
     The trailing remainder of each run is dropped; runs whose (vessel type,
@@ -104,53 +146,57 @@ def segment(trajectory: Trajectory, features: np.ndarray,
     t = trajectory
     change = np.flatnonzero((t.status[1:] != t.status[:-1])
                             | (t.vtype[1:] != t.vtype[:-1])) + 1
-    starts = [0, *change.tolist()]
-    ends = [*change.tolist(), len(t)]
-    context_ids = registry.context_ids(t.vtype[starts], t.status[starts]).tolist()
-    windows: list[Window] = []
-    for start, end, cid in zip(starts, ends, context_ids):
-        if cid < 0:
-            continue
-        for ws in range(start, end - window_len + 1, stride):
-            we = ws + window_len
-            windows.append(Window(
-                tensor=features[ws:we].copy(), context_id=cid,
-                mmsi=t.mmsi, start_ts=int(t.ts[ws]), end_ts=int(t.ts[we - 1]),
-                positions=np.column_stack((t.lat[ws:we], t.lon[ws:we]))))
-    return windows
+    starts = np.concatenate(([0], change))
+    ends = np.append(change, len(t))
+    context_ids = registry.context_ids(t.vtype[starts], t.status[starts])
+    runs = np.flatnonzero(context_ids >= 0)
+    # windows of a run start at start, start + stride, ... while they fit
+    counts = np.maximum(ends[runs] - starts[runs] - window_len + stride, 0) // stride
+    nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = np.repeat(starts[runs], counts) + stride * nth
+    rows = first[:, None] + np.arange(window_len)
+    n = first.shape[0]
+    return WindowTable(
+        tensor=features[rows], context_id=np.repeat(context_ids[runs], counts),
+        mmsi=np.full(n, t.mmsi, dtype=np.int64), start_ts=t.ts[first],
+        truth=np.full(n, "none", dtype=TRUTH_DTYPE),
+        true_context=np.full(n, NO_CONTEXT, dtype=np.int64),
+        end_ts=t.ts[first + window_len - 1],
+        positions=np.stack((t.lat[rows], t.lon[rows]), axis=-1))
 
 
-def attach_truth(windows: list[Window], spans: list[TruthSpan]) -> list[Window]:
+def attach_truth(windows: WindowTable, spans: list[TruthSpan]) -> WindowTable:
     """Tag each window with the first span of its vessel that overlaps it."""
-    by_vessel: dict[int, list[TruthSpan]] = {}
-    for span in spans:
-        by_vessel.setdefault(span.mmsi, []).append(span)
-    out = []
-    for w in windows:
-        for s in by_vessel.get(w.mmsi, ()):
-            if s.first_ts <= w.end_ts and w.start_ts <= s.last_ts:
-                w = replace(w, truth=s.truth)
-                break
-        out.append(w)
-    return out
+    truth = windows.truth.astype(TRUTH_DTYPE)
+    true_context = windows.true_context.copy()
+    tagged = np.zeros(len(windows), dtype=bool)
+    for s in spans:
+        hit = (~tagged & (windows.mmsi == s.mmsi)
+               & (s.first_ts <= windows.end_ts) & (windows.start_ts <= s.last_ts))
+        truth[hit] = s.truth.kind
+        true_context[hit] = (NO_CONTEXT if s.truth.true_context is None
+                             else s.truth.true_context)
+        tagged |= hit
+    return replace(windows, truth=truth, true_context=true_context)
 
 
-def filter_near_ports(windows: list[Window], ports: list[tuple[float, float]],
-                      radius_m: float = 5000.0) -> list[Window]:
+def filter_near_ports(windows: WindowTable, ports: list[tuple[float, float]],
+                      radius_m: float = 5000.0) -> WindowTable:
     """Drop a window iff any of its positions lies within radius of any port."""
-    if not ports or not windows:
-        return list(windows)
-    if any(w.positions is None for w in windows):
+    if not ports or not len(windows):
+        return windows
+    if windows.positions is None:
         raise ValueError("port filtering requires window positions")
     port = np.asarray(ports, dtype=np.float64)
-    near = []
+    near = np.zeros(len(windows), dtype=bool)
     # a block of windows at a time bounds the libm round trip's Python floats
     for first in range(0, len(windows), PORT_FILTER_BLOCK):
-        pos = np.stack([w.positions for w in windows[first:first + PORT_FILTER_BLOCK]])
+        block = slice(first, first + PORT_FILTER_BLOCK)
+        pos = windows.positions[block]
         dist = haversine_array(pos[:, :, None, 0], pos[:, :, None, 1],
                                port[:, 0], port[:, 1])
-        near.extend((dist < radius_m).any(axis=(1, 2)).tolist())
-    return [w for w, drop in zip(windows, near) if not drop]
+        near[block] = (dist < radius_m).any(axis=(1, 2))
+    return windows.take(~near)
 
 
 @dataclass(frozen=True)
@@ -162,159 +208,118 @@ class OutlierCaps:
     min_span_s: float = 180.0
 
 
-def remove_outliers(windows: list[Window],
-                    caps: OutlierCaps = OutlierCaps()) -> list[Window]:
+def remove_outliers(windows: WindowTable,
+                    caps: OutlierCaps = OutlierCaps()) -> WindowTable:
     """Drop windows with an oversized time/distance gap or too little coverage.
 
     Row 0 of a mid-trajectory window carries the real gap to the previous
     message, so every row participates in the gap checks. The span check
-    uses within-window time only (rows 1..end).
+    uses within-window time only (rows 1..end); dt is integer-valued, so
+    that sum is exact in any order.
     """
-    kept = []
-    for w in windows:
-        dt = w.tensor[:, COL_DT]
-        dd = w.tensor[:, COL_DD]
-        if dt.max() > caps.max_time_gap_s or dd.max() > caps.max_dist_gap_m:
-            continue
-        if dt[1:].sum() < caps.min_span_s:
-            continue
-        kept.append(w)
-    return kept
+    dt = windows.tensor[:, :, COL_DT]
+    dd = windows.tensor[:, :, COL_DD]
+    drop = ((dt.max(axis=1) > caps.max_time_gap_s)
+            | (dd.max(axis=1) > caps.max_dist_gap_m)
+            | (dt[:, 1:].sum(axis=1) < caps.min_span_s))
+    return windows.take(~drop)
 
 
 @dataclass
 class DatasetSplit:
-    train: list[Window]
-    val: list[Window]
-    test: list[Window]
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    train: WindowTable
+    val: WindowTable
+    test: WindowTable
     excluded_contexts: tuple[int, ...] = ()
     norm_stats: NormStats | None = None
 
-    def windows(self, split: str) -> list[Window]:
+    def windows(self, split: str) -> WindowTable:
         return getattr(self, split)
 
     @property
     def train_contexts(self) -> tuple[int, ...]:
-        return tuple(sorted({w.context_id for w in self.train}))
+        return tuple(np.unique(self.train.context_id).tolist())
 
     def counts_by_context(self, split: str) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for w in self.windows(split):
-            counts[w.context_id] = counts.get(w.context_id, 0) + 1
-        return counts
+        ids, counts = np.unique(self.windows(split).context_id, return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
 
 
-def stack_tensors(windows: list[Window]) -> np.ndarray:
-    if not windows:
-        return np.zeros((0, 0, len(FEATURE_NAMES)))
-    return np.stack([w.tensor for w in windows])
-
-
-def indices_by_context(windows: list[Window]) -> dict[int, np.ndarray]:
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.context_id, []).append(i)
-    return {c: np.array(idx) for c, idx in sorted(groups.items())}
-
-
-def _sort_key(w: Window):
-    return (w.mmsi, w.start_ts)
-
-
-def split_by_vessel(windows: list[Window], ratios: tuple[float, float, float],
+def split_by_vessel(windows: WindowTable, ratios: tuple[float, float, float],
                     seed: int, max_train_per_context: int = 50_000,
-                    max_eval_per_context: int = 5_000,
-                    anomalous_to_test: bool = True) -> DatasetSplit:
+                    max_eval_per_context: int = 5_000) -> DatasetSplit:
     """Assign whole vessels to train/val/test, then apply per-context caps.
 
-    Vessels carrying any ground-truth tag go straight to the test split when
-    anomalous_to_test is set (synthetic runs must not train on injected
-    anomalies). Contexts left without training windows are excluded from
-    every split with a warning.
+    Vessels carrying any ground-truth tag go straight to the test split
+    (synthetic runs must not train on injected anomalies). Each split is in
+    (mmsi, start_ts) order, ties in input order. Contexts left without
+    training windows are excluded from every split with a warning.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
 
-    by_vessel: dict[int, list[Window]] = {}
-    for w in windows:
-        by_vessel.setdefault(w.mmsi, []).append(w)
-
-    anomalous = {
-        mmsi for mmsi, ws in by_vessel.items()
-        if anomalous_to_test and any(w.truth.kind != "none" for w in ws)
-    }
-    clean = sorted(set(by_vessel) - anomalous)
-
+    anomalous = np.unique(windows.mmsi[windows.truth != "none"])
+    clean = np.setdiff1d(windows.mmsi, anomalous)
     rng = np.random.default_rng([seed, 101])
-    order = [clean[i] for i in rng.permutation(len(clean))]
+    order = clean[rng.permutation(len(clean))]
     n = len(order)
     n_train = int(n * ratios[0])
     n_val = int(n * (ratios[0] + ratios[1])) - n_train
     assignment = {
         "train": order[:n_train],
         "val": order[n_train:n_train + n_val],
-        "test": order[n_train + n_val:] + sorted(anomalous),
+        "test": np.concatenate((order[n_train + n_val:], anomalous)),
     }
 
-    parts: dict[str, list[Window]] = {}
-    for split_name, vessels in assignment.items():
-        ws = [w for m in vessels for w in by_vessel[m]]
-        ws.sort(key=_sort_key)
-        parts[split_name] = ws
-
-    # per-context downsampling caps
+    by_key = np.lexsort((windows.start_ts, windows.mmsi))
+    parts: dict[str, np.ndarray] = {}
     for split_name, cap in (("train", max_train_per_context),
                             ("val", max_eval_per_context),
                             ("test", max_eval_per_context)):
-        ws = parts[split_name]
-        groups = indices_by_context(ws)
-        keep: list[int] = []
-        for cid, idx in groups.items():
+        rows = by_key[np.isin(windows.mmsi[by_key], assignment[split_name])]
+        # per-context downsampling caps
+        context_ids = windows.context_id[rows]
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for cid in np.unique(context_ids).tolist():
+            idx = np.flatnonzero(context_ids == cid)
             if idx.shape[0] > cap:
                 sub_rng = np.random.default_rng([seed, 211, cid, SPLIT_NAMES.index(split_name)])
                 chosen = sub_rng.choice(idx.shape[0], size=cap, replace=False)
-                keep.extend(idx[np.sort(chosen)])
-            else:
-                keep.extend(idx)
-        keep.sort()
-        parts[split_name] = [ws[i] for i in keep]
+                keep[idx] = False
+                keep[idx[chosen]] = True
+        parts[split_name] = rows[keep]
 
-    present = {w.context_id for p in parts.values() for w in p}
-    trained = {w.context_id for w in parts["train"]}
-    excluded = tuple(sorted(present - trained))
+    present = np.unique(windows.context_id[np.concatenate(list(parts.values()))])
+    trained = np.unique(windows.context_id[parts["train"]])
+    excluded = tuple(np.setdiff1d(present, trained).tolist())
     if excluded:
         log.warning("contexts without training windows excluded: %s", excluded)
-        for split_name in SPLIT_NAMES:
-            parts[split_name] = [w for w in parts[split_name]
-                                 if w.context_id not in excluded]
+        parts = {name: rows[~np.isin(windows.context_id[rows], excluded)]
+                 for name, rows in parts.items()}
 
-    return DatasetSplit(train=parts["train"], val=parts["val"],
-                        test=parts["test"], excluded_contexts=excluded)
+    return DatasetSplit(**{name: windows.take(rows) for name, rows in parts.items()},
+                        excluded_contexts=excluded)
 
 
-def sample_weights(train_windows: list[Window]) -> np.ndarray:
+def sample_weights(train_windows: WindowTable) -> np.ndarray:
     """Inverse-context-frequency weights: total / (num_contexts * count_c).
 
     The weighted count per context is then equal across contexts, and the
     weights sum to the number of training windows.
     """
-    counts = {}
-    for w in train_windows:
-        counts[w.context_id] = counts.get(w.context_id, 0) + 1
-    total = len(train_windows)
-    k = len(counts)
-    return np.array([total / (k * counts[w.context_id]) for w in train_windows])
+    _, inverse, counts = np.unique(train_windows.context_id, return_inverse=True,
+                                   return_counts=True)
+    return len(train_windows) / (len(counts) * counts[inverse])
 
 
 def normalize_split(split: DatasetSplit) -> DatasetSplit:
     """Fit z-score stats on the training split and normalize every window."""
-    stats = fit_norm(stack_tensors(split.train))
+    stats = fit_norm(split.train.tensor)
     for part in SPLIT_NAMES:
-        for w in split.windows(part):
-            w.tensor = apply_norm(stats, w.tensor)
+        table = split.windows(part)
+        table.tensor = apply_norm(stats, table.tensor)
     split.norm_stats = stats
-    split.weights = sample_weights(split.train)
+    split.train.weight = sample_weights(split.train)
     return split
 
 
@@ -355,21 +360,19 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
         json.dumps(header, indent=2, sort_keys=True) + "\n")
 
     for name in SPLIT_NAMES:
-        ws = split.windows(name)
-        tensor = stack_tensors(ws).astype("<f4")
-        (out_dir / f"{name}.f32").write_bytes(tensor.tobytes())
+        table = split.windows(name)
+        (out_dir / f"{name}.f32").write_bytes(table.tensor.astype("<f4").tobytes())
+        columns = [table.mmsi.tolist(), table.context_id.tolist(),
+                   table.start_ts.tolist(), table.truth.tolist(),
+                   ["" if c == NO_CONTEXT else str(c) for c in table.true_context.tolist()]]
+        names = ["mmsi", "context_id", "start_ts", "truth", "true_context"]
+        if name == "train":
+            names.append("weight")
+            columns.append([repr(w) for w in table.weight.tolist()])
         with open(out_dir / f"{name}.index.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            cols = ["mmsi", "context_id", "start_ts", "truth", "true_context"]
-            if name == "train":
-                cols.append("weight")
-            writer.writerow(cols)
-            for i, w in enumerate(ws):
-                kind, true_ctx = truth_fields(w.truth)
-                row = [w.mmsi, w.context_id, w.start_ts, kind, true_ctx]
-                if name == "train":
-                    row.append(repr(float(split.weights[i])))
-                writer.writerow(row)
+            writer.writerow(names)
+            writer.writerows(zip(*columns))
 
 
 def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
@@ -382,31 +385,27 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
     window_len = header["window_len"]
     n_feat = len(header["feature_names"])
 
-    parts: dict[str, list[Window]] = {}
-    weights: np.ndarray | None = None
+    def ints(values):
+        return np.array([int(v) for v in values], dtype=np.int64)
+
+    parts: dict[str, WindowTable] = {}
     for name in SPLIT_NAMES:
         raw = np.frombuffer((dataset_dir / f"{name}.f32").read_bytes(), dtype="<f4")
         count = header["counts"][name]
-        tensors = raw.reshape(count, window_len, n_feat).astype(np.float64)
-        ws: list[Window] = []
-        w_list: list[float] = []
         with open(dataset_dir / f"{name}.index.csv", newline="") as fh:
-            for i, row in enumerate(csv.DictReader(fh)):
-                ws.append(Window(
-                    tensor=tensors[i],
-                    context_id=int(row["context_id"]),
-                    mmsi=int(row["mmsi"]),
-                    start_ts=int(row["start_ts"]),
-                    truth=parse_truth(row["truth"], row["true_context"]),
-                ))
-                if name == "train":
-                    w_list.append(float(row["weight"]))
-        parts[name] = ws
-        if name == "train":
-            weights = np.array(w_list)
+            reader = csv.reader(fh)
+            names = next(reader)
+            col = dict(zip(names, zip(*reader))) or dict.fromkeys(names, ())
+        parts[name] = WindowTable(
+            tensor=raw.reshape(count, window_len, n_feat).astype(np.float64),
+            context_id=ints(col["context_id"]),
+            mmsi=ints(col["mmsi"]),
+            start_ts=ints(col["start_ts"]),
+            truth=np.array(col["truth"], dtype=TRUTH_DTYPE),
+            true_context=ints(v or NO_CONTEXT for v in col["true_context"]),
+            weight=(np.array([float(v) for v in col["weight"]])
+                    if name == "train" else None))
 
-    split = DatasetSplit(train=parts["train"], val=parts["val"], test=parts["test"],
-                         weights=weights,
-                         excluded_contexts=tuple(header["excluded_contexts"]),
+    split = DatasetSplit(**parts, excluded_contexts=tuple(header["excluded_contexts"]),
                          norm_stats=stats)
     return split, header

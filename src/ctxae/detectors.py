@@ -13,6 +13,12 @@ one, and the decoder key is the context's group (its own id without a
 grouping), falling back to SHARED. A window is always scored through the
 decoder its (claimed) context routes to; scoring and verdicts never look at
 ground truth.
+
+Trainers read the split's window tables (see ``dataset``): a context's
+windows are the rows its boolean mask over ``context_id`` selects, and a
+decoder key's windows are its member contexts' rows, context by context.
+Scoring takes a tensor batch with one context id per row, such as a table's
+``tensor`` and ``context_id`` columns or rows a caller stacked itself.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import thresholds as th
-from .dataset import DatasetSplit, Window, indices_by_context, stack_tensors
+from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
@@ -102,24 +108,12 @@ class Detector:
         return len(self.decoders)
 
 
-def _by_context(windows: list[Window]) -> dict[int, np.ndarray]:
-    tensors = stack_tensors(windows)
-    return {cid: tensors[idx]
-            for cid, idx in indices_by_context(windows).items()}
-
-
-def _weights_by_context(split: DatasetSplit) -> dict[int, np.ndarray]:
-    return {cid: split.weights[idx]
-            for cid, idx in indices_by_context(split.train).items()}
-
-
 def train_ae(split: DatasetSplit, spec: AutoencoderSpec,
              config: TrainConfig) -> Detector:
     rng = np.random.default_rng([config.seed, 11])
     enc, dec = spec.build_encoder(rng), spec.build_decoder(rng)
-    report = train_autoencoder(enc, dec, stack_tensors(split.train),
-                               stack_tensors(split.val), config,
-                               sample_weights=split.weights)
+    report = train_autoencoder(enc, dec, split.train.tensor, split.val.tensor,
+                               config, sample_weights=split.train.weight)
     return Detector(kind="ae", spec=spec, contexts=split.train_contexts,
                     encoders={SHARED: enc}, decoders={SHARED: dec},
                     reports={"ae": report})
@@ -128,20 +122,21 @@ def train_ae(split: DatasetSplit, spec: AutoencoderSpec,
 def train_moe(split: DatasetSplit, spec: AutoencoderSpec,
               config: TrainConfig) -> Detector:
     """One independently trained autoencoder per context."""
-    train_ctx = _by_context(split.train)
-    val_ctx = _by_context(split.val)
+    train, val = split.train, split.val
     encoders, decoders, reports = {}, {}, {}
-    for cid, x_train in train_ctx.items():
-        if val_ctx.get(cid) is None or val_ctx[cid].shape[0] == 0:
+    for cid in split.train_contexts:
+        x_val = val.tensor[val.context_id == cid]
+        if x_val.shape[0] == 0:
             raise EmptyValidationSet(
                 f"context {cid} has no validation windows; early stopping "
                 "needs every trained context in the validation split")
         rng = np.random.default_rng([config.seed, 12, cid])
         enc, dec = spec.build_encoder(rng), spec.build_decoder(rng)
-        reports[f"c{cid}"] = train_autoencoder(enc, dec, x_train, val_ctx[cid],
-                                               config, sample_weights=None)
+        reports[f"c{cid}"] = train_autoencoder(enc, dec,
+                                               train.tensor[train.context_id == cid],
+                                               x_val, config, sample_weights=None)
         encoders[cid], decoders[cid] = enc, dec
-    return Detector(kind="moe", spec=spec, contexts=tuple(sorted(train_ctx)),
+    return Detector(kind="moe", spec=spec, contexts=split.train_contexts,
                     encoders=encoders, decoders=decoders, reports=reports)
 
 
@@ -171,41 +166,35 @@ def _train_shared(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfi
     and validation windows are its member contexts' windows in context
     order.
     """
-    train_ctx = _by_context(split.train)
-    key_of = grouping if grouping is not None else {c: c for c in train_ctx}
-    missing = sorted(set(train_ctx) - set(key_of))
+    contexts = split.train_contexts
+    key_of = grouping if grouping is not None else {c: c for c in contexts}
+    missing = sorted(set(contexts) - set(key_of))
     if missing:
         raise IncompleteGrouping(f"contexts without a group: {missing}")
 
-    weights_ctx = _weights_by_context(split)
-    val_ctx = _val_aligned(split, train_ctx)
+    # context-major row order, so a key's mask takes its members in turn
+    train, val = (t.take(np.argsort(t.context_id, kind="stable"))
+                  for t in (split.train, split.val))
     train_by_key: dict[int, np.ndarray] = {}
     val_by_key: dict[int, np.ndarray] = {}
     weights_by_key: dict[int, np.ndarray] = {}
-    for key in sorted(set(key_of[c] for c in train_ctx)):
-        members = sorted(c for c in train_ctx if key_of[c] == key)
-        train_by_key[key] = np.concatenate([train_ctx[c] for c in members])
-        val_by_key[key] = np.concatenate([val_ctx[c] for c in members])
-        weights_by_key[key] = np.concatenate([weights_ctx[c] for c in members])
+    for key in sorted(set(key_of[c] for c in contexts)):
+        members = [c for c in contexts if key_of[c] == key]
+        rows = np.isin(train.context_id, members)
+        train_by_key[key] = train.tensor[rows]
+        weights_by_key[key] = train.weight[rows]
+        val_by_key[key] = val.tensor[np.isin(val.context_id, members)]
 
     enc = spec.build_encoder(np.random.default_rng([config.seed, enc_tag]))
     decoders = {key: spec.build_decoder(np.random.default_rng([config.seed, dec_tag, key]))
                 for key in train_by_key}
     report = train_multi_decoder(enc, decoders, train_by_key, val_by_key,
                                  config, weights_by_key=weights_by_key)
-    return Detector(kind=kind, spec=spec, contexts=tuple(sorted(train_ctx)),
+    return Detector(kind=kind, spec=spec, contexts=contexts,
                     encoders={SHARED: enc}, decoders=decoders,
                     grouping=(None if grouping is None
-                              else {c: grouping[c] for c in sorted(train_ctx)}),
+                              else {c: grouping[c] for c in contexts}),
                     reports={kind: report})
-
-
-def _val_aligned(split: DatasetSplit, train_ctx: dict[int, np.ndarray]
-                 ) -> dict[int, np.ndarray]:
-    """Validation tensors keyed like the training contexts (may be empty)."""
-    val_ctx = _by_context(split.val)
-    empty = np.zeros((0,) + next(iter(train_ctx.values())).shape[1:])
-    return {cid: val_ctx.get(cid, empty) for cid in train_ctx}
 
 
 def fit_detector_thresholds(detector: Detector, split: DatasetSplit,
@@ -213,9 +202,8 @@ def fit_detector_thresholds(detector: Detector, split: DatasetSplit,
                             lam: float = th.DEFAULT_LAMBDA) -> th.ThresholdTable:
     """Fit per-context and global thresholds from one split's losses."""
     windows = split.windows(fit_split)
-    tensors = stack_tensors(windows)
-    context_ids = np.array([w.context_id for w in windows])
-    scores = detector.score_mixed(tensors, context_ids)
+    context_ids = windows.context_id
+    scores = detector.score_mixed(windows.tensor, context_ids)
     losses = {int(cid): scores[context_ids == cid]
               for cid in np.unique(context_ids)}
     table = th.fit(losses, lam=lam, fit_split=fit_split)

@@ -4,8 +4,9 @@ Two tests drive the grouping. CAMT asks whether a context's windows are
 reconstructed distinctly better by their own decoder than by every foreign
 decoder (within tolerance delta); if so the context is Distinct and keeps a
 dedicated decoder. DIT collects, per decoder, the contexts it reconstructs
-below a loss cap tau_dit. Contexts that pass both (or DIT alone under the
-contextual-only strategy) are merged greedily, largest DIT set first.
+within their caps tau_dit, the cae detector's per-context thresholds.
+Contexts that pass both (or DIT alone under the contextual-only strategy)
+are merged greedily, largest DIT set first.
 """
 
 from __future__ import annotations
@@ -92,20 +93,13 @@ def camt(matrix: LossMatrix, context_id: int, delta: float) -> str:
     return DISTINCT if off.min() > column[c] + delta else MERGEABLE
 
 
-def _tau_vector(matrix: LossMatrix, tau_dit) -> np.ndarray:
-    """Accept a scalar cap or a per-context mapping/threshold table."""
-    if isinstance(tau_dit, ThresholdTable):
-        return np.array([tau_dit.tau(c) for c in matrix.context_ids])
-    if isinstance(tau_dit, dict):
-        return np.array([float(tau_dit[c]) for c in matrix.context_ids])
-    tau = float(tau_dit)
-    if tau <= 0:
-        raise ConfigError("tau_dit must be positive")
-    return np.full(len(matrix.context_ids), tau)
+def _tau_vector(matrix: LossMatrix, tau_dit: ThresholdTable) -> np.ndarray:
+    """Each context's cap, in matrix order."""
+    return np.array([tau_dit.tau(c) for c in matrix.context_ids])
 
 
-def dit(matrix: LossMatrix, decoder_id: int, tau_dit) -> tuple[int, ...]:
-    """Contexts decoder k reconstructs within the cap (inclusive)."""
+def dit(matrix: LossMatrix, decoder_id: int, tau_dit: ThresholdTable) -> tuple[int, ...]:
+    """Contexts decoder k reconstructs within their caps (inclusive)."""
     taus = _tau_vector(matrix, tau_dit)
     row = matrix.values[matrix.index(decoder_id)]
     return tuple(c for i, c in enumerate(matrix.context_ids) if row[i] <= taus[i])
@@ -154,8 +148,8 @@ def default_delta(matrix: LossMatrix) -> float:
     return max(1.4826 * mad, 1e-12)
 
 
-def derive_grouping(matrix: LossMatrix, tau_dit, delta: float | None = None,
-                    strategy: str = "full") -> GroupingResult:
+def derive_grouping(matrix: LossMatrix, tau_dit: ThresholdTable,
+                    delta: float | None = None, strategy: str = "full") -> GroupingResult:
     """Partition contexts into decoder groups plus distinct singletons.
 
     Greedy overlap resolution: the largest remaining DIT set is claimed

@@ -3,7 +3,8 @@
 Manifests carry no timestamps, so identical runs write identical manifests
 and stale-artifact reuse shows up as a hash mismatch instead of a silent
 wrong answer: a stage that reads a produced artifact first calls
-check_inputs on the manifest of the stage that produced it.
+check_inputs on the manifest of the stage that produced it, which checks
+the artifact and the inputs it was made from.
 """
 
 from __future__ import annotations
@@ -53,17 +54,24 @@ def write_manifest(out_dir: Path, stage: str, config_digest: str,
     return path
 
 
-def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path], rerun: str) -> None:
-    """Raise unless each named input still has the bytes stage's manifest records."""
+def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path],
+                 outputs: dict[str, Path], rerun: str) -> None:
+    """Raise unless each named input and output has the bytes stage's manifest records.
+
+    A missing manifest or file raises MissingArtifact ending in rerun; other
+    bytes raise ConfigError naming both sha256 values.
+    """
     path = Path(out_dir) / f"{stage}.manifest.json"
     if not path.exists():
         raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
-    recorded = json.loads(path.read_text())["inputs"]
-    for name, input_path in sorted(inputs.items()):
-        if not Path(input_path).exists():
-            raise MissingArtifact(f"{stage} read {name} from {input_path}, "
-                                  f"which is gone; {rerun}")
-        current = sha256_file(input_path)
-        if recorded.get(name) != current:
-            raise ConfigError(f"{stage} read {name} with sha256 {recorded.get(name)}, but "
-                              f"{input_path} now has sha256 {current}; {rerun}")
+    manifest = json.loads(path.read_text())
+    for role, verb, files in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
+        for name, file_path in sorted(files.items()):
+            if not Path(file_path).exists():
+                raise MissingArtifact(f"{stage} {verb} {name} at {file_path}, "
+                                      f"which is gone; {rerun}")
+            recorded = manifest[role].get(name)
+            current = sha256_file(file_path)
+            if recorded != current:
+                raise ConfigError(f"{stage} {verb} {name} with sha256 {recorded}, but "
+                                  f"{file_path} now has sha256 {current}; {rerun}")

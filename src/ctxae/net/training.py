@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int = 128
     patience: int = 10
     seed: int = 0
-    weighting: bool = True
 
     def __post_init__(self):
         if min(self.max_epochs, self.batch_size, self.patience) <= 0:
@@ -164,7 +163,7 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     total_val = sum(val_by_key[k].shape[0] for k in keys)
     if total_val == 0:
         raise EmptyTrainingSet("no validation windows")
-    if weights_by_key is None or not config.weighting:
+    if weights_by_key is None:
         weights_by_key = {k: np.ones(sizes[k]) for k in keys}
     else:
         weights_by_key = {k: np.asarray(weights_by_key[k], dtype=np.float64)

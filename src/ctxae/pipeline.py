@@ -5,9 +5,10 @@ plus a manifest, and is idempotent for a fixed config + seed. Stage order:
 simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
 
 One staleness rule: a stage refuses an artifact whose producer's manifest is
-missing (MissingArtifact) or records other bytes for an input than the file
-now holds (ConfigError naming both sha256 values); manifest.check_inputs is
-the one place that checks it. Detector bundles are checked instead by the
+missing, or which is itself missing (MissingArtifact), or whose manifest
+records other bytes for it or for one of its inputs than the files now hold
+(ConfigError naming both sha256 values); manifest.check_inputs is the one
+place that checks it. Detector bundles are checked instead by the
 norm_stats_hash they store, which holds exactly while the train split does.
 """
 
@@ -21,11 +22,11 @@ import numpy as np
 
 from . import detectors, evaluation, grouping, synth, thresholds as th
 from .ais import (context_registry, group_trajectories, load_table,
-                  parse_messages, save_table)
+                  parse_messages, save_table, table_files)
 from .config import RunConfig
-from .dataset import (DatasetSplit, attach_truth, filter_near_ports,
+from .dataset import (DatasetSplit, attach_truth, concat, filter_near_ports,
                       load_dataset, normalize_split, remove_outliers,
-                      save_dataset, segment, split_by_vessel, stack_tensors)
+                      save_dataset, segment, split_by_vessel)
 from .errors import ConfigError, MissingArtifact
 from .features import NUM_FEATURES, enrich
 from .manifest import check_inputs, config_hash, write_manifest
@@ -61,6 +62,11 @@ def _optional_path(configured: Path | None, fallback: Path) -> Path | None:
             raise MissingArtifact(f"configured file not found: {configured}")
         return configured
     return fallback if fallback.exists() else None
+
+
+def _table_outputs(cfg: RunConfig) -> dict[str, Path]:
+    """The ingest table's files under the names the ingest manifest gives them."""
+    return {f"messages/{path.name}": path for path in table_files(_paths(cfg)["messages"])}
 
 
 def stage_simulate(cfg: RunConfig) -> dict:
@@ -101,11 +107,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     paths["out"].mkdir(parents=True, exist_ok=True)
     ingest_path = paths["out"] / "ingest.json"
     ingest_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs = {"ingest": ingest_path}
-    for path in save_table(paths["messages"], table):
-        outputs[f"messages/{path.name}"] = path
-    write_manifest(paths["out"], "ingest", config_hash(cfg),
-                   {"records": records}, outputs)
+    save_table(paths["messages"], table)
+    write_manifest(paths["out"], "ingest", config_hash(cfg), {"records": records},
+                   {"ingest": ingest_path, **_table_outputs(cfg)})
     return summary
 
 
@@ -118,14 +122,12 @@ def stage_build(cfg: RunConfig) -> dict:
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
 
-    check_inputs(paths["out"], "ingest", {"records": records},
+    check_inputs(paths["out"], "ingest", {"records": records}, _table_outputs(cfg),
                  "run the ingest stage first")
-    windows = []
-    for traj in group_trajectories(load_table(paths["messages"])):
-        feats = enrich(traj)
-        windows.extend(segment(traj, feats, registry,
-                               window_len=cfg.dataset.window_len,
-                               stride=cfg.dataset.stride))
+    windows = concat([segment(traj, enrich(traj), registry,
+                              window_len=cfg.dataset.window_len,
+                              stride=cfg.dataset.stride)
+                      for traj in group_trajectories(load_table(paths["messages"]))])
     total_cut = len(windows)
     windows = attach_truth(windows, spans)
     windows = filter_near_ports(windows, ports, cfg.dataset.port_radius_m)
@@ -135,8 +137,7 @@ def stage_build(cfg: RunConfig) -> dict:
 
     split = split_by_vessel(windows, cfg.dataset.ratios, cfg.seed,
                             cfg.dataset.max_train_per_context,
-                            cfg.dataset.max_eval_per_context,
-                            cfg.dataset.anomalous_to_test)
+                            cfg.dataset.max_eval_per_context)
     split = normalize_split(split)
     save_dataset(paths["dataset"], split, registry, cfg.dataset.window_len,
                  cfg.seed)
@@ -246,34 +247,31 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
 
 
 def _group_inputs(cfg: RunConfig) -> dict[str, Path]:
-    """The cae bundle, and its taus unless tau_dit is configured."""
-    inputs = {"cae": _model_dir(cfg, "cae") / "detector.json"}
-    if cfg.grouping.tau_dit is None:
-        inputs["cae_thresholds"] = _model_dir(cfg, "cae") / "thresholds.csv"
-    return inputs
+    """The cae bundle, its taus and the dataset it scored."""
+    cae = _model_dir(cfg, "cae")
+    return {"cae": cae / "detector.json", "cae_thresholds": cae / "thresholds.csv",
+            "dataset": _paths(cfg)["dataset"] / "header.json"}
 
 
 def _checked_grouping(cfg: RunConfig) -> Path:
-    """grouping.json, refused unless derived from the current cae bundle."""
-    group_dir = _paths(cfg)["grouping"]
-    check_inputs(group_dir, "group", _group_inputs(cfg), "run the group stage first")
-    return group_dir / "grouping.json"
+    """grouping.json, refused unless derived from the current cae bundle and dataset."""
+    path = _paths(cfg)["grouping"] / "grouping.json"
+    check_inputs(path.parent, "group", _group_inputs(cfg), {"grouping": path},
+                 "run the group stage first")
+    return path
 
 
 def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
     det = _load_detector(cfg, "cae", split)
-    if det.thresholds is None and cfg.grouping.tau_dit is None:
+    if det.thresholds is None:
         raise MissingArtifact("grouping with per-context caps needs fitted "
                               "cae thresholds; run the thresholds stage first")
-    val_by_context = {cid: stack_tensors([w for w in split.val
-                                          if w.context_id == cid])
-                      for cid in det.contexts}
-    matrix = grouping.cross_loss_matrix(det, val_by_context)
-    tau_arg = cfg.grouping.tau_dit if cfg.grouping.tau_dit is not None \
-        else det.thresholds
-    result = grouping.derive_grouping(matrix, tau_arg,
+    val = split.val
+    matrix = grouping.cross_loss_matrix(
+        det, {cid: val.tensor[val.context_id == cid] for cid in det.contexts})
+    result = grouping.derive_grouping(matrix, det.thresholds,
                                       delta=cfg.grouping.delta,
                                       strategy=cfg.grouping.strategy)
     paths["grouping"].mkdir(parents=True, exist_ok=True)
@@ -315,9 +313,8 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
         raise MissingArtifact(f"{kind} bundle has no thresholds; "
                               "run the thresholds stage first")
     windows = split.test
-    x = stack_tensors(windows)
-    cids = np.array([w.context_id for w in windows])
-    scores, ctx_verdicts, margins = det.detect(x, cids, mode="context")
+    scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
+                                               mode="context")
     global_verdicts = scores > det.thresholds.global_tau
 
     paths["detections"].mkdir(parents=True, exist_ok=True)
@@ -325,14 +322,12 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
     with open(det_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DETECTION_FIELDS)
-        for i, w in enumerate(windows):
+        for w, score, g, c, margin in zip(windows, scores.tolist(), global_verdicts.tolist(),
+                                          ctx_verdicts.tolist(), margins.tolist()):
             writer.writerow([
                 w.mmsi, w.start_ts, w.context_id, det.decoder_key(w.context_id),
-                repr(float(scores[i])),
-                repr(det.thresholds.tau(w.context_id)),
-                repr(det.thresholds.global_tau),
-                int(global_verdicts[i]), int(ctx_verdicts[i]),
-                repr(float(margins[i])),
+                repr(score), repr(det.thresholds.tau(w.context_id)),
+                repr(det.thresholds.global_tau), int(g), int(c), repr(margin),
             ])
     summary = {
         "kind": kind,
@@ -371,9 +366,9 @@ def _checked_detections(cfg: RunConfig) -> dict[str, Path]:
              if (det_dir / f"{k}.csv").exists()}
     if not found:
         raise MissingArtifact("no detection files to evaluate; run detect first")
-    for kind in found:
+    for kind, path in found.items():
         check_inputs(det_dir, f"detect-{kind}", _detect_inputs(cfg, kind),
-                     f"run the detect stage for {kind} first")
+                     {f"{kind}.csv": path}, f"run the detect stage for {kind} first")
     return found
 
 
@@ -385,7 +380,9 @@ def _primary_mode(kind: str) -> str:
 def stage_evaluate(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    truth_by_id = {w.uid: w.truth.kind for w in split.test}
+    test = split.test
+    truth_by_id = dict(zip(zip(test.mmsi.tolist(), test.start_ts.tolist()),
+                           test.truth.tolist()))
 
     detections = _checked_detections(cfg)
 
@@ -460,10 +457,10 @@ def stage_evaluate(cfg: RunConfig) -> dict:
 def stage_report(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     detections = _checked_detections(cfg)
-    check_inputs(paths["evaluation"], "evaluate",
-                 {f"{k}.csv": p for k, p in detections.items()},
-                 "run the evaluate stage first")
     eval_path = paths["evaluation"] / "evaluation.json"
+    check_inputs(eval_path.parent, "evaluate",
+                 {f"{k}.csv": p for k, p in detections.items()},
+                 {"evaluation": eval_path}, "run the evaluate stage first")
     evaluation_report = json.loads(eval_path.read_text())
 
     models = {}

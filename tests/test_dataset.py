@@ -1,18 +1,31 @@
-"""Windowing, filtering, vessel-level splitting and dataset persistence."""
+"""Windowing, filtering, vessel-level splitting and dataset persistence.
+
+The per-window forms of segment, attach_truth, remove_outliers,
+split_by_vessel and sample_weights are kept below as oracles: the column
+functions must give the same rows, in the same order, with the same bits.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxae.ais import NavStatus, VesselType, context_registry
 from ctxae.dataset import (
-    CLEAN,
+    COL_DD,
+    COL_DT,
+    NO_CONTEXT,
+    SPLIT_NAMES,
+    TRUTH_DTYPE,
+    TRUTH_KINDS,
     OutlierCaps,
     Truth,
     TruthSpan,
-    Window,
+    WindowTable,
     attach_truth,
     filter_near_ports,
-    indices_by_context,
     load_dataset,
     normalize_split,
     remove_outliers,
@@ -20,7 +33,6 @@ from ctxae.dataset import (
     save_dataset,
     segment,
     split_by_vessel,
-    stack_tensors,
 )
 from ctxae.features import enrich
 from ctxae.geo import haversine
@@ -29,7 +41,147 @@ from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 from conftest import make_track
 
 REGISTRY = context_registry()
+CLEAN = Truth()
 
+
+# --- per-window oracles --------------------------------------------------------
+
+@dataclass(eq=False)
+class Window:
+    """One window as an object, the form the column functions replaced."""
+
+    tensor: np.ndarray
+    context_id: int
+    mmsi: int
+    start_ts: int
+    truth: Truth = CLEAN
+    end_ts: int | None = None
+    positions: np.ndarray | None = None
+
+
+def oracle_segment(t, features, registry, window_len=50, stride=None):
+    stride = stride or window_len
+    change = np.flatnonzero((t.status[1:] != t.status[:-1])
+                            | (t.vtype[1:] != t.vtype[:-1])) + 1
+    starts = [0, *change.tolist()]
+    ends = [*change.tolist(), len(t)]
+    context_ids = registry.context_ids(t.vtype[starts], t.status[starts]).tolist()
+    windows = []
+    for start, end, cid in zip(starts, ends, context_ids):
+        if cid < 0:
+            continue
+        for ws in range(start, end - window_len + 1, stride):
+            we = ws + window_len
+            windows.append(Window(
+                tensor=features[ws:we].copy(), context_id=cid,
+                mmsi=t.mmsi, start_ts=int(t.ts[ws]), end_ts=int(t.ts[we - 1]),
+                positions=np.column_stack((t.lat[ws:we], t.lon[ws:we]))))
+    return windows
+
+
+def oracle_attach_truth(windows, spans):
+    out = []
+    for w in windows:
+        for s in spans:
+            if s.mmsi == w.mmsi and s.first_ts <= w.end_ts and w.start_ts <= s.last_ts:
+                w = Window(w.tensor, w.context_id, w.mmsi, w.start_ts, s.truth,
+                           w.end_ts, w.positions)
+                break
+        out.append(w)
+    return out
+
+
+def oracle_remove_outliers(windows, caps=OutlierCaps()):
+    kept = []
+    for w in windows:
+        dt = w.tensor[:, COL_DT]
+        dd = w.tensor[:, COL_DD]
+        if dt.max() > caps.max_time_gap_s or dd.max() > caps.max_dist_gap_m:
+            continue
+        if dt[1:].sum() < caps.min_span_s:
+            continue
+        kept.append(w)
+    return kept
+
+
+def oracle_split_by_vessel(windows, ratios, seed, max_train_per_context=50_000,
+                           max_eval_per_context=5_000):
+    """(windows per split name, excluded contexts)."""
+    by_vessel = {}
+    for w in windows:
+        by_vessel.setdefault(w.mmsi, []).append(w)
+    anomalous = {m for m, ws in by_vessel.items()
+                 if any(w.truth.kind != "none" for w in ws)}
+    clean = sorted(set(by_vessel) - anomalous)
+    rng = np.random.default_rng([seed, 101])
+    order = [clean[i] for i in rng.permutation(len(clean))]
+    n = len(order)
+    n_train = int(n * ratios[0])
+    n_val = int(n * (ratios[0] + ratios[1])) - n_train
+    assignment = {"train": order[:n_train], "val": order[n_train:n_train + n_val],
+                  "test": order[n_train + n_val:] + sorted(anomalous)}
+    parts = {}
+    for name, cap in (("train", max_train_per_context), ("val", max_eval_per_context),
+                      ("test", max_eval_per_context)):
+        ws = sorted((w for m in assignment[name] for w in by_vessel[m]),
+                    key=lambda w: (w.mmsi, w.start_ts))
+        groups = {}
+        for i, w in enumerate(ws):
+            groups.setdefault(w.context_id, []).append(i)
+        keep = []
+        for cid, idx in sorted(groups.items()):
+            idx = np.array(idx)
+            if idx.shape[0] > cap:
+                sub_rng = np.random.default_rng([seed, 211, cid, SPLIT_NAMES.index(name)])
+                chosen = sub_rng.choice(idx.shape[0], size=cap, replace=False)
+                keep.extend(idx[np.sort(chosen)])
+            else:
+                keep.extend(idx)
+        parts[name] = [ws[i] for i in sorted(keep)]
+    present = {w.context_id for p in parts.values() for w in p}
+    excluded = tuple(sorted(present - {w.context_id for w in parts["train"]}))
+    parts = {name: [w for w in p if w.context_id not in excluded]
+             for name, p in parts.items()}
+    return parts, excluded
+
+
+def oracle_sample_weights(windows):
+    counts = {}
+    for w in windows:
+        counts[w.context_id] = counts.get(w.context_id, 0) + 1
+    return np.array([len(windows) / (len(counts) * counts[w.context_id])
+                     for w in windows])
+
+
+def _table(windows, window_len=50):
+    """The window table holding the given windows, in order."""
+    def col(name):
+        return np.array([getattr(w, name) for w in windows], dtype=np.int64)
+    with_positions = bool(windows) and all(w.positions is not None for w in windows)
+    return WindowTable(
+        tensor=(np.stack([w.tensor for w in windows]) if windows
+                else np.zeros((0, window_len, 6))),
+        context_id=col("context_id"), mmsi=col("mmsi"), start_ts=col("start_ts"),
+        truth=np.array([w.truth.kind for w in windows], dtype=TRUTH_DTYPE),
+        true_context=np.array([NO_CONTEXT if w.truth.true_context is None
+                               else w.truth.true_context for w in windows],
+                              dtype=np.int64),
+        end_ts=col("end_ts") if all(w.end_ts is not None for w in windows) else None,
+        positions=np.stack([w.positions for w in windows]) if with_positions else None)
+
+
+def assert_table_equals(table, windows, window_len):
+    """Every column of table holds the windows' values with the same bits."""
+    want = _table(windows, window_len)
+    assert table.tensor.shape == want.tensor.shape
+    for name in ("tensor", "context_id", "mmsi", "start_ts", "truth", "true_context"):
+        assert np.array_equal(getattr(table, name), getattr(want, name)), name
+    if windows and windows[0].positions is not None:
+        assert np.array_equal(table.end_ts, want.end_ts)
+        assert np.array_equal(table.positions, want.positions)
+
+
+# --- fixtures ------------------------------------------------------------------
 
 def _traj(n, mmsi=1001, status=NavStatus.UNDER_WAY_USING_ENGINE, start_ts=0):
     i = np.arange(n)
@@ -47,15 +199,19 @@ def _window(mmsi=1, cid=0, start_ts=0, truth=CLEAN, fill=1.0, dt=30.0,
                   truth=truth, end_ts=end_ts)
 
 
+def _uids(table):
+    return list(zip(table.mmsi.tolist(), table.start_ts.tolist()))
+
+
 def test_segment_cuts_non_overlapping_windows():
     traj = _traj(120)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     assert len(windows) == 2
-    assert [(w.start_ts, w.end_ts) for w in windows] == [
+    assert list(zip(windows.start_ts.tolist(), windows.end_ts.tolist())) == [
         (0, 49 * 30), (50 * 30, 99 * 30)]
-    assert all(w.context_id == 0 for w in windows)
-    assert all(w.tensor.shape == (50, 6) for w in windows)
-    assert windows[0].positions.shape == (50, 2)
+    assert windows.context_id.tolist() == [0, 0]
+    assert windows.tensor.shape == (2, 50, 6)
+    assert windows.positions.shape == (2, 50, 2)
 
 
 def test_segment_respects_context_runs():
@@ -66,11 +222,9 @@ def test_segment_respects_context_runs():
                       + [10.06 + 0.001 * i for i in range(70)],
                       status=[engine] * 60 + [fishing] * 70)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
-    assert len(windows) == 2
-    assert windows[0].context_id == 0
-    assert windows[1].context_id == 16
+    assert windows.context_id.tolist() == [0, 16]
     # a window never straddles the status flip
-    assert windows[1].start_ts == 30 * 60
+    assert windows.start_ts[1] == 30 * 60
 
 
 def test_segment_skips_unregistered_context():
@@ -81,37 +235,52 @@ def test_segment_skips_unregistered_context():
                       # the middle run is not registered
                       status=[engine] * 50 + [NavStatus.OTHER] * 50 + [engine] * 50)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
-    assert [(w.start_ts, w.end_ts) for w in windows] == [
+    assert list(zip(windows.start_ts.tolist(), windows.end_ts.tolist())) == [
         (0, 49 * 30), (100 * 30, 149 * 30)]
 
 
 def test_segment_short_run_yields_nothing():
     traj = _traj(49)
-    assert segment(traj, enrich(traj), REGISTRY, window_len=50) == []
+    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    assert len(windows) == 0
+    assert windows.tensor.shape == (0, 50, 6)
+    assert windows.positions.shape == (0, 50, 2)
+
+
+def test_window_table_rows_view_the_tensor():
+    windows = _table([_window(mmsi=1, cid=5, start_ts=10), _window(mmsi=1, cid=0),
+                      _window(mmsi=2, cid=5, start_ts=20)])
+    rows = list(windows)
+    assert [(r.mmsi, r.context_id, r.start_ts) for r in rows] == [
+        (1, 5, 10), (1, 0, 0), (2, 5, 20)]
+    assert all(r.tensor.base is windows.tensor for r in rows)
+    fives = windows.take(windows.context_id == 5)
+    assert fives.mmsi.tolist() == [1, 2]
+    assert np.array_equal(fives.tensor, windows.tensor[[0, 2]])
 
 
 def test_attach_truth_by_overlapping_span():
-    windows = [_window(mmsi=7, start_ts=100 * i, end_ts=100 * i + 49)
-               for i in range(4)]
+    windows = _table([_window(mmsi=7, start_ts=100 * i, end_ts=100 * i + 49)
+                      for i in range(4)])
     tag = Truth(kind="contextual", true_context=16)
     tagged = attach_truth(windows, [
         TruthSpan(8, 0, 400, Truth(kind="collective")),   # another vessel
         TruthSpan(7, 120, 130, tag),                      # inside window 1
         TruthSpan(7, 249, 300, Truth(kind="collective")), # ends inclusive
     ])
-    assert [w.truth.kind for w in tagged] == [
+    assert tagged.truth.tolist() == [
         "none", "contextual", "collective", "collective"]
-    assert tagged[1].truth.true_context == 16
-    assert tagged[1].tensor is windows[1].tensor
+    assert tagged.true_context.tolist() == [NO_CONTEXT, 16, NO_CONTEXT, NO_CONTEXT]
+    assert tagged.tensor is windows.tensor
 
 
 def test_attach_truth_takes_the_first_overlapping_span():
-    window = _window(mmsi=7, start_ts=0, end_ts=49)
+    window = _table([_window(mmsi=7, start_ts=0, end_ts=49)])
     first, second = Truth(kind="collective"), Truth(kind="point")
-    assert attach_truth([window], [TruthSpan(7, 40, 60, first),
-                                   TruthSpan(7, 0, 10, second)])[0].truth is first
-    assert attach_truth([window], [TruthSpan(7, 0, 10, second),
-                                   TruthSpan(7, 40, 60, first)])[0].truth is second
+    assert attach_truth(window, [TruthSpan(7, 40, 60, first),
+                                 TruthSpan(7, 0, 10, second)]).truth.tolist() == ["collective"]
+    assert attach_truth(window, [TruthSpan(7, 0, 10, second),
+                                 TruthSpan(7, 40, 60, first)]).truth.tolist() == ["point"]
 
 
 def test_truth_tags_line_up_with_windows_at_any_stride():
@@ -141,7 +310,7 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
             expected = ["collective" if ws <= hi and lo <= ws + 49 else "none"
                         for ws in range(0, 351, 25)]
             assert expected.count("collective") >= 2
-        assert [w.truth.kind for w in windows] == expected
+        assert windows.truth.tolist() == expected
 
 
 def test_truth_validation():
@@ -156,8 +325,7 @@ def test_filter_near_ports_drops_any_touching_window():
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     port_on_first = (10.0, -30.0)
     kept = filter_near_ports(windows, [port_on_first], radius_m=5000.0)
-    assert len(kept) == 1
-    assert kept[0].start_ts == windows[1].start_ts
+    assert kept.start_ts.tolist() == [windows.start_ts[1]]
     # empty port list keeps everything
     assert len(filter_near_ports(windows, [])) == 2
 
@@ -169,15 +337,17 @@ def test_filter_near_ports_matches_the_scalar_loop():
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
     ports = [(10.05, -30.01), (10.3, -29.99), (-5.0, 40.0)]
     radius = min(haversine(lat, lon, plat, plon)
-                 for lat, lon in windows[2].positions for plat, plon in ports)
+                 for lat, lon in windows.positions[2] for plat, plon in ports)
     for r in (radius, np.nextafter(radius, np.inf), 1500.0):
-        want = [w for w in windows
+        want = [i for i, pos in enumerate(windows.positions)
                 if not any(haversine(lat, lon, plat, plon) < r
-                           for lat, lon in w.positions for plat, plon in ports)]
-        assert filter_near_ports(windows, ports, r) == want
-    assert windows[2] in filter_near_ports(windows, ports, radius)
-    assert windows[2] not in filter_near_ports(windows, ports,
-                                               np.nextafter(radius, np.inf))
+                           for lat, lon in pos for plat, plon in ports)]
+        kept = filter_near_ports(windows, ports, r)
+        assert kept.start_ts.tolist() == windows.start_ts[want].tolist()
+        assert np.array_equal(kept.positions, windows.positions[want])
+    assert windows.start_ts[2] in filter_near_ports(windows, ports, radius).start_ts
+    assert windows.start_ts[2] not in filter_near_ports(
+        windows, ports, np.nextafter(radius, np.inf)).start_ts
 
 
 def test_segment_runs_split_on_vessel_type_too():
@@ -186,35 +356,35 @@ def test_segment_runs_split_on_vessel_type_too():
                       vtype=[VesselType.DRIFTING_LONGLINES] * 50
                       + [VesselType.TRAWLERS] * 50)
     windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
-    assert [w.context_id for w in windows] == [0, 3]
-    assert np.array_equal(windows[1].positions,
+    assert windows.context_id.tolist() == [0, 3]
+    assert np.array_equal(windows.positions[1],
                           np.column_stack((traj.lat[50:], traj.lon[50:])))
 
 
 def test_remove_outliers_caps_are_inclusive():
     caps = OutlierCaps()
-    at_cap = _window(dt=caps.max_time_gap_s)
+    at_cap = _window(mmsi=1, dt=caps.max_time_gap_s)
     at_cap.tensor[0, 3] = 0.0
-    over_cap = _window()
+    over_cap = _window(mmsi=2)
     over_cap.tensor[10, 3] = caps.max_time_gap_s + 1.0
-    far_jump = _window()
+    far_jump = _window(mmsi=3)
     far_jump.tensor[20, 4] = caps.max_dist_gap_m + 0.5
-    at_dist_cap = _window()
+    at_dist_cap = _window(mmsi=4)
     at_dist_cap.tensor[20, 4] = caps.max_dist_gap_m
-    kept = remove_outliers([at_cap, over_cap, far_jump, at_dist_cap], caps)
-    assert kept == [at_cap, at_dist_cap]
+    kept = remove_outliers(_table([at_cap, over_cap, far_jump, at_dist_cap]), caps)
+    assert kept.mmsi.tolist() == [1, 4]
 
 
 def test_remove_outliers_drops_short_span():
-    thin = _window(dt=3.0)     # 49 * 3 = 147 s < 180 s
-    ok = _window(dt=30.0)
-    assert remove_outliers([thin, ok]) == [ok]
+    thin = _window(mmsi=1, dt=3.0)     # 49 * 3 = 147 s < 180 s
+    ok = _window(mmsi=2, dt=30.0)
+    assert remove_outliers(_table([thin, ok])).mmsi.tolist() == [2]
 
 
 def test_split_by_vessel_is_mmsi_disjoint():
     windows = [_window(mmsi=m, cid=m % 2, start_ts=i * 1500)
                for m in range(1, 21) for i in range(5)]
-    split = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=3)
+    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=3)
     seen = {}
     for name in ("train", "val", "test"):
         for w in split.windows(name):
@@ -228,30 +398,28 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
                for m in range(1, 11) for i in range(3)]
     windows.append(_window(mmsi=99, start_ts=0,
                            truth=Truth(kind="collective")))
-    split = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=1)
-    assert 99 in {w.mmsi for w in split.test}
-    assert 99 not in {w.mmsi for w in split.train}
-    assert 99 not in {w.mmsi for w in split.val}
+    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=1)
+    assert 99 in split.test.mmsi
+    assert 99 not in split.train.mmsi
+    assert 99 not in split.val.mmsi
 
 
 def test_split_by_vessel_is_deterministic():
-    windows = [_window(mmsi=m, start_ts=i * 1500)
-               for m in range(1, 16) for i in range(4)]
+    windows = _table([_window(mmsi=m, start_ts=i * 1500)
+                      for m in range(1, 16) for i in range(4)])
     a = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
     b = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
     for name in ("train", "val", "test"):
-        assert [w.uid for w in a.windows(name)] == [
-            w.uid for w in b.windows(name)]
+        assert _uids(a.windows(name)) == _uids(b.windows(name))
     c = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=10)
-    assert any(
-        [w.uid for w in a.windows(n)] != [w.uid for w in c.windows(n)]
-        for n in ("train", "val", "test"))
+    assert any(_uids(a.windows(n)) != _uids(c.windows(n))
+               for n in ("train", "val", "test"))
 
 
 def test_split_by_vessel_applies_eval_caps():
     windows = [_window(mmsi=m, start_ts=i * 1500)
                for m in range(1, 6) for i in range(40)]
-    split = split_by_vessel(windows, (0.34, 0.33, 0.33), seed=2,
+    split = split_by_vessel(_table(windows), (0.34, 0.33, 0.33), seed=2,
                             max_train_per_context=30, max_eval_per_context=10)
     assert len(split.train) <= 30
     assert len(split.val) <= 10
@@ -266,11 +434,11 @@ def test_split_excludes_contexts_missing_from_train():
     windows += [_window(mmsi=50, cid=5, start_ts=i * 1500)
                 for i in range(3)]
     for seed in range(20):
-        split = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=seed)
+        split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=seed)
         if split.excluded_contexts:
             assert split.excluded_contexts == (5,)
             for name in ("train", "val", "test"):
-                assert all(w.context_id != 5 for w in split.windows(name))
+                assert 5 not in split.windows(name).context_id
             break
     else:
         pytest.fail("context 5 always landed in train across 20 seeds")
@@ -279,7 +447,7 @@ def test_split_excludes_contexts_missing_from_train():
 def test_sample_weights_balance_contexts():
     windows = [_window(mmsi=1, cid=0) for _ in range(6)]
     windows += [_window(mmsi=2, cid=5) for _ in range(2)]
-    w = sample_weights(windows)
+    w = sample_weights(_table(windows))
     # total=8, k=2 -> context 0 weight 8/(2*6), context 5 weight 8/(2*2)
     assert np.allclose(w[:6], 8 / 12)
     assert np.allclose(w[6:], 8 / 4)
@@ -288,35 +456,25 @@ def test_sample_weights_balance_contexts():
     assert w[:6].sum() == pytest.approx(w[6:].sum())
 
 
-def test_stack_and_group_helpers():
-    windows = [_window(mmsi=1, cid=5), _window(mmsi=1, cid=0),
-               _window(mmsi=2, cid=5)]
-    stacked = stack_tensors(windows)
-    assert stacked.shape == (3, 50, 6)
-    groups = indices_by_context(windows)
-    assert list(groups) == [0, 5]
-    assert groups[5].tolist() == [0, 2]
-
-
 def _small_split(seed=4):
     windows = [_window(mmsi=m, cid=(0 if m % 2 else 5), start_ts=i * 1500,
                        fill=float(m + i))
                for m in range(1, 13) for i in range(4)]
     windows[-1] = _window(mmsi=12, cid=5, start_ts=3 * 1500, fill=3.3,
                           truth=Truth(kind="contextual", true_context=16))
-    return split_by_vessel(windows, (0.5, 0.25, 0.25), seed=seed)
+    return split_by_vessel(_table(windows), (0.5, 0.25, 0.25), seed=seed)
 
 
 def test_normalize_split_fits_on_train_only():
     split = _small_split()
     normed = normalize_split(split)
     assert normed.norm_stats is not None
-    train = stack_tensors(normed.train).reshape(-1, 6)
+    train = normed.train.tensor.reshape(-1, 6)
     degen = np.array(normed.norm_stats.degenerate)
     assert np.allclose(train.mean(axis=0)[~degen], 0.0, atol=1e-9)
     assert np.allclose(train.std(axis=0)[~degen], 1.0, atol=1e-9)
     # val/test use the train statistics, so they need not be centered
-    assert normed.weights.shape[0] == len(normed.train)
+    assert normed.train.weight.shape[0] == len(normed.train)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -327,12 +485,12 @@ def test_save_load_round_trip(tmp_path):
     assert header["counts"]["train"] == len(split.train)
     for name in ("train", "val", "test"):
         orig, back = split.windows(name), loaded.windows(name)
-        assert [w.uid for w in orig] == [w.uid for w in back]
-        assert [w.context_id for w in orig] == [w.context_id for w in back]
-        assert [w.truth.kind for w in orig] == [w.truth.kind for w in back]
-        for a, b in zip(orig, back):
-            assert np.allclose(a.tensor, b.tensor, atol=1e-6)   # f32 storage
-    assert np.allclose(loaded.weights, split.weights)
+        for col in ("mmsi", "start_ts", "context_id", "truth", "true_context"):
+            assert np.array_equal(getattr(orig, col), getattr(back, col)), col
+        assert np.allclose(orig.tensor, back.tensor, atol=1e-6)   # f32 storage
+    assert 16 in loaded.test.true_context
+    assert np.array_equal(loaded.train.weight, split.train.weight)
+    assert loaded.val.weight is None
     assert loaded.norm_stats.content_hash() == split.norm_stats.content_hash()
 
 
@@ -346,3 +504,98 @@ def test_save_dataset_is_byte_stable(tmp_path):
     for name in ("header.json", "norm_stats.json", "train.f32",
                  "train.index.csv", "val.f32", "test.f32", "test.index.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_empty_splits_keep_the_window_shape(tmp_path):
+    # every vessel is clean and goes to train, so val and test are empty
+    split = split_by_vessel(_table([_window(mmsi=m, start_ts=0, n=8)
+                                    for m in range(1, 4)], 8), (1.0, 0.0, 0.0), seed=1)
+    assert split.val.tensor.shape == split.test.tensor.shape == (0, 8, 6)
+    save_dataset(tmp_path, normalize_split(split), REGISTRY, seed=1, window_len=8)
+    loaded, _ = load_dataset(tmp_path)
+    assert len(loaded.train) == 3
+    for name in ("val", "test"):
+        table = loaded.windows(name)
+        assert table.tensor.shape == (0, 8, 6)
+        assert table.context_id.shape == table.truth.shape == (0,)
+
+
+# --- the column functions equal the per-window oracles -------------------------
+
+STATUSES = (NavStatus.UNDER_WAY_USING_ENGINE, NavStatus.ENGAGED_IN_FISHING,
+            NavStatus.MOORED, NavStatus.OTHER)   # OTHER is never registered
+VTYPES = (VesselType.DRIFTING_LONGLINES, VesselType.TRAWLERS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(STATUSES), st.sampled_from(VTYPES),
+                               st.integers(1, 14)), min_size=1, max_size=6),
+       window_len=st.integers(2, 6), stride=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_segment_equals_the_per_window_oracle(runs, window_len, stride, seed):
+    status = [s for s, _, n in runs for _ in range(n)]
+    vtype = [v for _, v, n in runs for _ in range(n)]
+    rng = np.random.default_rng(seed)
+    n = len(status)
+    traj = make_track(30 * np.arange(n), mmsi=77, lat=rng.uniform(-60, 60, n).tolist(),
+                      lon=rng.uniform(-180, 180, n).tolist(), status=status, vtype=vtype)
+    features = rng.normal(size=(n, 6))
+    assert_table_equals(segment(traj, features, REGISTRY, window_len, stride),
+                        oracle_segment(traj, features, REGISTRY, window_len, stride),
+                        window_len)
+
+
+WINDOW_LEN = 4
+
+
+@st.composite
+def window_lists(draw):
+    """Windows of a few vessels with repeated (mmsi, start_ts) keys; column 0
+    holds each window's input position, so every row is told apart."""
+    windows = []
+    for i in range(draw(st.integers(0, 40))):
+        tensor = np.zeros((WINDOW_LEN, 6))
+        tensor[:, 0] = i
+        tensor[:, COL_DT] = draw(st.lists(st.integers(0, 120), min_size=WINDOW_LEN,
+                                          max_size=WINDOW_LEN))
+        tensor[:, COL_DD] = draw(st.lists(st.floats(0, 100), min_size=WINDOW_LEN,
+                                          max_size=WINDOW_LEN))
+        start_ts = 100 * draw(st.integers(0, 4))
+        windows.append(Window(tensor=tensor, context_id=draw(st.sampled_from((0, 5, 12))),
+                              mmsi=draw(st.integers(1, 6)), start_ts=start_ts,
+                              end_ts=start_ts + 90))
+    return windows
+
+
+spans_st = st.lists(st.builds(
+    lambda mmsi, first, length, kind, ctx: TruthSpan(
+        mmsi, first, first + length,
+        Truth(kind, ctx if kind == "contextual" else None)),
+    st.integers(1, 6), st.integers(0, 500), st.integers(0, 200),
+    st.sampled_from(TRUTH_KINDS), st.sampled_from((0, 16))), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows=window_lists(), spans=spans_st,
+       caps=st.builds(OutlierCaps, st.sampled_from((60.0, 100.0, 1e4)),
+                      st.sampled_from((50.0, 1e4)), st.sampled_from((0.0, 150.0))),
+       ratios=st.sampled_from(((0.6, 0.2, 0.2), (0.34, 0.33, 0.33), (1.0, 0.0, 0.0),
+                               (0.0, 0.5, 0.5))),
+       max_train=st.integers(1, 12), max_eval=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_split_path_equals_the_per_window_oracles(windows, spans, caps, ratios,
+                                                  max_train, max_eval, seed):
+    table = attach_truth(_table(windows, WINDOW_LEN), spans)
+    windows = oracle_attach_truth(windows, spans)
+    assert_table_equals(table, windows, WINDOW_LEN)
+
+    assert_table_equals(remove_outliers(table, caps),
+                        oracle_remove_outliers(windows, caps), WINDOW_LEN)
+
+    split = split_by_vessel(table, ratios, seed, max_train, max_eval)
+    parts, excluded = oracle_split_by_vessel(windows, ratios, seed, max_train, max_eval)
+    assert split.excluded_contexts == excluded
+    for name in SPLIT_NAMES:
+        assert_table_equals(split.windows(name), parts[name], WINDOW_LEN)
+    assert np.array_equal(sample_weights(split.train),
+                          oracle_sample_weights(parts["train"]))

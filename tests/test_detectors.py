@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctxae import thresholds as th
-from ctxae.dataset import DatasetSplit, Window, stack_tensors
+from ctxae.dataset import NO_CONTEXT, TRUTH_DTYPE, DatasetSplit, WindowTable, concat
 from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
                              load_detector, save_detector, train_ae,
                              train_cae, train_gcae, train_moe)
@@ -40,20 +40,20 @@ def _signal(rng, context_id, n, window_len=10, channels=2):
         0, 0.05, size=(n, window_len, channels))
 
 
-def _windows(rng, context_id, n, start_mmsi):
-    x = _signal(rng, context_id, n)
-    return [Window(tensor=x[i], context_id=context_id, mmsi=start_mmsi + i,
-                   start_ts=1_000 * i) for i in range(n)]
+def _windows(rng, context_id, n, start_mmsi) -> WindowTable:
+    return WindowTable(tensor=_signal(rng, context_id, n),
+                       context_id=np.full(n, context_id), mmsi=start_mmsi + np.arange(n),
+                       start_ts=1_000 * np.arange(n),
+                       truth=np.full(n, "none", dtype=TRUTH_DTYPE),
+                       true_context=np.full(n, NO_CONTEXT), weight=np.ones(n))
 
 
 def _split(rng, contexts=(0, 1), n_train=16, n_val=6, n_test=6) -> DatasetSplit:
-    train, val, test = [], [], []
-    for j, cid in enumerate(contexts):
-        train += _windows(rng, cid, n_train, 10_000 + 100 * j)
-        val += _windows(rng, cid, n_val, 20_000 + 100 * j)
-        test += _windows(rng, cid, n_test, 30_000 + 100 * j)
-    return DatasetSplit(train=train, val=val, test=test,
-                        weights=np.ones(len(train)))
+    parts = {name: concat([_windows(rng, cid, n, base + 100 * j)
+                           for j, cid in enumerate(contexts)])
+             for name, n, base in (("train", n_train, 10_000), ("val", n_val, 20_000),
+                                   ("test", n_test, 30_000))}
+    return DatasetSplit(**parts)
 
 
 def _fast_config(seed=0, epochs=3) -> TrainConfig:
@@ -179,7 +179,7 @@ def test_gcae_routes_members_to_their_group_decoder(rng):
 def test_score_matches_direct_forward_pass(rng):
     split = _split(rng, contexts=(0, 1))
     det = train_cae(split, _toy_spec(), _fast_config())
-    x = stack_tensors([w for w in split.test if w.context_id == 1])
+    x = split.test.tensor[split.test.context_id == 1]
     enc, dec = det.encoders[SHARED], det.decoders[1]
     np.testing.assert_allclose(det.score(x, 1), score_windows(enc, dec, x))
 
@@ -187,8 +187,8 @@ def test_score_matches_direct_forward_pass(rng):
 def test_score_mixed_dispatches_by_context(rng):
     split = _split(rng, contexts=(0, 1))
     det = train_moe(split, _toy_spec(), _fast_config())
-    x = stack_tensors(split.test)
-    cids = np.array([w.context_id for w in split.test])
+    x = split.test.tensor
+    cids = split.test.context_id
     mixed = det.score_mixed(x, cids)
     for cid in (0, 1):
         mask = cids == cid
@@ -197,7 +197,7 @@ def test_score_mixed_dispatches_by_context(rng):
 
 def test_unknown_context_is_refused_by_context_aware_kinds(rng):
     split = _split(rng, contexts=(0, 1))
-    x = stack_tensors(split.test[:2])
+    x = split.test.tensor[:2]
     for trainer in (train_moe, train_cae):
         det = trainer(split, _toy_spec(), _fast_config())
         with pytest.raises(UnroutedContext):
@@ -218,7 +218,7 @@ def test_gcae_requires_a_group_for_every_context(rng):
 
 def test_moe_refuses_contexts_without_validation_windows(rng):
     split = _split(rng, contexts=(0, 1))
-    split.val = [w for w in split.val if w.context_id != 1]
+    split.val = split.val.take(split.val.context_id != 1)
     with pytest.raises(EmptyValidationSet, match="context 1"):
         train_moe(split, _toy_spec(), _fast_config())
 
@@ -230,8 +230,8 @@ def test_fitted_thresholds_match_manual_mean_plus_five_sigma(rng):
     det = train_cae(split, _toy_spec(), _fast_config())
     table = fit_detector_thresholds(det, split, fit_split="train")
     assert det.thresholds is table
-    cids = np.array([w.context_id for w in split.train])
-    scores = det.score_mixed(stack_tensors(split.train), cids)
+    cids = split.train.context_id
+    scores = det.score_mixed(split.train.tensor, cids)
     for cid in (0, 1):
         s = scores[cids == cid]
         expect = s.mean() + 5.0 * s.std()
@@ -244,8 +244,8 @@ def test_detect_applies_context_and_global_taus(rng):
     split = _split(rng, contexts=(0, 1))
     det = train_cae(split, _toy_spec(), _fast_config())
     fit_detector_thresholds(det, split)
-    x = stack_tensors(split.test)
-    cids = np.array([w.context_id for w in split.test])
+    x = split.test.tensor
+    cids = split.test.context_id
 
     scores, verdicts, sev = det.detect(x, cids, mode="context")
     taus = np.array([det.thresholds.tau(int(c)) for c in cids])
@@ -262,8 +262,8 @@ def test_detect_applies_context_and_global_taus(rng):
 def test_detect_without_thresholds_or_with_bad_mode(rng):
     split = _split(rng, contexts=(0, 1))
     det = train_cae(split, _toy_spec(), _fast_config())
-    x = stack_tensors(split.test[:3])
-    cids = np.array([w.context_id for w in split.test[:3]])
+    x = split.test.tensor[:3]
+    cids = split.test.context_id[:3]
     with pytest.raises(MissingArtifact):
         det.detect(x, cids)
     fit_detector_thresholds(det, split)
@@ -275,8 +275,8 @@ def test_detect_without_thresholds_or_with_bad_mode(rng):
 
 def test_training_is_reproducible_across_runs(rng):
     split = _split(rng, contexts=(0, 1))
-    x = stack_tensors(split.test)
-    cids = np.array([w.context_id for w in split.test])
+    x = split.test.tensor
+    cids = split.test.context_id
     runs = [train_cae(split, _toy_spec(), _fast_config(seed=3)) for _ in range(2)]
     np.testing.assert_array_equal(runs[0].score_mixed(x, cids),
                                   runs[1].score_mixed(x, cids))
@@ -293,8 +293,8 @@ def test_save_load_round_trip(tmp_path, rng):
     assert loaded.contexts == det.contexts
     assert loaded.grouping == {0: 0, 1: 0}
     assert loaded.param_count() == det.param_count()
-    x = stack_tensors(split.test)
-    cids = np.array([w.context_id for w in split.test])
+    x = split.test.tensor
+    cids = split.test.context_id
     np.testing.assert_array_equal(loaded.score_mixed(x, cids),
                                   det.score_mixed(x, cids))
     for cid in (0, 1):

@@ -1,4 +1,4 @@
-"""Stage manifests: the input check every stage makes before it reads an artifact."""
+"""Stage manifests: the check every stage makes before it reads an artifact."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from ctxae.manifest import check_inputs, sha256_file, write_manifest
 
 @pytest.fixture
 def produced(tmp_path):
-    """A stage "make" that read source.txt, and the source as it was then."""
+    """A stage "make" that read source.txt and wrote made.txt, as they were then."""
     source = tmp_path / "source.txt"
     source.write_text("first\n")
     output = tmp_path / "made.txt"
@@ -17,16 +17,21 @@ def produced(tmp_path):
     return source
 
 
+def _made(source):
+    return {"made": source.parent / "made.txt"}
+
+
 def test_matching_inputs_pass(produced):
-    check_inputs(produced.parent, "make", {"source": produced}, "run make first")
-    check_inputs(produced.parent, "make", {}, "run make first")
+    check_inputs(produced.parent, "make", {"source": produced}, _made(produced),
+                 "run make first")
+    check_inputs(produced.parent, "make", {}, {}, "run make first")
 
 
 def test_a_missing_manifest_is_refused_with_the_hint(tmp_path):
     source = tmp_path / "source.txt"
     source.write_text("first\n")
     with pytest.raises(MissingArtifact, match="no make manifest at .*; run make first"):
-        check_inputs(tmp_path, "make", {"source": source}, "run make first")
+        check_inputs(tmp_path, "make", {"source": source}, {}, "run make first")
 
 
 def test_a_changed_input_is_refused_naming_both_hashes(produced):
@@ -34,16 +39,29 @@ def test_a_changed_input_is_refused_naming_both_hashes(produced):
     produced.write_text("second\n")
     current = sha256_file(produced)
     with pytest.raises(ConfigError, match="run make first") as err:
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, {}, "run make first")
     assert recorded in str(err.value) and current in str(err.value)
 
 
 def test_an_input_the_manifest_does_not_name_is_refused(produced):
     with pytest.raises(ConfigError, match="sha256 None"):
-        check_inputs(produced.parent, "make", {"other": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"other": produced}, {}, "run make first")
 
 
 def test_a_deleted_input_is_refused_as_missing(produced):
     produced.unlink()
     with pytest.raises(MissingArtifact, match="run make first"):
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, {}, "run make first")
+
+
+def test_a_changed_or_deleted_output_is_refused(produced):
+    made = _made(produced)
+    recorded = sha256_file(made["made"])
+    made["made"].write_text("edited\n")
+    current = sha256_file(made["made"])
+    with pytest.raises(ConfigError, match="make wrote made with sha256") as err:
+        check_inputs(produced.parent, "make", {}, made, "run make first")
+    assert recorded in str(err.value) and current in str(err.value)
+    made["made"].unlink()
+    with pytest.raises(MissingArtifact, match="which is gone; run make first"):
+        check_inputs(produced.parent, "make", {}, made, "run make first")

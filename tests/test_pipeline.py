@@ -31,10 +31,9 @@ def _tiny(out_dir, seed=3):
 
 
 def _artifacts(out_dir):
-    paths = [out_dir / "report.json"]
-    for pattern in ("models/*/*.ckpt", "detections/*.csv", "**/*.manifest.json"):
-        paths += sorted(out_dir.glob(pattern))
-    return {str(p.relative_to(out_dir)): p.read_bytes() for p in paths}
+    """Every file of the run tree by its path in the tree."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +48,9 @@ def test_run_all_is_byte_identical_across_directories(two_runs):
     first, second = (_artifacts(d) for d in two_runs)
     assert sorted(first) == sorted(second)
     assert len([name for name in first if name.endswith(".manifest.json")]) > 10
+    for name in ("dataset/train.f32", "messages/header.json", "models/gcae/thresholds.csv",
+                 "grouping/grouping.json", "evaluation/evaluation.json", "synth/records.csv"):
+        assert name in first
     for name, data in first.items():
         assert data == second[name], name
 
@@ -176,6 +178,48 @@ def test_gcae_refuses_a_grouping_of_an_older_cae(tmp_path):
     with pytest.raises(ConfigError) as err:
         pipeline.stage_train(cfg, "gcae")
     assert grouped in str(err.value) and current in str(err.value)
+
+
+def test_gcae_refuses_a_grouping_of_another_dataset(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir, seed=3)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    pipeline.stage_group(cfg)
+    grouped = sha256_file(out_dir / "dataset" / "header.json")
+
+    # another seed rebuilds the dataset in place; the cae bundle and grouping stay
+    cfg = _tiny(out_dir, seed=4)
+    _prepare(cfg)
+    current = sha256_file(out_dir / "dataset" / "header.json")
+    assert current != grouped
+    with pytest.raises(ConfigError) as err:
+        pipeline.stage_train(cfg, "gcae")
+    assert grouped in str(err.value) and current in str(err.value)
+
+
+def test_gcae_refuses_a_deleted_grouping(tmp_path):
+    cfg = _tiny(tmp_path / "run")
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    pipeline.stage_group(cfg)
+    (tmp_path / "run" / "grouping" / "grouping.json").unlink()
+    with pytest.raises(MissingArtifact, match="run the group stage first"):
+        pipeline.stage_train(cfg, "gcae")
+
+
+def test_report_refuses_a_deleted_evaluation(tmp_path):
+    cfg = _tiny(tmp_path / "run")
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "ae")
+    pipeline.stage_thresholds(cfg, "ae")
+    pipeline.stage_detect(cfg, "ae")
+    pipeline.stage_evaluate(cfg)
+    (tmp_path / "run" / "evaluation" / "evaluation.json").unlink()
+    with pytest.raises(MissingArtifact, match="run the evaluate stage first"):
+        pipeline.stage_report(cfg)
 
 
 def test_build_refuses_a_missing_ingest_table(tmp_path):

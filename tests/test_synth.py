@@ -256,7 +256,7 @@ def test_collective_truth_tags_touched_windows():
                 cfg.collective_magnitude_m, rel=1e-6)
         # the windows cut from the vessel carry the tag iff they touch the span
         windows = attach_truth(segment(traj, enrich(traj), REGISTRY), res.truth)
-        touched = [w.truth.kind == "collective" for w in windows]
+        touched = (windows.truth == "collective").tolist()
         assert touched == [ws <= hi and lo <= ws + 49
                            for ws in range(0, len(stamps) - 49, 50)]
 
