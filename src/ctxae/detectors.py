@@ -8,11 +8,21 @@ All four are one model: an encoder and a map from context to decoder key.
 * moe:  the ae trainer run once per context, so each context also has its
         own encoder
 
-Routing is two dict lookups: the encoder is the context's own or the shared
-one, and the decoder key is the context's group (its own id without a
-grouping), falling back to SHARED. A window is always scored through the
+Routing maps a context to an encoder key (its own, else SHARED) and a
+decoder key (its group, its own id without a grouping, else SHARED); a
+context with neither is refused. A window is always scored through the
 decoder its (claimed) context routes to; scoring and verdicts never look at
 ground truth.
+
+Scoring runs a pass plan, not a loop over contexts: the distinct contexts of
+a batch are routed once, rows are ordered by their (encoder, decoder) pair,
+and each encoder runs once per chunk of up to SCORE_BATCH (512) of its rows, each decoder
+once on its key's latent rows in that chunk. So ae makes two passes per
+batch whatever the contexts, gcae one encoder pass plus one per group
+present, and moe one pair per context. A score depends on the row count of
+the GEMMs that produced it at the ULP level (BLAS kernels differ below and
+above a few dozen rows), so the same window can score a few ULPs apart in
+batches of other sizes or mixes.
 
 Trainers read the split's window tables (see ``dataset``): a context's
 windows are the rows its boolean mask over ``context_id`` selects, and a
@@ -34,11 +44,12 @@ from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
-                  load_checkpoint, save_checkpoint, score_windows,
+                  load_checkpoint, mse_per_sample, save_checkpoint,
                   train_autoencoder, train_multi_decoder)
 
 SHARED = -1
 KINDS = ("ae", "moe", "cae", "gcae")
+SCORE_BATCH = 512     # rows per encoder pass, as in net.score_windows
 
 
 @dataclass
@@ -53,6 +64,13 @@ class Detector:
     norm_stats_hash: str | None = None
     reports: dict[str, TrainReport] = field(default_factory=dict)
 
+    def encoder_key(self, context_id: int) -> int:
+        if context_id in self.encoders:
+            return context_id
+        if SHARED in self.encoders:
+            return SHARED
+        raise UnroutedContext(f"context {context_id} has no encoder")
+
     def decoder_key(self, context_id: int) -> int:
         key = (self.grouping or {}).get(context_id, context_id)
         if key not in self.decoders:
@@ -62,21 +80,47 @@ class Detector:
         return key
 
     def route(self, context_id: int) -> tuple[Sequential, Sequential]:
-        enc = self.encoders.get(context_id, self.encoders.get(SHARED))
-        if enc is None:
-            raise UnroutedContext(f"context {context_id} has no encoder")
-        return enc, self.decoders[self.decoder_key(context_id)]
+        return (self.encoders[self.encoder_key(context_id)],
+                self.decoders[self.decoder_key(context_id)])
 
     def score(self, x: np.ndarray, context_id: int) -> np.ndarray:
-        enc, dec = self.route(context_id)
-        return score_windows(enc, dec, x)
+        return self.score_mixed(x, np.full(x.shape[0], context_id))
 
     def score_mixed(self, x: np.ndarray, context_ids: np.ndarray) -> np.ndarray:
-        """Score a mixed batch, dispatching each window by its context."""
+        """Per-window reconstruction loss of a mixed batch; shape (n,).
+
+        Runs the pass plan (see the module doc): rows sorted by their
+        (encoder key, decoder key) pair, each encoder once per chunk of at
+        most SCORE_BATCH of its rows, each decoder once per chunk on its
+        key's slice of the latents.
+        """
+        contexts, inverse = np.unique(context_ids, return_inverse=True)
+        routes = [(self.encoder_key(c), self.decoder_key(c)) for c in contexts.tolist()]
+        pairs = sorted(set(routes))
+        row_pair = np.array([pairs.index(r) for r in routes], dtype=np.intp)[inverse]
+        order = np.argsort(row_pair, kind="stable")
+        # encoder key -> [(decoder key, lo, hi)]: its pairs' spans of order
+        spans: dict[int, list[tuple[int, int, int]]] = {}
+        lo = 0
+        for (enc_key, dec_key), hi in zip(
+                pairs, np.bincount(row_pair, minlength=len(pairs)).cumsum().tolist()):
+            spans.setdefault(enc_key, []).append((dec_key, lo, hi))
+            lo = hi
+
         out = np.empty(x.shape[0])
-        for cid in np.unique(context_ids):
-            mask = context_ids == cid
-            out[mask] = self.score(x[mask], int(cid))
+        for enc_key, dec_spans in spans.items():
+            encoder = self.encoders[enc_key]
+            first, last = dec_spans[0][1], dec_spans[-1][2]
+            for a in range(first, last, SCORE_BATCH):
+                b = min(a + SCORE_BATCH, last)
+                rows = order[a:b]
+                batch = x[rows]
+                z = encoder.forward(batch, training=False)
+                for dec_key, lo, hi in dec_spans:
+                    s, t = max(lo, a) - a, min(hi, b) - a
+                    if s < t:
+                        x_hat = self.decoders[dec_key].forward(z[s:t], training=False)
+                        out[rows[s:t]] = mse_per_sample(batch[s:t], x_hat)
         return out
 
     def detect(self, x: np.ndarray, context_ids: np.ndarray,
@@ -84,17 +128,19 @@ class Detector:
         """Scores, verdicts and severities under the fitted thresholds.
 
         mode 'context' applies tau_c of each window's context, 'global'
-        applies the pooled threshold to every window.
+        applies the pooled threshold to every window. The mode and every
+        threshold it needs are checked before any window is scored.
         """
         if self.thresholds is None:
             raise MissingArtifact(f"{self.kind} detector has no fitted thresholds")
-        scores = self.score_mixed(x, context_ids)
         if mode == "global":
-            taus = np.full(scores.shape[0], self.thresholds.global_tau)
+            taus = self.thresholds.global_tau
         elif mode == "context":
-            taus = np.array([self.thresholds.tau(int(c)) for c in context_ids])
+            contexts, inverse = np.unique(context_ids, return_inverse=True)
+            taus = np.array([self.thresholds.tau(c) for c in contexts.tolist()])[inverse]
         else:
             raise ValueError(f"unknown detection mode {mode!r}")
+        scores = self.score_mixed(x, context_ids)
         verdicts = scores > taus
         severities = (scores - taus) / taus
         return scores, verdicts, severities

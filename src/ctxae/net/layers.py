@@ -146,8 +146,11 @@ class Conv1D(Layer):
         if training:
             self._x = x
         l_out = x.shape[1] - self.k + 1
-        y = np.broadcast_to(self.b, (x.shape[0], l_out, self.c_out)).copy()
-        for i in range(self.k):
+        # t0 + b has the bits of b + t0, so the first tap's product can
+        # take the bias in place instead of a broadcast copy of it
+        y = x[:, :l_out, :] @ self.w[0]
+        y += self.b
+        for i in range(1, self.k):
             y += x[:, i:i + l_out, :] @ self.w[i]
         return y
 

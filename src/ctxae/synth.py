@@ -35,11 +35,15 @@ in their stream order, and ``_measure`` turns them into the reported
 channels in one numpy pass, with the operations of the per-step
 expressions in the same order: the noise radius and bearing, applied by
 ``geo.destination_array`` (equal to the scalar ``geo.destination`` bit for
-bit), then sog, cog and heading. sog and cog are still rounded by Python's
-``round(v, 1)``, which rounds the exact binary value to one decimal.
-``np.round`` rounds ``10 * v`` first, so a value just off a half step can
-land on the other side: 0.15, stored as 0.1499..., gives 0.1 from ``round``
-and 0.2 from ``np.round``.
+bit), then sog, cog and heading. sog and cog are rounded to one decimal as
+Python's ``round(v, 1)`` does, by ``_round1``. ``round`` rounds the exact
+binary value, ``np.round`` the product ``10 * v`` after it was rounded to a
+double, and both then give the double nearest k / 10 for their integer k.
+So they differ only where that product crossed or reached a half step: 0.15,
+stored as 0.1499..., gives 0.1 from ``round`` and 0.2 from ``np.round``. The
+product is within half an ULP of the exact ``10 * v``, so ``_round1`` takes
+``np.round`` and asks ``round`` again only where the product lies within a
+few ULPs of a half step, which noisy channels almost never do.
 """
 
 from __future__ import annotations
@@ -340,7 +344,7 @@ def _measure(mmsi: int, label: ContextLabel, behavior: BehaviorModel,
     """The reported channels of a simulated track, from its per-step draws.
 
     Every value is the one the scalar expressions on each step give: the
-    same operations in the same order, and Python's ``round`` for sog and
+    same operations in the same order, and ``round(v, 1)`` for sog and
     cog (see the module doc).
     """
     cols = np.array(steps, dtype=np.float64)
@@ -362,7 +366,7 @@ def _measure(mmsi: int, label: ContextLabel, behavior: BehaviorModel,
 
     sog = np.clip(speed + (0.0 + 0.1 * quality * sog_z), 0.0, 40.0)
     cog = (course + (0.0 + 1.0 * quality * cog_z)) % 360.0
-    sog, cog = (np.array([round(v, 1) for v in c.tolist()]) for c in (sog, cog))
+    sog, cog = _round1(sog), _round1(cog)
     cog %= 360.0   # a course rounded up to 360.0 reports as 0.0
     heading = np.trunc((course + (0.0 + 2.0 * quality * heading_z)) % 360.0)
     return Trajectory(
@@ -370,6 +374,16 @@ def _measure(mmsi: int, label: ContextLabel, behavior: BehaviorModel,
         sog=sog, cog=cog, heading=heading,
         status=np.full(n, NAV_STATUSES.index(label.nav_status), dtype=np.uint8),
         vtype=np.full(n, VESSEL_TYPES.index(label.vessel_type), dtype=np.uint8))
+
+
+def _round1(v: np.ndarray) -> np.ndarray:
+    """Python's ``round(x, 1)`` of every element (see the module doc)."""
+    tenths = v * 10.0
+    out = np.rint(tenths) / 10.0     # np.round(v, 1), step for step
+    near = np.abs(tenths - (np.floor(tenths) + 0.5)) <= 4.0 * np.spacing(tenths)
+    for i in np.flatnonzero(near).tolist():
+        out[i] = round(float(v[i]), 1)
+    return out
 
 
 def inject_contextual(trajectory: Trajectory, claimed: NavStatus,

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from ctxae import detectors
 from ctxae import thresholds as th
 from ctxae.dataset import NO_CONTEXT, TRUTH_DTYPE, DatasetSplit, WindowTable, concat
 from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
                              load_detector, save_detector, train_ae,
                              train_cae, train_gcae, train_moe)
 from ctxae.errors import (EmptyValidationSet, IncompleteGrouping,
-                          MissingArtifact, UnroutedContext)
+                          MissingArtifact, MissingThreshold, UnroutedContext)
 from ctxae.net import TrainConfig, default_autoencoder_spec, score_windows
 from ctxae.net import layers as L
-from ctxae.net.model import AutoencoderSpec
+from ctxae.net.model import AutoencoderSpec, Sequential
 
 DESK = default_autoencoder_spec()
 E = DESK.encoder_param_count()
@@ -223,6 +224,103 @@ def test_moe_refuses_contexts_without_validation_windows(rng):
         train_moe(split, _toy_spec(), _fast_config())
 
 
+# --- the pass plan -----------------------------------------------------------------
+
+GROUPED = {0: 0, 1: 0, 2: 2}     # gcae: 0 and 1 share decoder 0
+
+
+def _plan_detector(kind):
+    return _untrained(kind, _toy_spec(), (0, 1, 2),
+                      grouping=GROUPED if kind == "gcae" else None)
+
+
+def _mixed_batch(rng, kind):
+    """Shuffled rows of every context: context 2 has a single row, and ae
+    also gets a context it never trained on."""
+    cids = np.array([0] * 5 + [1] * 4 + [2] + ([7] * 3 if kind == "ae" else []))
+    cids = rng.permutation(cids)
+    return _signal(rng, 0, cids.shape[0]), cids
+
+
+def _per_context_reference(det, x, cids):
+    out = np.empty(x.shape[0])
+    for cid in np.unique(cids):
+        mask = cids == cid
+        enc, dec = det.route(int(cid))
+        out[mask] = score_windows(enc, dec, x[mask])
+    return out
+
+
+@pytest.mark.parametrize("batch_size", [512, 3])
+@pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
+def test_score_mixed_equals_per_context_scoring(rng, monkeypatch, kind, batch_size):
+    monkeypatch.setattr(detectors, "SCORE_BATCH", batch_size)
+    det = _plan_detector(kind)
+    x, cids = _mixed_batch(rng, kind)
+    np.testing.assert_allclose(det.score_mixed(x, cids),
+                               _per_context_reference(det, x, cids),
+                               rtol=1e-12, atol=0.0)
+    for cid in np.unique(cids):
+        np.testing.assert_allclose(det.score(x[cids == cid], int(cid)),
+                                   _per_context_reference(det, x[cids == cid],
+                                                          cids[cids == cid]),
+                                   rtol=1e-12, atol=0.0)
+    assert det.score_mixed(x[:0], cids[:0]).shape == (0,)
+
+
+def _count_passes(monkeypatch, det):
+    """Rows per forward pass, keyed by ('enc' | 'dec', key)."""
+    names = {id(m): ("enc", k) for k, m in det.encoders.items()}
+    names.update({id(m): ("dec", k) for k, m in det.decoders.items()})
+    passes: dict[tuple[str, int], list[int]] = {}
+    forward = Sequential.forward
+
+    def counting(model, x, training=False):
+        passes.setdefault(names[id(model)], []).append(x.shape[0])
+        return forward(model, x, training)
+    monkeypatch.setattr(Sequential, "forward", counting)
+    return passes
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("ae", {("enc", SHARED): [10], ("dec", SHARED): [10]}),
+    # decoder 2 has no row in the batch and does not run
+    ("cae", {("enc", SHARED): [10], ("dec", 0): [6], ("dec", 1): [4]}),
+    # the grouped contexts 0 and 1 share one decoder call
+    ("gcae", {("enc", SHARED): [10], ("dec", 0): [10]}),
+    ("moe", {("enc", 0): [6], ("dec", 0): [6], ("enc", 1): [4], ("dec", 1): [4]}),
+])
+def test_score_mixed_runs_each_model_once(rng, monkeypatch, kind, expected):
+    det = _plan_detector(kind)
+    cids = rng.permutation(np.array([0] * 6 + [1] * 4))
+    passes = _count_passes(monkeypatch, det)
+    det.score_mixed(_signal(rng, 0, 10), cids)
+    assert passes == expected
+
+
+def test_score_mixed_chunks_each_encoder_pass(rng, monkeypatch):
+    det = _plan_detector("gcae")
+    cids = np.array([2, 0, 1, 0, 2, 1, 0])
+    monkeypatch.setattr(detectors, "SCORE_BATCH", 3)
+    passes = _count_passes(monkeypatch, det)
+    det.score_mixed(_signal(rng, 0, 7), cids)
+    # rows ordered by decoder key: five for key 0, then two for key 2
+    assert passes == {("enc", SHARED): [3, 3, 1], ("dec", 0): [3, 2], ("dec", 2): [1, 1]}
+
+
+@pytest.mark.parametrize("kind", ["moe", "cae", "gcae"])
+def test_unrouted_context_is_refused_by_the_plan(rng, kind):
+    det = _plan_detector(kind)
+    x, cids = _signal(rng, 0, 4), np.array([0, 9, 1, 0])
+    with pytest.raises(UnroutedContext, match="context 9"):
+        det.score_mixed(x, cids)
+    # thresholds that know context 9 leave the routing to refuse it
+    det.thresholds = th.fit({0: np.ones(3), 1: np.ones(3), 9: np.ones(3)})
+    for mode in ("context", "global"):
+        with pytest.raises(UnroutedContext, match="context 9"):
+            det.detect(x, cids, mode=mode)
+
+
 # --- thresholds and verdicts -------------------------------------------------------
 
 def test_fitted_thresholds_match_manual_mean_plus_five_sigma(rng):
@@ -269,6 +367,21 @@ def test_detect_without_thresholds_or_with_bad_mode(rng):
     fit_detector_thresholds(det, split)
     with pytest.raises(ValueError, match="mode"):
         det.detect(x, cids, mode="both")
+
+
+def test_detect_checks_mode_and_taus_before_scoring(rng, monkeypatch):
+    det = _plan_detector("cae")
+    x, cids = _signal(rng, 0, 4), np.array([0, 1, 2, 1])
+    # context 2 has a single fitted loss, so it is flagged without a tau
+    det.thresholds = th.fit({0: np.ones(3), 1: np.ones(3), 2: np.ones(1)})
+    passes = _count_passes(monkeypatch, det)
+    with pytest.raises(ValueError, match="mode"):
+        det.detect(x, cids, mode="both")
+    with pytest.raises(MissingThreshold, match="context 2"):
+        det.detect(x, cids, mode="context")
+    assert passes == {}
+    det.detect(x, cids, mode="global")
+    assert passes
 
 
 # --- determinism and persistence ---------------------------------------------------

@@ -227,9 +227,9 @@ def test_conv1d_transpose_forward_matches_loop_oracle():
 
 
 # --- fast paths against their reference forms --------------------------------
-# ReLU, MaxPool, UpsampleNearest and BatchNorm run fast paths that must equal
-# these textbook forms element for element (BatchNorm and the upsampling
-# gradient bit for bit).
+# ReLU, MaxPool, UpsampleNearest, BatchNorm and the Conv1D forward run fast
+# paths that must equal these textbook forms element for element (BatchNorm,
+# the upsampling gradient and Conv1D bit for bit).
 
 def _reference_relu(x, dy):
     mask = x > 0.0
@@ -361,3 +361,27 @@ def test_upsample_gradient_matches_reference_bit_for_bit(shape, factor):
     dy *= 10.0 ** rng.integers(-8, 8, size=dy.shape)
     ref = dy.reshape(shape[0], shape[1], factor, shape[2]).sum(axis=2)
     _same_bits(layer.backward(dy), ref)
+
+
+def _reference_conv1d(x, kernel, bias):
+    """The broadcast-bias form: the bias first, then each tap's product."""
+    k = kernel.shape[0]
+    l_out = x.shape[1] - k + 1
+    y = np.broadcast_to(bias, (x.shape[0], l_out, kernel.shape[2])).copy()
+    for i in range(k):
+        y += x[:, i:i + l_out, :] @ kernel[i]
+    return y
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("fill", FILLS)
+def test_conv1d_forward_matches_reference_bit_for_bit(shape, fill):
+    rng = np.random.default_rng(25)
+    c_out = 4
+    layer = build_layer(conv1d(shape[2], c_out, 3), rng)
+    # signed zeros in the bias too: the order of b + t0 must not matter
+    layer.b[:] = _input(rng, (c_out,), fill)
+    x = _input(rng, shape, fill)
+    for training in (True, False):
+        _same_bits(layer.forward(x, training=training),
+                   _reference_conv1d(x, layer.w, layer.b))

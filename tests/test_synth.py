@@ -5,6 +5,8 @@ from math import nan
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxae import synth
 from ctxae.ais import (MESSAGE_COLUMNS, NAV_STATUSES, VESSEL_TYPES, ContextRegistry,
@@ -535,3 +537,41 @@ def test_simulation_equals_the_reference_loop_bit_for_bit(monkeypatch, seed):
         for col in MESSAGE_COLUMNS:
             a, b = getattr(got, col), getattr(want, col)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (got.mmsi, col)
+
+
+# --- _round1 against Python's round ------------------------------------------------
+
+def _same_as_round(values) -> None:
+    v = np.asarray(values, dtype=np.float64)
+    want = np.array([round(x, 1) for x in v.tolist()], dtype=np.float64)
+    assert synth._round1(v).tobytes() == want.tobytes()
+
+
+def test_round1_takes_round_at_stored_half_steps():
+    # 0.15, 0.35 and 359.95 are stored just below their half step and 0.25
+    # exactly on it; 10 * v lands on the half step for all four, and np.round
+    # rounds three of them the other way
+    cases = [0.15, 0.25, 0.35, 359.95]
+    assert [round(v, 1) for v in cases] == [0.1, 0.2, 0.3, 359.9]
+    assert np.round(np.array(cases), 1).tolist() == [0.2, 0.2, 0.4, 360.0]
+    _same_as_round(cases)
+
+
+@pytest.mark.parametrize("hi", [40, 360])
+def test_round1_matches_round_next_to_every_half_step(hi):
+    halves = (np.arange(10 * hi) + 0.5) / 10.0
+    near = [halves]
+    for direction in (-np.inf, np.inf):
+        step = halves
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    _same_as_round(np.concatenate(near))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 360.0, exclude_max=True)),
+                min_size=1, max_size=50))
+@example([0.0, 40.0, 0.05, 359.99999999999994])
+def test_round1_matches_round(values):
+    _same_as_round(values)
