@@ -24,6 +24,16 @@ the GEMMs that produced it at the ULP level (BLAS kernels differ below and
 above a few dozen rows), so the same window can score a few ULPs apart in
 batches of other sizes or mixes.
 
+The passes run folded scoring models (``net.fold_batchnorm``: each
+convolution -> batch norm pair merged into one convolution), built once when
+a Detector is constructed. Construction first snaps the stored encoders and
+decoders to float32 storage precision, as saving does, so the stored models
+are final: saving changes none of their values, a saved and loaded copy
+scores bit-identically, and the fold never describes weights the checkpoint
+does not hold. Scores differ from the layer-by-layer forward pass of the
+stored models at the ULP level. Training, validation and the grouping's
+cross-loss matrix run the stored models, and a bundle saves them.
+
 Trainers read the split's window tables (see ``dataset``): a context's
 windows are the rows its boolean mask over ``context_id`` selects, and a
 decoder key's windows are its member contexts' rows, context by context.
@@ -44,7 +54,8 @@ from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
-                  load_checkpoint, mse_per_sample, save_checkpoint,
+                  fold_batchnorm, load_checkpoint, mse_per_sample,
+                  save_checkpoint, snap_to_storage_precision,
                   train_autoencoder, train_multi_decoder)
 
 SHARED = -1
@@ -63,6 +74,15 @@ class Detector:
     thresholds: th.ThresholdTable | None = None
     norm_stats_hash: str | None = None
     reports: dict[str, TrainReport] = field(default_factory=dict)
+    # what score_mixed runs: the stored models folded (see the module doc)
+    scoring_encoders: dict[int, Sequential] = field(init=False, repr=False, compare=False)
+    scoring_decoders: dict[int, Sequential] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for model in (*self.encoders.values(), *self.decoders.values()):
+            snap_to_storage_precision(model)
+        self.scoring_encoders = {k: fold_batchnorm(m) for k, m in self.encoders.items()}
+        self.scoring_decoders = {k: fold_batchnorm(m) for k, m in self.decoders.items()}
 
     def encoder_key(self, context_id: int) -> int:
         if context_id in self.encoders:
@@ -94,7 +114,11 @@ class Detector:
         most SCORE_BATCH of its rows, each decoder once per chunk on its
         key's slice of the latents.
         """
-        contexts, inverse = np.unique(context_ids, return_inverse=True)
+        return self._score_routed(x, *np.unique(context_ids, return_inverse=True))
+
+    def _score_routed(self, x: np.ndarray, contexts: np.ndarray,
+                      inverse: np.ndarray) -> np.ndarray:
+        """score_mixed given np.unique(context_ids, return_inverse=True)."""
         routes = [(self.encoder_key(c), self.decoder_key(c)) for c in contexts.tolist()]
         pairs = sorted(set(routes))
         row_pair = np.array([pairs.index(r) for r in routes], dtype=np.intp)[inverse]
@@ -109,7 +133,7 @@ class Detector:
 
         out = np.empty(x.shape[0])
         for enc_key, dec_spans in spans.items():
-            encoder = self.encoders[enc_key]
+            encoder = self.scoring_encoders[enc_key]
             first, last = dec_spans[0][1], dec_spans[-1][2]
             for a in range(first, last, SCORE_BATCH):
                 b = min(a + SCORE_BATCH, last)
@@ -119,7 +143,7 @@ class Detector:
                 for dec_key, lo, hi in dec_spans:
                     s, t = max(lo, a) - a, min(hi, b) - a
                     if s < t:
-                        x_hat = self.decoders[dec_key].forward(z[s:t], training=False)
+                        x_hat = self.scoring_decoders[dec_key].forward(z[s:t], training=False)
                         out[rows[s:t]] = mse_per_sample(batch[s:t], x_hat)
         return out
 
@@ -133,14 +157,14 @@ class Detector:
         """
         if self.thresholds is None:
             raise MissingArtifact(f"{self.kind} detector has no fitted thresholds")
+        contexts, inverse = np.unique(context_ids, return_inverse=True)
         if mode == "global":
             taus = self.thresholds.global_tau
         elif mode == "context":
-            contexts, inverse = np.unique(context_ids, return_inverse=True)
             taus = np.array([self.thresholds.tau(c) for c in contexts.tolist()])[inverse]
         else:
             raise ValueError(f"unknown detection mode {mode!r}")
-        scores = self.score_mixed(x, context_ids)
+        scores = self._score_routed(x, contexts, inverse)
         verdicts = scores > taus
         severities = (scores - taus) / taus
         return scores, verdicts, severities

@@ -58,7 +58,7 @@ def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
         (header_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(header_len).decode())
         specs = [LayerSpec.from_dict(d) for d in header["layers"]]
-        model = Sequential(specs, np.random.default_rng(0))
+        model = Sequential.build(specs, np.random.default_rng(0))
         state = model.state()
         if len(state) != len(header["blocks"]):
             raise ShapeMismatch(f"{path}: block count does not match layer specs")

@@ -1,4 +1,15 @@
-"""Sequential model container and the default autoencoder architecture."""
+"""Sequential model container, the default autoencoder architecture, and the
+batch-norm fold that scoring runs through.
+
+Folding: in inference mode a batch norm is the fixed per-channel affine map
+y -> (y - running_mean) * s + beta with s = gamma / sqrt(running_var + EPS),
+so a convolution (plain or transposed) followed by one is a single
+convolution of the same class with weights w * s and bias
+(b - running_mean) * s + beta (Ioffe & Szegedy 2015, sec. 3.1).
+``fold_batchnorm`` builds that model for inference; it agrees with the
+layer-by-layer form up to rounding, a few ULPs per element. Training,
+validation and checkpoints always use the unfolded model.
+"""
 
 from __future__ import annotations
 
@@ -14,9 +25,12 @@ from .layers import LayerSpec, build_layer, infer_shape, spec_param_count
 class Sequential:
     """Ordered layer stack with cached-activation backprop."""
 
-    def __init__(self, specs: list[LayerSpec], rng: np.random.Generator):
-        self.specs = list(specs)
-        self.layers = [build_layer(s, rng) for s in self.specs]
+    def __init__(self, layers: list[L.Layer]):
+        self.layers = list(layers)
+
+    @classmethod
+    def build(cls, specs: list[LayerSpec], rng: np.random.Generator) -> "Sequential":
+        return cls([build_layer(s, rng) for s in specs])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         for layer in self.layers:
@@ -65,7 +79,36 @@ class Sequential:
         return sum(layer.param_count() for layer in self.layers)
 
     def spec_dicts(self) -> list[dict]:
-        return [s.to_dict() for s in self.specs]
+        return [layer.spec.to_dict() for layer in self.layers]
+
+
+def fold_batchnorm(model: Sequential) -> Sequential:
+    """An inference-only model computing model's inference forward pass with
+    every convolution -> batch norm pair merged into one convolution.
+
+    A merged pair becomes a new layer instance, never a copy of the old one,
+    so nothing set on the old instances (such as a wrapper around their
+    ``forward``) carries over with the old weights. Every other layer is
+    shared with model. A merged layer holds the weights as they stand at the
+    call, so a fold is stale once model's state changes.
+    """
+    layers: list[L.Layer] = []
+    for layer in model.layers:
+        if (isinstance(layer, L.BatchNorm) and layers
+                and isinstance(layers[-1], (L.Conv1D, L.ConvTranspose1D))):
+            layers[-1] = _merge(layers[-1], layer)
+        else:
+            layers.append(layer)
+    return Sequential(layers)
+
+
+def _merge(conv: L.Layer, bn: L.BatchNorm) -> L.Layer:
+    scale = bn.gamma / np.sqrt(bn.running_var + bn.EPS)
+    # a fresh instance of conv's class; its initial weights are replaced
+    merged = build_layer(conv.spec, np.random.default_rng(0))
+    merged.w = conv.w * scale
+    merged.b = (conv.b - bn.running_mean) * scale + bn.beta
+    return merged
 
 
 @dataclass(frozen=True)
@@ -92,10 +135,10 @@ class AutoencoderSpec:
                 f"decoder emits {out_shape}, expected input shape {self.input_shape}")
 
     def build_encoder(self, rng: np.random.Generator) -> Sequential:
-        return Sequential(list(self.encoder), rng)
+        return Sequential.build(self.encoder, rng)
 
     def build_decoder(self, rng: np.random.Generator) -> Sequential:
-        return Sequential(list(self.decoder), rng)
+        return Sequential.build(self.decoder, rng)
 
     def encoder_param_count(self) -> int:
         return spec_param_count(list(self.encoder))

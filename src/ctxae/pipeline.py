@@ -161,6 +161,22 @@ def stage_build(cfg: RunConfig) -> dict:
     return summary
 
 
+def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
+                               kinds: tuple[str, ...]) -> None:
+    """Refuse to start moe or gcae on a split that leaves a trained context
+    without validation windows: moe early-stops and the gcae grouping
+    compares contexts on them. The vessel split ignores context, so a small
+    fleet can leave one out."""
+    needs = [kind for kind in kinds if kind in ("moe", "gcae")]
+    missing = sorted(set(split.train_contexts) - set(split.val.context_id.tolist()))
+    if needs and missing:
+        raise ConfigError(
+            f"contexts {missing} have training windows but no validation windows "
+            f"under split ratios {list(cfg.dataset.ratios)} (train, val, test); "
+            f"{' and '.join(needs)} need validation windows in every trained "
+            "context: add vessels or raise the validation share")
+
+
 def _load_split(cfg: RunConfig) -> DatasetSplit:
     split, _ = load_dataset(_paths(cfg)["dataset"])
     return split
@@ -187,6 +203,7 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     if kind == "ae":
         det = detectors.train_ae(split, spec, train_cfg)
     elif kind == "moe":
+        _check_validation_coverage(cfg, split, ("moe",))
         det = detectors.train_moe(split, spec, train_cfg)
     elif kind == "cae":
         det = detectors.train_cae(split, spec, train_cfg)
@@ -265,6 +282,7 @@ def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
     det = _load_detector(cfg, "cae", split)
+    _check_validation_coverage(cfg, split, ("gcae",))
     if det.thresholds is None:
         raise MissingArtifact("grouping with per-context caps needs fitted "
                               "cae thresholds; run the thresholds stage first")
@@ -500,6 +518,7 @@ def run_all(cfg: RunConfig) -> dict:
         stage_simulate(cfg)
     stage_ingest(cfg)
     stage_build(cfg)
+    _check_validation_coverage(cfg, _load_split(cfg), cfg.models)
     base = [k for k in cfg.models if k != "gcae"]
     for kind in base:
         stage_train(cfg, kind)

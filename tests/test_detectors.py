@@ -1,5 +1,7 @@
 """Detector variants: parameter identities, routing, thresholds, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -269,9 +271,9 @@ def test_score_mixed_equals_per_context_scoring(rng, monkeypatch, kind, batch_si
 
 
 def _count_passes(monkeypatch, det):
-    """Rows per forward pass, keyed by ('enc' | 'dec', key)."""
-    names = {id(m): ("enc", k) for k, m in det.encoders.items()}
-    names.update({id(m): ("dec", k) for k, m in det.decoders.items()})
+    """Rows per forward pass of the scoring models, keyed by ('enc' | 'dec', key)."""
+    names = {id(m): ("enc", k) for k, m in det.scoring_encoders.items()}
+    names.update({id(m): ("dec", k) for k, m in det.scoring_decoders.items()})
     passes: dict[tuple[str, int], list[int]] = {}
     forward = Sequential.forward
 
@@ -319,6 +321,90 @@ def test_unrouted_context_is_refused_by_the_plan(rng, kind):
     for mode in ("context", "global"):
         with pytest.raises(UnroutedContext, match="context 9"):
             det.detect(x, cids, mode=mode)
+
+
+# --- the batch-norm fold -----------------------------------------------------------
+
+def _hard_state(det, seed=5):
+    """Give every stored model random float64 state (not float32-representable),
+    with negative batch-norm gammas and near-zero running variances, and
+    return a new Detector over those models, whose fold is built from it."""
+    rng = np.random.default_rng(seed)
+    for model in (*det.encoders.values(), *det.decoders.values()):
+        for layer in model.layers:
+            for a in layer.state():
+                a[...] = rng.normal(0.0, 0.5, a.shape)
+            if isinstance(layer, L.BatchNorm):
+                layer.running_var[...] = rng.uniform(0.5, 2.0, layer.channels)
+                layer.running_var[::3] = 1e-9
+                layer.gamma[::2] = -np.abs(layer.gamma[::2])
+    return replace(det)
+
+
+def _desk_detector(kind, seed=5):
+    return _hard_state(_untrained(kind, DESK, (0, 1, 2),
+                                  grouping=GROUPED if kind == "gcae" else None), seed)
+
+
+def _desk_batch(rng, kind):
+    cids = np.array([0] * 7 + [1] * 5 + [2] * 2 + ([7] * 3 if kind == "ae" else []))
+    cids = rng.permutation(cids)
+    return rng.normal(size=(cids.shape[0], 50, 6)), cids
+
+
+@pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
+def test_folded_scores_match_the_layer_by_layer_forward(rng, kind):
+    det = _desk_detector(kind)
+    for stored, scoring in ((det.encoders, det.scoring_encoders),
+                            (det.decoders, det.scoring_decoders)):
+        assert scoring.keys() == stored.keys()
+        for key, model in stored.items():
+            kinds = [layer.spec.kind for layer in model.layers]
+            assert "batchnorm" in kinds
+            assert ([layer.spec.kind for layer in scoring[key].layers]
+                    == [k for k in kinds if k != "batchnorm"])
+    x, cids = _desk_batch(rng, kind)
+    np.testing.assert_allclose(det.score_mixed(x, cids),
+                               _per_context_reference(det, x, cids),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["moe", "gcae"])
+def test_a_detector_scored_before_saving_scores_like_its_saved_copy(tmp_path, rng, kind):
+    x, cids = _desk_batch(rng, kind)
+    scored = _desk_detector(kind)
+    before = scored.score_mixed(x, cids)
+    save_detector(tmp_path / "scored", scored)
+    save_detector(tmp_path / "unscored", _desk_detector(kind))
+    np.testing.assert_array_equal(load_detector(tmp_path / "scored").score_mixed(x, cids),
+                                  before)
+    np.testing.assert_array_equal(scored.score_mixed(x, cids), before)
+    # the bundle's bytes do not depend on whether scoring ran first
+    files = sorted(p.name for p in (tmp_path / "scored").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "unscored").iterdir())
+    for name in files:
+        assert ((tmp_path / "scored" / name).read_bytes()
+                == (tmp_path / "unscored" / name).read_bytes()), name
+
+
+def _wrap_forwards(det):
+    """Give each stored layer an instance-level forward that closes over its
+    original bound method, as a tracing wrapper does."""
+    for model in (*det.encoders.values(), *det.decoders.values()):
+        for layer in model.layers:
+            def forward(x, training, _orig=layer.forward):
+                return _orig(x, training)
+            layer.forward = forward
+    return det
+
+
+@pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
+def test_the_fold_ignores_wrappers_on_the_stored_layers(rng, kind):
+    x, cids = _desk_batch(rng, kind)
+    plain = _desk_detector(kind)
+    # the wrappers are in place before the wrapped detector builds its fold
+    wrapped = replace(_wrap_forwards(_desk_detector(kind)))
+    np.testing.assert_array_equal(wrapped.score_mixed(x, cids), plain.score_mixed(x, cids))
 
 
 # --- thresholds and verdicts -------------------------------------------------------

@@ -249,6 +249,45 @@ def test_build_refuses_a_table_parsed_from_other_records(tmp_path):
     pipeline.stage_build(cfg)
 
 
+# six contexts x 8 vessels: the context-blind vessel split of seed 1 leaves
+# context 8 without validation windows
+SPARSE_FLEET = {
+    "synth": {
+        "messages_per_vessel": 800,
+        "ports": [[12.0, -40.0], [-8.0, -32.0], [4.0, -20.0]],
+        "contextual_rate": 0.1,
+        "collective_rate": 0.05,
+        "contexts": [
+            {"id": 0, "behavior": "transit", "vessels": 8, "falsify_to": "moored"},
+            {"id": 16, "behavior": "fishing_zigzag", "vessels": 8,
+             "falsify_to": "under_way_using_engine"},
+            {"id": 5, "behavior": "anchor_drift", "vessels": 8},
+            {"id": 12, "behavior": "moored", "vessels": 8},
+            {"id": 21, "behavior": "sailing", "vessels": 8},
+            {"id": 8, "behavior": "loiter", "vessels": 8},
+        ],
+    },
+}
+
+
+def test_moe_and_gcae_refuse_a_split_without_validation_windows_up_front(tmp_path):
+    out_dir = tmp_path / "run"
+    sparse = {**SPARSE_FLEET, "train": {"max_epochs": 2, "patience": 1, "batch_size": 128}}
+    cfg = config_from_dict(sparse, seed=1, out_dir=out_dir)
+    ratios = r"\[0\.6, 0\.2, 0\.2\]"
+    # a whole run fails before any model trains
+    with pytest.raises(ConfigError, match=rf"contexts \[8\] .*{ratios}.* moe and gcae"):
+        run_all(cfg)
+    assert not (out_dir / "models").exists()
+    with pytest.raises(ConfigError, match=rf"contexts \[8\] .*{ratios}.* moe need"):
+        pipeline.stage_train(cfg, "moe")
+    # the models that need no validation windows per context still train
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    with pytest.raises(ConfigError, match=r"contexts \[8\] .* gcae need"):
+        pipeline.stage_group(cfg)
+
+
 # every behaviour preset, contextual and collective injection, three ports
 GOLDEN_FLEET = {
     "synth": {
