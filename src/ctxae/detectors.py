@@ -16,13 +16,13 @@ ground truth.
 
 Scoring runs a pass plan, not a loop over contexts: the distinct contexts of
 a batch are routed once, rows are ordered by their (encoder, decoder) pair,
-and each encoder runs once per chunk of up to SCORE_BATCH (512) of its rows, each decoder
-once on its key's latent rows in that chunk. So ae makes two passes per
-batch whatever the contexts, gcae one encoder pass plus one per group
-present, and moe one pair per context. A score depends on the row count of
-the GEMMs that produced it at the ULP level (BLAS kernels differ below and
-above a few dozen rows), so the same window can score a few ULPs apart in
-batches of other sizes or mixes.
+and each encoder runs once per chunk of up to SCORE_BATCH (512) of its rows,
+each decoder once on its key's latent rows in that chunk. So ae makes two
+passes per batch whatever the contexts, gcae one encoder pass plus one per
+group present, and moe one pair per context. A score depends on the row
+count of the GEMMs that produced it at the ULP level (BLAS kernels differ
+below and above a few dozen rows), so the same window can score a few ULPs
+apart in batches of other sizes or mixes.
 
 The passes run folded scoring models (``net.fold_batchnorm``: each
 convolution -> batch norm pair merged into one convolution), built once when
@@ -53,14 +53,13 @@ from . import thresholds as th
 from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
-from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
-                  fold_batchnorm, load_checkpoint, mse_per_sample,
+from .net import (SCORE_BATCH, AutoencoderSpec, Sequential, TrainConfig,
+                  TrainReport, fold_batchnorm, load_checkpoint, mse_per_sample,
                   save_checkpoint, snap_to_storage_precision,
                   train_autoencoder, train_multi_decoder)
 
 SHARED = -1
 KINDS = ("ae", "moe", "cae", "gcae")
-SCORE_BATCH = 512     # rows per encoder pass, as in net.score_windows
 
 
 @dataclass
@@ -72,7 +71,6 @@ class Detector:
     decoders: dict[int, Sequential]
     grouping: dict[int, int] | None = None     # context -> decoder key (gcae)
     thresholds: th.ThresholdTable | None = None
-    norm_stats_hash: str | None = None
     reports: dict[str, TrainReport] = field(default_factory=dict)
     # what score_mixed runs: the stored models folded (see the module doc)
     scoring_encoders: dict[int, Sequential] = field(init=False, repr=False, compare=False)
@@ -299,7 +297,6 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
         "grouping": ({str(c): g for c, g in detector.grouping.items()}
                      if detector.grouping else None),
         "spec": detector.spec.to_dict(),
-        "norm_stats_hash": detector.norm_stats_hash,
         "encoders": {str(k): _ckpt_name("encoder", k) for k in detector.encoders},
         "decoders": {str(k): _ckpt_name("decoder", k) for k in detector.decoders},
         "training": {
@@ -347,5 +344,4 @@ def load_detector(bundle_dir: Path) -> Detector:
         decoders=decoders,
         grouping={int(c): g for c, g in grouping.items()} if grouping else None,
         thresholds=table,
-        norm_stats_hash=manifest.get("norm_stats_hash"),
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataset
 from .errors import NonAnomalyInSet
 from .thresholds import ThresholdTable
 
@@ -138,7 +139,8 @@ def severity(scores: np.ndarray, taus: np.ndarray, bins: int = 20) -> SeveritySt
                          hist_counts=counts, hist_edges=edges)
 
 
-TRUTH_KINDS = ("contextual", "collective", "point")
+# the injected kinds, each scored for recall; "none" marks a clean window
+TRUTH_KINDS = tuple(k for k in dataset.TRUTH_KINDS if k != "none")
 
 
 @dataclass

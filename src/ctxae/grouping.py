@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .detectors import SHARED
 from .errors import ConfigError, EmptyValidationSet, SingleContext
+from .net import SCORE_BATCH, mse_per_sample
 from .thresholds import ThresholdTable
 
 DISTINCT = "distinct"
@@ -50,16 +52,12 @@ class LossMatrix:
         return np.diagonal(self.values)
 
 
-def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray],
-                      batch_size: int = 512) -> LossMatrix:
+def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray]) -> LossMatrix:
     """Run every context's validation windows through every decoder.
 
     The shared encoder runs once per context; each decoder then reconstructs
     the same latents.
     """
-    from .detectors import SHARED
-    from .net import mse_per_sample
-
     context_ids = tuple(sorted(cae_detector.decoders))
     for cid in context_ids:
         if val_by_context.get(cid) is None or val_by_context[cid].shape[0] == 0:
@@ -73,8 +71,8 @@ def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray],
         x = val_by_context[cid]
         counts[col] = x.shape[0]
         sums = np.zeros(n)
-        for start in range(0, x.shape[0], batch_size):
-            batch = x[start:start + batch_size]
+        for start in range(0, x.shape[0], SCORE_BATCH):
+            batch = x[start:start + SCORE_BATCH]
             z = enc.forward(batch, training=False)
             for row, did in enumerate(context_ids):
                 x_hat = cae_detector.decoders[did].forward(z, training=False)

@@ -11,21 +11,18 @@ from .layers import (
     MaxPool1D,
     UpsampleNearest,
     build_layer,
-    infer_shape,
-    spec_param_count,
 )
 from .model import (AutoencoderSpec, Sequential, default_autoencoder_spec,
                     fold_batchnorm, mse_per_sample)
-from .training import (Adam, TrainConfig, TrainReport, evaluate_loss,
+from .training import (SCORE_BATCH, Adam, TrainConfig, TrainReport, evaluate_loss,
                        score_windows, train_autoencoder, train_multi_decoder)
 from .checkpoint import load_checkpoint, save_checkpoint, snap_to_storage_precision
 
 __all__ = [
     "Activation", "BatchNorm", "Conv1D", "ConvTranspose1D", "Dense", "Layer",
-    "LayerSpec", "MaxPool1D", "UpsampleNearest", "build_layer", "infer_shape",
-    "spec_param_count", "AutoencoderSpec", "Sequential",
-    "default_autoencoder_spec", "fold_batchnorm", "mse_per_sample", "Adam", "TrainConfig",
-    "TrainReport", "evaluate_loss", "score_windows", "train_autoencoder",
-    "train_multi_decoder", "load_checkpoint", "save_checkpoint",
-    "snap_to_storage_precision",
+    "LayerSpec", "MaxPool1D", "UpsampleNearest", "build_layer",
+    "AutoencoderSpec", "Sequential", "default_autoencoder_spec", "fold_batchnorm",
+    "mse_per_sample", "SCORE_BATCH", "Adam", "TrainConfig", "TrainReport",
+    "evaluate_loss", "score_windows", "train_autoencoder", "train_multi_decoder",
+    "load_checkpoint", "save_checkpoint", "snap_to_storage_precision",
 ]

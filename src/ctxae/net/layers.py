@@ -16,10 +16,18 @@ so it returns the same bits, with two exceptions. A masked-out gradient may
 be -0.0 where the textbook form wrote 0.0. ReLU maps NaN to NaN where the
 textbook form gave 0.0, and max pooling routes no gradient into a window
 whose maximum is NaN.
+
+Each layer class is the one description of its kind. Its constructor reads
+the spec's arguments and allocates its state; its ``forward`` raises
+ShapeMismatch on an input it cannot take, so the output of ``forward`` is
+the kind's shape rule; and its size (``param_count``) is the element count
+of its ``state()``. A chain is validated by running it (see
+``AutoencoderSpec``), not by a second set of shape rules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +111,8 @@ class Layer:
         return self.params() + self.buffers()
 
     def param_count(self) -> int:
-        return 0
+        """Trained parameters plus buffers: the element count of state()."""
+        return sum(a.size for a in self.state())
 
     def zero_grads(self) -> None:
         for g in self.grads():
@@ -116,7 +125,9 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv1D(Layer):
+class Conv(Layer):
+    """State shared by Conv1D and ConvTranspose1D: taps (k, c_in, c_out), bias."""
+
     def __init__(self, spec: LayerSpec, rng: np.random.Generator):
         self.spec = spec
         self.c_in = spec.args["in_channels"]
@@ -135,9 +146,8 @@ class Conv1D(Layer):
     def grads(self):
         return [self.dw, self.db]
 
-    def param_count(self) -> int:
-        return self.k * self.c_in * self.c_out + self.c_out
 
+class Conv1D(Conv):
     def forward(self, x, training):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ShapeMismatch(f"conv1d expected (b, L, {self.c_in}), got {x.shape}")
@@ -166,28 +176,7 @@ class Conv1D(Layer):
         return dx
 
 
-class ConvTranspose1D(Layer):
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.c_in = spec.args["in_channels"]
-        self.c_out = spec.args["out_channels"]
-        self.k = spec.args["kernel"]
-        limit = np.sqrt(6.0 / (self.k * self.c_in + self.k * self.c_out))
-        self.w = rng.uniform(-limit, limit, size=(self.k, self.c_in, self.c_out))
-        self.b = np.zeros(self.c_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._x: np.ndarray | None = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-    def param_count(self) -> int:
-        return self.k * self.c_in * self.c_out + self.c_out
-
+class ConvTranspose1D(Conv):
     def forward(self, x, training):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ShapeMismatch(f"conv1d_transpose expected (b, L, {self.c_in}), got {x.shape}")
@@ -232,7 +221,7 @@ class MaxPool1D(Layer):
     routes the gradient where ``argmax`` would.
     """
 
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
         self.spec = spec
         self.pool = spec.args["pool"]
         self._mask: np.ndarray | None = None
@@ -262,7 +251,7 @@ class MaxPool1D(Layer):
 
 
 class UpsampleNearest(Layer):
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
         self.spec = spec
         self.factor = spec.args["factor"]
 
@@ -295,7 +284,7 @@ class BatchNorm(Layer):
     MOMENTUM = 0.9
     EPS = 1e-5
 
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
         self.spec = spec
         c = spec.args["channels"]
         self.channels = c
@@ -316,13 +305,9 @@ class BatchNorm(Layer):
     def buffers(self):
         return [self.running_mean, self.running_var]
 
-    def param_count(self) -> int:
-        # affine pair plus the two running-stat vectors
-        return 4 * self.channels
-
     def forward(self, x, training):
-        if x.shape[2] != self.channels:
-            raise ShapeMismatch(f"batchnorm expected {self.channels} channels, got {x.shape}")
+        if x.ndim != 3 or x.shape[2] != self.channels:
+            raise ShapeMismatch(f"batchnorm expected (b, L, {self.channels}), got {x.shape}")
         if not training:
             y = x - self.running_mean
             y *= 1.0 / np.sqrt(self.running_var + self.EPS)
@@ -370,6 +355,9 @@ class Dense(Layer):
         self.n_in = spec.args["in_units"]
         self.n_out = spec.args["out_units"]
         self.out_shape = tuple(spec.args["out_shape"]) if "out_shape" in spec.args else None
+        if self.out_shape is not None and math.prod(self.out_shape) != self.n_out:
+            raise ShapeMismatch(f"dense out_shape {self.out_shape} does not hold "
+                                f"{self.n_out} units")
         limit = np.sqrt(6.0 / (self.n_in + self.n_out))
         self.w = rng.uniform(-limit, limit, size=(self.n_in, self.n_out))
         self.b = np.zeros(self.n_out)
@@ -383,9 +371,6 @@ class Dense(Layer):
 
     def grads(self):
         return [self.dw, self.db]
-
-    def param_count(self) -> int:
-        return self.n_in * self.n_out + self.n_out
 
     def forward(self, x, training):
         x2d = x.reshape(x.shape[0], -1)
@@ -407,7 +392,7 @@ class Dense(Layer):
 
 
 class Activation(Layer):
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
         self.spec = spec
         if spec.args["fn"] != "relu":
             raise ValueError(f"unsupported activation {spec.args['fn']!r}")
@@ -422,87 +407,18 @@ class Activation(Layer):
         return np.multiply(dy, self._mask)
 
 
+LAYER_CLASSES: dict[str, type[Layer]] = {
+    "conv1d": Conv1D,
+    "conv1d_transpose": ConvTranspose1D,
+    "maxpool": MaxPool1D,
+    "upsample": UpsampleNearest,
+    "batchnorm": BatchNorm,
+    "dense": Dense,
+    "activation": Activation,
+}
+
+
 def build_layer(spec: LayerSpec, rng: np.random.Generator) -> Layer:
-    kind = spec.kind
-    if kind == "conv1d":
-        return Conv1D(spec, rng)
-    if kind == "conv1d_transpose":
-        return ConvTranspose1D(spec, rng)
-    if kind == "maxpool":
-        return MaxPool1D(spec)
-    if kind == "upsample":
-        return UpsampleNearest(spec)
-    if kind == "batchnorm":
-        return BatchNorm(spec)
-    if kind == "dense":
-        return Dense(spec, rng)
-    if kind == "activation":
-        return Activation(spec)
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
-def infer_shape(input_shape: tuple[int, int] | int, specs: list[LayerSpec]):
-    """Propagate a (length, channels) or flat-unit shape through layer specs.
-
-    Raises ShapeMismatch on an inconsistent chain.
-    """
-    shape = input_shape
-    for spec in specs:
-        kind = spec.kind
-        if kind == "conv1d" or kind == "conv1d_transpose":
-            if not isinstance(shape, tuple):
-                raise ShapeMismatch(f"{kind} needs a (length, channels) input, got {shape}")
-            length, channels = shape
-            if channels != spec.args["in_channels"]:
-                raise ShapeMismatch(
-                    f"{kind} expects {spec.args['in_channels']} channels, chain has {channels}")
-            k = spec.args["kernel"]
-            if kind == "conv1d":
-                if length < k:
-                    raise ShapeMismatch(f"conv1d length {length} < kernel {k}")
-                shape = (length - k + 1, spec.args["out_channels"])
-            else:
-                shape = (length + k - 1, spec.args["out_channels"])
-        elif kind == "maxpool":
-            length, channels = shape
-            shape = (length // spec.args["pool"], channels)
-        elif kind == "upsample":
-            length, channels = shape
-            shape = (length * spec.args["factor"], channels)
-        elif kind == "batchnorm":
-            length, channels = shape
-            if channels != spec.args["channels"]:
-                raise ShapeMismatch(
-                    f"batchnorm expects {spec.args['channels']} channels, chain has {channels}")
-        elif kind == "dense":
-            units = shape[0] * shape[1] if isinstance(shape, tuple) else shape
-            if units != spec.args["in_units"]:
-                raise ShapeMismatch(
-                    f"dense expects {spec.args['in_units']} inputs, chain has {units}")
-            if "out_shape" in spec.args:
-                out = spec.args["out_shape"]
-                if out[0] * out[1] != spec.args["out_units"]:
-                    raise ShapeMismatch("dense out_shape does not match out_units")
-                shape = (out[0], out[1])
-            else:
-                shape = spec.args["out_units"]
-        elif kind == "activation":
-            pass
-        else:
-            raise ShapeMismatch(f"unknown layer kind {kind!r}")
-    return shape
-
-
-def spec_param_count(specs: list[LayerSpec]) -> int:
-    """Closed-form parameter count of a layer chain."""
-    total = 0
-    for spec in specs:
-        kind = spec.kind
-        if kind in ("conv1d", "conv1d_transpose"):
-            total += spec.args["kernel"] * spec.args["in_channels"] * spec.args["out_channels"]
-            total += spec.args["out_channels"]
-        elif kind == "batchnorm":
-            total += 4 * spec.args["channels"]
-        elif kind == "dense":
-            total += spec.args["in_units"] * spec.args["out_units"] + spec.args["out_units"]
-    return total
+    if spec.kind not in LAYER_CLASSES:
+        raise ValueError(f"unknown layer kind {spec.kind!r}")
+    return LAYER_CLASSES[spec.kind](spec, rng)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from . import layers as L
-from .layers import LayerSpec, build_layer, infer_shape, spec_param_count
+from .layers import LayerSpec, build_layer
 
 
 class Sequential:
@@ -43,16 +43,10 @@ class Sequential:
         return dy
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [a for layer in self.layers for a in layer.params()]
 
     def grads(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        return [a for layer in self.layers for a in layer.grads()]
 
     def zero_grads(self) -> None:
         for layer in self.layers:
@@ -60,10 +54,7 @@ class Sequential:
 
     def state(self) -> list[np.ndarray]:
         """Every state array (params then buffers, per layer, in order)."""
-        out = []
-        for layer in self.layers:
-            out.extend(layer.state())
-        return out
+        return [a for layer in self.layers for a in layer.state()]
 
     def snapshot(self) -> list[np.ndarray]:
         return [a.copy() for a in self.state()]
@@ -95,14 +86,14 @@ def fold_batchnorm(model: Sequential) -> Sequential:
     layers: list[L.Layer] = []
     for layer in model.layers:
         if (isinstance(layer, L.BatchNorm) and layers
-                and isinstance(layers[-1], (L.Conv1D, L.ConvTranspose1D))):
+                and isinstance(layers[-1], L.Conv)):
             layers[-1] = _merge(layers[-1], layer)
         else:
             layers.append(layer)
     return Sequential(layers)
 
 
-def _merge(conv: L.Layer, bn: L.BatchNorm) -> L.Layer:
+def _merge(conv: L.Conv, bn: L.BatchNorm) -> L.Conv:
     scale = bn.gamma / np.sqrt(bn.running_var + bn.EPS)
     # a fresh instance of conv's class; its initial weights are replaced
     merged = build_layer(conv.spec, np.random.default_rng(0))
@@ -115,8 +106,10 @@ def _merge(conv: L.Layer, bn: L.BatchNorm) -> L.Layer:
 class AutoencoderSpec:
     """Input shape, encoder chain, latent width, decoder chain.
 
-    The chain is validated end to end: encoder must emit ``latent`` units and
-    the decoder must restore the input shape exactly.
+    The chain is validated end to end by running one zero window through
+    it, so each layer's own input check refuses a mismatched chain: the
+    encoder must emit ``latent`` units and the decoder must restore the
+    input shape exactly.
     """
 
     input_shape: tuple[int, int]
@@ -125,11 +118,14 @@ class AutoencoderSpec:
     decoder: tuple[LayerSpec, ...]
 
     def __post_init__(self):
-        latent_shape = infer_shape(self.input_shape, list(self.encoder))
-        if latent_shape != self.latent:
+        # Sequential.build, not build_encoder/build_decoder, so that nothing
+        # hooked on those (such as a tracer) sees these throwaway models
+        rng = np.random.default_rng(0)
+        z = Sequential.build(self.encoder, rng).forward(np.zeros((1, *self.input_shape)))
+        if z.shape[1:] != (self.latent,):
             raise ShapeMismatch(
-                f"encoder emits {latent_shape}, expected latent size {self.latent}")
-        out_shape = infer_shape(self.latent, list(self.decoder))
+                f"encoder emits {z.shape[1:]}, expected latent size {self.latent}")
+        out_shape = Sequential.build(self.decoder, rng).forward(z).shape[1:]
         if out_shape != self.input_shape:
             raise ShapeMismatch(
                 f"decoder emits {out_shape}, expected input shape {self.input_shape}")
@@ -139,12 +135,6 @@ class AutoencoderSpec:
 
     def build_decoder(self, rng: np.random.Generator) -> Sequential:
         return Sequential.build(self.decoder, rng)
-
-    def encoder_param_count(self) -> int:
-        return spec_param_count(list(self.encoder))
-
-    def decoder_param_count(self) -> int:
-        return spec_param_count(list(self.decoder))
 
     def to_dict(self) -> dict:
         return {

@@ -22,6 +22,8 @@ import numpy as np
 from ..errors import EmptyTrainingSet, NonFiniteLoss
 from .model import Sequential, mse_per_sample
 
+SCORE_BATCH = 512     # rows per inference pass wherever windows are scored
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -118,21 +120,19 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     return loss
 
 
-def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray,
-                  batch_size: int = 512) -> np.ndarray:
+def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray) -> np.ndarray:
     """Per-window reconstruction loss in inference mode; shape (n,)."""
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
-        batch = x[start:start + batch_size]
+    for start in range(0, x.shape[0], SCORE_BATCH):
+        batch = x[start:start + SCORE_BATCH]
         x_hat = decoder.forward(encoder.forward(batch, training=False), training=False)
         out[start:start + batch.shape[0]] = mse_per_sample(batch, x_hat)
     return out
 
 
-def evaluate_loss(encoder: Sequential, decoder: Sequential, x: np.ndarray,
-                  batch_size: int = 512) -> float:
+def evaluate_loss(encoder: Sequential, decoder: Sequential, x: np.ndarray) -> float:
     """Unweighted mean per-sample MSE in inference mode."""
-    return float(score_windows(encoder, decoder, x, batch_size).mean())
+    return float(score_windows(encoder, decoder, x).mean())
 
 
 def _train(encoder: Sequential, decoders: dict[int, Sequential],

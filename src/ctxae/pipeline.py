@@ -8,8 +8,7 @@ One staleness rule: a stage refuses an artifact whose producer's manifest is
 missing, or which is itself missing (MissingArtifact), or whose manifest
 records other bytes for it or for one of its inputs than the files now hold
 (ConfigError naming both sha256 values); manifest.check_inputs is the one
-place that checks it. Detector bundles are checked instead by the
-norm_stats_hash they store, which holds exactly while the train split does.
+place that checks it.
 """
 
 from __future__ import annotations
@@ -212,7 +211,6 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
         result = grouping.load_grouping(inputs["grouping"])
         det = detectors.train_gcae(split, spec, train_cfg, result.as_map())
 
-    det.norm_stats_hash = split.norm_stats.content_hash()
     out_dir = _model_dir(cfg, kind)
     detectors.save_detector(out_dir, det)
     summary = {
@@ -230,21 +228,20 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     return summary
 
 
-def _load_detector(cfg: RunConfig, kind: str, split: DatasetSplit) -> detectors.Detector:
-    """Load a trained bundle; refuse one trained on other normalisation stats."""
-    det = detectors.load_detector(_model_dir(cfg, kind))
-    expected = split.norm_stats.content_hash()
-    if det.norm_stats_hash != expected:
-        raise ConfigError(
-            f"{kind} detector was trained on norm_stats_hash {det.norm_stats_hash}, "
-            f"but the dataset has {expected}; retrain {kind}")
+def _load_detector(cfg: RunConfig, kind: str) -> detectors.Detector:
+    """Load a trained bundle; refuse one its train manifest does not describe
+    or that was trained on another dataset."""
+    model_dir = _model_dir(cfg, kind)
+    det = detectors.load_detector(model_dir)
+    check_inputs(model_dir, "train", {"dataset": _paths(cfg)["dataset"] / "header.json"},
+                 {"detector.json": model_dir / "detector.json"}, f"retrain {kind}")
     return det
 
 
 def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind, split)
+    det = _load_detector(cfg, kind)
     table = detectors.fit_detector_thresholds(det, split,
                                               cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
@@ -281,7 +278,7 @@ def _checked_grouping(cfg: RunConfig) -> Path:
 def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, "cae", split)
+    det = _load_detector(cfg, "cae")
     _check_validation_coverage(cfg, split, ("gcae",))
     if det.thresholds is None:
         raise MissingArtifact("grouping with per-context caps needs fitted "
@@ -326,7 +323,7 @@ def _detect_inputs(cfg: RunConfig, kind: str) -> dict[str, Path]:
 def stage_detect(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind, split)
+    det = _load_detector(cfg, kind)
     if det.thresholds is None:
         raise MissingArtifact(f"{kind} bundle has no thresholds; "
                               "run the thresholds stage first")

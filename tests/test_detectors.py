@@ -18,8 +18,8 @@ from ctxae.net import layers as L
 from ctxae.net.model import AutoencoderSpec, Sequential
 
 DESK = default_autoencoder_spec()
-E = DESK.encoder_param_count()
-D = DESK.decoder_param_count()
+E = DESK.build_encoder(np.random.default_rng(0)).param_count()
+D = DESK.build_decoder(np.random.default_rng(0)).param_count()
 
 
 def _toy_spec(window_len=10, channels=2, latent=4) -> AutoencoderSpec:

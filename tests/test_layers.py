@@ -11,6 +11,7 @@ cases at the end require exact equality with the textbook forms.
 import numpy as np
 import pytest
 
+from ctxae.errors import ShapeMismatch
 from ctxae.net.layers import (
     LayerSpec,
     batchnorm,
@@ -18,11 +19,11 @@ from ctxae.net.layers import (
     conv1d,
     conv1d_transpose,
     dense,
-    infer_shape,
     maxpool,
     relu,
     upsample,
 )
+from ctxae.net.model import AutoencoderSpec, Sequential
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
@@ -178,18 +179,57 @@ def test_maxpool_of_a_nan_window_is_nan_and_routes_no_gradient():
 def test_param_counts(spec, count):
     layer = build_layer(spec, np.random.default_rng(0))
     assert layer.param_count() == count
+    assert layer.param_count() == sum(a.size for a in layer.state())
 
 
-def test_infer_shape_desk_encoder_chain():
+def test_desk_encoder_chain_shape():
     specs = [conv1d(6, 16, 3), maxpool(2), conv1d(16, 32, 3), maxpool(2)]
-    assert infer_shape((50, 6), specs) == (11, 32)
+    model = Sequential.build(specs, np.random.default_rng(0))
+    assert model.forward(np.zeros((2, 50, 6))).shape == (2, 11, 32)
 
 
-def test_infer_shape_rejects_channel_mismatch():
-    from ctxae.errors import ShapeMismatch
-
+def test_a_chain_with_a_channel_mismatch_is_refused():
+    model = Sequential.build([conv1d(4, 16, 3)], np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
-        infer_shape((50, 6), [conv1d(4, 16, 3)])
+        model.forward(np.zeros((1, 50, 6)))
+
+
+# a valid (10, 2) -> 4 -> (10, 2) chain; each case below breaks one link
+_ENCODER = (conv1d(2, 3, 3), batchnorm(3), relu(), dense(24, 4))
+_DECODER = (dense(4, 24, out_shape=(8, 3)), relu(), batchnorm(3),
+            conv1d_transpose(3, 2, 3))
+
+
+def _spec(encoder=_ENCODER, decoder=_DECODER, latent=4) -> AutoencoderSpec:
+    return AutoencoderSpec(input_shape=(10, 2), encoder=tuple(encoder),
+                           latent=latent, decoder=tuple(decoder))
+
+
+def test_the_reference_chain_is_valid():
+    assert _spec().latent == 4
+
+
+@pytest.mark.parametrize("broken", [
+    dict(encoder=(conv1d(3, 3, 3), batchnorm(3), relu(), dense(24, 4))),
+    dict(decoder=_DECODER[:3] + (conv1d_transpose(4, 2, 3),)),
+    dict(encoder=(conv1d(2, 3, 3), batchnorm(4), relu(), dense(24, 4))),
+    dict(decoder=(dense(4, 24, out_shape=(8, 3)), relu(), batchnorm(2),
+                  conv1d_transpose(3, 2, 3))),
+    dict(encoder=(conv1d(2, 3, 11), relu(), dense(0, 4))),
+    dict(encoder=_ENCODER[:3] + (dense(25, 4),)),
+    dict(decoder=(dense(5, 24, out_shape=(8, 3)),) + _DECODER[1:]),
+    dict(decoder=(dense(4, 24, out_shape=(8, 4)),) + _DECODER[1:]),
+    dict(latent=5),
+    dict(encoder=_ENCODER[:3]),
+    dict(decoder=_DECODER[:3] + (conv1d_transpose(3, 2, 2),)),
+    dict(decoder=_DECODER[:3] + (conv1d_transpose(3, 3, 3),)),
+], ids=["conv-channels", "transposed-conv-channels", "encoder-batchnorm-channels",
+        "decoder-batchnorm-channels", "conv-shorter-than-kernel", "dense-in-units",
+        "decoder-dense-in-units", "out-shape-vs-out-units", "wrong-latent",
+        "encoder-emits-no-latent", "wrong-output-length", "wrong-output-channels"])
+def test_autoencoder_spec_refuses_a_broken_chain(broken):
+    with pytest.raises(ShapeMismatch):
+        _spec(**broken)
 
 
 def test_conv1d_forward_matches_loop_oracle():

@@ -65,24 +65,23 @@ def test_mse_matches_loop_oracle(rng):
     assert abs(got.mean() - total / 60.0) < 1e-9
 
 
-def test_score_windows_matches_per_sample_mse(rng):
+def test_score_windows_matches_per_sample_mse(rng, monkeypatch):
     spec = _toy_spec()
     enc, dec = _build_pair(spec)
     x = _toy_data(rng, n=10)
-    scores = score_windows(enc, dec, x, batch_size=3)
+    monkeypatch.setattr(training_mod, "SCORE_BATCH", 3)
+    scores = score_windows(enc, dec, x)
     x_hat = dec.forward(enc.forward(x, training=False), training=False)
     assert np.allclose(scores, mse_per_sample(x, x_hat), atol=1e-12)
-    assert abs(evaluate_loss(enc, dec, x, batch_size=4) - scores.mean()) < 1e-9
+    monkeypatch.setattr(training_mod, "SCORE_BATCH", 4)
+    assert abs(evaluate_loss(enc, dec, x) - scores.mean()) < 1e-9
 
 
 def test_desk_architecture_parameter_counts():
-    spec = default_autoencoder_spec()
-    assert spec.encoder_param_count() == ENCODER_PARAMS
-    assert spec.decoder_param_count() == DECODER_PARAMS
-    assert spec.encoder_param_count() + spec.decoder_param_count() == 57_201
-    enc, dec = _build_pair(spec)
+    enc, dec = _build_pair(default_autoencoder_spec())
     assert enc.param_count() == ENCODER_PARAMS
     assert dec.param_count() == DECODER_PARAMS
+    assert enc.param_count() + dec.param_count() == 57_201
 
 
 def test_training_reduces_loss_and_restores_best(rng):
