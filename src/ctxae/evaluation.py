@@ -1,5 +1,14 @@
 """Confusion, overlap, severity, and ground-truth metrics over scored windows.
 
+Each metric is a function returning the dict that evaluation.json holds. A
+model's entry under "models" has the keys mode ("global" for ae, else
+"context": whose verdicts the rest count), windows, confusion (cells gn_cn,
+gn_ca, ga_cn, ga_ca of global by context verdict, global_totals,
+context_totals, grand_total), truth (per_kind, clean_total, clean_flagged,
+flagged_total, false_positive_rate), severity (count, mean, median,
+hist_counts, hist_edges) and fpr_by_context; "overlap" has sizes and
+intersections (models, count, pct_of_first, pct_of_second).
+
 Anomaly identity is the (mmsi, window start timestamp) pair so sets from
 different models intersect without shared row indices. All exports are
 sorted and timestamp-free, so re-running a pipeline reproduces the report
@@ -9,7 +18,6 @@ files byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,111 +26,41 @@ from . import dataset
 from .errors import NonAnomalyInSet
 from .thresholds import ThresholdTable
 
-AnomalyId = tuple[int, int]
 
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
+def confusion(global_verdicts: np.ndarray, context_verdicts: np.ndarray) -> dict:
     """Rows: global-threshold verdict; columns: context-threshold verdict."""
-
-    gn_cn: int
-    gn_ca: int
-    ga_cn: int
-    ga_ca: int
-
-    @classmethod
-    def from_verdicts(cls, global_verdicts: np.ndarray,
-                      context_verdicts: np.ndarray) -> "ConfusionMatrix":
-        g = np.asarray(global_verdicts, dtype=bool)
-        c = np.asarray(context_verdicts, dtype=bool)
-        if g.shape != c.shape:
-            raise ValueError("verdict arrays must align")
-        return cls(
-            gn_cn=int((~g & ~c).sum()),
-            gn_ca=int((~g & c).sum()),
-            ga_cn=int((g & ~c).sum()),
-            ga_ca=int((g & c).sum()),
-        )
-
-    @property
-    def global_normal_total(self) -> int:
-        return self.gn_cn + self.gn_ca
-
-    @property
-    def global_anomaly_total(self) -> int:
-        return self.ga_cn + self.ga_ca
-
-    @property
-    def context_normal_total(self) -> int:
-        return self.gn_cn + self.ga_cn
-
-    @property
-    def context_anomaly_total(self) -> int:
-        return self.gn_ca + self.ga_ca
-
-    @property
-    def grand_total(self) -> int:
-        return self.gn_cn + self.gn_ca + self.ga_cn + self.ga_ca
-
-    def to_dict(self) -> dict:
-        return {
-            "cells": {"gn_cn": self.gn_cn, "gn_ca": self.gn_ca,
-                      "ga_cn": self.ga_cn, "ga_ca": self.ga_ca},
-            "global_totals": [self.global_normal_total, self.global_anomaly_total],
-            "context_totals": [self.context_normal_total, self.context_anomaly_total],
-            "grand_total": self.grand_total,
-        }
+    g = np.asarray(global_verdicts, dtype=bool)
+    c = np.asarray(context_verdicts, dtype=bool)
+    if g.shape != c.shape:
+        raise ValueError("verdict arrays must align")
+    gn_cn, gn_ca = int((~g & ~c).sum()), int((~g & c).sum())
+    ga_cn, ga_ca = int((g & ~c).sum()), int((g & c).sum())
+    return {
+        "cells": {"gn_cn": gn_cn, "gn_ca": gn_ca, "ga_cn": ga_cn, "ga_ca": ga_ca},
+        "global_totals": [gn_cn + gn_ca, ga_cn + ga_ca],
+        "context_totals": [gn_cn + ga_cn, gn_ca + ga_ca],
+        "grand_total": gn_cn + gn_ca + ga_cn + ga_ca,
+    }
 
 
-@dataclass
-class OverlapReport:
-    sizes: dict[str, int]
-    intersections: dict[tuple[str, str], int]
-
-    @classmethod
-    def from_sets(cls, sets: dict[str, set]) -> "OverlapReport":
-        names = sorted(sets)
-        sizes = {name: len(sets[name]) for name in names}
-        inter = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                inter[(a, b)] = len(sets[a] & sets[b])
-        return cls(sizes=sizes, intersections=inter)
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": dict(sorted(self.sizes.items())),
-            "intersections": [
-                {"models": list(pair), "count": n,
-                 "pct_of_first": None if self.sizes[pair[0]] == 0
-                 else n / self.sizes[pair[0]],
-                 "pct_of_second": None if self.sizes[pair[1]] == 0
-                 else n / self.sizes[pair[1]]}
-                for pair, n in sorted(self.intersections.items())
-            ],
-        }
+def overlap(sets: dict[str, set]) -> dict:
+    """Set sizes and pairwise intersections, also as shares of either set."""
+    names = sorted(sets)
+    sizes = {name: len(sets[name]) for name in names}
+    intersections = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            n = len(sets[a] & sets[b])
+            intersections.append({
+                "models": [a, b], "count": n,
+                "pct_of_first": n / sizes[a] if sizes[a] else None,
+                "pct_of_second": n / sizes[b] if sizes[b] else None})
+    return {"sizes": sizes, "intersections": intersections}
 
 
-@dataclass
-class SeverityStats:
-    values: np.ndarray
-    mean: float
-    median: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "count": int(self.values.shape[0]),
-            "mean": self.mean,
-            "median": self.median,
-            "hist_counts": self.hist_counts.tolist(),
-            "hist_edges": self.hist_edges.tolist(),
-        }
-
-
-def severity(scores: np.ndarray, taus: np.ndarray, bins: int = 20) -> SeverityStats:
-    """(score - tau) / tau for windows already classified anomalous."""
+def severity(scores: np.ndarray, taus: np.ndarray,
+             bins: int = 20) -> tuple[dict, np.ndarray]:
+    """(score - tau) / tau over anomalous windows: summary and per-window values."""
     scores = np.asarray(scores, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
     if np.any(scores <= taus):
@@ -135,43 +73,19 @@ def severity(scores: np.ndarray, taus: np.ndarray, bins: int = 20) -> SeveritySt
     else:
         counts, edges = np.zeros(bins, dtype=int), np.linspace(0, 1, bins + 1)
         mean = median = float("nan")
-    return SeverityStats(values=values, mean=mean, median=median,
-                         hist_counts=counts, hist_edges=edges)
+    return {"count": int(values.shape[0]), "mean": mean, "median": median,
+            "hist_counts": counts.tolist(), "hist_edges": edges.tolist()}, values
 
 
 # the injected kinds, each scored for recall; "none" marks a clean window
 TRUTH_KINDS = tuple(k for k in dataset.TRUTH_KINDS if k != "none")
 
 
-@dataclass
-class TruthMetrics:
-    per_kind: dict[str, dict]
-    clean_total: int
-    clean_flagged: int
-    flagged_total: int
+def truth_metrics(verdicts: np.ndarray, truth_kinds: list[str]) -> dict:
+    """Recall and precision per injected kind, and the FPR of clean windows.
 
-    @property
-    def false_positive_rate(self) -> float | None:
-        if self.clean_total == 0:
-            return None
-        return self.clean_flagged / self.clean_total
-
-    def to_dict(self) -> dict:
-        return {
-            "per_kind": self.per_kind,
-            "clean_total": self.clean_total,
-            "clean_flagged": self.clean_flagged,
-            "flagged_total": self.flagged_total,
-            "false_positive_rate": self.false_positive_rate,
-        }
-
-
-def truth_metrics(verdicts: np.ndarray, truth_kinds: list[str]) -> TruthMetrics:
-    """Recall and precision per injected anomaly kind.
-
-    Recall = detected injected / injected; precision = detected injected /
-    all flagged windows. Kinds with zero injected report both as None.
-    """
+    Recall = detected / injected and precision = detected / all flagged, both
+    None for a kind never injected; the FPR is None without clean windows."""
     verdicts = np.asarray(verdicts, dtype=bool)
     kinds = np.asarray(truth_kinds)
     if verdicts.shape[0] != kinds.shape[0]:
@@ -183,17 +97,16 @@ def truth_metrics(verdicts: np.ndarray, truth_kinds: list[str]) -> TruthMetrics:
         injected = int(mask.sum())
         detected = int((mask & verdicts).sum())
         per_kind[kind] = {
-            "injected": injected,
-            "detected": detected,
+            "injected": injected, "detected": detected,
             "recall": detected / injected if injected else None,
             "precision": detected / flagged_total if flagged_total and injected
-            else None,
-        }
+            else None}
     clean = kinds == "none"
-    return TruthMetrics(per_kind=per_kind,
-                        clean_total=int(clean.sum()),
-                        clean_flagged=int((clean & verdicts).sum()),
-                        flagged_total=flagged_total)
+    clean_total = int(clean.sum())
+    clean_flagged = int((clean & verdicts).sum())
+    return {"per_kind": per_kind, "clean_total": clean_total,
+            "clean_flagged": clean_flagged, "flagged_total": flagged_total,
+            "false_positive_rate": clean_flagged / clean_total if clean_total else None}
 
 
 def export_distributions(out_dir: Path,

@@ -163,15 +163,7 @@ def default_autoencoder_spec(window_len: int = 50, channels: int = 6,
     transposed convolutions; the output layer is linear (targets are
     z-scored).
     """
-    l1 = window_len - 2          # conv k3 valid
-    l2 = l1 // 2                 # pool 2
-    l3 = l2 - 2                  # conv k3 valid
-    l4 = l3 // 2                 # pool 2
-    if l4 < 1 or l3 != l4 * 2 or l1 != l2 * 2:
-        raise ShapeMismatch(
-            f"window_len {window_len} does not survive the conv/pool chain cleanly")
-    flat = l4 * 32
-    encoder = (
+    conv_pool = (
         L.conv1d(channels, 16, 3),
         L.batchnorm(16),
         L.relu(),
@@ -180,10 +172,14 @@ def default_autoencoder_spec(window_len: int = 50, channels: int = 6,
         L.batchnorm(32),
         L.relu(),
         L.maxpool(2),
-        L.dense(flat, latent),
     )
+    # the Dense layers' width is what the conv/pool prefix makes of a window;
+    # AutoencoderSpec refuses a window length the decoder does not restore
+    length, width = Sequential.build(conv_pool, np.random.default_rng(0)).forward(
+        np.zeros((1, window_len, channels))).shape[1:]
+    encoder = (*conv_pool, L.dense(length * width, latent))
     decoder = (
-        L.dense(latent, flat, out_shape=(l4, 32)),
+        L.dense(latent, length * width, out_shape=(length, width)),
         L.relu(),
         L.upsample(2),
         L.conv1d_transpose(32, 16, 3),

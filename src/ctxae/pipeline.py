@@ -8,7 +8,9 @@ One staleness rule: a stage refuses an artifact whose producer's manifest is
 missing, or which is itself missing (MissingArtifact), or whose manifest
 records other bytes for it or for one of its inputs than the files now hold
 (ConfigError naming both sha256 values); manifest.check_inputs is the one
-place that checks it.
+place that checks it. A stage that reads fitted thresholds, other than the
+thresholds stage itself, also refuses a table fitted under another lambda or
+fit split than the config asks for (ConfigError naming both).
 """
 
 from __future__ import annotations
@@ -238,6 +240,26 @@ def _load_detector(cfg: RunConfig, kind: str) -> detectors.Detector:
     return det
 
 
+def _fitted_table(cfg: RunConfig, kind: str,
+                  table: th.ThresholdTable | None) -> th.ThresholdTable:
+    """kind's threshold table, refused unless fitted under the lambda and
+    split the config asks for."""
+    if table is None:
+        raise MissingArtifact(f"{kind} bundle has no thresholds; "
+                              "run the thresholds stage first")
+    asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
+    if (table.lam, table.fit_split) != asked:
+        raise ConfigError(
+            f"{kind} thresholds were fitted with lambda {table.lam!r} on the "
+            f"{table.fit_split} split, the config asks for lambda {asked[0]!r} "
+            f"on the {asked[1]} split; run the thresholds stage for {kind}")
+    return table
+
+
+def _stored_table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
+    return _fitted_table(cfg, kind, th.load_table(_model_dir(cfg, kind) / "thresholds.csv"))
+
+
 def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
@@ -268,10 +290,12 @@ def _group_inputs(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _checked_grouping(cfg: RunConfig) -> Path:
-    """grouping.json, refused unless derived from the current cae bundle and dataset."""
+    """grouping.json, refused unless derived from the current cae bundle and
+    dataset, and from cae thresholds fitted as the config asks."""
     path = _paths(cfg)["grouping"] / "grouping.json"
     check_inputs(path.parent, "group", _group_inputs(cfg), {"grouping": path},
                  "run the group stage first")
+    _stored_table(cfg, "cae")
     return path
 
 
@@ -280,13 +304,11 @@ def stage_group(cfg: RunConfig) -> dict:
     split = _load_split(cfg)
     det = _load_detector(cfg, "cae")
     _check_validation_coverage(cfg, split, ("gcae",))
-    if det.thresholds is None:
-        raise MissingArtifact("grouping with per-context caps needs fitted "
-                              "cae thresholds; run the thresholds stage first")
+    table = _fitted_table(cfg, "cae", det.thresholds)
     val = split.val
     matrix = grouping.cross_loss_matrix(
         det, {cid: val.tensor[val.context_id == cid] for cid in det.contexts})
-    result = grouping.derive_grouping(matrix, det.thresholds,
+    result = grouping.derive_grouping(matrix, table,
                                       delta=cfg.grouping.delta,
                                       strategy=cfg.grouping.strategy)
     paths["grouping"].mkdir(parents=True, exist_ok=True)
@@ -324,13 +346,11 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
     det = _load_detector(cfg, kind)
-    if det.thresholds is None:
-        raise MissingArtifact(f"{kind} bundle has no thresholds; "
-                              "run the thresholds stage first")
+    table = _fitted_table(cfg, kind, det.thresholds)
     windows = split.test
     scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
                                                mode="context")
-    global_verdicts = scores > det.thresholds.global_tau
+    global_verdicts = scores > table.global_tau
 
     paths["detections"].mkdir(parents=True, exist_ok=True)
     det_path = paths["detections"] / f"{kind}.csv"
@@ -341,8 +361,8 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
                                           ctx_verdicts.tolist(), margins.tolist()):
             writer.writerow([
                 w.mmsi, w.start_ts, w.context_id, det.decoder_key(w.context_id),
-                repr(score), repr(det.thresholds.tau(w.context_id)),
-                repr(det.thresholds.global_tau), int(g), int(c), repr(margin),
+                repr(score), repr(table.tau(w.context_id)),
+                repr(table.global_tau), int(g), int(c), repr(margin),
             ])
     summary = {
         "kind": kind,
@@ -400,6 +420,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
                            test.truth.tolist()))
 
     detections = _checked_detections(cfg)
+    tables = {kind: _stored_table(cfg, kind) for kind in detections}
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}
@@ -413,11 +434,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         primary = d["global_verdict"] if mode == "global" else d["context_verdict"]
         taus = d["tau_global"] if mode == "global" else d["tau_context"]
 
-        confusion = evaluation.ConfusionMatrix.from_verdicts(
-            d["global_verdict"], d["context_verdict"])
-        truth = evaluation.truth_metrics(primary, truth_kinds)
-        sev = evaluation.severity(d["score"][primary], taus[primary])
-
+        sev, sev_values = evaluation.severity(d["score"][primary], taus[primary])
         clean = np.array([k == "none" for k in truth_kinds])
         fpr_by_context = {}
         for cid in sorted(set(d["context_id"].tolist())):
@@ -425,17 +442,16 @@ def stage_evaluate(cfg: RunConfig) -> dict:
             fpr_by_context[str(cid)] = (
                 float((primary & mask).sum() / mask.sum()) if mask.sum() else None)
 
-        anomaly_sets[kind] = {uid for uid, v in zip(uids, primary) if v}
-        severity_by_id[kind] = {
-            uid: float((s - t) / t)
-            for uid, s, t, v in zip(uids, d["score"], taus, primary) if v
-        }
+        flagged = [uid for uid, v in zip(uids, primary.tolist()) if v]
+        anomaly_sets[kind] = set(flagged)
+        severity_by_id[kind] = {f"{m}:{t}": s
+                                for (m, t), s in zip(flagged, sev_values.tolist())}
         models_report[kind] = {
             "mode": mode,
             "windows": n,
-            "confusion": confusion.to_dict(),
-            "truth": truth.to_dict(),
-            "severity": sev.to_dict(),
+            "confusion": evaluation.confusion(d["global_verdict"], d["context_verdict"]),
+            "truth": evaluation.truth_metrics(primary, truth_kinds),
+            "severity": sev,
             "fpr_by_context": fpr_by_context,
         }
 
@@ -447,18 +463,14 @@ def stage_evaluate(cfg: RunConfig) -> dict:
                 int(cid): d["score"][sel & (d["context_id"] == cid)]
                 for cid in sorted(set(d["context_id"][sel].tolist()))
             }
-        table = th.load_table(_model_dir(cfg, kind) / "thresholds.csv")
-        evaluation.export_distributions(paths["evaluation"], by_decoder, table,
+        evaluation.export_distributions(paths["evaluation"], by_decoder, tables[kind],
                                         prefix=f"dist_{kind}")
 
     report = {
         "models": models_report,
-        "overlap": evaluation.OverlapReport.from_sets(anomaly_sets).to_dict(),
+        "overlap": evaluation.overlap(anomaly_sets),
         "anomaly_ids": {k: sorted(map(list, v)) for k, v in anomaly_sets.items()},
-        "severity_by_id": {
-            k: {f"{m}:{t}": s for (m, t), s in sorted(v.items())}
-            for k, v in severity_by_id.items()
-        },
+        "severity_by_id": severity_by_id,
     }
     paths["evaluation"].mkdir(parents=True, exist_ok=True)
     eval_path = paths["evaluation"] / "evaluation.json"
@@ -481,7 +493,7 @@ def stage_report(cfg: RunConfig) -> dict:
     models = {}
     for kind in detections:
         manifest = json.loads((_model_dir(cfg, kind) / "detector.json").read_text())
-        table = th.load_table(_model_dir(cfg, kind) / "thresholds.csv")
+        table = _stored_table(cfg, kind)
         models[kind] = {
             "param_count": manifest["param_count"],
             "decoder_count": manifest["decoder_count"],

@@ -65,6 +65,17 @@ def test_detect_before_train_exits_3(tmp_path):
     assert "detector.json" in result.stderr
 
 
+def test_thresholds_fitted_under_another_lambda_exit_2(tmp_path):
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage]).exit_code == 0
+    for stage in ("train", "thresholds"):
+        assert _invoke(tmp_path, [stage, "--kind", "ae"]).exit_code == 0
+    result = _invoke(tmp_path, ["detect", "--kind", "ae"],
+                     raw={**TINY, "thresholds": {"lam": 2.0}})
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: ae thresholds were fitted with lambda 5.0")
+
+
 def test_kind_must_be_a_detector(tmp_path):
     result = _invoke(tmp_path, ["train", "--kind", "svm"])
     assert result.exit_code == 2

@@ -4,37 +4,30 @@ import numpy as np
 import pytest
 
 from ctxae.errors import NonAnomalyInSet
-from ctxae.evaluation import (ConfusionMatrix, OverlapReport, export_distributions,
-                              severity, truth_metrics)
+from ctxae.evaluation import (confusion, export_distributions, overlap, severity,
+                              truth_metrics)
 from ctxae.thresholds import fit
 
 
 def test_confusion_cells_and_totals():
     g = np.array([0, 0, 0, 1, 1, 0, 1], dtype=bool)
     c = np.array([0, 1, 1, 0, 1, 0, 1], dtype=bool)
-    cm = ConfusionMatrix.from_verdicts(g, c)
-    assert (cm.gn_cn, cm.gn_ca, cm.ga_cn, cm.ga_ca) == (2, 2, 1, 2)
-    assert cm.global_normal_total == 4
-    assert cm.global_anomaly_total == 3
-    assert cm.context_normal_total == 3
-    assert cm.context_anomaly_total == 4
-    assert cm.grand_total == 7
-    d = cm.to_dict()
+    d = confusion(g, c)
     assert d["cells"] == {"gn_cn": 2, "gn_ca": 2, "ga_cn": 1, "ga_ca": 2}
     assert d["global_totals"] == [4, 3]
     assert d["context_totals"] == [3, 4]
+    assert d["grand_total"] == 7
 
 
 def test_confusion_refuses_misaligned_verdicts():
     with pytest.raises(ValueError, match="align"):
-        ConfusionMatrix.from_verdicts(np.zeros(3, bool), np.zeros(4, bool))
+        confusion(np.zeros(3, bool), np.zeros(4, bool))
 
 
 def test_overlap_counts_pairwise_intersections():
-    report = OverlapReport.from_sets({"cae": {(1, 0), (1, 50), (2, 0)},
-                                      "ae": {(1, 0), (3, 0)},
-                                      "moe": set()})
-    d = report.to_dict()
+    d = overlap({"cae": {(1, 0), (1, 50), (2, 0)},
+                 "ae": {(1, 0), (3, 0)},
+                 "moe": set()})
     assert d["sizes"] == {"ae": 2, "cae": 3, "moe": 0}
     by_pair = {tuple(e["models"]): e for e in d["intersections"]}
     assert list(by_pair) == [("ae", "cae"), ("ae", "moe"), ("cae", "moe")]
@@ -47,14 +40,14 @@ def test_overlap_counts_pairwise_intersections():
 
 
 def test_severity_is_relative_margin_of_anomalies():
-    stats = severity(np.array([3.0, 4.0, 9.0]), np.array([2.0, 2.0, 3.0]),
-                     bins=4)
-    np.testing.assert_allclose(stats.values, [0.5, 1.0, 2.0])
-    assert stats.mean == pytest.approx(7 / 6)
-    assert stats.median == 1.0
-    assert stats.hist_counts.tolist() == [0, 1, 1, 1]
-    np.testing.assert_allclose(stats.hist_edges, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert stats.to_dict()["count"] == 3
+    stats, values = severity(np.array([3.0, 4.0, 9.0]), np.array([2.0, 2.0, 3.0]),
+                             bins=4)
+    np.testing.assert_allclose(values, [0.5, 1.0, 2.0])
+    assert stats["mean"] == pytest.approx(7 / 6)
+    assert stats["median"] == 1.0
+    assert stats["hist_counts"] == [0, 1, 1, 1]
+    np.testing.assert_allclose(stats["hist_edges"], [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert stats["count"] == 3
 
 
 def test_severity_refuses_a_score_at_or_below_tau():
@@ -65,25 +58,25 @@ def test_severity_refuses_a_score_at_or_below_tau():
 
 
 def test_severity_of_no_anomalies():
-    stats = severity(np.zeros(0), np.zeros(0), bins=5)
-    assert stats.to_dict()["count"] == 0
-    assert np.isnan(stats.mean) and np.isnan(stats.median)
-    assert stats.hist_counts.tolist() == [0] * 5
+    stats, values = severity(np.zeros(0), np.zeros(0), bins=5)
+    assert stats["count"] == 0 and values.shape == (0,)
+    assert np.isnan(stats["mean"]) and np.isnan(stats["median"])
+    assert stats["hist_counts"] == [0] * 5
 
 
 def test_truth_metrics_recall_precision_and_fpr():
     verdicts = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
     kinds = ["contextual", "contextual", "collective", "none", "none", "none"]
     m = truth_metrics(verdicts, kinds)
-    assert m.per_kind["contextual"] == {"injected": 2, "detected": 1,
-                                        "recall": 0.5, "precision": 0.25}
-    assert m.per_kind["collective"]["recall"] == 1.0
+    assert m["per_kind"]["contextual"] == {"injected": 2, "detected": 1,
+                                           "recall": 0.5, "precision": 0.25}
+    assert m["per_kind"]["collective"]["recall"] == 1.0
     # a kind with no injections reports neither recall nor precision
-    assert m.per_kind["point"] == {"injected": 0, "detected": 0,
-                                   "recall": None, "precision": None}
-    assert (m.clean_total, m.clean_flagged, m.flagged_total) == (3, 2, 4)
-    assert m.false_positive_rate == pytest.approx(2 / 3)
-    assert truth_metrics(np.zeros(0, bool), []).false_positive_rate is None
+    assert m["per_kind"]["point"] == {"injected": 0, "detected": 0,
+                                      "recall": None, "precision": None}
+    assert (m["clean_total"], m["clean_flagged"], m["flagged_total"]) == (3, 2, 4)
+    assert m["false_positive_rate"] == pytest.approx(2 / 3)
+    assert truth_metrics(np.zeros(0, bool), [])["false_positive_rate"] is None
     with pytest.raises(ValueError):
         truth_metrics(verdicts, kinds[:-1])
 

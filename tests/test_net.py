@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctxae.net.training as training_mod
-from ctxae.errors import EmptyTrainingSet, NumericalError
+from ctxae.errors import EmptyTrainingSet, NumericalError, ShapeMismatch
 from ctxae.net.checkpoint import load_checkpoint, save_checkpoint
 from ctxae.net.model import (
     AutoencoderSpec,
@@ -82,6 +82,12 @@ def test_desk_architecture_parameter_counts():
     assert enc.param_count() == ENCODER_PARAMS
     assert dec.param_count() == DECODER_PARAMS
     assert enc.param_count() + dec.param_count() == 57_201
+
+
+def test_desk_architecture_refuses_a_window_the_decoder_cannot_restore():
+    # 49 pools down to the same 10 steps as 46, which the decoder restores
+    with pytest.raises(ShapeMismatch, match=r"decoder emits \(46, 6\)"):
+        default_autoencoder_spec(window_len=49)
 
 
 def test_training_reduces_loss_and_restores_best(rng):

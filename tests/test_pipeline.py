@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -61,6 +62,32 @@ def test_detector_bundles_keep_their_training_record(two_runs):
         assert json.loads(detector_json.read_text())["training"], bundle.name
         manifest = json.loads((bundle / "train.manifest.json").read_text())
         assert manifest["outputs"]["detector.json"] == sha256_file(detector_json)
+
+
+def _check_severity_by_id(report):
+    assert sorted(report["severity_by_id"]) == sorted(report["models"])
+    for kind, entry in report["models"].items():
+        by_id = report["severity_by_id"][kind]
+        assert set(by_id) == {f"{m}:{t}" for m, t in report["anomaly_ids"][kind]}
+        assert len(by_id) == entry["severity"]["count"]
+        assert all(value > 0 for value in by_id.values())
+
+
+def test_severity_by_id_holds_exactly_the_flagged_windows(two_runs, tmp_path):
+    _check_severity_by_id(json.loads(
+        (two_runs[0] / "evaluation" / "evaluation.json").read_text()))
+
+    # lambda 1 flags windows in every model of a copy of the run
+    out_dir = tmp_path / "run"
+    shutil.copytree(two_runs[0], out_dir)
+    cfg = config_from_dict({**TINY_FLEET, "thresholds": {"lam": 1.0}}, seed=3,
+                           out_dir=out_dir)
+    for kind in cfg.models:
+        pipeline.stage_thresholds(cfg, kind)
+        pipeline.stage_detect(cfg, kind)
+    report = pipeline.stage_evaluate(cfg)
+    assert all(report["severity_by_id"].values())
+    _check_severity_by_id(report)
 
 
 def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
@@ -156,6 +183,39 @@ def test_evaluate_refuses_detections_scored_with_other_thresholds(tmp_path):
     with pytest.raises(ConfigError) as err:
         pipeline.stage_evaluate(cfg)
     assert scored in str(err.value) and current in str(err.value)
+
+
+def test_stages_refuse_thresholds_fitted_under_another_lambda_or_split(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = _tiny(out_dir)
+    _prepare(cfg)
+    for kind in ("ae", "cae"):
+        pipeline.stage_train(cfg, kind)
+        pipeline.stage_thresholds(cfg, kind)
+        pipeline.stage_detect(cfg, kind)
+    pipeline.stage_group(cfg)
+    pipeline.stage_evaluate(cfg)
+
+    for asked in ({"lam": 2.0}, {"fit_split": "val"}):
+        other = config_from_dict({**TINY_FLEET, "thresholds": asked}, seed=3,
+                                 out_dir=out_dir)
+        wanted = (f"lambda {other.thresholds.lam!r} "
+                  f"on the {other.thresholds.fit_split} split")
+        for stage in (lambda: pipeline.stage_group(other),
+                      lambda: pipeline.stage_train(other, "gcae"),
+                      lambda: pipeline.stage_detect(other, "ae"),
+                      lambda: pipeline.stage_evaluate(other),
+                      lambda: pipeline.stage_report(other)):
+            with pytest.raises(ConfigError) as err:
+                stage()
+            assert "fitted with lambda 5.0 on the train split" in str(err.value)
+            assert wanted in str(err.value)
+
+    # the thresholds stage refits under the asked values, and detect then runs
+    other = config_from_dict({**TINY_FLEET, "thresholds": {"lam": 2.0}}, seed=3,
+                             out_dir=out_dir)
+    assert pipeline.stage_thresholds(other, "ae")["lam"] == 2.0
+    pipeline.stage_detect(other, "ae")
 
 
 def test_gcae_refuses_a_grouping_of_an_older_cae(tmp_path):
