@@ -24,15 +24,16 @@ count of the GEMMs that produced it at the ULP level (BLAS kernels differ
 below and above a few dozen rows), so the same window can score a few ULPs
 apart in batches of other sizes or mixes.
 
-The passes run folded scoring models (``net.fold_batchnorm``: each
-convolution -> batch norm pair merged into one convolution), built once when
-a Detector is constructed. Construction first snaps the stored encoders and
-decoders to float32 storage precision, as saving does, so the stored models
-are final: saving changes none of their values, a saved and loaded copy
-scores bit-identically, and the fold never describes weights the checkpoint
-does not hold. Scores differ from the layer-by-layer forward pass of the
-stored models at the ULP level. Training, validation and the grouping's
-cross-loss matrix run the stored models, and a bundle saves them.
+The passes run folded scoring models (``net.fold_for_scoring``: each
+convolution -> batch norm pair merged into one convolution, then each
+nearest upsampling -> transposed convolution pair into one polyphase GEMM),
+built once when a Detector is constructed. Construction first snaps the
+stored encoders and decoders to float32 storage precision, as saving does,
+so the stored models are final: saving changes none of their values, a saved
+and loaded copy scores bit-identically, and the fold never describes weights
+the checkpoint does not hold. Scores differ from the layer-by-layer forward
+pass of the stored models at the ULP level. Training, validation and the
+grouping's cross-loss matrix run the stored models, and a bundle saves them.
 
 Trainers read the split's window tables (see ``dataset``): a context's
 windows are the rows its boolean mask over ``context_id`` selects, and a
@@ -54,7 +55,7 @@ from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
 from .net import (SCORE_BATCH, AutoencoderSpec, Sequential, TrainConfig,
-                  TrainReport, fold_batchnorm, load_checkpoint, mse_per_sample,
+                  TrainReport, fold_for_scoring, load_checkpoint, mse_per_sample,
                   save_checkpoint, snap_to_storage_precision,
                   train_autoencoder, train_multi_decoder)
 
@@ -79,8 +80,8 @@ class Detector:
     def __post_init__(self):
         for model in (*self.encoders.values(), *self.decoders.values()):
             snap_to_storage_precision(model)
-        self.scoring_encoders = {k: fold_batchnorm(m) for k, m in self.encoders.items()}
-        self.scoring_decoders = {k: fold_batchnorm(m) for k, m in self.decoders.items()}
+        self.scoring_encoders = {k: fold_for_scoring(m) for k, m in self.encoders.items()}
+        self.scoring_decoders = {k: fold_for_scoring(m) for k, m in self.decoders.items()}
 
     def encoder_key(self, context_id: int) -> int:
         if context_id in self.encoders:

@@ -22,7 +22,9 @@ the spec's arguments and allocates its state; its ``forward`` raises
 ShapeMismatch on an input it cannot take, so the output of ``forward`` is
 the kind's shape rule; and its size (``param_count``) is the element count
 of its ``state()``. A chain is validated by running it (see
-``AutoencoderSpec``), not by a second set of shape rules.
+``AutoencoderSpec``), not by a second set of shape rules. The one class
+that is no kind, ``UpsampledConvTranspose1D``, exists only in the scoring
+fold (``model.fold_for_scoring``) and is never built from a spec or saved.
 """
 
 from __future__ import annotations
@@ -261,6 +263,49 @@ class UpsampleNearest(Layer):
     def backward(self, dy):
         b, l_out, c = dy.shape
         return _fold(np.add, dy.reshape(b, l_out // self.factor, self.factor, c))
+
+
+class UpsampledConvTranspose1D(Layer):
+    """UpsampleNearest(f) -> ConvTranspose1D(k) as one inference-only layer.
+
+    The polyphase (sub-pixel) form (Shi et al. 2016, arXiv:1609.05158):
+    output row f*j + r of the pair is sum over m = 0..M of u[j - m] @ P[m, r],
+    with M = ceil((k - 1) / f) and P[m, r] the sum of the taps w_i with
+    ceil((i - r) / f) = m. One GEMM of the M + 1 shifted copies of u, laid
+    side by side along channels, against the stacked P computes every phase
+    r at once, without the repeated rows of the upsampled input. For f = 2,
+    k = 3 the stacked matrix is [[w0, w0 + w1], [w1 + w2, w2]] by phase.
+
+    Built from the pair's weights as they stand; it keeps no reference to
+    either layer, has no backward, and takes the spec of the convolution it
+    stands in for.
+    """
+
+    def __init__(self, up: UpsampleNearest, conv: ConvTranspose1D):
+        self.spec = conv.spec
+        f, k = up.factor, conv.k
+        self.factor, self.k, self.c_in, self.c_out = f, k, conv.c_in, conv.c_out
+        self.lag = -(-(k - 1) // f)
+        # block q of the stacked input holds u[j + q - M], i.e. m = M - q
+        taps = np.zeros((self.lag + 1, self.c_in, f, self.c_out))
+        for r in range(f):
+            for i in range(k):
+                taps[self.lag + (r - i) // f, :, r, :] += conv.w[i]
+        self.w = taps.reshape((self.lag + 1) * self.c_in, f * self.c_out)
+        self.b = np.tile(conv.b, f)
+
+    def forward(self, x, training):
+        if x.ndim != 3 or x.shape[2] != self.c_in:
+            raise ShapeMismatch(f"conv1d_transpose expected (b, L, {self.c_in}), got {x.shape}")
+        n, l_in, _ = x.shape
+        m, rows = self.lag, l_in + self.lag
+        # the shifted copies of u zero-padded by M rows at each end
+        stacked = np.zeros((n, rows, m + 1, self.c_in))
+        for q in range(m + 1):
+            stacked[:, m - q:m - q + l_in, q, :] = x
+        y = stacked.reshape(n * rows, -1) @ self.w
+        y += self.b
+        return y.reshape(n, rows * self.factor, self.c_out)[:, :self.factor * l_in + self.k - 1]
 
 
 def _channel_sums(a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,20 @@
 """Sequential model container, the default autoencoder architecture, and the
-batch-norm fold that scoring runs through.
+scoring fold.
 
-Folding: in inference mode a batch norm is the fixed per-channel affine map
-y -> (y - running_mean) * s + beta with s = gamma / sqrt(running_var + EPS),
-so a convolution (plain or transposed) followed by one is a single
-convolution of the same class with weights w * s and bias
-(b - running_mean) * s + beta (Ioffe & Szegedy 2015, sec. 3.1).
-``fold_batchnorm`` builds that model for inference; it agrees with the
-layer-by-layer form up to rounding, a few ULPs per element. Training,
-validation and checkpoints always use the unfolded model.
+``fold_for_scoring`` builds, for inference only, a model that computes the
+stored model's inference forward pass with two kinds of adjacent pair merged:
+
+* convolution -> batch norm. In inference mode a batch norm is the fixed
+  per-channel affine map y -> (y - running_mean) * s + beta with
+  s = gamma / sqrt(running_var + EPS), so the pair is a single convolution
+  of the same class with weights w * s and bias (b - running_mean) * s + beta
+  (Ioffe & Szegedy 2015, sec. 3.1).
+* nearest upsampling -> transposed convolution. The pair is one GEMM in the
+  polyphase (sub-pixel) form (Shi et al. 2016, arXiv:1609.05158), which never
+  builds the repeated rows (see ``layers.UpsampledConvTranspose1D``).
+
+The fold agrees with the layer-by-layer form up to rounding, a few ULPs per
+element. Training, validation and checkpoints always use the stored model.
 """
 
 from __future__ import annotations
@@ -73,9 +79,11 @@ class Sequential:
         return [layer.spec.to_dict() for layer in self.layers]
 
 
-def fold_batchnorm(model: Sequential) -> Sequential:
+def fold_for_scoring(model: Sequential) -> Sequential:
     """An inference-only model computing model's inference forward pass with
-    every convolution -> batch norm pair merged into one convolution.
+    every convolution -> batch norm pair merged into one convolution, then
+    every nearest upsampling -> transposed convolution pair into one
+    ``UpsampledConvTranspose1D``.
 
     A merged pair becomes a new layer instance, never a copy of the old one,
     so nothing set on the old instances (such as a wrapper around their
@@ -83,17 +91,24 @@ def fold_batchnorm(model: Sequential) -> Sequential:
     shared with model. A merged layer holds the weights as they stand at the
     call, so a fold is stale once model's state changes.
     """
-    layers: list[L.Layer] = []
-    for layer in model.layers:
-        if (isinstance(layer, L.BatchNorm) and layers
-                and isinstance(layers[-1], L.Conv)):
-            layers[-1] = _merge(layers[-1], layer)
-        else:
-            layers.append(layer)
+    layers = _merge_pairs(model.layers, L.Conv, L.BatchNorm, _merge_batchnorm)
+    layers = _merge_pairs(layers, L.UpsampleNearest, L.ConvTranspose1D,
+                          L.UpsampledConvTranspose1D)
     return Sequential(layers)
 
 
-def _merge(conv: L.Conv, bn: L.BatchNorm) -> L.Conv:
+def _merge_pairs(layers: list[L.Layer], first: type, second: type, merge) -> list[L.Layer]:
+    """layers with every first-then-second pair replaced by merge(first, second)."""
+    out: list[L.Layer] = []
+    for layer in layers:
+        if isinstance(layer, second) and out and isinstance(out[-1], first):
+            out[-1] = merge(out[-1], layer)
+        else:
+            out.append(layer)
+    return out
+
+
+def _merge_batchnorm(conv: L.Conv, bn: L.BatchNorm) -> L.Conv:
     scale = bn.gamma / np.sqrt(bn.running_var + bn.EPS)
     # a fresh instance of conv's class; its initial weights are replaced
     merged = build_layer(conv.spec, np.random.default_rng(0))

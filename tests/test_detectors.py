@@ -323,7 +323,7 @@ def test_unrouted_context_is_refused_by_the_plan(rng, kind):
             det.detect(x, cids, mode=mode)
 
 
-# --- the batch-norm fold -----------------------------------------------------------
+# --- the scoring fold ---------------------------------------------------------------
 
 def _hard_state(det, seed=5):
     """Give every stored model random float64 state (not float32-representable),
@@ -362,7 +362,7 @@ def test_folded_scores_match_the_layer_by_layer_forward(rng, kind):
             kinds = [layer.spec.kind for layer in model.layers]
             assert "batchnorm" in kinds
             assert ([layer.spec.kind for layer in scoring[key].layers]
-                    == [k for k in kinds if k != "batchnorm"])
+                    == [k for k in kinds if k not in ("batchnorm", "upsample")])
     x, cids = _desk_batch(rng, kind)
     np.testing.assert_allclose(det.score_mixed(x, cids),
                                _per_context_reference(det, x, cids),

@@ -5,15 +5,20 @@ Each gradcheck case runs a scalar loss ``sum(w * layer(x))`` so the upstream
 gradient is the fixed random tensor ``w``. A gradient entry passes when it
 matches the finite-difference estimate within 1e-4 relative error, or 1e-8
 absolute for entries whose true gradient is numerically zero. The fast-path
-cases at the end require exact equality with the textbook forms.
+cases require exact equality with the textbook forms. The last section
+checks the scoring fold's merged upsampling -> transposed convolution layer
+against the pair it replaces.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxae.errors import ShapeMismatch
 from ctxae.net.layers import (
     LayerSpec,
+    UpsampledConvTranspose1D,
     batchnorm,
     build_layer,
     conv1d,
@@ -23,7 +28,7 @@ from ctxae.net.layers import (
     relu,
     upsample,
 )
-from ctxae.net.model import AutoencoderSpec, Sequential
+from ctxae.net.model import AutoencoderSpec, Sequential, fold_for_scoring, mse_per_sample
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
@@ -425,3 +430,57 @@ def test_conv1d_forward_matches_reference_bit_for_bit(shape, fill):
     for training in (True, False):
         _same_bits(layer.forward(x, training=training),
                    _reference_conv1d(x, layer.w, layer.b))
+
+
+# --- the scoring fold's merged upsampling -> transposed convolution ----------
+
+def _pair(factor, kernel, c_in, c_out, rng):
+    up = build_layer(upsample(factor), rng)
+    conv = build_layer(conv1d_transpose(c_in, c_out, kernel), rng)
+    conv.b[:] = rng.normal(size=c_out)
+    return up, conv
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 1), (2, 2), (2, 5), (3, 2), (3, 7), (1, 3)]),
+       st.integers(1, 4), st.integers(1, 13), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_merged_upsample_conv_transpose_equals_the_pair(fk, batch, length, c_in, c_out, seed):
+    factor, kernel = fk
+    rng = np.random.default_rng(seed)
+    up, conv = _pair(factor, kernel, c_in, c_out, rng)
+    x = rng.normal(size=(batch, length, c_in))
+    want = conv.forward(up.forward(x, False), False)
+    got = UpsampledConvTranspose1D(up, conv).forward(x, False)
+    assert got.shape == want.shape == (batch, factor * length + kernel - 1, c_out)
+    # rtol 1e-12 of the sum of the terms' magnitudes, the scale of the
+    # rounding of either order of addition even where the terms cancel
+    conv.w, conv.b = np.abs(conv.w), np.abs(conv.b)
+    scale = conv.forward(up.forward(np.abs(x), False), False)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_merged_upsample_conv_transpose_refuses_a_channel_mismatch():
+    up, conv = _pair(2, 3, 4, 2, np.random.default_rng(3))
+    with pytest.raises(ShapeMismatch, match="conv1d_transpose"):
+        UpsampledConvTranspose1D(up, conv).forward(np.zeros((1, 5, 3)), False)
+
+
+def test_the_fold_merges_only_an_upsampling_followed_by_a_transposed_convolution():
+    rng = np.random.default_rng(8)
+    model = Sequential.build([upsample(2), conv1d(3, 4, 2), batchnorm(4), relu(),
+                              upsample(3), conv1d_transpose(4, 2, 3)], rng)
+    bn = model.layers[2]
+    bn.running_mean[:] = rng.normal(size=4)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
+    folded = fold_for_scoring(model)
+    assert [type(layer).__name__ for layer in folded.layers] == [
+        "UpsampleNearest", "Conv1D", "Activation", "UpsampledConvTranspose1D"]
+    # unmerged layers are the stored instances, merged ones are fresh
+    assert folded.layers[0] is model.layers[0] and folded.layers[2] is model.layers[3]
+    assert not any(folded.layers[i] is stored for i in (1, 3) for stored in model.layers)
+    x = rng.normal(size=(5, 6, 3))
+    target = rng.normal(size=(5, 35, 2))
+    np.testing.assert_allclose(
+        mse_per_sample(target, folded.forward(x, training=False)),
+        mse_per_sample(target, model.forward(x, training=False)), rtol=1e-12, atol=0.0)
