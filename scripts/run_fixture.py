@@ -4,7 +4,10 @@ Usage:
     python scripts/run_fixture.py [--seeds 1 2 3] [--out runs]
 
 Writes one artifact tree per run under --out and a combined summary JSON
-next to them. Each run is deterministic for its seed.
+next to them. Each run is deterministic for its seed. Per fixture seed the
+summary holds each detector's recall per truth kind, FPR per context and
+best and stopped epoch per training branch, plus the grouping partition;
+for the twin config it holds the grouping and its partition.
 """
 
 from __future__ import annotations
@@ -18,6 +21,20 @@ from ctxae.config import load_config
 from ctxae.pipeline import run_all
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _epochs(out_dir: Path, kind: str) -> dict:
+    """{branch: [best epoch, stopped epoch]} from a detector bundle."""
+    manifest = json.loads((out_dir / "models" / kind / "detector.json").read_text())
+    return {branch: [t["best_epoch"], t["stopped_epoch"]]
+            for branch, t in manifest["training"].items()}
+
+
+def _partition(grouping: dict | None) -> dict | None:
+    if grouping is None:
+        return None
+    return {"groups": {str(g["representative"]): g["members"] for g in grouping["groups"]},
+            "distinct": grouping["distinct"]}
 
 
 def main() -> None:
@@ -37,8 +54,10 @@ def main() -> None:
         summary["fixture"][seed] = {
             "elapsed_s": round(time.time() - t0, 1),
             "models": {k: {"recall": m["truth"]["per_kind"],
-                           "fpr_by_context": m["fpr_by_context"]}
+                           "fpr_by_context": m["fpr_by_context"],
+                           "epochs": _epochs(out_dir, k)}
                        for k, m in report["models"].items()},
+            "partition": _partition(report.get("grouping")),
         }
         print(f"fixture seed {seed}: {summary['fixture'][seed]['elapsed_s']}s")
 
@@ -50,6 +69,7 @@ def main() -> None:
         summary["twin"] = {
             "elapsed_s": round(time.time() - t0, 1),
             "grouping": report.get("grouping"),
+            "partition": _partition(report.get("grouping")),
         }
         print(f"twin: {summary['twin']['elapsed_s']}s")
 

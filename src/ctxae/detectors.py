@@ -25,15 +25,18 @@ below and above a few dozen rows), so the same window can score a few ULPs
 apart in batches of other sizes or mixes.
 
 The passes run folded scoring models (``net.fold_for_scoring``: each
-convolution -> batch norm pair merged into one convolution, then each
-nearest upsampling -> transposed convolution pair into one polyphase GEMM),
-built once when a Detector is constructed. Construction first snaps the
-stored encoders and decoders to float32 storage precision, as saving does,
-so the stored models are final: saving changes none of their values, a saved
-and loaded copy scores bit-identically, and the fold never describes weights
-the checkpoint does not hold. Scores differ from the layer-by-layer forward
-pass of the stored models at the ULP level. Training, validation and the
-grouping's cross-loss matrix run the stored models, and a bundle saves them.
+convolution -> batch norm pair merged into one convolution), built once when
+a Detector is constructed. Construction first snaps the stored encoders and
+decoders to float32 storage precision, as saving does, so the stored models
+are final: saving changes none of their values, a saved and loaded copy
+scores bit-identically, and the fold never describes weights the checkpoint
+does not hold. Scores differ from the layer-by-layer forward pass of the
+stored models at the ULP level. Every model, stored or folded, runs each
+nearest upsampling -> transposed convolution pair as one polyphase layer, so
+training, validation (through a fold of its own each epoch), the grouping's
+cross-loss matrix (through this fold) and scoring run that one layer. A
+bundle saves the stored models, and ``detector.json`` keeps each training
+branch's per-epoch curves.
 
 Trainers read the split's window tables (see ``dataset``): a context's
 windows are the rows its boolean mask over ``context_id`` selects, and a
@@ -300,11 +303,16 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
         "spec": detector.spec.to_dict(),
         "encoders": {str(k): _ckpt_name("encoder", k) for k in detector.encoders},
         "decoders": {str(k): _ckpt_name("decoder", k) for k in detector.decoders},
+        # every field of each TrainReport but its wall time, which would
+        # make the file differ between runs of one seed
         "training": {
             branch: {
                 "best_epoch": r.best_epoch,
                 "best_val_loss": r.best_val_loss,
                 "stopped_epoch": r.stopped_epoch,
+                "train_losses": r.train_losses,
+                "val_losses": r.val_losses,
+                "samples_seen": {str(k): n for k, n in sorted(r.samples_seen.items())},
             }
             for branch, r in sorted(detector.reports.items())
         },
@@ -337,6 +345,13 @@ def load_detector(bundle_dir: Path) -> Detector:
     thresholds_path = bundle_dir / "thresholds.csv"
     table = th.load_table(thresholds_path) if thresholds_path.exists() else None
     grouping = manifest.get("grouping")
+    # a bundle saved before the curves were kept loads with empty ones
+    reports = {branch: TrainReport(
+        train_losses=t.get("train_losses", []), val_losses=t.get("val_losses", []),
+        best_epoch=t["best_epoch"], best_val_loss=t["best_val_loss"],
+        stopped_epoch=t["stopped_epoch"],
+        samples_seen={int(k): n for k, n in t.get("samples_seen", {}).items()})
+        for branch, t in manifest["training"].items()}
     return Detector(
         kind=manifest["kind"],
         spec=AutoencoderSpec.from_dict(manifest["spec"]),
@@ -345,4 +360,5 @@ def load_detector(bundle_dir: Path) -> Detector:
         decoders=decoders,
         grouping={int(c): g for c, g in grouping.items()} if grouping else None,
         thresholds=table,
+        reports=reports,
     )

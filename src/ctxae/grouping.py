@@ -56,14 +56,15 @@ def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray]) -> Lo
     """Run every context's validation windows through every decoder.
 
     The shared encoder runs once per context; each decoder then reconstructs
-    the same latents.
+    the same latents. Both run the detector's scoring fold, the models that
+    fitted its thresholds, so the matrix and tau_dit come from one path.
     """
     context_ids = tuple(sorted(cae_detector.decoders))
     for cid in context_ids:
         if val_by_context.get(cid) is None or val_by_context[cid].shape[0] == 0:
             raise EmptyValidationSet(f"context {cid} has no validation windows")
 
-    enc = cae_detector.encoders[SHARED]
+    enc = cae_detector.scoring_encoders[SHARED]
     n = len(context_ids)
     values = np.zeros((n, n))
     counts = np.zeros(n, dtype=int)
@@ -75,7 +76,7 @@ def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray]) -> Lo
             batch = x[start:start + SCORE_BATCH]
             z = enc.forward(batch, training=False)
             for row, did in enumerate(context_ids):
-                x_hat = cae_detector.decoders[did].forward(z, training=False)
+                x_hat = cae_detector.scoring_decoders[did].forward(z, training=False)
                 sums[row] += float(mse_per_sample(batch, x_hat).sum())
         values[:, col] = sums / counts[col]
     return LossMatrix(context_ids=context_ids, values=values, counts=counts)

@@ -5,7 +5,11 @@ forward caches what ``backward`` needs; an inference-mode forward caches
 nothing, so it may run between a training forward and its backward.
 ``backward`` accumulates parameter gradients and returns the input gradient.
 Convolutions use valid padding and stride 1; the decoder recovers length
-through nearest-neighbour upsampling and transposed convolutions.
+through nearest-neighbour upsampling and transposed convolutions. A
+transposed convolution runs the upsampling before it as one polyphase
+layer (see ``ConvTranspose1D``), in training, validation, the cross-loss
+matrix and scoring alike, so an upsampling layer only runs where no
+transposed convolution follows it.
 
 Fast paths: ReLU, max pooling, the upsampling gradient and batch norm use
 masks kept from the forward pass instead of ``np.where`` or an argmax
@@ -22,13 +26,12 @@ the spec's arguments and allocates its state; its ``forward`` raises
 ShapeMismatch on an input it cannot take, so the output of ``forward`` is
 the kind's shape rule; and its size (``param_count``) is the element count
 of its ``state()``. A chain is validated by running it (see
-``AutoencoderSpec``), not by a second set of shape rules. The one class
-that is no kind, ``UpsampledConvTranspose1D``, exists only in the scoring
-fold (``model.fold_for_scoring``) and is never built from a spec or saved.
+``AutoencoderSpec``), not by a second set of shape rules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,7 +126,13 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients and return the input gradient.
+
+        With input_grad False the caller needs no input gradient; the
+        convolutions then skip it and return None. The parameter gradients
+        are the same bits either way.
+        """
         raise NotImplementedError
 
 
@@ -166,41 +175,107 @@ class Conv1D(Conv):
             y += x[:, i:i + l_out, :] @ self.w[i]
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x = self._x
         l_out = dy.shape[1]
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if input_grad else None
         for i in range(self.k):
             x_slice = x[:, i:i + l_out, :]
             self.dw[i] += x_slice.reshape(-1, self.c_in).T @ dy.reshape(-1, self.c_out)
-            dx[:, i:i + l_out, :] += dy @ self.w[i].T
-        self.db += dy.sum(axis=(0, 1))
+            if input_grad:
+                dx[:, i:i + l_out, :] += dy @ self.w[i].T
+        self.db += _channel_sums(dy)
         return dx
 
 
 class ConvTranspose1D(Conv):
+    """Transposed convolution of the input upsampled by ``factor``, in one
+    polyphase (sub-pixel) GEMM (Shi et al. 2016, arXiv:1609.05158).
+
+    ``Sequential`` sets ``factor`` to that of a nearest upsampling directly
+    before the layer and leaves the upsampling out of its run order; alone,
+    the layer is a plain transposed convolution (factor 1). Output row
+    f*j + r of upsample-then-convolve is the sum over m = 0..M of
+    u[j - m] @ P[m, r], with M = ceil((k - 1) / f) and P[m, r] the sum of the
+    taps w_i with ceil((i - r) / f) = m. Forward lays the M + 1 shifted
+    copies of u (zero-padded by M rows at each end) side by side along
+    channels and multiplies them by the stacked P, so every phase r comes
+    out of one GEMM without the repeated rows of the upsampled input. For
+    f = 2, k = 3, P is [[w0, w0 + w1], [w1 + w2, w2]] with rows m = 0, 1
+    and columns r = 0, 1; for f = 1, P[m, 0] is tap w_m. Backward is that
+    GEMM's: dP is the stacked input transposed times dy, each dw_i the sum
+    of its P blocks' gradients, and dx the shifted sum of the M + 1 blocks
+    of dy @ P^T.
+    """
+
+    factor = 1
+    # stacked() of an inference-only copy whose weights never change, taken
+    # once (see model.fold_for_scoring); None stacks them on every forward
+    frozen: tuple[np.ndarray, np.ndarray] | None = None
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """P as a matrix, row q * c_in + ci and column r * c_out + co, with
+        block q holding lag m = M - q; and the bias tiled once per phase."""
+        f, k, c_in, c_out = self.factor, self.k, self.c_in, self.c_out
+        taps = (_phase_map(f, k) @ self.w.reshape(k, -1)).reshape(-1, f, c_in, c_out)
+        return (taps.transpose(0, 2, 1, 3).reshape(-1, f * c_out),
+                np.concatenate((self.b,) * f))
+
     def forward(self, x, training):
         if x.ndim != 3 or x.shape[2] != self.c_in:
             raise ShapeMismatch(f"conv1d_transpose expected (b, L, {self.c_in}), got {x.shape}")
+        f, c_in = self.factor, self.c_in
+        taps, bias = self.stacked() if self.frozen is None else self.frozen
+        m = taps.shape[0] // c_in - 1
+        n, l_in, _ = x.shape
+        rows = l_in + m
+        stacked = np.zeros((n * rows, (m + 1) * c_in))
+        blocks = stacked.reshape(n, rows, m + 1, c_in)
+        for q in range(m + 1):
+            blocks[:, m - q:m - q + l_in, q, :] = x
         if training:
-            self._x = x
-        l_in = x.shape[1]
-        y = np.zeros((x.shape[0], l_in + self.k - 1, self.c_out))
-        for i in range(self.k):
-            y[:, i:i + l_in, :] += x @ self.w[i]
-        y += self.b
-        return y
+            self._x = (stacked, taps, l_in)
+        y = stacked @ taps
+        y += bias
+        return y.reshape(n, rows * f, self.c_out)[:, :f * l_in + self.k - 1]
 
-    def backward(self, dy):
-        x = self._x
-        l_in = x.shape[1]
-        dx = np.zeros_like(x)
-        for i in range(self.k):
-            dy_slice = dy[:, i:i + l_in, :]
-            self.dw[i] += x.reshape(-1, self.c_in).T @ dy_slice.reshape(-1, self.c_out)
-            dx += dy_slice @ self.w[i].T
-        self.db += dy.sum(axis=(0, 1))
+    def backward(self, dy, input_grad=True):
+        stacked, taps, l_in = self._x
+        f, k, c_in, c_out = self.factor, self.k, self.c_in, self.c_out
+        m = taps.shape[0] // c_in - 1
+        n, rows = dy.shape[0], l_in + m
+        if dy.shape[1] < rows * f:
+            # rows the forward cropped have zero gradient
+            full = np.zeros((n, rows * f, c_out))
+            full[:, :dy.shape[1]] = dy
+        else:
+            full = dy
+        dy2 = full.reshape(n * rows, f * c_out)
+        # dw_i sums the gradients of the P blocks that hold w_i
+        d_taps = (stacked.T @ dy2).reshape(m + 1, c_in, f, c_out).transpose(0, 2, 1, 3)
+        self.dw += (_phase_map(f, k).T @ d_taps.reshape((m + 1) * f, -1)).reshape(k, c_in, c_out)
+        self.db += _channel_sums(dy)
+        if not input_grad:
+            return None
+        d_blocks = (dy2 @ taps.T).reshape(n, rows, m + 1, c_in)
+        dx = d_blocks[:, m:m + l_in, 0, :].copy()
+        for q in range(1, m + 1):
+            dx += d_blocks[:, m - q:m - q + l_in, q, :]
         return dx
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_map(factor: int, kernel: int) -> np.ndarray:
+    """The 0/1 map from taps to polyphase blocks: row q * factor + r has a 1
+    in column i iff tap w_i adds into block (q, r), i.e. q = M + (r - i) // f
+    with M = ceil((kernel - 1) / factor). Read only."""
+    lag = -(-(kernel - 1) // factor)
+    phases = np.zeros(((lag + 1) * factor, kernel))
+    for r in range(factor):
+        for i in range(kernel):
+            phases[(lag + (r - i) // factor) * factor + r, i] = 1.0
+    phases.flags.writeable = False
+    return phases
 
 
 def _fold(op, blocks: np.ndarray) -> np.ndarray:
@@ -242,7 +317,7 @@ class MaxPool1D(Layer):
             self._in_shape = x.shape
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         b, l_out, c = dy.shape
         p = self.pool
         dx = np.empty(self._in_shape)
@@ -260,52 +335,9 @@ class UpsampleNearest(Layer):
     def forward(self, x, training):
         return np.repeat(x, self.factor, axis=1)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         b, l_out, c = dy.shape
         return _fold(np.add, dy.reshape(b, l_out // self.factor, self.factor, c))
-
-
-class UpsampledConvTranspose1D(Layer):
-    """UpsampleNearest(f) -> ConvTranspose1D(k) as one inference-only layer.
-
-    The polyphase (sub-pixel) form (Shi et al. 2016, arXiv:1609.05158):
-    output row f*j + r of the pair is sum over m = 0..M of u[j - m] @ P[m, r],
-    with M = ceil((k - 1) / f) and P[m, r] the sum of the taps w_i with
-    ceil((i - r) / f) = m. One GEMM of the M + 1 shifted copies of u, laid
-    side by side along channels, against the stacked P computes every phase
-    r at once, without the repeated rows of the upsampled input. For f = 2,
-    k = 3 the stacked matrix is [[w0, w0 + w1], [w1 + w2, w2]] by phase.
-
-    Built from the pair's weights as they stand; it keeps no reference to
-    either layer, has no backward, and takes the spec of the convolution it
-    stands in for.
-    """
-
-    def __init__(self, up: UpsampleNearest, conv: ConvTranspose1D):
-        self.spec = conv.spec
-        f, k = up.factor, conv.k
-        self.factor, self.k, self.c_in, self.c_out = f, k, conv.c_in, conv.c_out
-        self.lag = -(-(k - 1) // f)
-        # block q of the stacked input holds u[j + q - M], i.e. m = M - q
-        taps = np.zeros((self.lag + 1, self.c_in, f, self.c_out))
-        for r in range(f):
-            for i in range(k):
-                taps[self.lag + (r - i) // f, :, r, :] += conv.w[i]
-        self.w = taps.reshape((self.lag + 1) * self.c_in, f * self.c_out)
-        self.b = np.tile(conv.b, f)
-
-    def forward(self, x, training):
-        if x.ndim != 3 or x.shape[2] != self.c_in:
-            raise ShapeMismatch(f"conv1d_transpose expected (b, L, {self.c_in}), got {x.shape}")
-        n, l_in, _ = x.shape
-        m, rows = self.lag, l_in + self.lag
-        # the shifted copies of u zero-padded by M rows at each end
-        stacked = np.zeros((n, rows, m + 1, self.c_in))
-        for q in range(m + 1):
-            stacked[:, m - q:m - q + l_in, q, :] = x
-        y = stacked.reshape(n * rows, -1) @ self.w
-        y += self.b
-        return y.reshape(n, rows * self.factor, self.c_out)[:, :self.factor * l_in + self.k - 1]
 
 
 def _channel_sums(a: np.ndarray) -> np.ndarray:
@@ -376,7 +408,7 @@ class BatchNorm(Layer):
         y += self.beta
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x_hat, inv_std, n = self._cache
         prod = np.multiply(dy, x_hat)
         self.dgamma += _channel_sums(prod)
@@ -429,7 +461,7 @@ class Dense(Layer):
             y = y.reshape(x.shape[0], *self.out_shape)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         dy2d = dy.reshape(dy.shape[0], -1)
         self.dw += self._x2d.T @ dy2d
         self.db += dy2d.sum(axis=0)
@@ -448,7 +480,7 @@ class Activation(Layer):
             self._mask = x > 0.0
         return np.maximum(x, 0.0)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         return np.multiply(dy, self._mask)
 
 

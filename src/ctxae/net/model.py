@@ -1,20 +1,23 @@
 """Sequential model container, the default autoencoder architecture, and the
 scoring fold.
 
+A ``Sequential`` runs each nearest upsampling that directly precedes a
+transposed convolution inside it: the convolution takes the upsampling
+factor and computes the pair as one polyphase GEMM (see
+``layers.ConvTranspose1D``), and the upsampling leaves the run order. It
+stays in ``layers``, so checkpoint headers keep its spec and the state order
+is unchanged. Training, validation, the grouping's cross-loss matrix and
+scoring all run that one layer.
+
 ``fold_for_scoring`` builds, for inference only, a model that computes the
-stored model's inference forward pass with two kinds of adjacent pair merged:
-
-* convolution -> batch norm. In inference mode a batch norm is the fixed
-  per-channel affine map y -> (y - running_mean) * s + beta with
-  s = gamma / sqrt(running_var + EPS), so the pair is a single convolution
-  of the same class with weights w * s and bias (b - running_mean) * s + beta
-  (Ioffe & Szegedy 2015, sec. 3.1).
-* nearest upsampling -> transposed convolution. The pair is one GEMM in the
-  polyphase (sub-pixel) form (Shi et al. 2016, arXiv:1609.05158), which never
-  builds the repeated rows (see ``layers.UpsampledConvTranspose1D``).
-
-The fold agrees with the layer-by-layer form up to rounding, a few ULPs per
-element. Training, validation and checkpoints always use the stored model.
+stored model's inference forward pass with each convolution -> batch norm
+pair merged. In inference mode a batch norm is the fixed per-channel affine
+map y -> (y - running_mean) * s + beta with s = gamma / sqrt(running_var +
+EPS), so the pair is a single convolution of the same class (and upsampling
+factor) with weights w * s and bias (b - running_mean) * s + beta (Ioffe &
+Szegedy 2015, sec. 3.1). The fold agrees with the layer-by-layer form up to
+rounding, a few ULPs per element. Validation, the cross-loss matrix and
+scoring run the fold; training and checkpoints use the stored model.
 """
 
 from __future__ import annotations
@@ -33,20 +36,31 @@ class Sequential:
 
     def __init__(self, layers: list[L.Layer]):
         self.layers = list(layers)
+        # what forward runs: layers minus each upsampling a transposed
+        # convolution takes over
+        self.run_order: list[L.Layer] = []
+        for layer in self.layers:
+            if (isinstance(layer, L.ConvTranspose1D) and self.run_order
+                    and isinstance(self.run_order[-1], L.UpsampleNearest)):
+                layer.factor = self.run_order.pop().factor
+            self.run_order.append(layer)
 
     @classmethod
     def build(cls, specs: list[LayerSpec], rng: np.random.Generator) -> "Sequential":
         return cls([build_layer(s, rng) for s in specs])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        for layer in self.layers:
+        for layer in self.run_order:
             x = layer.forward(x, training)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through the run order; with input_grad False the first
+        layer may skip the input gradient and return None."""
+        first, *rest = self.run_order
+        for layer in reversed(rest):
             dy = layer.backward(dy)
-        return dy
+        return first.backward(dy, input_grad=input_grad)
 
     def params(self) -> list[np.ndarray]:
         return [a for layer in self.layers for a in layer.params()]
@@ -81,40 +95,40 @@ class Sequential:
 
 def fold_for_scoring(model: Sequential) -> Sequential:
     """An inference-only model computing model's inference forward pass with
-    every convolution -> batch norm pair merged into one convolution, then
-    every nearest upsampling -> transposed convolution pair into one
-    ``UpsampledConvTranspose1D``.
+    every convolution -> batch norm pair of its run order merged into one
+    convolution.
 
-    A merged pair becomes a new layer instance, never a copy of the old one,
-    so nothing set on the old instances (such as a wrapper around their
-    ``forward``) carries over with the old weights. Every other layer is
-    shared with model. A merged layer holds the weights as they stand at the
-    call, so a fold is stale once model's state changes.
+    A merged pair, and every transposed convolution, becomes a new layer
+    instance, never a copy of the old one, so nothing set on the old
+    instances (such as a wrapper around their ``forward``) carries over with
+    the old weights. A new transposed convolution stacks its polyphase taps
+    and bias once, here, instead of on every forward. Every other layer is shared
+    with model. A new layer holds the weights as they stand at the call, so
+    a fold is stale once model's state changes.
     """
-    layers = _merge_pairs(model.layers, L.Conv, L.BatchNorm, _merge_batchnorm)
-    layers = _merge_pairs(layers, L.UpsampleNearest, L.ConvTranspose1D,
-                          L.UpsampledConvTranspose1D)
-    return Sequential(layers)
-
-
-def _merge_pairs(layers: list[L.Layer], first: type, second: type, merge) -> list[L.Layer]:
-    """layers with every first-then-second pair replaced by merge(first, second)."""
     out: list[L.Layer] = []
-    for layer in layers:
-        if isinstance(layer, second) and out and isinstance(out[-1], first):
-            out[-1] = merge(out[-1], layer)
+    for layer in model.run_order:
+        if isinstance(layer, L.BatchNorm) and out and isinstance(out[-1], L.Conv):
+            conv = out[-1]
+            scale = layer.gamma / np.sqrt(layer.running_var + layer.EPS)
+            out[-1] = _fresh(conv, conv.w * scale,
+                             (conv.b - layer.running_mean) * scale + layer.beta)
+        elif isinstance(layer, L.ConvTranspose1D):
+            out.append(_fresh(layer, layer.w.copy(), layer.b.copy()))
         else:
             out.append(layer)
-    return out
+    return Sequential(out)
 
 
-def _merge_batchnorm(conv: L.Conv, bn: L.BatchNorm) -> L.Conv:
-    scale = bn.gamma / np.sqrt(bn.running_var + bn.EPS)
-    # a fresh instance of conv's class; its initial weights are replaced
-    merged = build_layer(conv.spec, np.random.default_rng(0))
-    merged.w = conv.w * scale
-    merged.b = (conv.b - bn.running_mean) * scale + bn.beta
-    return merged
+def _fresh(conv: L.Conv, w: np.ndarray, b: np.ndarray) -> L.Conv:
+    """A new instance of conv's class (and upsampling factor) holding w, b."""
+    # its initial weights are replaced
+    fresh = build_layer(conv.spec, np.random.default_rng(0))
+    fresh.w, fresh.b = w, b
+    if isinstance(conv, L.ConvTranspose1D):
+        fresh.factor = conv.factor
+        fresh.frozen = fresh.stacked()
+    return fresh
 
 
 @dataclass(frozen=True)

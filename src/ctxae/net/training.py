@@ -7,6 +7,13 @@ shuffle from the config seed, so identical config + seed reproduce identical
 loss sequences. Re-running a plateaued validation loss keeps the earliest
 best epoch (strict improvement only).
 
+Training, validation, the cross-loss matrix and scoring all run each
+upsampling -> transposed convolution pair as one polyphase layer (see
+``model.Sequential``). Training computes no input gradient for the
+encoder's first layer, which nothing reads. Each epoch's validation runs
+the scoring fold of the encoder and decoders (``fold_for_scoring``), as the
+cross-loss matrix and scoring do.
+
 ``Adam.step`` updates its moments in place and reuses two scratch arrays
 per parameter. It performs the textbook update's float operations in the
 same order, so parameters come out with the same bits.
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyTrainingSet, NonFiniteLoss
-from .model import Sequential, mse_per_sample
+from .model import Sequential, fold_for_scoring, mse_per_sample
 
 SCORE_BATCH = 512     # rows per inference pass wherever windows are scored
 
@@ -116,12 +123,15 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     encoder.zero_grads()
     decoder.zero_grads()
     dz = decoder.backward(d_xhat)
-    encoder.backward(dz)
+    encoder.backward(dz, input_grad=False)
     return loss
 
 
 def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray) -> np.ndarray:
-    """Per-window reconstruction loss in inference mode; shape (n,)."""
+    """Per-window reconstruction loss in inference mode; shape (n,).
+
+    Runs the models as given; validation passes their scoring folds.
+    """
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], SCORE_BATCH):
         batch = x[start:start + SCORE_BATCH]
@@ -146,10 +156,10 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     in a seeded shuffle. The encoder receives a gradient step on every
     batch, each decoder only on its own batches (per-branch Adam state).
     The validation loss is the per-key mean weighted by each key's share of
-    the validation windows. Stops when it fails to improve for ``patience``
-    consecutive epochs; the best-epoch state (parameters and batch-norm
-    running stats) is restored and every layer cache dropped before
-    returning.
+    the validation windows, computed through the models folded once per
+    epoch. Stops when it fails to improve for ``patience`` consecutive
+    epochs; the best-epoch state (parameters and batch-norm running stats)
+    is restored and every layer cache dropped before returning.
     """
     keys = sorted(decoders)
     if sorted(train_by_key) != keys or sorted(val_by_key) != keys:
@@ -201,9 +211,11 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
         report.train_losses.append(epoch_loss / total)
 
         val_loss = 0.0
+        scoring_encoder = fold_for_scoring(encoder)
         for k in keys:
             if val_by_key[k].shape[0]:
-                val_loss += evaluate_loss(encoder, decoders[k], val_by_key[k]) \
+                val_loss += evaluate_loss(scoring_encoder, fold_for_scoring(decoders[k]),
+                                          val_by_key[k]) \
                     * (val_by_key[k].shape[0] / total_val)
         _check_finite(val_loss)
         report.val_losses.append(val_loss)

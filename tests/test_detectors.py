@@ -1,5 +1,6 @@
 """Detector variants: parameter identities, routing, thresholds, persistence."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
                              train_cae, train_gcae, train_moe)
 from ctxae.errors import (EmptyValidationSet, IncompleteGrouping,
                           MissingArtifact, MissingThreshold, UnroutedContext)
-from ctxae.net import TrainConfig, default_autoencoder_spec, score_windows
+from ctxae.grouping import cross_loss_matrix
+from ctxae.net import TrainConfig, TrainReport, default_autoencoder_spec, score_windows
 from ctxae.net import layers as L
 from ctxae.net.model import AutoencoderSpec, Sequential
 
@@ -407,6 +409,19 @@ def test_the_fold_ignores_wrappers_on_the_stored_layers(rng, kind):
     np.testing.assert_array_equal(wrapped.score_mixed(x, cids), plain.score_mixed(x, cids))
 
 
+def test_the_cross_loss_matrix_runs_the_scoring_fold(rng):
+    det = _desk_detector("cae")
+    val = {c: rng.normal(size=(n, 50, 6)) for c, n in ((0, 7), (1, 5), (2, 3))}
+    matrix = cross_loss_matrix(det, val)
+    for c, x in val.items():
+        # the same GEMMs on the same rows: equal bits, not just close
+        assert matrix.loss(c, c) == det.score(x, c).mean()
+    # the layer-by-layer path of the stored models lands a few ULPs away
+    stored = [score_windows(det.encoders[SHARED], det.decoders[c], x).mean()
+              for c, x in val.items()]
+    np.testing.assert_allclose(matrix.diagonal, stored, rtol=1e-12)
+
+
 # --- thresholds and verdicts -------------------------------------------------------
 
 def test_fitted_thresholds_match_manual_mean_plus_five_sigma(rng):
@@ -498,6 +513,54 @@ def test_save_load_round_trip(tmp_path, rng):
                                   det.score_mixed(x, cids))
     for cid in (0, 1):
         assert loaded.thresholds.tau(cid) == det.thresholds.tau(cid)
+
+
+def test_detector_json_keeps_the_training_curves(tmp_path, rng):
+    split = _split(rng, contexts=(0, 1))
+    det = train_moe(split, _toy_spec(), _fast_config())
+    save_detector(tmp_path, det)
+    training = json.loads((tmp_path / "detector.json").read_text())["training"]
+    assert sorted(training) == ["c0", "c1"]
+    for branch, report in det.reports.items():
+        saved = training[branch]
+        assert "wall_time_s" not in saved
+        assert saved["train_losses"] == report.train_losses
+        assert saved["val_losses"] == report.val_losses
+        assert saved["samples_seen"] == {str(k): n for k, n in report.samples_seen.items()}
+        assert len(saved["val_losses"]) == saved["stopped_epoch"]
+    loaded = load_detector(tmp_path)
+    # every field round-trips exactly except the wall time, which is not saved
+    assert loaded.reports == {b: replace(r, wall_time_s=0.0) for b, r in det.reports.items()}
+    save_detector(tmp_path / "again", loaded)
+    assert ((tmp_path / "again" / "detector.json").read_bytes()
+            == (tmp_path / "detector.json").read_bytes())
+
+
+def test_two_trainings_of_one_seed_write_the_same_detector_json(tmp_path, rng):
+    split = _split(rng, contexts=(0, 1))
+    for name in ("a", "b"):
+        save_detector(tmp_path / name, train_cae(split, _toy_spec(), _fast_config(seed=3)))
+    assert ((tmp_path / "a" / "detector.json").read_bytes()
+            == (tmp_path / "b" / "detector.json").read_bytes())
+
+
+def test_a_bundle_without_training_curves_still_loads(tmp_path, rng):
+    """detector.json as written before it kept the curves."""
+    split = _split(rng, contexts=(0, 1))
+    det = train_cae(split, _toy_spec(), _fast_config())
+    save_detector(tmp_path, det)
+    manifest = json.loads((tmp_path / "detector.json").read_text())
+    for saved in manifest["training"].values():
+        for key in ("train_losses", "val_losses", "samples_seen"):
+            del saved[key]
+    (tmp_path / "detector.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    loaded = load_detector(tmp_path)
+    report = det.reports["cae"]
+    assert loaded.reports == {"cae": TrainReport(
+        best_epoch=report.best_epoch, best_val_loss=report.best_val_loss,
+        stopped_epoch=report.stopped_epoch)}
+    x, cids = split.test.tensor, split.test.context_id
+    np.testing.assert_array_equal(loaded.score_mixed(x, cids), det.score_mixed(x, cids))
 
 
 def test_load_detector_requires_manifest(tmp_path):

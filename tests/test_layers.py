@@ -6,8 +6,9 @@ gradient is the fixed random tensor ``w``. A gradient entry passes when it
 matches the finite-difference estimate within 1e-4 relative error, or 1e-8
 absolute for entries whose true gradient is numerically zero. The fast-path
 cases require exact equality with the textbook forms. The last section
-checks the scoring fold's merged upsampling -> transposed convolution layer
-against the pair it replaces.
+checks the polyphase layer that a nearest upsampling followed by a
+transposed convolution runs as, forward and every gradient, against the
+textbook pair it replaces, and the scoring fold built on it.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ctxae.errors import ShapeMismatch
 from ctxae.net.layers import (
     LayerSpec,
-    UpsampledConvTranspose1D,
+    _channel_sums,
     batchnorm,
     build_layer,
     conv1d,
@@ -28,7 +29,9 @@ from ctxae.net.layers import (
     relu,
     upsample,
 )
-from ctxae.net.model import AutoencoderSpec, Sequential, fold_for_scoring, mse_per_sample
+from ctxae.net.checkpoint import load_checkpoint, save_checkpoint
+from ctxae.net.model import (AutoencoderSpec, Sequential, default_autoencoder_spec,
+                             fold_for_scoring, mse_per_sample)
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-8
@@ -64,21 +67,26 @@ def _assert_close(analytic, numeric, label):
 
 def _check_layer(spec: LayerSpec, in_shape: tuple, seed: int) -> None:
     rng = np.random.default_rng(seed)
-    layer = build_layer(spec, rng)
+    _check_unit(build_layer(spec, rng), in_shape, rng, spec.kind)
+
+
+def _check_unit(unit, in_shape: tuple, rng, label: str) -> None:
+    """Gradcheck a layer or a Sequential: anything with forward, backward,
+    params, grads and zero_grads."""
     x = rng.normal(0.0, 1.0, size=in_shape)
-    out = layer.forward(x, training=True)
+    out = unit.forward(x, training=True)
     w = rng.normal(0.0, 1.0, size=out.shape)
 
     def loss():
-        return float(np.sum(w * layer.forward(x, training=True)))
+        return float(np.sum(w * unit.forward(x, training=True)))
 
-    layer.forward(x, training=True)
-    layer.zero_grads()
-    dx = layer.backward(w.copy())
+    unit.forward(x, training=True)
+    unit.zero_grads()
+    dx = unit.backward(w.copy())
 
-    _assert_close(dx, _fd_grad(loss, x), f"{spec.kind} input grad")
-    for i, (p, g) in enumerate(zip(layer.params(), layer.grads())):
-        _assert_close(g, _fd_grad(loss, p), f"{spec.kind} param[{i}] grad")
+    _assert_close(dx, _fd_grad(loss, x), f"{label} input grad")
+    for i, (p, g) in enumerate(zip(unit.params(), unit.grads())):
+        _assert_close(g, _fd_grad(loss, p), f"{label} param[{i}] grad")
 
 
 CASES = [
@@ -432,51 +440,121 @@ def test_conv1d_forward_matches_reference_bit_for_bit(shape, fill):
                    _reference_conv1d(x, layer.w, layer.b))
 
 
-# --- the scoring fold's merged upsampling -> transposed convolution ----------
+def test_bias_gradients_are_the_bits_of_the_textbook_sum():
+    """_channel_sums against dy.sum(axis=(0, 1)) on the convolution outputs
+    of the default autoencoder at batch 128 and on a short batch, directly
+    and through each convolution's bias gradient."""
+    rng = np.random.default_rng(26)
+    for shape in [(128, 48, 16), (128, 22, 32), (128, 24, 16), (128, 50, 6),
+                  (74, 48, 16)]:
+        # magnitudes far apart, so that another order of addition rounds differently
+        dy = rng.normal(size=shape)
+        dy *= 10.0 ** rng.integers(-8, 8, size=shape)
+        ref = np.zeros(shape[2]) + dy.sum(axis=(0, 1))
+        _same_bits(_channel_sums(dy), dy.sum(axis=(0, 1)))
+        conv = build_layer(conv1d(2, shape[2], 3), rng)
+        conv.forward(rng.normal(size=(shape[0], shape[1] + 2, 2)), training=True)
+        conv.backward(dy)
+        _same_bits(conv.db, ref)
+        up_conv = _pair(2, 3, 2, shape[2], rng)
+        up_conv.forward(rng.normal(size=(shape[0], (shape[1] - 2) // 2, 2)), training=True)
+        up_conv.zero_grads()
+        up_conv.backward(dy)
+        _same_bits(up_conv.layers[1].db, ref)
 
-def _pair(factor, kernel, c_in, c_out, rng):
-    up = build_layer(upsample(factor), rng)
-    conv = build_layer(conv1d_transpose(c_in, c_out, kernel), rng)
-    conv.b[:] = rng.normal(size=c_out)
-    return up, conv
+
+# --- nearest upsampling -> transposed convolution as one polyphase layer ---------
+
+def _reference_conv_transpose(x, kernel, bias, dy):
+    """The per-tap transposed convolution: output, dx, dw, db."""
+    k, l_in = kernel.shape[0], x.shape[1]
+    y = np.zeros((x.shape[0], l_in + k - 1, kernel.shape[2]))
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(kernel)
+    for i in range(k):
+        y[:, i:i + l_in, :] += x @ kernel[i]
+        dy_slice = dy[:, i:i + l_in, :]
+        dw[i] = x.reshape(-1, x.shape[2]).T @ dy_slice.reshape(-1, kernel.shape[2])
+        dx += dy_slice @ kernel[i].T
+    return y + bias, dx, dw, dy.sum(axis=(0, 1))
+
+
+def _reference_pair(x, factor, kernel, bias, dy):
+    """np.repeat, the per-tap transposed convolution, then the upsampling's
+    gradient: each input row sums the gradients of its copies."""
+    y, du, dw, db = _reference_conv_transpose(np.repeat(x, factor, axis=1),
+                                              kernel, bias, dy)
+    dx = du.reshape(x.shape[0], x.shape[1], factor, x.shape[2]).sum(axis=2)
+    return y, dx, dw, db
+
+
+def _pair(factor, kernel, c_in, c_out, rng) -> Sequential:
+    model = Sequential.build([upsample(factor), conv1d_transpose(c_in, c_out, kernel)], rng)
+    model.layers[1].b[:] = rng.normal(size=c_out)
+    return model
+
+
+def _close_to(got, want):
+    """Within 1e-12 of want's largest element."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+PAIRS = [(2, 3), (2, 1), (2, 2), (2, 5), (3, 2), (3, 7), (1, 3)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([(2, 3), (2, 1), (2, 2), (2, 5), (3, 2), (3, 7), (1, 3)]),
-       st.integers(1, 4), st.integers(1, 13), st.integers(1, 5), st.integers(1, 5),
-       st.integers(0, 2**32 - 1))
+@given(st.sampled_from(PAIRS), st.integers(1, 4), st.integers(1, 13),
+       st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_merged_upsample_conv_transpose_equals_the_pair(fk, batch, length, c_in, c_out, seed):
     factor, kernel = fk
     rng = np.random.default_rng(seed)
-    up, conv = _pair(factor, kernel, c_in, c_out, rng)
+    model = _pair(factor, kernel, c_in, c_out, rng)
+    up, conv = model.layers
+    assert model.run_order == [conv] and conv.factor == factor
     x = rng.normal(size=(batch, length, c_in))
-    want = conv.forward(up.forward(x, False), False)
-    got = UpsampledConvTranspose1D(up, conv).forward(x, False)
-    assert got.shape == want.shape == (batch, factor * length + kernel - 1, c_out)
-    # rtol 1e-12 of the sum of the terms' magnitudes, the scale of the
-    # rounding of either order of addition even where the terms cancel
-    conv.w, conv.b = np.abs(conv.w), np.abs(conv.b)
-    scale = conv.forward(up.forward(np.abs(x), False), False)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    dy = rng.normal(size=(batch, factor * length + kernel - 1, c_out))
+    y_ref, dx_ref, dw_ref, db_ref = _reference_pair(x, factor, conv.w, conv.b, dy)
+    _close_to(model.forward(x, training=False), y_ref)
+    _close_to(model.forward(x, training=True), y_ref)
+    model.zero_grads()
+    _close_to(model.backward(dy), dx_ref)
+    _close_to(conv.dw, dw_ref)
+    _close_to(conv.db, db_ref)
+
+
+@pytest.mark.parametrize("fk", PAIRS)
+@pytest.mark.parametrize("seed", [13, 14])
+def test_merged_upsample_conv_transpose_gradcheck(fk, seed):
+    factor, kernel = fk
+    rng = np.random.default_rng(seed)
+    _check_unit(_pair(factor, kernel, 3, 2, rng), (2, 4, 3), rng,
+                f"upsample({factor}) -> conv1d_transpose(k={kernel})")
 
 
 def test_merged_upsample_conv_transpose_refuses_a_channel_mismatch():
-    up, conv = _pair(2, 3, 4, 2, np.random.default_rng(3))
+    model = _pair(2, 3, 4, 2, np.random.default_rng(3))
     with pytest.raises(ShapeMismatch, match="conv1d_transpose"):
-        UpsampledConvTranspose1D(up, conv).forward(np.zeros((1, 5, 3)), False)
+        model.forward(np.zeros((1, 5, 3)), False)
 
 
 def test_the_fold_merges_only_an_upsampling_followed_by_a_transposed_convolution():
     rng = np.random.default_rng(8)
     model = Sequential.build([upsample(2), conv1d(3, 4, 2), batchnorm(4), relu(),
                               upsample(3), conv1d_transpose(4, 2, 3)], rng)
+    # one instance per spec; only the upsampling before the transposed
+    # convolution leaves the run order
+    assert len(model.layers) == 6
+    assert model.run_order == [model.layers[i] for i in (0, 1, 2, 3, 5)]
+    assert model.layers[5].factor == 3
     bn = model.layers[2]
     bn.running_mean[:] = rng.normal(size=4)
     bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
     folded = fold_for_scoring(model)
     assert [type(layer).__name__ for layer in folded.layers] == [
-        "UpsampleNearest", "Conv1D", "Activation", "UpsampledConvTranspose1D"]
-    # unmerged layers are the stored instances, merged ones are fresh
+        "UpsampleNearest", "Conv1D", "Activation", "ConvTranspose1D"]
+    assert folded.run_order == folded.layers and folded.layers[3].factor == 3
+    # layers without weights are the stored instances, convolutions are fresh
     assert folded.layers[0] is model.layers[0] and folded.layers[2] is model.layers[3]
     assert not any(folded.layers[i] is stored for i in (1, 3) for stored in model.layers)
     x = rng.normal(size=(5, 6, 3))
@@ -484,3 +562,26 @@ def test_the_fold_merges_only_an_upsampling_followed_by_a_transposed_convolution
     np.testing.assert_allclose(
         mse_per_sample(target, folded.forward(x, training=False)),
         mse_per_sample(target, model.forward(x, training=False)), rtol=1e-12, atol=0.0)
+    # the fold keeps the taps of the call: a later step on the stored model
+    # leaves it alone
+    before = folded.forward(x, training=False)
+    model.layers[5].w += 1.0
+    np.testing.assert_array_equal(folded.forward(x, training=False), before)
+
+
+def test_the_default_decoder_keeps_its_specs_and_state_order(tmp_path):
+    spec = default_autoencoder_spec()
+    decoder = spec.build_decoder(np.random.default_rng(4))
+    assert [layer.spec for layer in decoder.layers] == list(spec.decoder)
+    assert [layer.spec.kind for layer in decoder.run_order] == [
+        "dense", "activation", "conv1d_transpose", "batchnorm", "activation",
+        "conv1d_transpose"]
+    assert decoder.param_count() == 28_662
+    save_checkpoint(tmp_path / "dec.ckpt", decoder)
+    loaded, _ = load_checkpoint(tmp_path / "dec.ckpt")
+    assert loaded.spec_dicts() == decoder.spec_dicts() == [s.to_dict() for s in spec.decoder]
+    assert [a.shape for a in loaded.state()] == [a.shape for a in decoder.state()]
+    assert [layer.factor for layer in loaded.run_order
+            if layer.spec.kind == "conv1d_transpose"] == [2, 2]
+    x = np.random.default_rng(5).normal(size=(3, spec.latent))
+    np.testing.assert_array_equal(loaded.forward(x), decoder.forward(x))

@@ -387,3 +387,35 @@ def test_adam_in_place_step_matches_out_of_place_reference(rng):
         ref.step(ref_params, [g.copy() for g in grads])
         for p, p_ref in zip(params, ref_params):
             assert p.tobytes() == p_ref.tobytes()
+
+
+def test_skipping_the_input_gradient_keeps_every_parameter_gradient(rng):
+    spec = default_autoencoder_spec()
+    enc, dec = _build_pair(spec, seed=12)
+    x = rng.normal(size=(20, 50, 6))
+    grads = []
+    for input_grad in (True, False):
+        x_hat = dec.forward(enc.forward(x, training=True), training=True)
+        enc.zero_grads()
+        dec.zero_grads()
+        dx = enc.backward(dec.backward(x_hat - x), input_grad=input_grad)
+        assert (dx is None) == (not input_grad)
+        grads.append([g.copy() for g in enc.grads() + dec.grads()])
+    assert dx is None
+    for with_dx, without in zip(*grads):
+        assert with_dx.tobytes() == without.tobytes()
+
+
+def test_validation_runs_the_scoring_fold(rng, monkeypatch):
+    spec = default_autoencoder_spec()
+    enc, dec = _build_pair(spec, seed=13)
+    x = rng.normal(size=(24, 50, 6))
+    seen = []
+    monkeypatch.setattr(training_mod, "evaluate_loss",
+                        lambda e, d, v: seen.append((e, d)) or 1.0)
+    train_autoencoder(enc, dec, x[:16], x[16:], TrainConfig(max_epochs=2, patience=1))
+    assert len(seen) == 2
+    for e, d in seen:
+        # folded: the batch norms are merged away, the stored models untouched
+        assert e is not enc and d is not dec
+        assert "batchnorm" not in [layer.spec.kind for layer in e.run_order + d.run_order]
