@@ -2,18 +2,25 @@
 
 Usage:
     python scripts/run_fixture.py [--seeds 1 2 3] [--out runs]
+    python scripts/run_fixture.py --compare BEFORE.json AFTER.json
 
 Writes one artifact tree per run under --out and a combined summary JSON
 next to them. Each run is deterministic for its seed. Per fixture seed the
 summary holds each detector's recall per truth kind, FPR per context and
 best and stopped epoch per training branch, plus the grouping partition;
 for the twin config it holds the grouping and its partition.
+
+--compare reads two such summaries and prints every fingerprint field that
+differs: best and stopped epoch per branch, recall per truth kind, FPR per
+context, and the fixture and twin partitions. It exits 1 on any difference
+and 0 when there is none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -37,12 +44,42 @@ def _partition(grouping: dict | None) -> dict | None:
             "distinct": grouping["distinct"]}
 
 
+def _fingerprint(summary: dict) -> dict[str, str]:
+    """{field path: its value as canonical JSON} for every fingerprint field
+    (JSON text, so that a NaN FPR equals itself)."""
+    fields = {}
+    for seed, run in summary["fixture"].items():
+        for kind, model in run["models"].items():
+            for name in ("epochs", "recall", "fpr_by_context"):
+                for key, value in model[name].items():
+                    fields[f"fixture {seed} {kind} {name} {key}"] = value
+        fields[f"fixture {seed} partition"] = run["partition"]
+    if summary["twin"] is not None:
+        fields["twin partition"] = summary["twin"]["partition"]
+    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print the fingerprint fields that differ; 1 if any do, else 0."""
+    old, new = (_fingerprint(json.loads(p.read_text())) for p in (before, after))
+    keys = sorted(old.keys() | new.keys())
+    differ = [k for k in keys if old.get(k) != new.get(k)]
+    for key in differ:
+        print(f"{key}: {old.get(key, 'missing')} -> {new.get(key, 'missing')}")
+    print(f"{len(differ)} of {len(keys)} fingerprint fields differ")
+    return 1 if differ else 0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--out", type=Path, default=ROOT / "runs")
     ap.add_argument("--skip-twin", action="store_true")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare two summary files instead of running")
     args = ap.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
 
     summary: dict = {"fixture": {}, "twin": None}
     for seed in args.seeds:

@@ -8,6 +8,10 @@ Saving snaps the live model's state to float32-representable values first,
 so the file and the in-memory model agree bit for bit afterwards: forward
 passes before and after a save/load round trip are identical, and re-saving
 reproduces identical bytes.
+
+Loading builds the model from the header's layer specs with zero state (no
+random draws) and then overwrites every state array from the file, so the
+loaded model depends on the file alone.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
         (header_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(header_len).decode())
         specs = [LayerSpec.from_dict(d) for d in header["layers"]]
-        model = Sequential.build(specs, np.random.default_rng(0))
+        model = Sequential.build(specs)
         state = model.state()
         if len(state) != len(header["blocks"]):
             raise ShapeMismatch(f"{path}: block count does not match layer specs")

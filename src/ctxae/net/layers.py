@@ -16,10 +16,13 @@ masks kept from the forward pass instead of ``np.where`` or an argmax
 scatter, whole-array ufunc calls instead of strided reductions, and
 arithmetic in place. Each performs the same float operations in the same
 order as its textbook form (kept as the oracle in ``tests/test_layers.py``),
-so it returns the same bits, with two exceptions. A masked-out gradient may
+so it returns the same bits, with three exceptions. A masked-out gradient may
 be -0.0 where the textbook form wrote 0.0. ReLU maps NaN to NaN where the
 textbook form gave 0.0, and max pooling routes no gradient into a window
-whose maximum is NaN.
+whose maximum is NaN. Batch norm's input gradient reuses the sums of its
+parameter gradients (see ``BatchNorm``), so it differs from the textbook
+form by rounding; its forward pass, running stats, dgamma and dbeta keep the
+textbook bits.
 
 Each layer class is the one description of its kind. Its constructor reads
 the spec's arguments and allocates its state; its ``forward`` raises
@@ -136,16 +139,25 @@ class Layer:
         raise NotImplementedError
 
 
+def _weights(rng: np.random.Generator | None, shape: tuple, fan_in: int,
+             fan_out: int) -> np.ndarray:
+    """Glorot-uniform weights drawn from rng, or zeros without one."""
+    if rng is None:
+        return np.zeros(shape)
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 class Conv(Layer):
     """State shared by Conv1D and ConvTranspose1D: taps (k, c_in, c_out), bias."""
 
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         self.c_in = spec.args["in_channels"]
         self.c_out = spec.args["out_channels"]
         self.k = spec.args["kernel"]
-        limit = np.sqrt(6.0 / (self.k * self.c_in + self.k * self.c_out))
-        self.w = rng.uniform(-limit, limit, size=(self.k, self.c_in, self.c_out))
+        self.w = _weights(rng, (self.k, self.c_in, self.c_out),
+                          self.k * self.c_in, self.k * self.c_out)
         self.b = np.zeros(self.c_out)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
@@ -298,7 +310,7 @@ class MaxPool1D(Layer):
     routes the gradient where ``argmax`` would.
     """
 
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         self.pool = spec.args["pool"]
         self._mask: np.ndarray | None = None
@@ -328,7 +340,7 @@ class MaxPool1D(Layer):
 
 
 class UpsampleNearest(Layer):
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         self.factor = spec.args["factor"]
 
@@ -351,17 +363,39 @@ def _channel_sums(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", flat) if flat.shape[1] > 1 else flat.sum(axis=0)
 
 
+def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a * b: the bits of ``_channel_sums(a * b)``.
+
+    einsum multiplies and adds row by row without the product array; a
+    single channel keeps multiply-then-sum, as ``_channel_sums`` does.
+    """
+    fa, fb = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    return np.einsum("ij,ij->j", fa, fb) if fa.shape[1] > 1 else (fa * fb).sum(axis=0)
+
+
 class BatchNorm(Layer):
     """Per-channel normalization over (batch, length).
 
     Training mode uses batch statistics (population convention) and updates
     running stats with momentum 0.9; inference mode uses running stats.
+
+    Backward (Ioffe & Szegedy 2015, arXiv:1502.03167, sec. 3): with
+    a = gamma * inv_std,
+
+        dx = a * dy - x_hat * (a * sum(dy * x_hat) / n) - a * sum(dy) / n,
+
+    the textbook (dxhat - mean(dxhat) - x_hat * mean(dxhat * x_hat)) * inv_std
+    with dxhat = gamma * dy and gamma taken out of both sums. Those two sums
+    are dgamma's and dbeta's, so each is taken once. The forward pass, the
+    running stats, dgamma and dbeta keep the textbook bits; dx differs from
+    the textbook form by rounding only. Backward scales the cached x_hat in
+    place, so it runs once per training forward.
     """
 
     MOMENTUM = 0.9
     EPS = 1e-5
 
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         c = spec.args["channels"]
         self.channels = c
@@ -395,8 +429,7 @@ class BatchNorm(Layer):
         mean = _channel_sums(x) / n
         # x - mean serves the variance (as in np.var) and then x_hat
         x_hat = x - mean
-        sq = np.multiply(x_hat, x_hat)
-        var = _channel_sums(sq) / n
+        var = _channel_dots(x_hat, x_hat) / n
         self.running_mean *= self.MOMENTUM
         self.running_mean += (1.0 - self.MOMENTUM) * mean
         self.running_var *= self.MOMENTUM
@@ -404,30 +437,30 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat *= inv_std
         self._cache = (x_hat, inv_std, n)
-        y = np.multiply(x_hat, self.gamma, out=sq)
+        y = x_hat * self.gamma
         y += self.beta
         return y
 
     def backward(self, dy, input_grad=True):
         x_hat, inv_std, n = self._cache
-        prod = np.multiply(dy, x_hat)
-        self.dgamma += _channel_sums(prod)
-        self.dbeta += _channel_sums(dy)
-        dxhat = dy * self.gamma
-        # batch statistics couple every sample in the batch:
-        # dx = (dxhat - mean(dxhat) - x_hat * mean(dxhat * x_hat)) * inv_std
-        np.multiply(dxhat, x_hat, out=prod)
-        proj = _channel_sums(prod) / n
-        dxhat -= _channel_sums(dxhat) / n
-        dxhat -= np.multiply(x_hat, proj, out=prod)
-        dxhat *= inv_std
-        return dxhat
+        dot = _channel_dots(dy, x_hat)
+        total = _channel_sums(dy)
+        self.dgamma += dot
+        self.dbeta += total
+        a = self.gamma * inv_std
+        dx = np.multiply(dy, a)
+        # the cache is spent: x_hat takes its term in place
+        self._cache = None
+        x_hat *= a * dot / n
+        dx -= x_hat
+        dx -= a * total / n
+        return dx
 
 
 class Dense(Layer):
     """Fully connected layer; flattens (b, L, c) inputs and can reshape output."""
 
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         self.n_in = spec.args["in_units"]
         self.n_out = spec.args["out_units"]
@@ -435,8 +468,7 @@ class Dense(Layer):
         if self.out_shape is not None and math.prod(self.out_shape) != self.n_out:
             raise ShapeMismatch(f"dense out_shape {self.out_shape} does not hold "
                                 f"{self.n_out} units")
-        limit = np.sqrt(6.0 / (self.n_in + self.n_out))
-        self.w = rng.uniform(-limit, limit, size=(self.n_in, self.n_out))
+        self.w = _weights(rng, (self.n_in, self.n_out), self.n_in, self.n_out)
         self.b = np.zeros(self.n_out)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
@@ -469,7 +501,7 @@ class Dense(Layer):
 
 
 class Activation(Layer):
-    def __init__(self, spec: LayerSpec, rng: np.random.Generator):
+    def __init__(self, spec: LayerSpec, rng: np.random.Generator | None):
         self.spec = spec
         if spec.args["fn"] != "relu":
             raise ValueError(f"unsupported activation {spec.args['fn']!r}")
@@ -495,7 +527,9 @@ LAYER_CLASSES: dict[str, type[Layer]] = {
 }
 
 
-def build_layer(spec: LayerSpec, rng: np.random.Generator) -> Layer:
+def build_layer(spec: LayerSpec, rng: np.random.Generator | None = None) -> Layer:
+    """A layer of spec's kind: weights drawn from rng, or all state zero
+    (batch-norm gamma and running_var one) without one."""
     if spec.kind not in LAYER_CLASSES:
         raise ValueError(f"unknown layer kind {spec.kind!r}")
     return LAYER_CLASSES[spec.kind](spec, rng)

@@ -18,6 +18,12 @@ factor) with weights w * s and bias (b - running_mean) * s + beta (Ioffe &
 Szegedy 2015, sec. 3.1). The fold agrees with the layer-by-layer form up to
 rounding, a few ULPs per element. Validation, the cross-loss matrix and
 scoring run the fold; training and checkpoints use the stored model.
+
+Only ``build_encoder``/``build_decoder`` draw weights from a random
+generator. The fold's new layers, a loaded checkpoint and the one-window
+shape checks of ``AutoencoderSpec`` and ``default_autoencoder_spec`` build
+with zero state (``Sequential.build`` without a generator), since their
+weights are overwritten or do not matter.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ class Sequential:
             self.run_order.append(layer)
 
     @classmethod
-    def build(cls, specs: list[LayerSpec], rng: np.random.Generator) -> "Sequential":
+    def build(cls, specs: list[LayerSpec],
+              rng: np.random.Generator | None = None) -> "Sequential":
+        """Layers for specs, weights drawn from rng; zero state without one."""
         return cls([build_layer(s, rng) for s in specs])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -122,8 +130,7 @@ def fold_for_scoring(model: Sequential) -> Sequential:
 
 def _fresh(conv: L.Conv, w: np.ndarray, b: np.ndarray) -> L.Conv:
     """A new instance of conv's class (and upsampling factor) holding w, b."""
-    # its initial weights are replaced
-    fresh = build_layer(conv.spec, np.random.default_rng(0))
+    fresh = build_layer(conv.spec)
     fresh.w, fresh.b = w, b
     if isinstance(conv, L.ConvTranspose1D):
         fresh.factor = conv.factor
@@ -148,13 +155,13 @@ class AutoencoderSpec:
 
     def __post_init__(self):
         # Sequential.build, not build_encoder/build_decoder, so that nothing
-        # hooked on those (such as a tracer) sees these throwaway models
-        rng = np.random.default_rng(0)
-        z = Sequential.build(self.encoder, rng).forward(np.zeros((1, *self.input_shape)))
+        # hooked on those (such as a tracer) sees these throwaway models;
+        # zero state, since only shapes matter here
+        z = Sequential.build(self.encoder).forward(np.zeros((1, *self.input_shape)))
         if z.shape[1:] != (self.latent,):
             raise ShapeMismatch(
                 f"encoder emits {z.shape[1:]}, expected latent size {self.latent}")
-        out_shape = Sequential.build(self.decoder, rng).forward(z).shape[1:]
+        out_shape = Sequential.build(self.decoder).forward(z).shape[1:]
         if out_shape != self.input_shape:
             raise ShapeMismatch(
                 f"decoder emits {out_shape}, expected input shape {self.input_shape}")
@@ -204,7 +211,7 @@ def default_autoencoder_spec(window_len: int = 50, channels: int = 6,
     )
     # the Dense layers' width is what the conv/pool prefix makes of a window;
     # AutoencoderSpec refuses a window length the decoder does not restore
-    length, width = Sequential.build(conv_pool, np.random.default_rng(0)).forward(
+    length, width = Sequential.build(conv_pool).forward(
         np.zeros((1, window_len, channels))).shape[1:]
     encoder = (*conv_pool, L.dense(length * width, latent))
     decoder = (

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingThreshold
+from .errors import MissingArtifact, MissingThreshold
 
 GLOBAL_ID = -1
 DEFAULT_LAMBDA = 5.0
@@ -96,9 +96,12 @@ def save_table(path: Path, table: ThresholdTable) -> None:
 
 
 def load_table(path: Path) -> ThresholdTable:
+    """Read a table written by ``save_table``; refuse one without its
+    ``# lambda`` row, which alone says what lambda and split it was fitted
+    under."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    lam, fit_split = DEFAULT_LAMBDA, "train"
+    lam = fit_split = None
     entries: dict[int, ThresholdEntry] = {}
     for row in rows[1:]:
         if row[0] == "# lambda":
@@ -108,6 +111,10 @@ def load_table(path: Path) -> ThresholdTable:
         entries[cid] = ThresholdEntry(
             context_id=cid, n=int(row[1]), mu=float(row[2]),
             sigma=float(row[3]), tau=float(row[4]) if row[4] else None)
+    if lam is None:
+        raise MissingArtifact(f"{path} has no '# lambda' row, so the lambda and "
+                              "split it was fitted under are unknown; run the "
+                              "thresholds stage again")
     table = ThresholdTable(lam=lam, fit_split=fit_split)
     table.entries = entries
     return table

@@ -76,6 +76,22 @@ def test_thresholds_fitted_under_another_lambda_exit_2(tmp_path):
     assert result.stderr.startswith("ConfigError: ae thresholds were fitted with lambda 5.0")
 
 
+def test_thresholds_without_their_lambda_row_exit_3(tmp_path):
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage]).exit_code == 0
+    for stage in ("train", "thresholds"):
+        assert _invoke(tmp_path, [stage, "--kind", "ae"]).exit_code == 0
+    table = tmp_path / "run" / "models" / "ae" / "thresholds.csv"
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(line for line in lines if not line.startswith("# lambda")))
+    # the default config asks for lambda 5.0 on the train split, which the
+    # table was fitted under; it is refused all the same
+    result = _invoke(tmp_path, ["detect", "--kind", "ae"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("MissingArtifact: ")
+    assert "no '# lambda' row" in result.stderr
+
+
 def test_kind_must_be_a_detector(tmp_path):
     result = _invoke(tmp_path, ["train", "--kind", "svm"])
     assert result.exit_code == 2

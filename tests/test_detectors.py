@@ -15,7 +15,8 @@ from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
 from ctxae.errors import (EmptyValidationSet, IncompleteGrouping,
                           MissingArtifact, MissingThreshold, UnroutedContext)
 from ctxae.grouping import cross_loss_matrix
-from ctxae.net import TrainConfig, TrainReport, default_autoencoder_spec, score_windows
+from ctxae.net import (TrainConfig, TrainReport, default_autoencoder_spec,
+                       fold_for_scoring, score_windows)
 from ctxae.net import layers as L
 from ctxae.net.model import AutoencoderSpec, Sequential
 
@@ -420,6 +421,69 @@ def test_the_cross_loss_matrix_runs_the_scoring_fold(rng):
     stored = [score_windows(det.encoders[SHARED], det.decoders[c], x).mean()
               for c, x in val.items()]
     np.testing.assert_allclose(matrix.diagonal, stored, rtol=1e-12)
+
+
+# --- building without random draws ------------------------------------------------
+
+def _no_generators(monkeypatch):
+    """Make every new Generator an error: whatever runs next draws nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
+def test_loading_and_folding_draw_no_random_numbers(tmp_path, monkeypatch, kind):
+    save_detector(tmp_path, _desk_detector(kind))
+    _no_generators(monkeypatch)
+    with pytest.raises(AssertionError, match="random generator"):
+        DESK.build_encoder(np.random.default_rng(0))
+    # load_detector folds every model for scoring and rebuilds the spec
+    loaded = load_detector(tmp_path)
+    for model in (*loaded.encoders.values(), *loaded.decoders.values()):
+        fold_for_scoring(model)
+    assert AutoencoderSpec.from_dict(DESK.to_dict()) == DESK
+    assert default_autoencoder_spec() == DESK
+
+
+@pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
+def test_each_fold_convolution_is_a_new_layer_sharing_no_memory(kind):
+    """The fold's convolutions are new instances with arrays of their own and
+    none of the instance-level methods set on the stored layers; its other
+    layers are the stored instances themselves."""
+    det = replace(_wrap_forwards(_desk_detector(kind)))
+    for stored, scoring in ((det.encoders, det.scoring_encoders),
+                            (det.decoders, det.scoring_decoders)):
+        for key, model in stored.items():
+            stored_arrays = [a for layer in model.layers
+                             for a in (*layer.state(), *layer.grads())]
+            convs = [layer for layer in scoring[key].layers if isinstance(layer, L.Conv)]
+            assert convs
+            for conv in convs:
+                assert not any(conv is layer for layer in model.layers)
+                assert "forward" not in vars(conv) and "backward" not in vars(conv)
+                for a in (conv.w, conv.b, conv.dw, conv.db):
+                    assert not any(np.shares_memory(a, s) for s in stored_arrays)
+
+
+@pytest.mark.parametrize("kind", ["moe", "gcae"])
+def test_a_bundle_loads_as_it_did_with_random_initial_state(tmp_path, rng, kind):
+    """Loading once built each model from seeded random weights and then
+    overwrote every array; zero initial state gives the same models and the
+    same scores, bit for bit."""
+    save_detector(tmp_path, _desk_detector(kind))
+    loaded = load_detector(tmp_path)
+
+    def seeded_copy(model):
+        again = Sequential.build([layer.spec for layer in model.layers],
+                                 np.random.default_rng(0))
+        again.restore(model.state())
+        return again
+    seeded = replace(loaded,
+                     encoders={k: seeded_copy(m) for k, m in loaded.encoders.items()},
+                     decoders={k: seeded_copy(m) for k, m in loaded.decoders.items()})
+    x, cids = _desk_batch(rng, kind)
+    assert seeded.score_mixed(x, cids).tobytes() == loaded.score_mixed(x, cids).tobytes()
 
 
 # --- thresholds and verdicts -------------------------------------------------------

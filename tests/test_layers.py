@@ -5,7 +5,8 @@ Each gradcheck case runs a scalar loss ``sum(w * layer(x))`` so the upstream
 gradient is the fixed random tensor ``w``. A gradient entry passes when it
 matches the finite-difference estimate within 1e-4 relative error, or 1e-8
 absolute for entries whose true gradient is numerically zero. The fast-path
-cases require exact equality with the textbook forms. The last section
+cases require exact equality with the textbook forms, except batch norm's
+input gradient, held within 1e-12 of the textbook one. The last section
 checks the polyphase layer that a nearest upsampling followed by a
 transposed convolution runs as, forward and every gradient, against the
 textbook pair it replaces, and the scoring fold built on it.
@@ -281,8 +282,10 @@ def test_conv1d_transpose_forward_matches_loop_oracle():
 
 # --- fast paths against their reference forms --------------------------------
 # ReLU, MaxPool, UpsampleNearest, BatchNorm and the Conv1D forward run fast
-# paths that must equal these textbook forms element for element (BatchNorm,
-# the upsampling gradient and Conv1D bit for bit).
+# paths that must equal these textbook forms element for element (the
+# upsampling gradient, Conv1D and every BatchNorm output but dx bit for bit).
+# BatchNorm's dx takes gamma out of its two sums, so it is held within 1e-12
+# of the textbook dx's largest element.
 
 def _reference_relu(x, dy):
     mask = x > 0.0
@@ -322,6 +325,9 @@ def _reference_batchnorm_infer(x, gamma, beta, running_mean, running_var, eps):
 def _input(rng, shape, fill):
     if fill == "normal":
         return rng.normal(size=shape)
+    if fill == "offset":
+        # large mean, small spread: an E[x^2] - mean^2 variance loses every digit
+        return 1e4 + 1e-3 * rng.normal(size=shape)
     if fill == "ties":
         # small integers: ties in every pooling window, exact zeros everywhere
         return rng.integers(-2, 3, size=shape).astype(np.float64)
@@ -375,7 +381,7 @@ def test_maxpool_matches_reference(shape, fill, pool):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("fill", FILLS + ["offset"])
 def test_batchnorm_matches_reference_bit_for_bit(shape, fill):
     rng = np.random.default_rng(23)
     c = shape[2]
@@ -385,7 +391,8 @@ def test_batchnorm_matches_reference_bit_for_bit(shape, fill):
     layer.running_mean[:] = rng.normal(size=c)
     layer.running_var[:] = rng.uniform(0.5, 2.0, size=c)
     running = [b.copy() for b in layer.buffers()]
-    x, dy = _input(rng, shape, fill), _input(rng, shape, fill)
+    # the offset is for x; in dy it would cancel in both forms of dx alike
+    x, dy = _input(rng, shape, fill), _input(rng, shape, fill.replace("offset", "normal"))
     y_ref, dx_ref, dgamma_ref, dbeta_ref, mean, var = _reference_batchnorm(
         x, dy, layer.gamma, layer.beta, layer.EPS)
 
@@ -397,7 +404,7 @@ def test_batchnorm_matches_reference_bit_for_bit(shape, fill):
     _same_bits(layer.forward(other, training=False), _reference_batchnorm_infer(
         other, layer.gamma, layer.beta, layer.running_mean, layer.running_var, layer.EPS))
     layer.zero_grads()
-    _same_bits(layer.backward(dy), dx_ref)
+    _close_to(layer.backward(dy), dx_ref)
     _same_bits(layer.dgamma, np.zeros(c) + dgamma_ref)
     _same_bits(layer.dbeta, np.zeros(c) + dbeta_ref)
 

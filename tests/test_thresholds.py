@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxae.detectors import SHARED, Detector
-from ctxae.errors import MissingThreshold
+from ctxae.errors import MissingArtifact, MissingThreshold
 from ctxae.net import layers as L
 from ctxae.net.model import AutoencoderSpec
 from ctxae.thresholds import (
@@ -132,6 +132,18 @@ def test_save_load_round_trip(tmp_path, rng):
             assert le.tau == e.tau        # repr round-trips float64 exactly
             assert le.mu == e.mu
             assert le.sigma == e.sigma
+
+
+def test_a_table_without_its_lambda_row_is_refused(tmp_path, rng):
+    path = tmp_path / "thresholds.csv"
+    save_table(path, fit({0: rng.exponential(1.0, 9)}, lam=5.0, fit_split="train"))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("# lambda,")
+    path.write_text("".join(lines[:-1]))
+    # without the row nothing says what lambda and split it was fitted under,
+    # not even that they were the defaults
+    with pytest.raises(MissingArtifact, match="no '# lambda' row"):
+        load_table(path)
 
 
 def test_save_is_byte_stable(tmp_path, rng):
