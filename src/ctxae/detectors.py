@@ -16,8 +16,8 @@ ground truth.
 
 Scoring runs a pass plan, not a loop over contexts: the distinct contexts of
 a batch are routed once, rows are ordered by their (encoder, decoder) pair,
-and each encoder runs once per chunk of up to SCORE_BATCH (512) of its rows,
-each decoder once on its key's latent rows in that chunk. So ae makes two
+and each encoder key's rows go through one ``net.score_windows`` call with
+one span per decoder key. That loop alone sets chunk sizes. So ae makes two
 passes per batch whatever the contexts, gcae one encoder pass plus one per
 group present, and moe one pair per context. A score depends on the row
 count of the GEMMs that produced it at the ULP level (BLAS kernels differ
@@ -57,10 +57,9 @@ from . import thresholds as th
 from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
-from .net import (SCORE_BATCH, AutoencoderSpec, Sequential, TrainConfig,
-                  TrainReport, fold_for_scoring, load_checkpoint, mse_per_sample,
-                  save_checkpoint, snap_to_storage_precision,
-                  train_autoencoder, train_multi_decoder)
+from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
+                  fold_for_scoring, load_checkpoint, save_checkpoint, score_windows,
+                  snap_to_storage_precision, train_autoencoder, train_multi_decoder)
 
 SHARED = -1
 KINDS = ("ae", "moe", "cae", "gcae")
@@ -101,10 +100,6 @@ class Detector:
             raise UnroutedContext(f"context {context_id} has no decoder")
         return key
 
-    def route(self, context_id: int) -> tuple[Sequential, Sequential]:
-        return (self.encoders[self.encoder_key(context_id)],
-                self.decoders[self.decoder_key(context_id)])
-
     def score(self, x: np.ndarray, context_id: int) -> np.ndarray:
         return self.score_mixed(x, np.full(x.shape[0], context_id))
 
@@ -112,9 +107,8 @@ class Detector:
         """Per-window reconstruction loss of a mixed batch; shape (n,).
 
         Runs the pass plan (see the module doc): rows sorted by their
-        (encoder key, decoder key) pair, each encoder once per chunk of at
-        most SCORE_BATCH of its rows, each decoder once per chunk on its
-        key's slice of the latents.
+        (encoder key, decoder key) pair, then one ``score_windows`` call per
+        encoder key with one span per decoder key.
         """
         return self._score_routed(x, *np.unique(context_ids, return_inverse=True))
 
@@ -125,28 +119,21 @@ class Detector:
         pairs = sorted(set(routes))
         row_pair = np.array([pairs.index(r) for r in routes], dtype=np.intp)[inverse]
         order = np.argsort(row_pair, kind="stable")
-        # encoder key -> [(decoder key, lo, hi)]: its pairs' spans of order
-        spans: dict[int, list[tuple[int, int, int]]] = {}
+        # encoder key -> [(scoring decoder, lo, hi)]: its pairs' spans of order
+        spans: dict[int, list[tuple[Sequential, int, int]]] = {}
         lo = 0
         for (enc_key, dec_key), hi in zip(
                 pairs, np.bincount(row_pair, minlength=len(pairs)).cumsum().tolist()):
-            spans.setdefault(enc_key, []).append((dec_key, lo, hi))
+            spans.setdefault(enc_key, []).append((self.scoring_decoders[dec_key], lo, hi))
             lo = hi
 
         out = np.empty(x.shape[0])
         for enc_key, dec_spans in spans.items():
-            encoder = self.scoring_encoders[enc_key]
             first, last = dec_spans[0][1], dec_spans[-1][2]
-            for a in range(first, last, SCORE_BATCH):
-                b = min(a + SCORE_BATCH, last)
-                rows = order[a:b]
-                batch = x[rows]
-                z = encoder.forward(batch, training=False)
-                for dec_key, lo, hi in dec_spans:
-                    s, t = max(lo, a) - a, min(hi, b) - a
-                    if s < t:
-                        x_hat = self.scoring_decoders[dec_key].forward(z[s:t], training=False)
-                        out[rows[s:t]] = mse_per_sample(batch[s:t], x_hat)
+            rows = order[first:last]
+            relative = [(dec, lo - first, hi - first) for dec, lo, hi in dec_spans]
+            out[rows] = np.concatenate(
+                score_windows(self.scoring_encoders[enc_key], x[rows], relative))
         return out
 
     def detect(self, x: np.ndarray, context_ids: np.ndarray,

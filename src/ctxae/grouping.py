@@ -7,6 +7,9 @@ dedicated decoder. DIT collects, per decoder, the contexts it reconstructs
 within their caps tau_dit, the cae detector's per-context thresholds.
 Contexts that pass both (or DIT alone under the contextual-only strategy)
 are merged greedily, largest DIT set first.
+
+The matrix runs ``net.score_windows``, the one inference loop, which alone
+sets chunk sizes; validation and detector scoring run it too.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .detectors import SHARED
 from .errors import ConfigError, EmptyValidationSet, SingleContext
-from .net import SCORE_BATCH, mse_per_sample
+from .net import score_windows
 from .thresholds import ThresholdTable
 
 DISTINCT = "distinct"
@@ -55,9 +58,12 @@ class LossMatrix:
 def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray]) -> LossMatrix:
     """Run every context's validation windows through every decoder.
 
-    The shared encoder runs once per context; each decoder then reconstructs
-    the same latents. Both run the detector's scoring fold, the models that
-    fitted its thresholds, so the matrix and tau_dit come from one path.
+    L[j][c] is the mean per-window loss of decoder j on context c's
+    validation windows, the statistic that mu is in ``thresholds``. One
+    ``score_windows`` call per context runs the shared encoder once per
+    chunk, and every decoder spans all of the context's rows. Both run the
+    detector's scoring fold, the models that fitted its thresholds, so the
+    matrix and tau_dit come from one path.
     """
     context_ids = tuple(sorted(cae_detector.decoders))
     for cid in context_ids:
@@ -65,20 +71,13 @@ def cross_loss_matrix(cae_detector, val_by_context: dict[int, np.ndarray]) -> Lo
             raise EmptyValidationSet(f"context {cid} has no validation windows")
 
     enc = cae_detector.scoring_encoders[SHARED]
-    n = len(context_ids)
-    values = np.zeros((n, n))
-    counts = np.zeros(n, dtype=int)
-    for col, cid in enumerate(context_ids):
-        x = val_by_context[cid]
-        counts[col] = x.shape[0]
-        sums = np.zeros(n)
-        for start in range(0, x.shape[0], SCORE_BATCH):
-            batch = x[start:start + SCORE_BATCH]
-            z = enc.forward(batch, training=False)
-            for row, did in enumerate(context_ids):
-                x_hat = cae_detector.scoring_decoders[did].forward(z, training=False)
-                sums[row] += float(mse_per_sample(batch, x_hat).sum())
-        values[:, col] = sums / counts[col]
+    values = np.zeros((len(context_ids), len(context_ids)))
+    counts = np.array([val_by_context[cid].shape[0] for cid in context_ids])
+    for col, (cid, n) in enumerate(zip(context_ids, counts.tolist())):
+        losses = score_windows(enc, val_by_context[cid],
+                               [(cae_detector.scoring_decoders[did], 0, n)
+                                for did in context_ids])
+        values[:, col] = [row.mean() for row in losses]
     return LossMatrix(context_ids=context_ids, values=values, counts=counts)
 
 

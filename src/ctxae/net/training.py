@@ -10,9 +10,12 @@ best epoch (strict improvement only).
 Training, validation, the cross-loss matrix and scoring all run each
 upsampling -> transposed convolution pair as one polyphase layer (see
 ``model.Sequential``). Training computes no input gradient for the
-encoder's first layer, which nothing reads. Each epoch's validation runs
-the scoring fold of the encoder and decoders (``fold_for_scoring``), as the
-cross-loss matrix and scoring do.
+encoder's first layer, which nothing reads.
+
+``score_windows`` is the one inference loop and the only code that sets
+chunk sizes. Validation runs it each epoch on the scoring fold of the
+encoder and decoders (``fold_for_scoring``), as detector scoring and the
+grouping's cross-loss matrix do.
 
 ``Adam.step`` updates its moments in place and reuses two scratch arrays
 per parameter. It performs the textbook update's float operations in the
@@ -29,7 +32,7 @@ import numpy as np
 from ..errors import EmptyTrainingSet, NonFiniteLoss
 from .model import Sequential, fold_for_scoring, mse_per_sample
 
-SCORE_BATCH = 512     # rows per inference pass wherever windows are scored
+SCORE_BATCH = 512     # rows per encoder pass of score_windows
 
 
 @dataclass(frozen=True)
@@ -127,22 +130,27 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     return loss
 
 
-def score_windows(encoder: Sequential, decoder: Sequential, x: np.ndarray) -> np.ndarray:
-    """Per-window reconstruction loss in inference mode; shape (n,).
+def score_windows(encoder: Sequential, x: np.ndarray,
+                  spans: list[tuple[Sequential, int, int]]) -> list[np.ndarray]:
+    """Per-window reconstruction loss in inference mode, one array per span.
 
-    Runs the models as given; validation passes their scoring folds.
+    Each span (decoder, lo, hi) scores rows lo:hi of x through that decoder;
+    spans may overlap. The encoder runs once per chunk of at most
+    SCORE_BATCH rows, each decoder once on its span's rows in the chunk, and
+    not at all in a chunk its span misses. Runs the models as given:
+    validation and scoring pass their scoring folds.
     """
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], SCORE_BATCH):
-        batch = x[start:start + SCORE_BATCH]
-        x_hat = decoder.forward(encoder.forward(batch, training=False), training=False)
-        out[start:start + batch.shape[0]] = mse_per_sample(batch, x_hat)
+    out = [np.empty(hi - lo) for _, lo, hi in spans]
+    for a in range(0, x.shape[0], SCORE_BATCH):
+        batch = x[a:a + SCORE_BATCH]
+        b = a + batch.shape[0]
+        z = encoder.forward(batch, training=False)
+        for (decoder, lo, hi), losses in zip(spans, out):
+            s, t = max(lo, a), min(hi, b)
+            if s < t:
+                x_hat = decoder.forward(z[s - a:t - a], training=False)
+                losses[s - lo:t - lo] = mse_per_sample(batch[s - a:t - a], x_hat)
     return out
-
-
-def evaluate_loss(encoder: Sequential, decoder: Sequential, x: np.ndarray) -> float:
-    """Unweighted mean per-sample MSE in inference mode."""
-    return float(score_windows(encoder, decoder, x).mean())
 
 
 def _train(encoder: Sequential, decoders: dict[int, Sequential],
@@ -213,10 +221,11 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
         val_loss = 0.0
         scoring_encoder = fold_for_scoring(encoder)
         for k in keys:
-            if val_by_key[k].shape[0]:
-                val_loss += evaluate_loss(scoring_encoder, fold_for_scoring(decoders[k]),
-                                          val_by_key[k]) \
-                    * (val_by_key[k].shape[0] / total_val)
+            n = val_by_key[k].shape[0]
+            if n:
+                losses, = score_windows(scoring_encoder, val_by_key[k],
+                                        [(fold_for_scoring(decoders[k]), 0, n)])
+                val_loss += float(losses.mean()) * (n / total_val)
         _check_finite(val_loss)
         report.val_losses.append(val_loss)
         if val_loss < report.best_val_loss:

@@ -523,6 +523,8 @@ def stage_report(cfg: RunConfig) -> dict:
 
 def run_all(cfg: RunConfig) -> dict:
     """Canonical end-to-end order; gcae slots in after grouping."""
+    if "gcae" in cfg.models and "cae" not in cfg.models:
+        raise ConfigError("gcae requires cae in the model list")
     if cfg.synth is not None:
         stage_simulate(cfg)
     stage_ingest(cfg)
@@ -533,8 +535,6 @@ def run_all(cfg: RunConfig) -> dict:
         stage_train(cfg, kind)
         stage_thresholds(cfg, kind)
     if "gcae" in cfg.models:
-        if "cae" not in cfg.models:
-            raise ConfigError("gcae requires cae in the model list")
         stage_group(cfg)
         stage_train(cfg, "gcae")
         stage_thresholds(cfg, "gcae")

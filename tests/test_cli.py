@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import yaml
 from click.testing import CliRunner
 
 from ctxae.cli import main
+from ctxae.net import training
 
 TINY = {
     "seed": 2,
@@ -63,6 +65,15 @@ def test_detect_before_train_exits_3(tmp_path):
     assert result.exit_code == 3
     assert result.stderr.startswith("MissingArtifact: ")
     assert "detector.json" in result.stderr
+
+
+def test_non_finite_training_loss_exits_4(tmp_path, monkeypatch):
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage]).exit_code == 0
+    monkeypatch.setattr(training, "mse_per_sample", lambda x, y: np.full(x.shape[0], np.nan))
+    result = _invoke(tmp_path, ["train", "--kind", "ae"])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("NonFiniteLoss: training loss became non-finite")
 
 
 def test_thresholds_fitted_under_another_lambda_exit_2(tmp_path):

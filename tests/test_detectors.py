@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctxae import detectors
 from ctxae import thresholds as th
 from ctxae.dataset import NO_CONTEXT, TRUTH_DTYPE, DatasetSplit, WindowTable, concat
 from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
@@ -18,6 +17,7 @@ from ctxae.grouping import cross_loss_matrix
 from ctxae.net import (TrainConfig, TrainReport, default_autoencoder_spec,
                        fold_for_scoring, score_windows)
 from ctxae.net import layers as L
+from ctxae.net import training
 from ctxae.net.model import AutoencoderSpec, Sequential
 
 DESK = default_autoencoder_spec()
@@ -146,9 +146,8 @@ def test_moe_trains_one_branch_per_context(rng):
     assert set(det.encoders) == {0, 1}
     assert set(det.decoders) == {0, 1}
     for cid in (0, 1):
-        enc, dec = det.route(cid)
-        assert enc is det.encoders[cid]
-        assert dec is det.decoders[cid]
+        assert det.encoder_key(cid) == cid
+        assert det.decoder_key(cid) == cid
         # each branch saw exactly its own training windows every epoch
         report = det.reports[f"c{cid}"]
         n_c = sum(1 for w in split.train if w.context_id == cid)
@@ -175,8 +174,6 @@ def test_gcae_routes_members_to_their_group_decoder(rng):
     assert det.decoder_key(0) == 0
     assert det.decoder_key(1) == 0
     assert det.decoder_key(2) == 2
-    _, dec = det.route(1)
-    assert dec is det.decoders[0]
     report = det.reports["gcae"]
     n_pair = sum(1 for w in split.train if w.context_id in (0, 1))
     assert report.samples_seen[0] == n_pair * report.stopped_epoch
@@ -187,7 +184,8 @@ def test_score_matches_direct_forward_pass(rng):
     det = train_cae(split, _toy_spec(), _fast_config())
     x = split.test.tensor[split.test.context_id == 1]
     enc, dec = det.encoders[SHARED], det.decoders[1]
-    np.testing.assert_allclose(det.score(x, 1), score_windows(enc, dec, x))
+    direct, = score_windows(enc, x, [(dec, 0, len(x))])
+    np.testing.assert_allclose(det.score(x, 1), direct)
 
 
 def test_score_mixed_dispatches_by_context(rng):
@@ -251,15 +249,16 @@ def _per_context_reference(det, x, cids):
     out = np.empty(x.shape[0])
     for cid in np.unique(cids):
         mask = cids == cid
-        enc, dec = det.route(int(cid))
-        out[mask] = score_windows(enc, dec, x[mask])
+        enc = det.encoders[det.encoder_key(int(cid))]
+        dec = det.decoders[det.decoder_key(int(cid))]
+        out[mask], = score_windows(enc, x[mask], [(dec, 0, int(mask.sum()))])
     return out
 
 
 @pytest.mark.parametrize("batch_size", [512, 3])
 @pytest.mark.parametrize("kind", ["ae", "moe", "cae", "gcae"])
 def test_score_mixed_equals_per_context_scoring(rng, monkeypatch, kind, batch_size):
-    monkeypatch.setattr(detectors, "SCORE_BATCH", batch_size)
+    monkeypatch.setattr(training, "SCORE_BATCH", batch_size)
     det = _plan_detector(kind)
     x, cids = _mixed_batch(rng, kind)
     np.testing.assert_allclose(det.score_mixed(x, cids),
@@ -306,7 +305,7 @@ def test_score_mixed_runs_each_model_once(rng, monkeypatch, kind, expected):
 def test_score_mixed_chunks_each_encoder_pass(rng, monkeypatch):
     det = _plan_detector("gcae")
     cids = np.array([2, 0, 1, 0, 2, 1, 0])
-    monkeypatch.setattr(detectors, "SCORE_BATCH", 3)
+    monkeypatch.setattr(training, "SCORE_BATCH", 3)
     passes = _count_passes(monkeypatch, det)
     det.score_mixed(_signal(rng, 0, 7), cids)
     # rows ordered by decoder key: five for key 0, then two for key 2
@@ -418,7 +417,8 @@ def test_the_cross_loss_matrix_runs_the_scoring_fold(rng):
         # the same GEMMs on the same rows: equal bits, not just close
         assert matrix.loss(c, c) == det.score(x, c).mean()
     # the layer-by-layer path of the stored models lands a few ULPs away
-    stored = [score_windows(det.encoders[SHARED], det.decoders[c], x).mean()
+    enc = det.encoders[SHARED]
+    stored = [score_windows(enc, x, [(det.decoders[c], 0, len(x))])[0].mean()
               for c, x in val.items()]
     np.testing.assert_allclose(matrix.diagonal, stored, rtol=1e-12)
 

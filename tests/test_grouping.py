@@ -10,7 +10,8 @@ import pytest
 
 from ctxae.errors import ConfigError, SingleContext
 from ctxae.grouping import (DISTINCT, MERGEABLE, LossMatrix, camt, default_delta,
-                            derive_grouping, dit)
+                            derive_grouping, dit, load_grouping, save_grouping,
+                            save_matrix)
 from ctxae.thresholds import ThresholdEntry, ThresholdTable
 
 
@@ -118,3 +119,27 @@ def test_default_delta_is_a_scaled_mad_with_a_floor():
     # the default is what derive_grouping records when delta is omitted
     assert derive_grouping(spread, _caps(spread, 0.2, 0.2, 0.2)).delta \
         == default_delta(spread)
+
+
+def test_grouping_and_loss_matrix_files(tmp_path):
+    result = derive_grouping(TWINS, _caps(TWINS, 0.2, 0.15, 0.2), delta=0.05)
+    assert result.groups and result.distinct
+    path = tmp_path / "grouping.json"
+    save_grouping(path, result)
+    # stage_train --kind gcae reads the partition back through load_grouping
+    loaded = load_grouping(path)
+    assert loaded == result
+    assert loaded.as_map() == {0: 0, 1: 0, 2: 2}
+    save_grouping(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    matrix = LossMatrix(context_ids=(0, 5, 12), values=TWINS.values,
+                        counts=np.array([7, 512, 3]))
+    save_matrix(tmp_path / "loss_matrix.csv", matrix)
+    assert (tmp_path / "loss_matrix.csv").read_text().splitlines() == [
+        "decoder_id,c0,c5,c12",
+        "counts,7,512,3",
+        "0,0.1,0.1,0.9",
+        "5,0.1,0.1,0.9",
+        "12,0.9,0.9,0.1",
+    ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctxae.net.training as training_mod
-from ctxae.errors import EmptyTrainingSet, NumericalError, ShapeMismatch
+from ctxae.errors import EmptyTrainingSet, NonFiniteLoss, ShapeMismatch
 from ctxae.net.checkpoint import load_checkpoint, save_checkpoint
 from ctxae.net.model import (
     AutoencoderSpec,
@@ -14,7 +14,6 @@ from ctxae.net.model import (
 from ctxae.net.training import (
     Adam,
     TrainConfig,
-    evaluate_loss,
     score_windows,
     train_autoencoder,
     train_multi_decoder,
@@ -65,16 +64,49 @@ def test_mse_matches_loop_oracle(rng):
     assert abs(got.mean() - total / 60.0) < 1e-9
 
 
+def _count_rows(monkeypatch, model, calls):
+    """Record the row count of each forward pass of one model instance."""
+    forward = model.forward
+
+    def counting(x, training=False):
+        calls.append(x.shape[0])
+        return forward(x, training)
+    monkeypatch.setattr(model, "forward", counting)
+
+
 def test_score_windows_matches_per_sample_mse(rng, monkeypatch):
+    """Each span scores as one pass over its rows would, whatever the chunks."""
     spec = _toy_spec()
-    enc, dec = _build_pair(spec)
+    enc = spec.build_encoder(np.random.default_rng(0))
+    decs = [spec.build_decoder(np.random.default_rng(i)) for i in range(4)]
     x = _toy_data(rng, n=10)
+    # chunks of three rows: [0, 3), [3, 6), [6, 9), [9, 10)
     monkeypatch.setattr(training_mod, "SCORE_BATCH", 3)
-    scores = score_windows(enc, dec, x)
-    x_hat = dec.forward(enc.forward(x, training=False), training=False)
-    assert np.allclose(scores, mse_per_sample(x, x_hat), atol=1e-12)
-    monkeypatch.setattr(training_mod, "SCORE_BATCH", 4)
-    assert abs(evaluate_loss(enc, dec, x) - scores.mean()) < 1e-9
+    spans = [(decs[0], 0, 10),     # every row, across every chunk edge
+             (decs[1], 2, 7),      # starts after row 0, overlaps the first
+             (decs[2], 4, 5),      # one row: no rows in three of the chunks
+             (decs[3], 8, 10),     # overlaps the first two at the tail
+             (decs[0], 3, 6)]      # one whole chunk, through a reused decoder
+    encoder_rows, decoder_rows = [], [[] for _ in decs]
+    _count_rows(monkeypatch, enc, encoder_rows)
+    for dec, rows in zip(decs, decoder_rows):
+        _count_rows(monkeypatch, dec, rows)
+    scores = score_windows(enc, x, spans)
+
+    # decs[0] runs for both of its spans in chunk [3, 6); decs[2] only there
+    passes = ([3, 3, 3, 1], [[3, 3, 3, 3, 1], [1, 3, 1], [1], [1, 1]])
+    assert (encoder_rows, decoder_rows) == passes
+    # no rows: one empty array per span, and no model runs
+    empty = score_windows(enc, x[:0], [(decs[0], 0, 0), (decs[1], 0, 0)])
+    assert [a.shape for a in empty] == [(0,), (0,)]
+    assert (encoder_rows, decoder_rows) == passes
+    monkeypatch.undo()
+    assert [a.shape for a in scores] == [(hi - lo,) for _, lo, hi in spans]
+    for (dec, lo, hi), got in zip(spans, scores):
+        # one pass over the span's rows, outside score_windows
+        x_hat = dec.forward(enc.forward(x[lo:hi], training=False), training=False)
+        np.testing.assert_allclose(got, mse_per_sample(x[lo:hi], x_hat),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_desk_architecture_parameter_counts():
@@ -99,8 +131,8 @@ def test_training_reduces_loss_and_restores_best(rng):
     assert report.train_losses[-1] < report.train_losses[0]
     assert report.best_val_loss == min(report.val_losses)
     # restored state reproduces the best validation loss exactly
-    assert evaluate_loss(enc, dec, x[64:]) == pytest.approx(
-        report.best_val_loss, abs=1e-12)
+    losses, = score_windows(enc, x[64:], [(dec, 0, 32)])
+    assert losses.mean() == pytest.approx(report.best_val_loss, abs=1e-12)
 
 
 def test_training_is_deterministic(rng):
@@ -125,8 +157,8 @@ def test_early_stopping_fires_after_patience(monkeypatch, rng):
     x = _toy_data(rng, n=40)
     # scripted validation curve: improves twice, then a flat plateau
     seq = iter([1.0, 0.5] + [0.5] * 50)
-    monkeypatch.setattr(training_mod, "evaluate_loss",
-                        lambda *a, **k: next(seq))
+    monkeypatch.setattr(training_mod, "score_windows",
+                        lambda *a, **k: [np.full(1, next(seq))])
     cfg = TrainConfig(max_epochs=100, patience=10, batch_size=16, seed=0)
     report = train_autoencoder(enc, dec, x[:32], x[32:], cfg)
     assert report.best_epoch == 2
@@ -139,8 +171,8 @@ def test_early_stopping_keeps_going_while_improving(monkeypatch, rng):
     enc, dec = _build_pair(spec)
     x = _toy_data(rng, n=40)
     seq = iter(1.0 / (i + 1) for i in range(200))
-    monkeypatch.setattr(training_mod, "evaluate_loss",
-                        lambda *a, **k: next(seq))
+    monkeypatch.setattr(training_mod, "score_windows",
+                        lambda *a, **k: [np.full(1, next(seq))])
     cfg = TrainConfig(max_epochs=8, patience=3, batch_size=16, seed=0)
     report = train_autoencoder(enc, dec, x[:32], x[32:], cfg)
     assert report.stopped_epoch == 8
@@ -206,7 +238,7 @@ def test_training_raises_on_non_finite_loss(rng):
     x = _toy_data(rng, n=16)
     x[3, 2, 1] = np.nan
     cfg = TrainConfig(max_epochs=2, patience=1, batch_size=8)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NonFiniteLoss, match="non-finite: nan"):
         train_autoencoder(enc, dec, x[:8], x[8:], cfg)
 
 
@@ -411,8 +443,8 @@ def test_validation_runs_the_scoring_fold(rng, monkeypatch):
     enc, dec = _build_pair(spec, seed=13)
     x = rng.normal(size=(24, 50, 6))
     seen = []
-    monkeypatch.setattr(training_mod, "evaluate_loss",
-                        lambda e, d, v: seen.append((e, d)) or 1.0)
+    monkeypatch.setattr(training_mod, "score_windows",
+                        lambda e, v, spans: seen.append((e, spans[0][0])) or [np.ones(1)])
     train_autoencoder(enc, dec, x[:16], x[16:], TrainConfig(max_epochs=2, patience=1))
     assert len(seen) == 2
     for e, d in seen:

@@ -112,6 +112,15 @@ def test_stages_refuse_a_detector_trained_on_another_dataset(tmp_path):
         assert stale_hash in str(err.value) and fresh_hash in str(err.value)
 
 
+def test_run_all_refuses_gcae_without_cae_before_any_stage(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = config_from_dict({**TINY_FLEET, "models": ["ae", "gcae"]}, seed=3,
+                           out_dir=out_dir)
+    with pytest.raises(ConfigError, match="gcae requires cae"):
+        run_all(cfg)
+    assert not out_dir.exists()
+
+
 def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
     out_dir = tmp_path / "run"
     cfg = _tiny(out_dir, seed=3)
