@@ -231,18 +231,22 @@ def _train_shared(split: DatasetSplit, spec: AutoencoderSpec, config: TrainConfi
     if missing:
         raise IncompleteGrouping(f"contexts without a group: {missing}")
 
-    # context-major row order, so a key's mask takes its members in turn
-    train, val = (t.take(np.argsort(t.context_id, kind="stable"))
-                  for t in (split.train, split.val))
+    # each table's row indices in context-major order: a key's mask of them
+    # takes its members in turn, and its arrays are cut straight from the
+    # split's, with no sorted copy of a whole table
+    train, val = split.train, split.val
+    train_order, val_order = (np.argsort(t.context_id, kind="stable")
+                              for t in (train, val))
     train_by_key: dict[int, np.ndarray] = {}
     val_by_key: dict[int, np.ndarray] = {}
     weights_by_key: dict[int, np.ndarray] = {}
     for key in sorted(set(key_of[c] for c in contexts)):
         members = [c for c in contexts if key_of[c] == key]
-        rows = np.isin(train.context_id, members)
+        rows = train_order[np.isin(train.context_id[train_order], members)]
+        val_rows = val_order[np.isin(val.context_id[val_order], members)]
         train_by_key[key] = train.tensor[rows]
         weights_by_key[key] = train.weight[rows]
-        val_by_key[key] = val.tensor[np.isin(val.context_id, members)]
+        val_by_key[key] = val.tensor[val_rows]
 
     enc = spec.build_encoder(np.random.default_rng([config.seed, enc_tag]))
     decoders = {key: spec.build_decoder(np.random.default_rng([config.seed, dec_tag, key]))

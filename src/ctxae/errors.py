@@ -14,7 +14,7 @@ class ConfigError(CtxaeError):
 
 
 class MissingArtifact(CtxaeError):
-    """A required upstream artifact (dataset, bundle, table) is absent."""
+    """A required upstream artifact (dataset, bundle, table) is absent or unreadable."""
 
 
 class NumericalError(CtxaeError):

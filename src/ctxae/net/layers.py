@@ -2,7 +2,10 @@
 
 Arrays are float64, shaped (batch, length, channels). A training-mode
 forward caches what ``backward`` needs; an inference-mode forward caches
-nothing, so it may run between a training forward and its backward.
+nothing, so it may run between a training forward and its backward. A
+training forward's cache serves one backward: ``Sequential.backward`` drops
+each layer's cache as soon as that layer's backward returns, so a model
+holds no activations between its batches.
 ``backward`` accumulates parameter gradients and returns the input gradient.
 Convolutions use valid padding and stride 1; the decoder recovers length
 through nearest-neighbour upsampling and transposed convolutions. A
@@ -100,7 +103,11 @@ class Layer:
     spec: LayerSpec
 
     def drop_cache(self) -> None:
-        """Forget what the last training forward kept for backward."""
+        """Forget what the last training forward kept for backward.
+
+        ``Sequential.backward`` calls it on each layer right after that
+        layer's backward, so a training forward's cache serves one backward.
+        """
         for name in vars(self):
             if name.startswith("_"):
                 setattr(self, name, None)

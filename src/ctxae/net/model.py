@@ -64,11 +64,18 @@ class Sequential:
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Backprop through the run order; with input_grad False the first
-        layer may skip the input gradient and return None."""
+        layer may skip the input gradient and return None.
+
+        Each layer's cache is dropped as soon as its backward returns, so a
+        training forward's cache serves exactly one backward.
+        """
         first, *rest = self.run_order
         for layer in reversed(rest):
             dy = layer.backward(dy)
-        return first.backward(dy, input_grad=input_grad)
+            layer.drop_cache()
+        dx = first.backward(dy, input_grad=input_grad)
+        first.drop_cache()
+        return dx
 
     def params(self) -> list[np.ndarray]:
         return [a for layer in self.layers for a in layer.params()]

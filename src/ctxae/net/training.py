@@ -17,9 +17,11 @@ chunk sizes. Validation runs it each epoch on the scoring fold of the
 encoder and decoders (``fold_for_scoring``), as detector scoring and the
 grouping's cross-loss matrix do.
 
-``Adam.step`` updates its moments in place and reuses two scratch arrays
-per parameter. It performs the textbook update's float operations in the
-same order, so parameters come out with the same bits.
+``Adam.step`` updates its moments in place and works in one pair of flat
+scratch arrays that every optimizer of a training run shares
+(``adam_scratch``): steps run one at a time, and each overwrites the
+scratch before reading it. It performs the textbook update's float
+operations in the same order, so parameters come out with the same bits.
 """
 
 from __future__ import annotations
@@ -69,10 +71,22 @@ class TrainReport:
     samples_seen: dict[int, int] = field(default_factory=dict)
 
 
-class Adam:
-    """Standard bias-corrected Adam over a fixed list of parameter arrays."""
+def adam_scratch(*param_lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One pair of flat scratch arrays as long as the largest parameter of
+    param_lists, for every ``Adam`` over those parameters to share."""
+    size = max(p.size for params in param_lists for p in params)
+    return np.empty(size), np.empty(size)
 
-    def __init__(self, params: list[np.ndarray], config: TrainConfig):
+
+class Adam:
+    """Standard bias-corrected Adam over a fixed list of parameter arrays.
+
+    scratch is a pair from ``adam_scratch``; each step works in views of
+    its leading elements, shaped like each parameter in turn.
+    """
+
+    def __init__(self, params: list[np.ndarray], config: TrainConfig,
+                 scratch: tuple[np.ndarray, np.ndarray]):
         self.lr = config.learning_rate
         self.beta1 = config.beta1
         self.beta2 = config.beta2
@@ -80,7 +94,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self._scratch = [tuple(s[:p.size].reshape(p.shape) for s in scratch)
+                         for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """p -= lr * (m / c1) / (sqrt(v / c2) + eps), with m and v decayed in place."""
@@ -167,7 +182,9 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     the validation windows, computed through the models folded once per
     epoch. Stops when it fails to improve for ``patience`` consecutive
     epochs; the best-epoch state (parameters and batch-norm running stats)
-    is restored and every layer cache dropped before returning.
+    is restored before returning. A batch's layer caches die with its
+    backward (``Sequential.backward``), and one scratch pair serves every
+    optimizer, so a run holds only what the batch in flight needs.
     """
     keys = sorted(decoders)
     if sorted(train_by_key) != keys or sorted(val_by_key) != keys:
@@ -190,9 +207,10 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
             raise ValueError("sample weights must match each key's training set")
 
     rng = np.random.default_rng(config.seed)
-    enc_adam = Adam(encoder.params(), config)
-    dec_adams = {k: Adam(decoders[k].params(), config) for k in keys}
     models = [encoder] + [decoders[k] for k in keys]
+    scratch = adam_scratch(*(m.params() for m in models))
+    enc_adam = Adam(encoder.params(), config, scratch)
+    dec_adams = {k: Adam(decoders[k].params(), config, scratch) for k in keys}
     report = TrainReport()
     best_state: list[list[np.ndarray]] | None = None
     bad_epochs = 0
@@ -241,8 +259,6 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
 
     for model, state in zip(models, best_state):
         model.restore(state)
-        for layer in model.layers:
-            layer.drop_cache()
     report.wall_time_s = time.perf_counter() - started
     return report
 

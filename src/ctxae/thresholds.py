@@ -98,19 +98,26 @@ def save_table(path: Path, table: ThresholdTable) -> None:
 def load_table(path: Path) -> ThresholdTable:
     """Read a table written by ``save_table``; refuse one without its
     ``# lambda`` row, which alone says what lambda and split it was fitted
-    under."""
+    under, and one with a row of the wrong field count or a non-numeric
+    field."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     lam = fit_split = None
     entries: dict[int, ThresholdEntry] = {}
-    for row in rows[1:]:
-        if row[0] == "# lambda":
-            lam, fit_split = float(row[1]), row[3]
-            continue
-        cid = GLOBAL_ID if row[0] == "global" else int(row[0])
-        entries[cid] = ThresholdEntry(
-            context_id=cid, n=int(row[1]), mu=float(row[2]),
-            sigma=float(row[3]), tau=float(row[4]) if row[4] else None)
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != 5:
+                raise ValueError(f"{len(row)} fields where 5 belong")
+            if row[0] == "# lambda":
+                lam, fit_split = float(row[1]), row[3]
+                continue
+            cid = GLOBAL_ID if row[0] == "global" else int(row[0])
+            entries[cid] = ThresholdEntry(
+                context_id=cid, n=int(row[1]), mu=float(row[2]),
+                sigma=float(row[3]), tau=float(row[4]) if row[4] else None)
+        except ValueError as exc:
+            raise MissingArtifact(f"{path} line {line} is malformed ({exc}); "
+                                  "run the thresholds stage again") from None
     if lam is None:
         raise MissingArtifact(f"{path} has no '# lambda' row, so the lambda and "
                               "split it was fitted under are unknown; run the "

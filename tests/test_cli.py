@@ -103,6 +103,21 @@ def test_thresholds_without_their_lambda_row_exit_3(tmp_path):
     assert "no '# lambda' row" in result.stderr
 
 
+def test_a_truncated_thresholds_table_exits_3(tmp_path):
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage]).exit_code == 0
+    for stage in ("train", "thresholds"):
+        assert _invoke(tmp_path, [stage, "--kind", "ae"]).exit_code == 0
+    table = tmp_path / "run" / "models" / "ae" / "thresholds.csv"
+    table.write_bytes(table.read_bytes()[:60])
+    result = _invoke(tmp_path, ["detect", "--kind", "ae"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"MissingArtifact: {table} line ")
+    assert "is malformed" in result.stderr
+    assert "run the thresholds stage again" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
 def test_kind_must_be_a_detector(tmp_path):
     result = _invoke(tmp_path, ["train", "--kind", "svm"])
     assert result.exit_code == 2

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ctxae import detectors
 from ctxae import thresholds as th
 from ctxae.dataset import NO_CONTEXT, TRUTH_DTYPE, DatasetSplit, WindowTable, concat
 from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
@@ -177,6 +178,35 @@ def test_gcae_routes_members_to_their_group_decoder(rng):
     report = det.reports["gcae"]
     n_pair = sum(1 for w in split.train if w.context_id in (0, 1))
     assert report.samples_seen[0] == n_pair * report.stopped_epoch
+
+
+def test_shared_training_cuts_each_key_from_the_split_in_context_order(rng, monkeypatch):
+    split = _split(rng, contexts=(12, 0, 5), n_train=9, n_val=4)
+    # rows not sorted by context, and weights that tell rows apart
+    split = DatasetSplit(**{name: t.take(rng.permutation(len(t)))
+                            for name, t in (("train", split.train), ("val", split.val),
+                                            ("test", split.test))})
+    split.train.weight = rng.uniform(0.5, 2.0, len(split.train))
+    seen = {}
+
+    def capture(enc, decoders, train_by_key, val_by_key, config, weights_by_key):
+        seen.update(train=train_by_key, val=val_by_key, weights=weights_by_key)
+        return TrainReport()
+
+    monkeypatch.setattr(detectors, "train_multi_decoder", capture)
+    train_gcae(split, _toy_spec(), _fast_config(), {0: 0, 5: 0, 12: 12})
+    # the oracle: context-sorted copies of both tables, then a mask per key
+    train, val = (t.take(np.argsort(t.context_id, kind="stable"))
+                  for t in (split.train, split.val))
+    for key, members in ((0, [0, 5]), (12, [12])):
+        rows = np.isin(train.context_id, members)
+        expected = {"train": train.tensor[rows], "weights": train.weight[rows],
+                    "val": val.tensor[np.isin(val.context_id, members)]}
+        for name, want in expected.items():
+            got = seen[name][key]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert sorted(seen["train"]) == [0, 12]
+    assert seen["train"][0].shape[0] == 18 and seen["val"][0].shape[0] == 8
 
 
 def test_score_matches_direct_forward_pass(rng):

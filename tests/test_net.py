@@ -14,6 +14,7 @@ from ctxae.net.model import (
 from ctxae.net.training import (
     Adam,
     TrainConfig,
+    adam_scratch,
     score_windows,
     train_autoencoder,
     train_multi_decoder,
@@ -295,6 +296,37 @@ def test_layers_drop_their_caches_when_training_ends(rng):
     assert _kept_caches(enc, *decoders.values()) == []
 
 
+def test_a_training_cache_dies_with_its_backward(rng):
+    spec = default_autoencoder_spec()
+    enc, dec = _build_pair(spec, seed=3)
+    x = rng.normal(size=(6, 50, 6))
+    training_mod._weighted_batch_step(enc, dec, x, np.ones(6))
+    assert _kept_caches(enc, dec) == []
+
+
+def test_idle_decoders_hold_no_batch(rng, monkeypatch):
+    spec = default_autoencoder_spec()
+    srng = np.random.default_rng(6)
+    enc = spec.build_encoder(srng)
+    decoders = {0: spec.build_decoder(srng), 3: spec.build_decoder(srng)}
+    x = rng.normal(size=(40, 50, 6))
+    step = training_mod._weighted_batch_step
+    batches = []
+
+    def checked(encoder, decoder, xb, wb):
+        # every model is idle between batches, the one about to train too
+        assert _kept_caches(encoder, *decoders.values()) == []
+        batches.append(decoder)
+        return step(encoder, decoder, xb, wb)
+
+    monkeypatch.setattr(training_mod, "_weighted_batch_step", checked)
+    train_multi_decoder(enc, decoders, {0: x[:16], 3: x[16:32]},
+                        {0: x[32:36], 3: x[36:]},
+                        TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=1))
+    assert {id(d) for d in batches} == {id(d) for d in decoders.values()}
+    assert len(batches) == 8
+
+
 def test_multi_decoder_key_agreement_enforced(rng):
     spec = _toy_spec()
     srng = np.random.default_rng(9)
@@ -322,7 +354,7 @@ def test_adam_matches_reference_formula():
     cfg = TrainConfig(learning_rate=0.01)
     p = np.array([1.0, -2.0])
     params = [p]
-    opt = Adam(params, cfg)
+    opt = Adam(params, cfg, adam_scratch(params))
     m = np.zeros(2)
     v = np.zeros(2)
     ref = p.copy()
@@ -408,17 +440,27 @@ class _ReferenceAdam:
 
 def test_adam_in_place_step_matches_out_of_place_reference(rng):
     cfg = TrainConfig(learning_rate=3e-3)
-    shapes = [(7, 5), (5,), (3, 2, 4)]
-    params = [rng.normal(size=s) for s in shapes]
-    ref_params = [p.copy() for p in params]
-    opt, ref = Adam(params, cfg), _ReferenceAdam(ref_params, cfg)
-    for _ in range(50):
-        grads = [rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=s) for s in shapes]
-        grads[1][rng.random(5) < 0.3] = 0.0
-        opt.step(params, grads)
-        ref.step(ref_params, [g.copy() for g in grads])
-        for p, p_ref in zip(params, ref_params):
-            assert p.tobytes() == p_ref.tobytes()
+    # an encoder and two decoders of different shapes, the largest
+    # parameter in a decoder, with one scratch pair built as _train builds it
+    shapes = {"enc": [(7, 5), (5,), (3, 2, 4)],
+              "a": [(4, 3), (9, 6)],
+              "b": [(2, 11), (6,), (5, 5)]}
+    params = {k: [rng.normal(size=s) for s in ss] for k, ss in shapes.items()}
+    ref_params = {k: [p.copy() for p in ps] for k, ps in params.items()}
+    scratch = adam_scratch(*params.values())
+    assert scratch[0].shape == scratch[1].shape == (54,)
+    opts = {k: Adam(ps, cfg, scratch) for k, ps in params.items()}
+    refs = {k: _ReferenceAdam(ps, cfg) for k, ps in ref_params.items()}
+    for _ in range(40):
+        for k in ("enc", "a", "enc", "b"):
+            grads = [rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=s)
+                     for s in shapes[k]]
+            grads[0][rng.random(shapes[k][0]) < 0.3] = 0.0
+            opts[k].step(params[k], grads)
+            refs[k].step(ref_params[k], [g.copy() for g in grads])
+        for k in shapes:
+            for p, p_ref in zip(params[k], ref_params[k]):
+                assert p.tobytes() == p_ref.tobytes()
 
 
 def test_skipping_the_input_gradient_keeps_every_parameter_gradient(rng):

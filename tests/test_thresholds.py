@@ -146,6 +146,38 @@ def test_a_table_without_its_lambda_row_is_refused(tmp_path, rng):
         load_table(path)
 
 
+@pytest.mark.parametrize("line, row, why", [
+    (2, "0,9,0.5", "3 fields where 5 belong"),
+    (3, "3,7,0.5,0.1,0.9,extra", "6 fields where 5 belong"),
+    (2, "0,nine,0.5,0.1,0.9", "invalid literal for int"),
+    (3, "3,7,0.5,wide,0.9", "could not convert string to float"),
+    (4, "global,16,0.5,0.1,", None),   # a flagged row is well formed
+    (5, "# lambda,five,fit_split,train,", "could not convert string to float"),
+    (5, "# lambda,5.0", "2 fields where 5 belong"),
+])
+def test_a_malformed_row_is_refused_with_its_line(tmp_path, rng, line, row, why):
+    path = tmp_path / "thresholds.csv"
+    save_table(path, fit({0: rng.exponential(1.0, 9), 3: rng.exponential(1.0, 7)}))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    if why is None:
+        assert load_table(path).entries[GLOBAL_ID].tau is None
+        return
+    with pytest.raises(MissingArtifact, match=f"line {line} is malformed") as err:
+        load_table(path)
+    assert str(path) in str(err.value) and why in str(err.value)
+    assert "run the thresholds stage again" in str(err.value)
+
+
+def test_a_truncated_table_is_refused(tmp_path, rng):
+    path = tmp_path / "thresholds.csv"
+    save_table(path, fit({0: rng.exponential(1.0, 9)}))
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(MissingArtifact, match="line 2 is malformed"):
+        load_table(path)
+
+
 def test_save_is_byte_stable(tmp_path, rng):
     table = fit({0: rng.exponential(1.0, 9), 3: rng.exponential(1.0, 7)})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
