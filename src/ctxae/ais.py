@@ -413,15 +413,11 @@ def group_trajectories(table: MessageTable) -> list[Trajectory]:
             for a, b in zip(starts, ends) if b > a]
 
 
-def table_files(table_dir: Path) -> list[Path]:
-    """The files of a saved table: its JSON header, then one per column."""
-    return [table_dir / "header.json"] + [table_dir / f"{name}.bin" for name in TABLE_DTYPES]
-
-
 def save_table(out_dir: Path, table: MessageTable) -> list[Path]:
-    """Write one raw little-endian file per column plus a JSON header (bit-exact)."""
+    """Write one raw little-endian file per column plus a JSON header
+    (bit-exact); return the header's path, then one per column."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = table_files(out_dir)
+    paths = [out_dir / "header.json"] + [out_dir / f"{name}.bin" for name in TABLE_DTYPES]
     header = {"version": TABLE_VERSION, "rows": len(table), "columns": TABLE_DTYPES}
     paths[0].write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     for path, (name, dtype) in zip(paths[1:], TABLE_DTYPES.items()):

@@ -31,23 +31,44 @@ def _config_options(fn):
                         type=click.Path(), help="Run configuration YAML.")(fn)
 
 
-_kind_option = click.option("--kind", type=click.Choice(KINDS), required=True)
+# name, stage function, whether it takes --kind, help line
+STAGES = (
+    ("simulate", pipeline.stage_simulate, False,
+     "Generate the synthetic fleet with ground-truth anomaly tags."),
+    ("ingest", pipeline.stage_ingest, False,
+     "Parse and validate input records once; write the table and context counts."),
+    ("build", pipeline.stage_build, False,
+     "Cut, filter, split, normalize and persist the window dataset."),
+    ("train", pipeline.stage_train, True,
+     "Train one detector variant on the built dataset."),
+    ("thresholds", pipeline.stage_thresholds, True,
+     "Fit per-context and global thresholds for a trained detector."),
+    ("group", pipeline.stage_group, False,
+     "Derive the context grouping from the trained CAE."),
+    ("detect", pipeline.stage_detect, True,
+     "Score the test split and write verdicts."),
+    ("evaluate", pipeline.stage_evaluate, False,
+     "Aggregate detections into confusion/overlap/severity/truth metrics."),
+    ("report", pipeline.stage_report, False,
+     "Write the versioned summary report for the run."),
+    ("run", pipeline.run_all, False, "Run every stage in canonical order."),
+)
 
 
-def _run(stage_fn, config_path, seed, out_dir, **kwargs):
-    try:
-        cfg = load_config(config_path, seed=seed, out_dir=out_dir)
-        summary = stage_fn(cfg, **kwargs)
-    except CtxaeError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                sys.exit(code)
-        sys.exit(1)
-    brief = {k: v for k, v in summary.items()
-             if isinstance(v, (int, float, str, bool))}
-    click.echo(json.dumps({"ok": stage_fn.__name__.removeprefix("stage_"),
-                           **brief}, default=str))
+def _command(stage_fn):
+    """The callback of stage_fn's subcommand: run it, print its summary."""
+    def command(config_path, seed, out_dir, **kind):
+        try:
+            cfg = load_config(config_path, seed=seed, out_dir=out_dir)
+            summary = stage_fn(cfg, **kind)
+        except CtxaeError as exc:
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(next(code for klass, code in _EXIT_CODES if isinstance(exc, klass)))
+        brief = {k: v for k, v in summary.items()
+                 if isinstance(v, (int, float, str, bool))}
+        click.echo(json.dumps({"ok": stage_fn.__name__.removeprefix("stage_"),
+                               **brief}, default=str))
+    return command
 
 
 @click.group()
@@ -55,77 +76,11 @@ def main():
     """Context-aware autoencoder anomaly detection for vessel trajectories."""
 
 
-@main.command()
-@_config_options
-def simulate(config_path, seed, out_dir):
-    """Generate the synthetic fleet with ground-truth anomaly tags."""
-    _run(pipeline.stage_simulate, config_path, seed, out_dir)
-
-
-@main.command()
-@_config_options
-def ingest(config_path, seed, out_dir):
-    """Parse and validate input records once; write the table and context counts."""
-    _run(pipeline.stage_ingest, config_path, seed, out_dir)
-
-
-@main.command()
-@_config_options
-def build(config_path, seed, out_dir):
-    """Cut, filter, split, normalize and persist the window dataset."""
-    _run(pipeline.stage_build, config_path, seed, out_dir)
-
-
-@main.command()
-@_kind_option
-@_config_options
-def train(kind, config_path, seed, out_dir):
-    """Train one detector variant on the built dataset."""
-    _run(pipeline.stage_train, config_path, seed, out_dir, kind=kind)
-
-
-@main.command()
-@_kind_option
-@_config_options
-def thresholds(kind, config_path, seed, out_dir):
-    """Fit per-context and global thresholds for a trained detector."""
-    _run(pipeline.stage_thresholds, config_path, seed, out_dir, kind=kind)
-
-
-@main.command()
-@_config_options
-def group(config_path, seed, out_dir):
-    """Derive the context grouping from the trained CAE."""
-    _run(pipeline.stage_group, config_path, seed, out_dir)
-
-
-@main.command()
-@_kind_option
-@_config_options
-def detect(kind, config_path, seed, out_dir):
-    """Score the test split and write verdicts."""
-    _run(pipeline.stage_detect, config_path, seed, out_dir, kind=kind)
-
-
-@main.command()
-@_config_options
-def evaluate(config_path, seed, out_dir):
-    """Aggregate detections into confusion/overlap/severity/truth metrics."""
-    _run(pipeline.stage_evaluate, config_path, seed, out_dir)
-
-
-@main.command()
-@_config_options
-def report(config_path, seed, out_dir):
-    """Write the versioned summary report for the run."""
-    _run(pipeline.stage_report, config_path, seed, out_dir)
-
-
-@main.command()
-@_config_options
-def run(config_path, seed, out_dir):
-    """Run every stage in canonical order."""
-    _run(pipeline.run_all, config_path, seed, out_dir)
+for _name, _stage_fn, _takes_kind, _help in STAGES:
+    _callback = _config_options(_command(_stage_fn))
+    if _takes_kind:
+        _callback = click.option("--kind", type=click.Choice(KINDS), required=True)(_callback)
+    main.command(_name, help=_help)(_callback)
 
 
 if __name__ == "__main__":

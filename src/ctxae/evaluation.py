@@ -60,7 +60,9 @@ def overlap(sets: dict[str, set]) -> dict:
 
 def severity(scores: np.ndarray, taus: np.ndarray,
              bins: int = 20) -> tuple[dict, np.ndarray]:
-    """(score - tau) / tau over anomalous windows: summary and per-window values."""
+    """(score - tau) / tau over anomalous windows: summary and per-window values.
+
+    Without anomalous windows the summary's mean and median are None."""
     scores = np.asarray(scores, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
     if np.any(scores <= taus):
@@ -72,7 +74,7 @@ def severity(scores: np.ndarray, taus: np.ndarray,
         mean, median = float(values.mean()), float(np.median(values))
     else:
         counts, edges = np.zeros(bins, dtype=int), np.linspace(0, 1, bins + 1)
-        mean = median = float("nan")
+        mean = median = None
     return {"count": int(values.shape[0]), "mean": mean, "median": median,
             "hist_counts": counts.tolist(), "hist_edges": edges.tolist()}, values
 

@@ -2,9 +2,11 @@
 
 Manifests carry no timestamps, so identical runs write identical manifests
 and stale-artifact reuse shows up as a hash mismatch instead of a silent
-wrong answer: a stage that reads a produced artifact first calls
-check_inputs on the manifest of the stage that produced it, which checks
-the artifact and the inputs it was made from.
+wrong answer. A manifest is the one record of which files its stage wrote:
+each output is keyed by its path relative to the manifest's directory. A
+stage that reads a produced artifact calls check_inputs on the manifest of
+the stage that produced it before it uses the artifact; check_inputs checks
+every output that manifest records and the inputs the reader names.
 """
 
 from __future__ import annotations
@@ -41,30 +43,37 @@ def config_hash(config) -> str:
 def write_manifest(out_dir: Path, stage: str, config_digest: str,
                    inputs: dict[str, Path], outputs: dict[str, Path],
                    extra: dict | None = None) -> Path:
+    """Write <stage>.manifest.json in out_dir; each output is recorded under
+    its path relative to out_dir, whatever name the mapping gives it."""
+    out_dir = Path(out_dir)
     manifest = {
         "stage": stage,
         "config_hash": config_digest,
-        "inputs": {name: sha256_file(Path(p)) for name, p in sorted(inputs.items())},
-        "outputs": {name: sha256_file(Path(p)) for name, p in sorted(outputs.items())},
+        "inputs": {name: sha256_file(Path(p)) for name, p in inputs.items()},
+        "outputs": {Path(p).relative_to(out_dir).as_posix(): sha256_file(Path(p))
+                    for p in outputs.values()},
     }
     if extra:
         manifest["extra"] = extra
-    path = Path(out_dir) / f"{stage}.manifest.json"
+    path = out_dir / f"{stage}.manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path],
-                 outputs: dict[str, Path], rerun: str) -> None:
-    """Raise unless each named input and output has the bytes stage's manifest records.
+                 rerun: str) -> None:
+    """Raise unless each named input and every recorded output has the bytes
+    stage's manifest records.
 
     A missing manifest or file raises MissingArtifact ending in rerun; other
     bytes raise ConfigError naming both sha256 values.
     """
-    path = Path(out_dir) / f"{stage}.manifest.json"
+    out_dir = Path(out_dir)
+    path = out_dir / f"{stage}.manifest.json"
     if not path.exists():
         raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
     manifest = json.loads(path.read_text())
+    outputs = {name: out_dir / name for name in manifest["outputs"]}
     for role, verb, files in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
         for name, file_path in sorted(files.items()):
             if not Path(file_path).exists():

@@ -4,13 +4,17 @@ Every stage reads its inputs from the run directory, writes its artifacts
 plus a manifest, and is idempotent for a fixed config + seed. Stage order:
 simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
 
-One staleness rule: a stage refuses an artifact whose producer's manifest is
-missing, or which is itself missing (MissingArtifact), or whose manifest
-records other bytes for it or for one of its inputs than the files now hold
-(ConfigError naming both sha256 values); manifest.check_inputs is the one
-place that checks it. A stage that reads fitted thresholds, other than the
-thresholds stage itself, also refuses a table fitted under another lambda or
-fit split than the config asks for (ConfigError naming both).
+One staleness rule: each stage's manifest names every file it wrote, and a
+stage that reads any of them checks that manifest with manifest.check_inputs
+before it uses them. The check refuses when the manifest or one of its
+recorded outputs is missing (MissingArtifact), or when a recorded output or
+an input the reader names holds other bytes than the manifest records
+(ConfigError naming the file and both sha256 values). So the dataset, every
+checkpoint of a bundle, each threshold table, the grouping, the detections
+and the evaluation are each checked whole, and no reader lists a producer's
+files. A stage that reads fitted thresholds, other than the thresholds stage
+itself, also refuses a table fitted under another lambda or fit split than
+the config asks for (ConfigError naming both).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import detectors, evaluation, grouping, synth, thresholds as th
 from .ais import (context_registry, group_trajectories, load_table,
-                  parse_messages, save_table, table_files)
+                  parse_messages, save_table)
 from .config import RunConfig
 from .dataset import (DatasetSplit, attach_truth, concat, filter_near_ports,
                       load_dataset, normalize_split, remove_outliers,
@@ -65,11 +69,6 @@ def _optional_path(configured: Path | None, fallback: Path) -> Path | None:
     return fallback if fallback.exists() else None
 
 
-def _table_outputs(cfg: RunConfig) -> dict[str, Path]:
-    """The ingest table's files under the names the ingest manifest gives them."""
-    return {f"messages/{path.name}": path for path in table_files(_paths(cfg)["messages"])}
-
-
 def stage_simulate(cfg: RunConfig) -> dict:
     if cfg.synth is None:
         raise ConfigError("simulate requires a synth section in the config")
@@ -108,9 +107,10 @@ def stage_ingest(cfg: RunConfig) -> dict:
     paths["out"].mkdir(parents=True, exist_ok=True)
     ingest_path = paths["out"] / "ingest.json"
     ingest_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    save_table(paths["messages"], table)
+    outputs = {f"messages/{path.name}": path
+               for path in save_table(paths["messages"], table)}
     write_manifest(paths["out"], "ingest", config_hash(cfg), {"records": records},
-                   {"ingest": ingest_path, **_table_outputs(cfg)})
+                   {"ingest.json": ingest_path, **outputs})
     return summary
 
 
@@ -123,8 +123,7 @@ def stage_build(cfg: RunConfig) -> dict:
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
 
-    check_inputs(paths["out"], "ingest", {"records": records}, _table_outputs(cfg),
-                 "run the ingest stage first")
+    check_inputs(paths["out"], "ingest", {"records": records}, "run the ingest stage first")
     windows = concat([segment(traj, enrich(traj), registry,
                               window_len=cfg.dataset.window_len,
                               stride=cfg.dataset.stride)
@@ -179,7 +178,9 @@ def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
 
 
 def _load_split(cfg: RunConfig) -> DatasetSplit:
-    split, _ = load_dataset(_paths(cfg)["dataset"])
+    dataset_dir = _paths(cfg)["dataset"]
+    check_inputs(dataset_dir, "build", {}, "run the build stage first")
+    split, _ = load_dataset(dataset_dir)
     return split
 
 
@@ -236,17 +237,21 @@ def _load_detector(cfg: RunConfig, kind: str) -> detectors.Detector:
     model_dir = _model_dir(cfg, kind)
     det = detectors.load_detector(model_dir)
     check_inputs(model_dir, "train", {"dataset": _paths(cfg)["dataset"] / "header.json"},
-                 {"detector.json": model_dir / "detector.json"}, f"retrain {kind}")
+                 f"retrain {kind}")
     return det
 
 
 def _fitted_table(cfg: RunConfig, kind: str,
                   table: th.ThresholdTable | None) -> th.ThresholdTable:
-    """kind's threshold table, refused unless fitted under the lambda and
-    split the config asks for."""
+    """kind's threshold table, refused unless its thresholds manifest
+    describes it and the current dataset, and unless fitted under the lambda
+    and split the config asks for."""
     if table is None:
         raise MissingArtifact(f"{kind} bundle has no thresholds; "
                               "run the thresholds stage first")
+    check_inputs(_model_dir(cfg, kind), "thresholds",
+                 {"dataset": _paths(cfg)["dataset"] / "header.json"},
+                 f"run the thresholds stage for {kind}")
     asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
     if (table.lam, table.fit_split) != asked:
         raise ConfigError(
@@ -278,7 +283,7 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
     }
     write_manifest(out_dir, "thresholds", config_hash(cfg),
                    {"dataset": paths["dataset"] / "header.json"},
-                   {"thresholds": out_dir / "thresholds.csv"}, extra=summary)
+                   {"thresholds.csv": out_dir / "thresholds.csv"}, extra=summary)
     return summary
 
 
@@ -293,8 +298,7 @@ def _checked_grouping(cfg: RunConfig) -> Path:
     """grouping.json, refused unless derived from the current cae bundle and
     dataset, and from cae thresholds fitted as the config asks."""
     path = _paths(cfg)["grouping"] / "grouping.json"
-    check_inputs(path.parent, "group", _group_inputs(cfg), {"grouping": path},
-                 "run the group stage first")
+    check_inputs(path.parent, "group", _group_inputs(cfg), "run the group stage first")
     _stored_table(cfg, "cae")
     return path
 
@@ -323,8 +327,8 @@ def stage_group(cfg: RunConfig) -> dict:
         "strategy": result.strategy,
     }
     write_manifest(paths["grouping"], "group", config_hash(cfg), _group_inputs(cfg),
-                   {"loss_matrix": paths["grouping"] / "loss_matrix.csv",
-                    "grouping": paths["grouping"] / "grouping.json"},
+                   {name: paths["grouping"] / name
+                    for name in ("loss_matrix.csv", "grouping.json")},
                    extra=summary)
     return summary
 
@@ -401,9 +405,9 @@ def _checked_detections(cfg: RunConfig) -> dict[str, Path]:
              if (det_dir / f"{k}.csv").exists()}
     if not found:
         raise MissingArtifact("no detection files to evaluate; run detect first")
-    for kind, path in found.items():
+    for kind in found:
         check_inputs(det_dir, f"detect-{kind}", _detect_inputs(cfg, kind),
-                     {f"{kind}.csv": path}, f"run the detect stage for {kind} first")
+                     f"run the detect stage for {kind} first")
     return found
 
 
@@ -474,10 +478,11 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     }
     paths["evaluation"].mkdir(parents=True, exist_ok=True)
     eval_path = paths["evaluation"] / "evaluation.json"
-    eval_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    eval_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                       + "\n")
     write_manifest(paths["evaluation"], "evaluate", config_hash(cfg),
                    {f"{k}.csv": p for k, p in detections.items()},
-                   {"evaluation": eval_path})
+                   {"evaluation.json": eval_path})
     return report
 
 
@@ -487,7 +492,7 @@ def stage_report(cfg: RunConfig) -> dict:
     eval_path = paths["evaluation"] / "evaluation.json"
     check_inputs(eval_path.parent, "evaluate",
                  {f"{k}.csv": p for k, p in detections.items()},
-                 {"evaluation": eval_path}, "run the evaluate stage first")
+                 "run the evaluate stage first")
     evaluation_report = json.loads(eval_path.read_text())
 
     models = {}
@@ -515,9 +520,10 @@ def stage_report(cfg: RunConfig) -> dict:
         report["grouping"] = json.loads(_checked_grouping(cfg).read_text())
 
     report_path = paths["out"] / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                         + "\n")
     write_manifest(paths["out"], "report", config_hash(cfg),
-                   {"evaluation": eval_path}, {"report": report_path})
+                   {"evaluation": eval_path}, {"report.json": report_path})
     return report
 
 

@@ -87,6 +87,23 @@ def test_thresholds_fitted_under_another_lambda_exit_2(tmp_path):
     assert result.stderr.startswith("ConfigError: ae thresholds were fitted with lambda 5.0")
 
 
+def test_a_flipped_checkpoint_byte_exits_2(tmp_path):
+    # long enough tracks that every context gets a tau, so detect runs
+    raw = {**TINY, "synth": {**TINY["synth"], "messages_per_vessel": 200}}
+    for stage in ("simulate", "ingest", "build"):
+        assert _invoke(tmp_path, [stage], raw=raw).exit_code == 0
+    for stage in ("train", "thresholds", "detect"):
+        assert _invoke(tmp_path, [stage, "--kind", "ae"], raw=raw).exit_code == 0
+    checkpoint = tmp_path / "run" / "models" / "ae" / "decoder.ckpt"
+    data = bytearray(checkpoint.read_bytes())
+    data[-1] ^= 0x01
+    checkpoint.write_bytes(bytes(data))
+    result = _invoke(tmp_path, ["detect", "--kind", "ae"], raw=raw)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: train wrote decoder.ckpt with sha256 ")
+    assert str(checkpoint) in result.stderr
+
+
 def test_thresholds_without_their_lambda_row_exit_3(tmp_path):
     for stage in ("simulate", "ingest", "build"):
         assert _invoke(tmp_path, [stage]).exit_code == 0

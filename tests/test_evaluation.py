@@ -60,7 +60,7 @@ def test_severity_refuses_a_score_at_or_below_tau():
 def test_severity_of_no_anomalies():
     stats, values = severity(np.zeros(0), np.zeros(0), bins=5)
     assert stats["count"] == 0 and values.shape == (0,)
-    assert np.isnan(stats["mean"]) and np.isnan(stats["median"])
+    assert stats["mean"] is None and stats["median"] is None
     assert stats["hist_counts"] == [0] * 5
 
 

@@ -1,5 +1,7 @@
 """Stage manifests: the check every stage makes before it reads an artifact."""
 
+import json
+
 import pytest
 
 from ctxae.errors import ConfigError, MissingArtifact
@@ -13,25 +15,29 @@ def produced(tmp_path):
     source.write_text("first\n")
     output = tmp_path / "made.txt"
     output.write_text("made\n")
-    write_manifest(tmp_path, "make", "cfg", {"source": source}, {"made": output})
+    write_manifest(tmp_path, "make", "cfg", {"source": source}, {"made.txt": output})
     return source
 
 
-def _made(source):
-    return {"made": source.parent / "made.txt"}
-
-
 def test_matching_inputs_pass(produced):
-    check_inputs(produced.parent, "make", {"source": produced}, _made(produced),
-                 "run make first")
-    check_inputs(produced.parent, "make", {}, {}, "run make first")
+    check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+    check_inputs(produced.parent, "make", {}, "run make first")
+
+
+def test_outputs_are_keyed_by_their_path_under_the_manifest_directory(tmp_path):
+    nested = tmp_path / "sub" / "deep.txt"
+    nested.parent.mkdir()
+    nested.write_text("deep\n")
+    path = write_manifest(tmp_path, "make", "cfg", {}, {"any name": nested})
+    assert json.loads(path.read_text())["outputs"] == {"sub/deep.txt": sha256_file(nested)}
+    check_inputs(tmp_path, "make", {}, "run make first")
 
 
 def test_a_missing_manifest_is_refused_with_the_hint(tmp_path):
     source = tmp_path / "source.txt"
     source.write_text("first\n")
     with pytest.raises(MissingArtifact, match="no make manifest at .*; run make first"):
-        check_inputs(tmp_path, "make", {"source": source}, {}, "run make first")
+        check_inputs(tmp_path, "make", {"source": source}, "run make first")
 
 
 def test_a_changed_input_is_refused_naming_both_hashes(produced):
@@ -39,29 +45,40 @@ def test_a_changed_input_is_refused_naming_both_hashes(produced):
     produced.write_text("second\n")
     current = sha256_file(produced)
     with pytest.raises(ConfigError, match="run make first") as err:
-        check_inputs(produced.parent, "make", {"source": produced}, {}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
     assert recorded in str(err.value) and current in str(err.value)
 
 
 def test_an_input_the_manifest_does_not_name_is_refused(produced):
     with pytest.raises(ConfigError, match="sha256 None"):
-        check_inputs(produced.parent, "make", {"other": produced}, {}, "run make first")
+        check_inputs(produced.parent, "make", {"other": produced}, "run make first")
 
 
 def test_a_deleted_input_is_refused_as_missing(produced):
     produced.unlink()
     with pytest.raises(MissingArtifact, match="run make first"):
-        check_inputs(produced.parent, "make", {"source": produced}, {}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
 
 
 def test_a_changed_or_deleted_output_is_refused(produced):
-    made = _made(produced)
-    recorded = sha256_file(made["made"])
-    made["made"].write_text("edited\n")
-    current = sha256_file(made["made"])
-    with pytest.raises(ConfigError, match="make wrote made with sha256") as err:
-        check_inputs(produced.parent, "make", {}, made, "run make first")
+    made = produced.parent / "made.txt"
+    recorded = sha256_file(made)
+    made.write_text("edited\n")
+    current = sha256_file(made)
+    with pytest.raises(ConfigError, match="make wrote made.txt with sha256") as err:
+        check_inputs(produced.parent, "make", {}, "run make first")
     assert recorded in str(err.value) and current in str(err.value)
-    made["made"].unlink()
+    made.unlink()
     with pytest.raises(MissingArtifact, match="which is gone; run make first"):
-        check_inputs(produced.parent, "make", {}, made, "run make first")
+        check_inputs(produced.parent, "make", {}, "run make first")
+
+
+def test_a_changed_output_the_reader_never_names_is_refused(produced):
+    """The reader names only its input; the manifest alone says what make wrote."""
+    made = produced.parent / "made.txt"
+    recorded = sha256_file(made)
+    made.write_bytes(b"mbde\n")
+    with pytest.raises(ConfigError) as err:
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+    assert str(made) in str(err.value)
+    assert recorded in str(err.value) and sha256_file(made) in str(err.value)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -303,6 +305,95 @@ def test_build_refuses_a_table_parsed_from_other_records(tmp_path):
     assert parsed in str(err.value) and current in str(err.value)
     pipeline.stage_ingest(cfg)
     pipeline.stage_build(cfg)
+
+
+@pytest.fixture(scope="module")
+def cae_run(tmp_path_factory):
+    """The tiny fleet at the default lambda 5 through report with cae alone."""
+    out_dir = tmp_path_factory.mktemp("cae") / "run"
+    cfg = _tiny(out_dir)
+    _prepare(cfg)
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    pipeline.stage_group(cfg)
+    pipeline.stage_detect(cfg, "cae")
+    pipeline.stage_evaluate(cfg)
+    pipeline.stage_report(cfg)
+    return out_dir
+
+
+def _tampered(cae_run, tmp_path, name, edit):
+    """A copy of cae_run with edit applied to the bytes of the file at name:
+    its config, the edited file and the file's sha256 before and after."""
+    out_dir = tmp_path / "run"
+    shutil.copytree(cae_run, out_dir)
+    path = out_dir / name
+    before = sha256_file(path)
+    data = bytearray(path.read_bytes())
+    edit(data)
+    path.write_bytes(bytes(data))
+    assert sha256_file(path) != before
+    return _tiny(out_dir), path, (before, sha256_file(path))
+
+
+def _assert_refused(stage, path, digests):
+    with pytest.raises(ConfigError) as err:
+        stage()
+    assert str(path) in str(err.value)
+    assert all(digest in str(err.value) for digest in digests)
+
+
+def _flip_last_byte(data):
+    data[-1] ^= 0x01
+
+
+def test_a_flipped_checkpoint_byte_is_refused(cae_run, tmp_path):
+    cfg, path, digests = _tampered(cae_run, tmp_path, "models/cae/decoder_k0.ckpt",
+                                   _flip_last_byte)
+    for stage in (lambda: pipeline.stage_thresholds(cfg, "cae"),
+                  lambda: pipeline.stage_detect(cfg, "cae"),
+                  lambda: pipeline.stage_group(cfg)):
+        _assert_refused(stage, path, digests)
+
+
+def test_an_edited_dataset_tensor_is_refused(cae_run, tmp_path):
+    def overwrite_last_value(data):
+        data[-4:] = struct.pack("<f", 12345.0)
+    cfg, path, digests = _tampered(cae_run, tmp_path, "dataset/test.f32",
+                                   overwrite_last_value)
+    for stage in (lambda: pipeline.stage_train(cfg, "ae"),
+                  lambda: pipeline.stage_detect(cfg, "cae")):
+        _assert_refused(stage, path, digests)
+
+
+def test_an_edited_threshold_table_is_refused(cae_run, tmp_path):
+    def double_first_tau(data):
+        lines = bytes(data).decode().splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        fields[4] = repr(2 * float(fields[4]))
+        lines[1] = ",".join(fields) + "\n"
+        data[:] = "".join(lines).encode()
+    cfg, path, digests = _tampered(cae_run, tmp_path, "models/cae/thresholds.csv",
+                                   double_first_tau)
+    for stage in (lambda: pipeline.stage_detect(cfg, "cae"),
+                  lambda: pipeline.stage_group(cfg),
+                  lambda: pipeline.stage_evaluate(cfg)):
+        _assert_refused(stage, path, digests)
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_a_model_that_flags_nothing_writes_strict_json(cae_run):
+    evaluation = _strict_json(cae_run / "evaluation" / "evaluation.json")
+    report = _strict_json(cae_run / "report.json")
+    for doc in (evaluation, report):
+        severity = doc["models"]["cae"]["severity"]
+        assert severity["count"] == 0
+        assert severity["mean"] is None and severity["median"] is None
 
 
 # six contexts x 8 vessels: the context-blind vessel split of seed 1 leaves
