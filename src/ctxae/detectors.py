@@ -100,9 +100,6 @@ class Detector:
             raise UnroutedContext(f"context {context_id} has no decoder")
         return key
 
-    def score(self, x: np.ndarray, context_id: int) -> np.ndarray:
-        return self.score_mixed(x, np.full(x.shape[0], context_id))
-
     def score_mixed(self, x: np.ndarray, context_ids: np.ndarray) -> np.ndarray:
         """Per-window reconstruction loss of a mixed batch; shape (n,).
 
@@ -294,8 +291,6 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
         "spec": detector.spec.to_dict(),
         "encoders": {str(k): _ckpt_name("encoder", k) for k in detector.encoders},
         "decoders": {str(k): _ckpt_name("decoder", k) for k in detector.decoders},
-        # every field of each TrainReport but its wall time, which would
-        # make the file differ between runs of one seed
         "training": {
             branch: {
                 "best_epoch": r.best_epoch,

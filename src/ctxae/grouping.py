@@ -47,9 +47,6 @@ class LossMatrix:
     def index(self, context_id: int) -> int:
         return self.context_ids.index(context_id)
 
-    def loss(self, decoder_id: int, context_id: int) -> float:
-        return float(self.values[self.index(decoder_id), self.index(context_id)])
-
     @property
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.values)

@@ -5,8 +5,12 @@ and stale-artifact reuse shows up as a hash mismatch instead of a silent
 wrong answer. A manifest is the one record of which files its stage wrote:
 each output is keyed by its path relative to the manifest's directory. A
 stage that reads a produced artifact calls check_inputs on the manifest of
-the stage that produced it before it uses the artifact; check_inputs checks
-every output that manifest records and the inputs the reader names.
+the stage that produced it before it parses any file that manifest records,
+so damaged bytes are refused before a parser meets them. check_inputs checks
+every output that manifest records and the inputs the reader names; a reader
+names exactly the inputs the producer recorded, built by the one function
+that built them for the producer (the dataset's raw inputs excepted; see
+``pipeline``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ operations in the same order, so parameters come out with the same bits.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,6 @@ class TrainReport:
     best_epoch: int = 0          # 1-based
     best_val_loss: float = float("inf")
     stopped_epoch: int = 0
-    wall_time_s: float = 0.0
     # audit: training samples routed to each decoder key, summed over epochs
     samples_seen: dict[int, int] = field(default_factory=dict)
 
@@ -214,7 +212,6 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     report = TrainReport()
     best_state: list[list[np.ndarray]] | None = None
     bad_epochs = 0
-    started = time.perf_counter()
 
     for epoch in range(1, config.max_epochs + 1):
         schedule: list[tuple[int, np.ndarray]] = []
@@ -259,7 +256,6 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
 
     for model, state in zip(models, best_state):
         model.restore(state)
-    report.wall_time_s = time.perf_counter() - started
     return report
 
 

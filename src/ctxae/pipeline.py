@@ -4,17 +4,24 @@ Every stage reads its inputs from the run directory, writes its artifacts
 plus a manifest, and is idempotent for a fixed config + seed. Stage order:
 simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
 
-One staleness rule: each stage's manifest names every file it wrote, and a
-stage that reads any of them checks that manifest with manifest.check_inputs
-before it uses them. The check refuses when the manifest or one of its
-recorded outputs is missing (MissingArtifact), or when a recorded output or
-an input the reader names holds other bytes than the manifest records
-(ConfigError naming the file and both sha256 values). So the dataset, every
-checkpoint of a bundle, each threshold table, the grouping, the detections
-and the evaluation are each checked whole, and no reader lists a producer's
-files. A stage that reads fitted thresholds, other than the thresholds stage
-itself, also refuses a table fitted under another lambda or fit split than
-the config asks for (ConfigError naming both).
+One staleness rule: each stage's manifest names every file it wrote and the
+inputs it read, and a stage checks the producer's manifest with
+manifest.check_inputs before it parses any file that manifest records.
+_inputs builds each stage's recorded inputs once, for its write_manifest
+call and for every check of its manifest, so readers compare exactly what
+the producer recorded. The one exception is the dataset: its readers compare
+none of build's raw inputs (records, truth, ports), so a dataset copied
+without them stays usable. The check refuses when the manifest or a file it
+records is missing (MissingArtifact), or when a recorded file holds other
+bytes (ConfigError naming the file and both sha256 values); damaged bytes
+are thus refused before a parser meets them. One loader per artifact
+(_load_split, _bundle, _table, _grouping, _detections) checks, then parses.
+The thresholds stage never reads the table it replaces: once the bundle's
+train check passes, it deletes it. gcae's train manifest records the
+grouping, so re-running group requires retraining gcae. A stage that reads
+fitted thresholds, other than the thresholds stage itself, also refuses a
+table fitted under another lambda or fit split than the config asks for
+(ConfigError naming both).
 """
 
 from __future__ import annotations
@@ -69,6 +76,33 @@ def _optional_path(configured: Path | None, fallback: Path) -> Path | None:
     return fallback if fallback.exists() else None
 
 
+def _model_dir(cfg: RunConfig, kind: str) -> Path:
+    return _paths(cfg)["models"] / kind
+
+
+def _inputs(cfg: RunConfig, stage: str, kind: str = "cae") -> dict[str, Path]:
+    """The inputs stage records, for its write_manifest call and for every
+    check of its manifest; kind names the bundle (group reads cae's). Build
+    adds the dataset's raw inputs to ingest's itself: no reader compares them."""
+    paths = _paths(cfg)
+    if stage == "ingest":
+        return {"records": _records_path(cfg)}
+    if stage == "evaluate":
+        found = (paths["detections"] / f"{k}.csv" for k in cfg.models)
+        return {path.name: path for path in found if path.exists()}
+    if stage == "report":
+        return {"evaluation": paths["evaluation"] / "evaluation.json"}
+    inputs = {"dataset": paths["dataset"] / "header.json"}
+    bundle = _model_dir(cfg, kind)
+    if stage == "group":
+        inputs.update(cae=bundle / "detector.json", cae_thresholds=bundle / "thresholds.csv")
+    elif stage == "detect":
+        inputs.update(detector=bundle / "detector.json", thresholds=bundle / "thresholds.csv")
+    elif stage == "train" and kind == "gcae":
+        inputs["grouping"] = paths["grouping"] / "grouping.json"
+    return inputs
+
+
 def stage_simulate(cfg: RunConfig) -> dict:
     if cfg.synth is None:
         raise ConfigError("simulate requires a synth section in the config")
@@ -89,9 +123,9 @@ def stage_simulate(cfg: RunConfig) -> dict:
 
 def stage_ingest(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
-    records = _records_path(cfg)
+    inputs = _inputs(cfg, "ingest")
     registry = context_registry()
-    with open(records, newline="") as fh:
+    with open(inputs["records"], newline="") as fh:
         table, errors = parse_messages(fh)
     ids, counts = np.unique(registry.context_ids(table.vtype, table.status),
                             return_counts=True)
@@ -109,7 +143,7 @@ def stage_ingest(cfg: RunConfig) -> dict:
     ingest_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = {f"messages/{path.name}": path
                for path in save_table(paths["messages"], table)}
-    write_manifest(paths["out"], "ingest", config_hash(cfg), {"records": records},
+    write_manifest(paths["out"], "ingest", config_hash(cfg), inputs,
                    {"ingest.json": ingest_path, **outputs})
     return summary
 
@@ -117,13 +151,12 @@ def stage_ingest(cfg: RunConfig) -> dict:
 def stage_build(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     registry = context_registry()
-    records = _records_path(cfg)
+    inputs = _inputs(cfg, "ingest")
     truth_path = _optional_path(cfg.truth, paths["synth"] / "truth.csv")
     ports_path = _optional_path(cfg.ports, paths["synth"] / "ports.csv")
+    check_inputs(paths["out"], "ingest", inputs, "run the ingest stage first")
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
-
-    check_inputs(paths["out"], "ingest", {"records": records}, "run the ingest stage first")
     windows = concat([segment(traj, enrich(traj), registry,
                               window_len=cfg.dataset.window_len,
                               stride=cfg.dataset.stride)
@@ -149,11 +182,9 @@ def stage_build(cfg: RunConfig) -> dict:
         "train": len(split.train), "val": len(split.val), "test": len(split.test),
         "excluded_contexts": list(split.excluded_contexts),
     }
-    inputs = {"records": records}
-    if truth_path:
-        inputs["truth"] = truth_path
-    if ports_path:
-        inputs["ports"] = ports_path
+    # the dataset's raw inputs, which its readers do not compare
+    inputs.update({name: path for name, path in (("truth", truth_path),
+                                                  ("ports", ports_path)) if path})
     outputs = {f.name: f for f in sorted(paths["dataset"].glob("*"))
                if not f.name.endswith("manifest.json")}
     write_manifest(paths["dataset"], "build", config_hash(cfg), inputs,
@@ -184,10 +215,6 @@ def _load_split(cfg: RunConfig) -> DatasetSplit:
     return split
 
 
-def _model_dir(cfg: RunConfig, kind: str) -> Path:
-    return _paths(cfg)["models"] / kind
-
-
 def _spec(cfg: RunConfig):
     return default_autoencoder_spec(cfg.dataset.window_len, NUM_FEATURES,
                                     cfg.arch.latent)
@@ -196,11 +223,9 @@ def _spec(cfg: RunConfig):
 def stage_train(cfg: RunConfig, kind: str) -> dict:
     if kind not in detectors.KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    paths = _paths(cfg)
     split = _load_split(cfg)
     spec = _spec(cfg)
     train_cfg = cfg.train
-    inputs = {"dataset": paths["dataset"] / "header.json"}
 
     if kind == "ae":
         det = detectors.train_ae(split, spec, train_cfg)
@@ -210,9 +235,7 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     elif kind == "cae":
         det = detectors.train_cae(split, spec, train_cfg)
     else:
-        inputs["grouping"] = _checked_grouping(cfg)
-        result = grouping.load_grouping(inputs["grouping"])
-        det = detectors.train_gcae(split, spec, train_cfg, result.as_map())
+        det = detectors.train_gcae(split, spec, train_cfg, _grouping(cfg).as_map())
 
     out_dir = _model_dir(cfg, kind)
     detectors.save_detector(out_dir, det)
@@ -226,32 +249,38 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
     }
     outputs = {f.name: f for f in sorted(out_dir.glob("*"))
                if not f.name.endswith("manifest.json")}
-    write_manifest(out_dir, "train", config_hash(cfg), inputs, outputs,
-                   extra=summary)
+    write_manifest(out_dir, "train", config_hash(cfg), _inputs(cfg, "train", kind),
+                   outputs, extra=summary)
     return summary
 
 
-def _load_detector(cfg: RunConfig, kind: str) -> detectors.Detector:
-    """Load a trained bundle; refuse one its train manifest does not describe
-    or that was trained on another dataset."""
+def _trained(cfg: RunConfig, kind: str) -> Path:
+    """kind's bundle directory, once its train manifest passes."""
     model_dir = _model_dir(cfg, kind)
-    det = detectors.load_detector(model_dir)
-    check_inputs(model_dir, "train", {"dataset": _paths(cfg)["dataset"] / "header.json"},
-                 f"retrain {kind}")
-    return det
+    check_inputs(model_dir, "train", _inputs(cfg, "train", kind), f"retrain {kind}")
+    return model_dir
 
 
-def _fitted_table(cfg: RunConfig, kind: str,
-                  table: th.ThresholdTable | None) -> th.ThresholdTable:
-    """kind's threshold table, refused unless its thresholds manifest
-    describes it and the current dataset, and unless fitted under the lambda
-    and split the config asks for."""
-    if table is None:
-        raise MissingArtifact(f"{kind} bundle has no thresholds; "
-                              "run the thresholds stage first")
-    check_inputs(_model_dir(cfg, kind), "thresholds",
-                 {"dataset": _paths(cfg)["dataset"] / "header.json"},
+def _bundle(cfg: RunConfig, kind: str, fitted: bool = True) -> detectors.Detector:
+    """kind's trained bundle, loaded once its train manifest passes. Fitted,
+    it holds its threshold table, once _table passes it (load_detector then
+    parses those few rows again). Unfitted, for the thresholds stage, the
+    table it replaces is deleted unread."""
+    model_dir = _trained(cfg, kind)
+    if fitted:
+        _table(cfg, kind)
+    else:
+        (model_dir / "thresholds.csv").unlink(missing_ok=True)
+    return detectors.load_detector(model_dir)
+
+
+def _table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
+    """kind's threshold table, parsed once its thresholds manifest passes,
+    and refused unless fitted under the lambda and split the config asks for."""
+    model_dir = _model_dir(cfg, kind)
+    check_inputs(model_dir, "thresholds", _inputs(cfg, "thresholds", kind),
                  f"run the thresholds stage for {kind}")
+    table = th.load_table(model_dir / "thresholds.csv")
     asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
     if (table.lam, table.fit_split) != asked:
         raise ConfigError(
@@ -261,14 +290,9 @@ def _fitted_table(cfg: RunConfig, kind: str,
     return table
 
 
-def _stored_table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
-    return _fitted_table(cfg, kind, th.load_table(_model_dir(cfg, kind) / "thresholds.csv"))
-
-
 def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
-    paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind)
+    det = _bundle(cfg, kind, fitted=False)
     table = detectors.fit_detector_thresholds(det, split,
                                               cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
@@ -281,38 +305,29 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
         "taus": {str(c): e.tau for c, e in sorted(table.entries.items())},
         "flagged": list(table.flagged),
     }
-    write_manifest(out_dir, "thresholds", config_hash(cfg),
-                   {"dataset": paths["dataset"] / "header.json"},
+    write_manifest(out_dir, "thresholds", config_hash(cfg), _inputs(cfg, "thresholds", kind),
                    {"thresholds.csv": out_dir / "thresholds.csv"}, extra=summary)
     return summary
 
 
-def _group_inputs(cfg: RunConfig) -> dict[str, Path]:
-    """The cae bundle, its taus and the dataset it scored."""
-    cae = _model_dir(cfg, "cae")
-    return {"cae": cae / "detector.json", "cae_thresholds": cae / "thresholds.csv",
-            "dataset": _paths(cfg)["dataset"] / "header.json"}
-
-
-def _checked_grouping(cfg: RunConfig) -> Path:
-    """grouping.json, refused unless derived from the current cae bundle and
-    dataset, and from cae thresholds fitted as the config asks."""
+def _grouping(cfg: RunConfig) -> grouping.GroupingResult:
+    """The grouping, parsed once its group manifest passes and the cae table
+    it was derived with passes _table."""
     path = _paths(cfg)["grouping"] / "grouping.json"
-    check_inputs(path.parent, "group", _group_inputs(cfg), "run the group stage first")
-    _stored_table(cfg, "cae")
-    return path
+    check_inputs(path.parent, "group", _inputs(cfg, "group"), "run the group stage first")
+    _table(cfg, "cae")
+    return grouping.load_grouping(path)
 
 
 def stage_group(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, "cae")
+    det = _bundle(cfg, "cae")
     _check_validation_coverage(cfg, split, ("gcae",))
-    table = _fitted_table(cfg, "cae", det.thresholds)
     val = split.val
     matrix = grouping.cross_loss_matrix(
         det, {cid: val.tensor[val.context_id == cid] for cid in det.contexts})
-    result = grouping.derive_grouping(matrix, table,
+    result = grouping.derive_grouping(matrix, det.thresholds,
                                       delta=cfg.grouping.delta,
                                       strategy=cfg.grouping.strategy)
     paths["grouping"].mkdir(parents=True, exist_ok=True)
@@ -326,7 +341,7 @@ def stage_group(cfg: RunConfig) -> dict:
         "delta": result.delta,
         "strategy": result.strategy,
     }
-    write_manifest(paths["grouping"], "group", config_hash(cfg), _group_inputs(cfg),
+    write_manifest(paths["grouping"], "group", config_hash(cfg), _inputs(cfg, "group"),
                    {name: paths["grouping"] / name
                     for name in ("loss_matrix.csv", "grouping.json")},
                    extra=summary)
@@ -338,19 +353,11 @@ DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
                     "context_verdict", "margin_context")
 
 
-def _detect_inputs(cfg: RunConfig, kind: str) -> dict[str, Path]:
-    """The dataset header, and the bundle and taus of kind."""
-    bundle = _model_dir(cfg, kind)
-    return {"dataset": _paths(cfg)["dataset"] / "header.json",
-            "detector": bundle / "detector.json",
-            "thresholds": bundle / "thresholds.csv"}
-
-
 def stage_detect(cfg: RunConfig, kind: str) -> dict:
     paths = _paths(cfg)
     split = _load_split(cfg)
-    det = _load_detector(cfg, kind)
-    table = _fitted_table(cfg, kind, det.thresholds)
+    det = _bundle(cfg, kind)
+    table = det.thresholds
     windows = split.test
     scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
                                                mode="context")
@@ -375,7 +382,7 @@ def stage_detect(cfg: RunConfig, kind: str) -> dict:
         "global_anomalies": int(global_verdicts.sum()),
     }
     write_manifest(paths["detections"], f"detect-{kind}", config_hash(cfg),
-                   _detect_inputs(cfg, kind), {f"{kind}.csv": det_path}, extra=summary)
+                   _inputs(cfg, "detect", kind), {f"{kind}.csv": det_path}, extra=summary)
     return summary
 
 
@@ -397,17 +404,15 @@ def _read_detections(path: Path) -> dict[str, np.ndarray]:
     }
 
 
-def _checked_detections(cfg: RunConfig) -> dict[str, Path]:
-    """Each model's detections CSV, refused unless scored with the current
-    dataset, bundle and thresholds."""
-    det_dir = _paths(cfg)["detections"]
-    found = {k: det_dir / f"{k}.csv" for k in cfg.models
-             if (det_dir / f"{k}.csv").exists()}
+def _detections(cfg: RunConfig) -> dict[str, Path]:
+    """The detections CSVs evaluate reads, by file name, each once its
+    detect manifest passes."""
+    found = _inputs(cfg, "evaluate")
     if not found:
         raise MissingArtifact("no detection files to evaluate; run detect first")
-    for kind in found:
-        check_inputs(det_dir, f"detect-{kind}", _detect_inputs(cfg, kind),
-                     f"run the detect stage for {kind} first")
+    for path in found.values():
+        check_inputs(path.parent, f"detect-{path.stem}", _inputs(cfg, "detect", path.stem),
+                     f"run the detect stage for {path.stem} first")
     return found
 
 
@@ -423,13 +428,14 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     truth_by_id = dict(zip(zip(test.mmsi.tolist(), test.start_ts.tolist()),
                            test.truth.tolist()))
 
-    detections = _checked_detections(cfg)
-    tables = {kind: _stored_table(cfg, kind) for kind in detections}
+    detections = _detections(cfg)
+    tables = {path.stem: _table(cfg, path.stem) for path in detections.values()}
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}
     severity_by_id: dict[str, dict] = {}
-    for kind, det_path in detections.items():
+    for det_path in detections.values():
+        kind = det_path.stem
         d = _read_detections(det_path)
         n = d["score"].shape[0]
         uids = list(zip(d["mmsi"].tolist(), d["start_ts"].tolist()))
@@ -480,25 +486,22 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     eval_path = paths["evaluation"] / "evaluation.json"
     eval_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                        + "\n")
-    write_manifest(paths["evaluation"], "evaluate", config_hash(cfg),
-                   {f"{k}.csv": p for k, p in detections.items()},
+    write_manifest(paths["evaluation"], "evaluate", config_hash(cfg), detections,
                    {"evaluation.json": eval_path})
     return report
 
 
 def stage_report(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
-    detections = _checked_detections(cfg)
-    eval_path = paths["evaluation"] / "evaluation.json"
-    check_inputs(eval_path.parent, "evaluate",
-                 {f"{k}.csv": p for k, p in detections.items()},
-                 "run the evaluate stage first")
-    evaluation_report = json.loads(eval_path.read_text())
+    detections = _detections(cfg)
+    inputs = _inputs(cfg, "report")
+    check_inputs(paths["evaluation"], "evaluate", detections, "run the evaluate stage first")
+    evaluation_report = json.loads(inputs["evaluation"].read_text())
 
     models = {}
-    for kind in detections:
-        manifest = json.loads((_model_dir(cfg, kind) / "detector.json").read_text())
-        table = _stored_table(cfg, kind)
+    for kind in (path.stem for path in detections.values()):
+        manifest = json.loads((_trained(cfg, kind) / "detector.json").read_text())
+        table = _table(cfg, kind)
         models[kind] = {
             "param_count": manifest["param_count"],
             "decoder_count": manifest["decoder_count"],
@@ -516,14 +519,14 @@ def stage_report(cfg: RunConfig) -> dict:
         "anomaly_ids": evaluation_report["anomaly_ids"],
         "severity_by_id": evaluation_report["severity_by_id"],
     }
-    if "gcae" in detections:
-        report["grouping"] = json.loads(_checked_grouping(cfg).read_text())
+    if "gcae" in models:
+        report["grouping"] = _grouping(cfg).to_dict()
 
     report_path = paths["out"] / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                          + "\n")
     write_manifest(paths["out"], "report", config_hash(cfg),
-                   {"evaluation": eval_path}, {"report.json": report_path})
+                   inputs, {"report.json": report_path})
     return report
 
 

@@ -7,6 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from ctxae.cli import main
+from ctxae.manifest import sha256_file
 from ctxae.net import training
 
 TINY = {
@@ -63,8 +64,8 @@ def test_detect_before_train_exits_3(tmp_path):
         assert _invoke(tmp_path, [stage]).exit_code == 0
     result = _invoke(tmp_path, ["detect", "--kind", "cae"])
     assert result.exit_code == 3
-    assert result.stderr.startswith("MissingArtifact: ")
-    assert "detector.json" in result.stderr
+    assert result.stderr.startswith("MissingArtifact: no train manifest at ")
+    assert "models/cae/train.manifest.json; retrain cae" in result.stderr
 
 
 def test_non_finite_training_loss_exits_4(tmp_path, monkeypatch):
@@ -104,35 +105,35 @@ def test_a_flipped_checkpoint_byte_exits_2(tmp_path):
     assert str(checkpoint) in result.stderr
 
 
-def test_thresholds_without_their_lambda_row_exit_3(tmp_path):
+def _detect_after_table_edit(tmp_path, edit):
+    """detect on ae after edit rewrote its thresholds.csv: refused on the
+    thresholds manifest's digests, before the table parser sees the table."""
     for stage in ("simulate", "ingest", "build"):
         assert _invoke(tmp_path, [stage]).exit_code == 0
     for stage in ("train", "thresholds"):
         assert _invoke(tmp_path, [stage, "--kind", "ae"]).exit_code == 0
     table = tmp_path / "run" / "models" / "ae" / "thresholds.csv"
-    lines = table.read_text().splitlines(keepends=True)
-    table.write_text("".join(line for line in lines if not line.startswith("# lambda")))
+    fitted = sha256_file(table)
+    edit(table)
+    result = _invoke(tmp_path, ["detect", "--kind", "ae"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(
+        f"ConfigError: thresholds wrote thresholds.csv with sha256 {fitted}, "
+        f"but {table} now has sha256 {sha256_file(table)}; ")
+    assert "Traceback" not in result.output + result.stderr
+
+
+def test_thresholds_without_their_lambda_row_exit_2(tmp_path):
+    def drop_lambda_row(table):
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(line for line in lines if not line.startswith("# lambda")))
     # the default config asks for lambda 5.0 on the train split, which the
     # table was fitted under; it is refused all the same
-    result = _invoke(tmp_path, ["detect", "--kind", "ae"])
-    assert result.exit_code == 3
-    assert result.stderr.startswith("MissingArtifact: ")
-    assert "no '# lambda' row" in result.stderr
+    _detect_after_table_edit(tmp_path, drop_lambda_row)
 
 
-def test_a_truncated_thresholds_table_exits_3(tmp_path):
-    for stage in ("simulate", "ingest", "build"):
-        assert _invoke(tmp_path, [stage]).exit_code == 0
-    for stage in ("train", "thresholds"):
-        assert _invoke(tmp_path, [stage, "--kind", "ae"]).exit_code == 0
-    table = tmp_path / "run" / "models" / "ae" / "thresholds.csv"
-    table.write_bytes(table.read_bytes()[:60])
-    result = _invoke(tmp_path, ["detect", "--kind", "ae"])
-    assert result.exit_code == 3
-    assert result.stderr.startswith(f"MissingArtifact: {table} line ")
-    assert "is malformed" in result.stderr
-    assert "run the thresholds stage again" in result.stderr
-    assert "Traceback" not in result.output + result.stderr
+def test_a_truncated_thresholds_table_exits_2(tmp_path):
+    _detect_after_table_edit(tmp_path, lambda table: table.write_bytes(table.read_bytes()[:60]))
 
 
 def test_kind_must_be_a_detector(tmp_path):

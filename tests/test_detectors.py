@@ -215,7 +215,7 @@ def test_score_matches_direct_forward_pass(rng):
     x = split.test.tensor[split.test.context_id == 1]
     enc, dec = det.encoders[SHARED], det.decoders[1]
     direct, = score_windows(enc, x, [(dec, 0, len(x))])
-    np.testing.assert_allclose(det.score(x, 1), direct)
+    np.testing.assert_allclose(det.score_mixed(x, np.full(len(x), 1)), direct)
 
 
 def test_score_mixed_dispatches_by_context(rng):
@@ -226,7 +226,7 @@ def test_score_mixed_dispatches_by_context(rng):
     mixed = det.score_mixed(x, cids)
     for cid in (0, 1):
         mask = cids == cid
-        np.testing.assert_allclose(mixed[mask], det.score(x[mask], cid))
+        np.testing.assert_allclose(mixed[mask], det.score_mixed(x[mask], cids[mask]))
 
 
 def test_unknown_context_is_refused_by_context_aware_kinds(rng):
@@ -235,13 +235,13 @@ def test_unknown_context_is_refused_by_context_aware_kinds(rng):
     for trainer in (train_moe, train_cae):
         det = trainer(split, _toy_spec(), _fast_config())
         with pytest.raises(UnroutedContext):
-            det.score(x, 9)
+            det.score_mixed(x, np.full(2, 9))
     gcae = train_gcae(split, _toy_spec(), _fast_config(), {0: 0, 1: 0})
     with pytest.raises(UnroutedContext):
-        gcae.score(x, 9)
+        gcae.score_mixed(x, np.full(2, 9))
     # the global model has no notion of context and takes anything
     ae = train_ae(split, _toy_spec(), _fast_config())
-    assert ae.score(x, 9).shape == (2,)
+    assert ae.score_mixed(x, np.full(2, 9)).shape == (2,)
 
 
 def test_gcae_requires_a_group_for_every_context(rng):
@@ -295,7 +295,7 @@ def test_score_mixed_equals_per_context_scoring(rng, monkeypatch, kind, batch_si
                                _per_context_reference(det, x, cids),
                                rtol=1e-12, atol=0.0)
     for cid in np.unique(cids):
-        np.testing.assert_allclose(det.score(x[cids == cid], int(cid)),
+        np.testing.assert_allclose(det.score_mixed(x[cids == cid], cids[cids == cid]),
                                    _per_context_reference(det, x[cids == cid],
                                                           cids[cids == cid]),
                                    rtol=1e-12, atol=0.0)
@@ -445,7 +445,8 @@ def test_the_cross_loss_matrix_runs_the_scoring_fold(rng):
     matrix = cross_loss_matrix(det, val)
     for c, x in val.items():
         # the same GEMMs on the same rows: equal bits, not just close
-        assert matrix.loss(c, c) == det.score(x, c).mean()
+        i = matrix.index(c)
+        assert matrix.values[i, i] == det.score_mixed(x, np.full(len(x), c)).mean()
     # the layer-by-layer path of the stored models lands a few ULPs away
     enc = det.encoders[SHARED]
     stored = [score_windows(enc, x, [(det.decoders[c], 0, len(x))])[0].mean()
@@ -617,14 +618,13 @@ def test_detector_json_keeps_the_training_curves(tmp_path, rng):
     assert sorted(training) == ["c0", "c1"]
     for branch, report in det.reports.items():
         saved = training[branch]
-        assert "wall_time_s" not in saved
         assert saved["train_losses"] == report.train_losses
         assert saved["val_losses"] == report.val_losses
         assert saved["samples_seen"] == {str(k): n for k, n in report.samples_seen.items()}
         assert len(saved["val_losses"]) == saved["stopped_epoch"]
     loaded = load_detector(tmp_path)
-    # every field round-trips exactly except the wall time, which is not saved
-    assert loaded.reports == {b: replace(r, wall_time_s=0.0) for b, r in det.reports.items()}
+    # every field round-trips exactly
+    assert loaded.reports == det.reports
     save_detector(tmp_path / "again", loaded)
     assert ((tmp_path / "again" / "detector.json").read_bytes()
             == (tmp_path / "detector.json").read_bytes())

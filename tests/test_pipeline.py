@@ -381,6 +381,69 @@ def test_an_edited_threshold_table_is_refused(cae_run, tmp_path):
         _assert_refused(stage, path, digests)
 
 
+def _flip_a_header_byte(data):
+    data[12] ^= 0x80
+
+
+def _cut_in_half(data):
+    del data[len(data) // 2:]
+
+
+def _cut_to_60_bytes(data):
+    del data[60:]
+
+
+@pytest.mark.parametrize("name, edit, stages", [
+    ("models/cae/decoder_k0.ckpt", _flip_a_header_byte, ("thresholds", "detect", "group")),
+    ("models/cae/detector.json", _cut_in_half, ("thresholds", "detect", "group")),
+    ("models/cae/thresholds.csv", _cut_to_60_bytes, ("detect", "group", "evaluate")),
+])
+def test_a_file_its_parser_would_choke_on_is_refused_first(cae_run, tmp_path, name, edit,
+                                                            stages):
+    cfg, path, digests = _tampered(cae_run, tmp_path, name, edit)
+    run = {"thresholds": lambda: pipeline.stage_thresholds(cfg, "cae"),
+           "detect": lambda: pipeline.stage_detect(cfg, "cae"),
+           "group": lambda: pipeline.stage_group(cfg),
+           "evaluate": lambda: pipeline.stage_evaluate(cfg)}
+    for stage in stages:
+        _assert_refused(run[stage], path, digests)
+    # a refused thresholds run deletes nothing
+    assert (tmp_path / "run" / "models" / "cae" / "thresholds.csv").exists()
+
+
+def test_the_thresholds_stage_refits_over_a_damaged_table(cae_run, tmp_path):
+    cfg, path, _ = _tampered(cae_run, tmp_path, "models/cae/thresholds.csv",
+                             _cut_to_60_bytes)
+    pipeline.stage_thresholds(cfg, "cae")
+    assert path.read_bytes() == (cae_run / "models" / "cae" / "thresholds.csv").read_bytes()
+    pipeline.stage_detect(cfg, "cae")
+
+
+def test_gcae_refuses_a_regrouping_until_it_is_retrained(tmp_path):
+    out_dir = tmp_path / "run"
+    fine, coarse = (config_from_dict({**TINY_FLEET, "models": ["cae", "gcae"],
+                                      "grouping": {"delta": delta}}, seed=3, out_dir=out_dir)
+                    for delta in (0.0001, 5.0))
+    run_all(fine)
+    grouping_json = out_dir / "grouping" / "grouping.json"
+    trained_on = sha256_file(grouping_json)
+
+    pipeline.stage_group(coarse)
+    regrouped = sha256_file(grouping_json)
+    assert regrouped != trained_on
+    for stage in (lambda: pipeline.stage_detect(coarse, "gcae"),
+                  lambda: pipeline.stage_report(coarse)):
+        with pytest.raises(ConfigError, match="retrain gcae") as err:
+            stage()
+        assert trained_on in str(err.value) and regrouped in str(err.value)
+
+    pipeline.stage_train(coarse, "gcae")
+    pipeline.stage_thresholds(coarse, "gcae")
+    pipeline.stage_detect(coarse, "gcae")
+    pipeline.stage_evaluate(coarse)
+    assert pipeline.stage_report(coarse)["grouping"]["delta"] == 5.0
+
+
 def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"{path} holds {constant}, which is not JSON")
