@@ -103,6 +103,8 @@ class RunConfig:
         bad = [m for m in self.models if m not in KINDS]
         if bad:
             raise ConfigError(f"unknown model kinds: {bad}")
+        if not self.models:
+            raise ConfigError("models must name at least one detector kind")
 
 
 def _build_behavior(raw: dict) -> BehaviorModel:
@@ -139,9 +141,7 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
             vessels=int(entry.get("vessels", 10)),
             falsify_to=falsify,
         ))
-    known = {"contexts", "messages_per_vessel", "contextual_rate",
-             "collective_rate", "collective_span", "collective_magnitude_m",
-             "ports", "base_mmsi"}
+    known = ({f.name for f in fields(SynthConfig)} - {"seed", "plans"}) | {"contexts"}
     bad = set(raw) - known
     if bad:
         raise ConfigError(f"unknown synth parameters: {sorted(bad)}")
@@ -167,8 +167,7 @@ def _section(raw: dict, key: str, cls, **extra):
         raise ConfigError(f"invalid section {key!r}: {exc}") from exc
 
 
-TOP_LEVEL_KEYS = {"seed", "out_dir", "synth", "records", "ports", "truth",
-                  "dataset", "train", "arch", "thresholds", "grouping", "models"}
+TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def config_from_dict(raw: dict, seed: int | None = None,

@@ -36,8 +36,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ais import ContextRegistry, Trajectory
-from .errors import MissingArtifact
+from .ais import ContextRegistry, Trajectory, context_registry
+from .errors import ConfigError, MissingArtifact
 from .features import FEATURE_NAMES, NormStats, apply_norm, fit_norm
 from .geo import haversine_array
 
@@ -376,12 +376,18 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
 
 
 def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
-    """Load a saved dataset; tensors come back float64 for the engine."""
+    """Load a saved dataset, its header digests checked; tensors are float64."""
     header_path = dataset_dir / "header.json"
     if not header_path.exists():
         raise MissingArtifact(f"no dataset header at {header_path}")
     header = json.loads(header_path.read_text())
     stats = NormStats.load(dataset_dir / header["norm_stats"])
+    for key, source, current in (
+            ("registry_hash", "the context registry", context_registry().content_hash()),
+            ("norm_stats_hash", header["norm_stats"], stats.content_hash())):
+        if header[key] != current:
+            raise ConfigError(f"{header_path} records {key} {header[key]}, but {source} "
+                              f"hashes to {current}; run the build stage again")
     window_len = header["window_len"]
     n_feat = len(header["feature_names"])
 

@@ -7,10 +7,7 @@ each output is keyed by its path relative to the manifest's directory. A
 stage that reads a produced artifact calls check_inputs on the manifest of
 the stage that produced it before it parses any file that manifest records,
 so damaged bytes are refused before a parser meets them. check_inputs checks
-every output that manifest records and the inputs the reader names; a reader
-names exactly the inputs the producer recorded, built by the one function
-that built them for the producer (the dataset's raw inputs excepted; see
-``pipeline``).
+every input and output that manifest records, and refuses other input names.
 """
 
 from __future__ import annotations
@@ -66,25 +63,28 @@ def write_manifest(out_dir: Path, stage: str, config_digest: str,
 
 def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path],
                  rerun: str) -> None:
-    """Raise unless each named input and every recorded output has the bytes
-    stage's manifest records.
+    """Raise unless inputs names exactly the inputs stage's manifest records,
+    and each of them and every recorded output has the bytes it records.
 
-    A missing manifest or file raises MissingArtifact ending in rerun; other
-    bytes raise ConfigError naming both sha256 values.
+    A missing manifest or file raises MissingArtifact ending in rerun; another
+    set of input names raises ConfigError naming both sets, and other bytes
+    raise ConfigError naming both sha256 values.
     """
     out_dir = Path(out_dir)
     path = out_dir / f"{stage}.manifest.json"
     if not path.exists():
         raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
     manifest = json.loads(path.read_text())
+    if sorted(inputs) != sorted(manifest["inputs"]):
+        raise ConfigError(f"{stage} recorded inputs {sorted(manifest['inputs'])}, but "
+                          f"this check names {sorted(inputs)}; {rerun}")
     outputs = {name: out_dir / name for name in manifest["outputs"]}
     for role, verb, files in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
         for name, file_path in sorted(files.items()):
             if not Path(file_path).exists():
                 raise MissingArtifact(f"{stage} {verb} {name} at {file_path}, "
                                       f"which is gone; {rerun}")
-            recorded = manifest[role].get(name)
-            current = sha256_file(file_path)
+            recorded, current = manifest[role][name], sha256_file(file_path)
             if recorded != current:
                 raise ConfigError(f"{stage} {verb} {name} with sha256 {recorded}, but "
                                   f"{file_path} now has sha256 {current}; {rerun}")

@@ -5,23 +5,22 @@ plus a manifest, and is idempotent for a fixed config + seed. Stage order:
 simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
 
 One staleness rule: each stage's manifest names every file it wrote and the
-inputs it read, and a stage checks the producer's manifest with
-manifest.check_inputs before it parses any file that manifest records.
-_inputs builds each stage's recorded inputs once, for its write_manifest
-call and for every check of its manifest, so readers compare exactly what
-the producer recorded. The one exception is the dataset: its readers compare
-none of build's raw inputs (records, truth, ports), so a dataset copied
-without them stays usable. The check refuses when the manifest or a file it
-records is missing (MissingArtifact), or when a recorded file holds other
-bytes (ConfigError naming the file and both sha256 values); damaged bytes
-are thus refused before a parser meets them. One loader per artifact
-(_load_split, _bundle, _table, _grouping, _detections) checks, then parses.
-The thresholds stage never reads the table it replaces: once the bundle's
-train check passes, it deletes it. gcae's train manifest records the
-grouping, so re-running group requires retraining gcae. A stage that reads
-fitted thresholds, other than the thresholds stage itself, also refuses a
-table fitted under another lambda or fit split than the config asks for
-(ConfigError naming both).
+inputs it read, and a stage checks the producer's manifest (_check) before
+it parses any file that manifest records. _inputs gives each stage's inputs,
+for its write_manifest call and for every check of it, so a check names
+exactly what the producer recorded. Build records none, so a dataset copied
+alone stays usable; evaluate and report name the detections of every
+configured model; ingest and build check simulate before they read a
+simulated file. The check refuses a missing manifest or recorded file
+(MissingArtifact), and other recorded inputs or other bytes in a recorded
+file (ConfigError naming both), before a parser meets them. One loader per
+artifact (_load_split, _bundle, _table, _grouping, _detections) checks,
+then parses. The thresholds stage never reads the table it replaces: once
+the bundle's train check passes, it deletes it. gcae's train manifest
+records the grouping, so re-running group requires retraining gcae. A stage
+that reads fitted thresholds, other than the thresholds stage itself, also
+refuses a table fitted under another lambda or fit split than the config
+asks for (ConfigError naming both).
 """
 
 from __future__ import annotations
@@ -61,19 +60,13 @@ def _paths(cfg: RunConfig) -> dict[str, Path]:
     }
 
 
-def _records_path(cfg: RunConfig) -> Path:
-    path = cfg.records or _paths(cfg)["synth"] / "records.csv"
-    if not path.exists():
-        raise MissingArtifact(f"no input records at {path}")
-    return path
-
-
-def _optional_path(configured: Path | None, fallback: Path) -> Path | None:
-    if configured is not None:
-        if not configured.exists():
-            raise MissingArtifact(f"configured file not found: {configured}")
-        return configured
-    return fallback if fallback.exists() else None
+def _raw_path(cfg: RunConfig, name: str) -> Path | None:
+    """The configured records, truth or ports file, else the one simulate
+    writes for a config with a synth section; None for neither."""
+    configured = getattr(cfg, name)
+    if configured is not None and not configured.exists():
+        raise MissingArtifact(f"configured file not found: {configured}")
+    return configured or (_paths(cfg)["synth"] / f"{name}.csv" if cfg.synth else None)
 
 
 def _model_dir(cfg: RunConfig, kind: str) -> Path:
@@ -82,14 +75,14 @@ def _model_dir(cfg: RunConfig, kind: str) -> Path:
 
 def _inputs(cfg: RunConfig, stage: str, kind: str = "cae") -> dict[str, Path]:
     """The inputs stage records, for its write_manifest call and for every
-    check of its manifest; kind names the bundle (group reads cae's). Build
-    adds the dataset's raw inputs to ingest's itself: no reader compares them."""
+    check of its manifest; kind names the bundle (group reads cae's)."""
     paths = _paths(cfg)
+    if stage in ("simulate", "build"):
+        return {}
     if stage == "ingest":
-        return {"records": _records_path(cfg)}
+        return {"records": _raw_path(cfg, "records")}
     if stage == "evaluate":
-        found = (paths["detections"] / f"{k}.csv" for k in cfg.models)
-        return {path.name: path for path in found if path.exists()}
+        return {f"{k}.csv": paths["detections"] / f"{k}.csv" for k in cfg.models}
     if stage == "report":
         return {"evaluation": paths["evaluation"] / "evaluation.json"}
     inputs = {"dataset": paths["dataset"] / "header.json"}
@@ -103,6 +96,19 @@ def _inputs(cfg: RunConfig, stage: str, kind: str = "cae") -> dict[str, Path]:
     return inputs
 
 
+_HOMES = {"simulate": "synth", "ingest": "out", "build": "dataset", "group": "grouping",
+          "detect": "detections", "evaluate": "evaluation"}
+
+
+def _check(cfg: RunConfig, stage: str, rerun: str, kind: str = "cae") -> None:
+    """Check stage's manifest (kind's, for train, thresholds and detect)
+    against _inputs(cfg, stage, kind), the inputs its producer recorded."""
+    home = (_model_dir(cfg, kind) if stage in ("train", "thresholds")
+            else _paths(cfg)[_HOMES[stage]])
+    name = f"detect-{kind}" if stage == "detect" else stage
+    check_inputs(home, name, _inputs(cfg, stage, kind), rerun)
+
+
 def stage_simulate(cfg: RunConfig) -> dict:
     if cfg.synth is None:
         raise ConfigError("simulate requires a synth section in the config")
@@ -114,7 +120,7 @@ def stage_simulate(cfg: RunConfig) -> dict:
         "messages": sum(len(t) for t in result.trajectories),
         "truth_spans": len(result.truth),
     }
-    write_manifest(paths["synth"], "simulate", config_hash(cfg), {},
+    write_manifest(paths["synth"], "simulate", config_hash(cfg), _inputs(cfg, "simulate"),
                    {name: paths["synth"] / name
                     for name in ("records.csv", "truth.csv", "ports.csv")},
                    extra=summary)
@@ -124,6 +130,8 @@ def stage_simulate(cfg: RunConfig) -> dict:
 def stage_ingest(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     inputs = _inputs(cfg, "ingest")
+    if cfg.records is None:
+        _check(cfg, "simulate", "run the simulate stage first")
     registry = context_registry()
     with open(inputs["records"], newline="") as fh:
         table, errors = parse_messages(fh)
@@ -151,10 +159,10 @@ def stage_ingest(cfg: RunConfig) -> dict:
 def stage_build(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
     registry = context_registry()
-    inputs = _inputs(cfg, "ingest")
-    truth_path = _optional_path(cfg.truth, paths["synth"] / "truth.csv")
-    ports_path = _optional_path(cfg.ports, paths["synth"] / "ports.csv")
-    check_inputs(paths["out"], "ingest", inputs, "run the ingest stage first")
+    truth_path, ports_path = _raw_path(cfg, "truth"), _raw_path(cfg, "ports")
+    _check(cfg, "ingest", "run the ingest stage first")
+    if cfg.synth and None in (cfg.truth, cfg.ports):
+        _check(cfg, "simulate", "run the simulate stage first")
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
     windows = concat([segment(traj, enrich(traj), registry,
@@ -182,12 +190,9 @@ def stage_build(cfg: RunConfig) -> dict:
         "train": len(split.train), "val": len(split.val), "test": len(split.test),
         "excluded_contexts": list(split.excluded_contexts),
     }
-    # the dataset's raw inputs, which its readers do not compare
-    inputs.update({name: path for name, path in (("truth", truth_path),
-                                                  ("ports", ports_path)) if path})
     outputs = {f.name: f for f in sorted(paths["dataset"].glob("*"))
                if not f.name.endswith("manifest.json")}
-    write_manifest(paths["dataset"], "build", config_hash(cfg), inputs,
+    write_manifest(paths["dataset"], "build", config_hash(cfg), _inputs(cfg, "build"),
                    outputs, extra=summary)
     return summary
 
@@ -209,10 +214,8 @@ def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
 
 
 def _load_split(cfg: RunConfig) -> DatasetSplit:
-    dataset_dir = _paths(cfg)["dataset"]
-    check_inputs(dataset_dir, "build", {}, "run the build stage first")
-    split, _ = load_dataset(dataset_dir)
-    return split
+    _check(cfg, "build", "run the build stage first")
+    return load_dataset(_paths(cfg)["dataset"])[0]
 
 
 def _spec(cfg: RunConfig):
@@ -256,9 +259,8 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
 
 def _trained(cfg: RunConfig, kind: str) -> Path:
     """kind's bundle directory, once its train manifest passes."""
-    model_dir = _model_dir(cfg, kind)
-    check_inputs(model_dir, "train", _inputs(cfg, "train", kind), f"retrain {kind}")
-    return model_dir
+    _check(cfg, "train", f"retrain {kind}", kind)
+    return _model_dir(cfg, kind)
 
 
 def _bundle(cfg: RunConfig, kind: str, fitted: bool = True) -> detectors.Detector:
@@ -277,10 +279,8 @@ def _bundle(cfg: RunConfig, kind: str, fitted: bool = True) -> detectors.Detecto
 def _table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
     """kind's threshold table, parsed once its thresholds manifest passes,
     and refused unless fitted under the lambda and split the config asks for."""
-    model_dir = _model_dir(cfg, kind)
-    check_inputs(model_dir, "thresholds", _inputs(cfg, "thresholds", kind),
-                 f"run the thresholds stage for {kind}")
-    table = th.load_table(model_dir / "thresholds.csv")
+    _check(cfg, "thresholds", f"run the thresholds stage for {kind}", kind)
+    table = th.load_table(_model_dir(cfg, kind) / "thresholds.csv")
     asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
     if (table.lam, table.fit_split) != asked:
         raise ConfigError(
@@ -313,10 +313,9 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
 def _grouping(cfg: RunConfig) -> grouping.GroupingResult:
     """The grouping, parsed once its group manifest passes and the cae table
     it was derived with passes _table."""
-    path = _paths(cfg)["grouping"] / "grouping.json"
-    check_inputs(path.parent, "group", _inputs(cfg, "group"), "run the group stage first")
+    _check(cfg, "group", "run the group stage first")
     _table(cfg, "cae")
-    return grouping.load_grouping(path)
+    return grouping.load_grouping(_paths(cfg)["grouping"] / "grouping.json")
 
 
 def stage_group(cfg: RunConfig) -> dict:
@@ -405,15 +404,11 @@ def _read_detections(path: Path) -> dict[str, np.ndarray]:
 
 
 def _detections(cfg: RunConfig) -> dict[str, Path]:
-    """The detections CSVs evaluate reads, by file name, each once its
+    """The detections CSV of each configured model, by file name, once every
     detect manifest passes."""
-    found = _inputs(cfg, "evaluate")
-    if not found:
-        raise MissingArtifact("no detection files to evaluate; run detect first")
-    for path in found.values():
-        check_inputs(path.parent, f"detect-{path.stem}", _inputs(cfg, "detect", path.stem),
-                     f"run the detect stage for {path.stem} first")
-    return found
+    for kind in cfg.models:
+        _check(cfg, "detect", f"run the detect stage for {kind} first", kind)
+    return _inputs(cfg, "evaluate")
 
 
 def _primary_mode(kind: str) -> str:
@@ -493,13 +488,13 @@ def stage_evaluate(cfg: RunConfig) -> dict:
 
 def stage_report(cfg: RunConfig) -> dict:
     paths = _paths(cfg)
-    detections = _detections(cfg)
+    _detections(cfg)
+    _check(cfg, "evaluate", "run the evaluate stage first")
     inputs = _inputs(cfg, "report")
-    check_inputs(paths["evaluation"], "evaluate", detections, "run the evaluate stage first")
     evaluation_report = json.loads(inputs["evaluation"].read_text())
 
     models = {}
-    for kind in (path.stem for path in detections.values()):
+    for kind in cfg.models:
         manifest = json.loads((_trained(cfg, kind) / "detector.json").read_text())
         table = _table(cfg, kind)
         models[kind] = {

@@ -136,6 +136,39 @@ def test_a_truncated_thresholds_table_exits_2(tmp_path):
     _detect_after_table_edit(tmp_path, lambda table: table.write_bytes(table.read_bytes()[:60]))
 
 
+def _run_ae_and_cae(tmp_path):
+    """run on ae and cae; the config and every file the run wrote."""
+    raw = {**TINY, "synth": {**TINY["synth"], "messages_per_vessel": 200},
+           "train": {"max_epochs": 2, "patience": 1}, "models": ["ae", "cae"]}
+    assert _invoke(tmp_path, ["run"], raw=raw).exit_code == 0
+    return raw, _files(tmp_path / "run")
+
+
+def _files(out_dir):
+    return {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_report_under_a_config_that_drops_a_model_exits_2(tmp_path):
+    raw, written = _run_ae_and_cae(tmp_path)
+    result = _invoke(tmp_path, ["report"], raw={**raw, "models": ["ae"]})
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: evaluate recorded inputs "
+                                    "['ae.csv', 'cae.csv'], but this check names ['ae.csv']")
+    assert _files(tmp_path / "run") == written
+
+
+def test_evaluate_without_a_models_detections_exits_3(tmp_path):
+    raw, _ = _run_ae_and_cae(tmp_path)
+    for name in ("cae.csv", "detect-cae.manifest.json"):
+        (tmp_path / "run" / "detections" / name).unlink()
+    left = _files(tmp_path / "run")
+    for stage in ("evaluate", "report"):
+        result = _invoke(tmp_path, [stage], raw=raw)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("MissingArtifact: no detect-cae manifest at ")
+    assert _files(tmp_path / "run") == left
+
+
 def test_kind_must_be_a_detector(tmp_path):
     result = _invoke(tmp_path, ["train", "--kind", "svm"])
     assert result.exit_code == 2

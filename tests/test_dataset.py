@@ -5,6 +5,7 @@ split_by_vessel and sample_weights are kept below as oracles: the column
 functions must give the same rows, in the same order, with the same bits.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ from ctxae.dataset import (
     segment,
     split_by_vessel,
 )
-from ctxae.features import enrich
+from ctxae.errors import ConfigError
+from ctxae.features import NormStats, enrich
 from ctxae.geo import haversine
 from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 
@@ -504,6 +506,36 @@ def test_save_dataset_is_byte_stable(tmp_path):
     for name in ("header.json", "norm_stats.json", "train.f32",
                  "train.index.csv", "val.f32", "test.f32", "test.index.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def _saved(tmp_path):
+    split = normalize_split(_small_split())
+    save_dataset(tmp_path, split, REGISTRY, seed=4, window_len=50)
+    load_dataset(tmp_path)
+    return split
+
+
+def test_load_dataset_refuses_a_header_of_another_registry(tmp_path):
+    _saved(tmp_path)
+    header = tmp_path / "header.json"
+    current = REGISTRY.content_hash()
+    header.write_text(header.read_text().replace(current, "0" * 64))
+    with pytest.raises(ConfigError, match=f"{header} records registry_hash {'0' * 64}, "
+                                          f"but the context registry hashes to {current}; "
+                                          "run the build stage again"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_refuses_other_normalisation_statistics(tmp_path):
+    recorded = _saved(tmp_path).norm_stats.content_hash()
+    stats = tmp_path / "norm_stats.json"
+    data = json.loads(stats.read_text())
+    data["features"][0]["scale"] *= 2
+    stats.write_text(json.dumps(data))
+    current = NormStats.load(stats).content_hash()
+    with pytest.raises(ConfigError, match=f"records norm_stats_hash {recorded}, but "
+                                          f"norm_stats.json hashes to {current}; run the build"):
+        load_dataset(tmp_path)
 
 
 def test_empty_splits_keep_the_window_shape(tmp_path):

@@ -21,7 +21,12 @@ def produced(tmp_path):
 
 def test_matching_inputs_pass(produced):
     check_inputs(produced.parent, "make", {"source": produced}, "run make first")
-    check_inputs(produced.parent, "make", {}, "run make first")
+
+
+def test_a_recorded_input_the_reader_does_not_name_is_refused(produced):
+    with pytest.raises(ConfigError, match=r"make recorded inputs \['source'\], but this "
+                                          r"check names \[\]; run make first"):
+        check_inputs(produced.parent, "make", {}, "run make first")
 
 
 def test_outputs_are_keyed_by_their_path_under_the_manifest_directory(tmp_path):
@@ -50,8 +55,12 @@ def test_a_changed_input_is_refused_naming_both_hashes(produced):
 
 
 def test_an_input_the_manifest_does_not_name_is_refused(produced):
-    with pytest.raises(ConfigError, match="sha256 None"):
+    with pytest.raises(ConfigError, match=r"make recorded inputs \['source'\], but this "
+                                          r"check names \['other'\]; run make first"):
         check_inputs(produced.parent, "make", {"other": produced}, "run make first")
+    with pytest.raises(ConfigError, match=r"check names \['other', 'source'\]"):
+        check_inputs(produced.parent, "make", {"source": produced, "other": produced},
+                     "run make first")
 
 
 def test_a_deleted_input_is_refused_as_missing(produced):
@@ -66,11 +75,11 @@ def test_a_changed_or_deleted_output_is_refused(produced):
     made.write_text("edited\n")
     current = sha256_file(made)
     with pytest.raises(ConfigError, match="make wrote made.txt with sha256") as err:
-        check_inputs(produced.parent, "make", {}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
     assert recorded in str(err.value) and current in str(err.value)
     made.unlink()
     with pytest.raises(MissingArtifact, match="which is gone; run make first"):
-        check_inputs(produced.parent, "make", {}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
 
 
 def test_a_changed_output_the_reader_never_names_is_refused(produced):

@@ -28,8 +28,8 @@ TINY_FLEET = {
 }
 
 
-def _tiny(out_dir, seed=3):
-    return config_from_dict(TINY_FLEET, seed=seed, out_dir=out_dir)
+def _tiny(out_dir, seed=3, **sections):
+    return config_from_dict({**TINY_FLEET, **sections}, seed=seed, out_dir=out_dir)
 
 
 def _artifacts(out_dir):
@@ -125,7 +125,7 @@ def test_run_all_refuses_gcae_without_cae_before_any_stage(tmp_path):
 
 def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
     out_dir = tmp_path / "run"
-    cfg = _tiny(out_dir, seed=3)
+    cfg = _tiny(out_dir, seed=3, models=["ae"])
     _prepare(cfg)
     pipeline.stage_train(cfg, "ae")
     pipeline.stage_thresholds(cfg, "ae")
@@ -134,7 +134,7 @@ def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
     scored = sha256_file(out_dir / "dataset" / "header.json")
 
     # another seed rebuilds the dataset in place; the detections stay
-    cfg = _tiny(out_dir, seed=4)
+    cfg = _tiny(out_dir, seed=4, models=["ae"])
     _prepare(cfg)
     current = sha256_file(out_dir / "dataset" / "header.json")
     assert current != scored
@@ -148,7 +148,7 @@ def test_evaluate_refuses_detections_scored_on_another_dataset(tmp_path):
 
 def test_report_refuses_an_evaluation_of_another_dataset(tmp_path):
     out_dir = tmp_path / "run"
-    cfg = _tiny(out_dir, seed=3)
+    cfg = _tiny(out_dir, seed=3, models=["ae"])
     _prepare(cfg)
     pipeline.stage_train(cfg, "ae")
     pipeline.stage_thresholds(cfg, "ae")
@@ -157,7 +157,7 @@ def test_report_refuses_an_evaluation_of_another_dataset(tmp_path):
     evaluated = sha256_file(out_dir / "dataset" / "header.json")
 
     # another seed rebuilds the dataset in place; the evaluation stays
-    cfg = _tiny(out_dir, seed=4)
+    cfg = _tiny(out_dir, seed=4, models=["ae"])
     _prepare(cfg)
     current = sha256_file(out_dir / "dataset" / "header.json")
     assert current != evaluated
@@ -168,7 +168,7 @@ def test_report_refuses_an_evaluation_of_another_dataset(tmp_path):
 
 def test_evaluate_refuses_detections_scored_with_other_thresholds(tmp_path):
     out_dir = tmp_path / "run"
-    cfg = _tiny(out_dir)
+    cfg = _tiny(out_dir, models=["ae"])
     _prepare(cfg)
     pipeline.stage_train(cfg, "ae")
     pipeline.stage_thresholds(cfg, "ae")
@@ -187,7 +187,7 @@ def test_evaluate_refuses_detections_scored_with_other_thresholds(tmp_path):
 
 def test_stages_refuse_thresholds_fitted_under_another_lambda_or_split(tmp_path):
     out_dir = tmp_path / "run"
-    cfg = _tiny(out_dir)
+    cfg = _tiny(out_dir, models=["ae", "cae"])
     _prepare(cfg)
     for kind in ("ae", "cae"):
         pipeline.stage_train(cfg, kind)
@@ -197,8 +197,7 @@ def test_stages_refuse_thresholds_fitted_under_another_lambda_or_split(tmp_path)
     pipeline.stage_evaluate(cfg)
 
     for asked in ({"lam": 2.0}, {"fit_split": "val"}):
-        other = config_from_dict({**TINY_FLEET, "thresholds": asked}, seed=3,
-                                 out_dir=out_dir)
+        other = _tiny(out_dir, models=["ae", "cae"], thresholds=asked)
         wanted = (f"lambda {other.thresholds.lam!r} "
                   f"on the {other.thresholds.fit_split} split")
         for stage in (lambda: pipeline.stage_group(other),
@@ -269,7 +268,7 @@ def test_gcae_refuses_a_deleted_grouping(tmp_path):
 
 
 def test_report_refuses_a_deleted_evaluation(tmp_path):
-    cfg = _tiny(tmp_path / "run")
+    cfg = _tiny(tmp_path / "run", models=["ae"])
     _prepare(cfg)
     pipeline.stage_train(cfg, "ae")
     pipeline.stage_thresholds(cfg, "ae")
@@ -307,11 +306,48 @@ def test_build_refuses_a_table_parsed_from_other_records(tmp_path):
     pipeline.stage_build(cfg)
 
 
+def _dataset(out_dir):
+    return {p.name: p.read_bytes() for p in sorted((out_dir / "dataset").glob("*"))
+            if not p.name.endswith("manifest.json")}
+
+
+def test_configured_records_need_no_simulate_manifest(tmp_path):
+    simulated = tmp_path / "simulated"
+    _prepare(_tiny(simulated))
+    raw = tmp_path / "raw"
+    shutil.copytree(simulated / "synth", raw)
+    (raw / "simulate.manifest.json").unlink()
+    out_dir = tmp_path / "run"
+    cfg = config_from_dict({"train": TINY_FLEET["train"],
+                            **{name: str(raw / f"{name}.csv")
+                               for name in ("records", "truth", "ports")}},
+                           seed=3, out_dir=out_dir)
+    pipeline.stage_ingest(cfg)
+    pipeline.stage_build(cfg)
+    assert not (out_dir / "synth").exists()
+    assert _dataset(out_dir) == _dataset(simulated)
+    assert json.loads((out_dir / "dataset" / "build.manifest.json").read_text())["inputs"] == {}
+
+
+def test_ingest_and_build_refuse_an_edited_simulated_file(tmp_path):
+    cfg = _tiny(tmp_path / "run")
+    pipeline.stage_simulate(cfg)
+    for name, stage in (("records.csv", pipeline.stage_ingest),
+                        ("truth.csv", pipeline.stage_build)):
+        path = tmp_path / "run" / "synth" / name
+        written = path.read_bytes()
+        path.write_bytes(written[:-1] + bytes([written[-1] ^ 0x01]))
+        _assert_refused(lambda: stage(cfg), path, (hashlib.sha256(written).hexdigest(),
+                                                   sha256_file(path)))
+        path.write_bytes(written)
+        stage(cfg)
+
+
 @pytest.fixture(scope="module")
 def cae_run(tmp_path_factory):
     """The tiny fleet at the default lambda 5 through report with cae alone."""
     out_dir = tmp_path_factory.mktemp("cae") / "run"
-    cfg = _tiny(out_dir)
+    cfg = _tiny(out_dir, models=["cae"])
     _prepare(cfg)
     pipeline.stage_train(cfg, "cae")
     pipeline.stage_thresholds(cfg, "cae")
@@ -333,7 +369,7 @@ def _tampered(cae_run, tmp_path, name, edit):
     edit(data)
     path.write_bytes(bytes(data))
     assert sha256_file(path) != before
-    return _tiny(out_dir), path, (before, sha256_file(path))
+    return _tiny(out_dir, models=["cae"]), path, (before, sha256_file(path))
 
 
 def _assert_refused(stage, path, digests):
@@ -417,6 +453,55 @@ def test_the_thresholds_stage_refits_over_a_damaged_table(cae_run, tmp_path):
     pipeline.stage_thresholds(cfg, "cae")
     assert path.read_bytes() == (cae_run / "models" / "cae" / "thresholds.csv").read_bytes()
     pipeline.stage_detect(cfg, "cae")
+
+
+def test_a_dataset_copied_on_its_own_trains_fits_and_detects(cae_run, tmp_path):
+    """No synth, messages or ingest manifest beside it, as a benchmark copies it."""
+    out_dir = tmp_path / "run"
+    shutil.copytree(cae_run / "dataset", out_dir / "dataset")
+    cfg = _tiny(out_dir, models=["cae"])
+    pipeline.stage_train(cfg, "cae")
+    pipeline.stage_thresholds(cfg, "cae")
+    pipeline.stage_detect(cfg, "cae")
+    detections = "detections/cae.csv"
+    assert (out_dir / detections).read_bytes() == (cae_run / detections).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def ae_cae_run(tmp_path_factory):
+    """The tiny fleet through report with ae and cae."""
+    out_dir = tmp_path_factory.mktemp("ae_cae") / "run"
+    run_all(_tiny(out_dir, models=["ae", "cae"]))
+    return out_dir
+
+
+def test_report_refuses_a_config_that_drops_an_evaluated_model(ae_cae_run, tmp_path):
+    out_dir = tmp_path / "run"
+    shutil.copytree(ae_cae_run, out_dir)
+    with pytest.raises(ConfigError, match=r"evaluate recorded inputs \['ae.csv', 'cae.csv'\], "
+                                          r"but this check names \['ae.csv'\]; run the evaluate"):
+        pipeline.stage_report(_tiny(out_dir, models=["ae"]))
+    assert _artifacts(out_dir) == _artifacts(ae_cae_run)
+
+
+def test_a_config_must_name_a_model():
+    with pytest.raises(ConfigError, match="models must name at least one detector kind"):
+        _tiny("unused", models=[])
+
+
+def test_evaluate_and_report_refuse_a_configured_model_without_detections(ae_cae_run,
+                                                                          tmp_path):
+    out_dir = tmp_path / "run"
+    shutil.copytree(ae_cae_run, out_dir)
+    for name in ("cae.csv", "detect-cae.manifest.json"):
+        (out_dir / "detections" / name).unlink()
+    left = _artifacts(out_dir)
+    cfg = _tiny(out_dir, models=["ae", "cae"])
+    for stage in (pipeline.stage_evaluate, pipeline.stage_report):
+        with pytest.raises(MissingArtifact, match="no detect-cae manifest at .*; run the "
+                                                  "detect stage for cae first"):
+            stage(cfg)
+    assert _artifacts(out_dir) == left
 
 
 def test_gcae_refuses_a_regrouping_until_it_is_retrained(tmp_path):
