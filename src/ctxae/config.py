@@ -2,7 +2,8 @@
 
 Only seed and output directory may be overridden on the command line;
 everything else lives in the file so a run is reproducible from config +
-seed alone.
+seed alone. The ``dataset`` section is ``dataset.DatasetParams``, which
+lives next to the functions that read it.
 """
 
 from __future__ import annotations
@@ -13,37 +14,12 @@ from pathlib import Path
 import yaml
 
 from .ais import NavStatus
-from .dataset import OutlierCaps
+from .dataset import DatasetParams
 from .detectors import KINDS
 from .errors import ConfigError
 from .net import TrainConfig
 from .synth import PRESETS, BehaviorModel, ContextPlan, SynthConfig
 from .thresholds import DEFAULT_LAMBDA
-
-
-@dataclass(frozen=True)
-class DatasetParams:
-    window_len: int = 50
-    stride: int = 50
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    max_time_gap_s: float = 9503.0
-    max_dist_gap_m: float = 3556.0
-    min_span_s: float = 180.0
-    port_radius_m: float = 5000.0
-    max_train_per_context: int = 50_000
-    max_eval_per_context: int = 5_000
-
-    def caps(self) -> OutlierCaps:
-        return OutlierCaps(max_time_gap_s=self.max_time_gap_s,
-                           max_dist_gap_m=self.max_dist_gap_m,
-                           min_span_s=self.min_span_s)
-
-    def __post_init__(self):
-        if self.window_len < 2 or self.stride < 1:
-            raise ConfigError("window_len must be >= 2 and stride >= 1")
-        if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9 \
-                or min(self.ratios) < 0:
-            raise ConfigError("split ratios must be three non-negatives summing to 1")
 
 
 @dataclass(frozen=True)

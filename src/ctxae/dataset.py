@@ -11,12 +11,14 @@ selecting a context is a boolean mask over one. Iterating a table yields one
 tensor), the only per-window object.
 
 Windows are cut per maximal constant-context run of each trajectory, so a
-window never mixes contexts. Ground truth arrives as message spans, each a
-stretch of one vessel's messages between two timestamps; a window carries
-the tag of the span of its vessel that overlaps it, whatever the window
-length and stride. Splits are made by vessel id (no mmsi crosses splits)
-and per-context caps are applied after splitting. All randomness is seeded,
-and saved datasets are byte-identical across runs.
+window never mixes contexts. Ground truth arrives as ``TruthSpan``s, each a
+stretch of one vessel's messages between two timestamps with its kind and
+true context in the table's encoding; a window carries those of the span of
+its vessel that overlaps it, whatever the window length and stride. Splits
+are made by vessel id (no mmsi crosses splits) and per-context caps are
+applied after splitting. All randomness is seeded, and saved datasets are
+byte-identical across runs. ``DatasetParams``, a run config's ``dataset``
+section, is the one home of the build parameters and their defaults.
 
 Trajectories arrive as column arrays (see ``ais``): context runs start
 where the status or vessel type code changes, and the port filter is one
@@ -58,32 +60,46 @@ PORT_FILTER_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class Truth:
-    """Ground-truth tag; kind 'none' means a clean window."""
-
-    kind: str = "none"  # one of TRUTH_KINDS
-    true_context: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in TRUTH_KINDS:
-            raise ValueError(f"unknown truth kind {self.kind!r}")
-        if self.kind == "contextual" and self.true_context is None:
-            raise ValueError("contextual truth must record the true context")
-
-
-@dataclass(frozen=True)
 class TruthSpan:
-    """Messages of one vessel from first_ts to last_ts, both inclusive."""
+    """Messages of one vessel from first_ts to last_ts, both inclusive, of a
+    truth kind; true_context is the context the vessel is really in."""
 
     mmsi: int
     first_ts: int
     last_ts: int
-    truth: Truth
+    kind: str  # one of TRUTH_KINDS
+    true_context: int = NO_CONTEXT
 
     def __post_init__(self):
+        if self.kind not in TRUTH_KINDS:
+            raise ValueError(f"unknown truth kind {self.kind!r}")
+        if self.kind == "contextual" and self.true_context == NO_CONTEXT:
+            raise ValueError("contextual truth must record the true context")
         if self.first_ts > self.last_ts:
             raise ValueError(f"first_ts {self.first_ts} is after "
                              f"last_ts {self.last_ts}")
+
+
+@dataclass(frozen=True)
+class DatasetParams:
+    """The build parameters; gap caps are inclusive upper bounds."""
+
+    window_len: int = 50
+    stride: int = 50
+    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    max_time_gap_s: float = 9503.0
+    max_dist_gap_m: float = 3556.0
+    min_span_s: float = 180.0
+    port_radius_m: float = 5000.0
+    max_train_per_context: int = 50_000
+    max_eval_per_context: int = 5_000
+
+    def __post_init__(self):
+        if self.window_len < 2 or self.stride < 1:
+            raise ConfigError("window_len must be >= 2 and stride >= 1")
+        if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9 \
+                or min(self.ratios) < 0:
+            raise ConfigError("split ratios must be three non-negatives summing to 1")
 
 
 class WindowRow(NamedTuple):
@@ -135,14 +151,12 @@ def concat(tables: list[WindowTable]) -> WindowTable:
 
 
 def segment(trajectory: Trajectory, features: np.ndarray,
-            registry: ContextRegistry, window_len: int = 50,
-            stride: int | None = None) -> WindowTable:
+            registry: ContextRegistry, window_len: int, stride: int) -> WindowTable:
     """Cut constant-context runs into fixed-length windows.
 
     The trailing remainder of each run is dropped; runs whose (vessel type,
     status) pair is unregistered are skipped.
     """
-    stride = stride or window_len
     t = trajectory
     change = np.flatnonzero((t.status[1:] != t.status[:-1])
                             | (t.vtype[1:] != t.vtype[:-1])) + 1
@@ -173,15 +187,14 @@ def attach_truth(windows: WindowTable, spans: list[TruthSpan]) -> WindowTable:
     for s in spans:
         hit = (~tagged & (windows.mmsi == s.mmsi)
                & (s.first_ts <= windows.end_ts) & (windows.start_ts <= s.last_ts))
-        truth[hit] = s.truth.kind
-        true_context[hit] = (NO_CONTEXT if s.truth.true_context is None
-                             else s.truth.true_context)
+        truth[hit] = s.kind
+        true_context[hit] = s.true_context
         tagged |= hit
     return replace(windows, truth=truth, true_context=true_context)
 
 
 def filter_near_ports(windows: WindowTable, ports: list[tuple[float, float]],
-                      radius_m: float = 5000.0) -> WindowTable:
+                      radius_m: float) -> WindowTable:
     """Drop a window iff any of its positions lies within radius of any port."""
     if not ports or not len(windows):
         return windows
@@ -199,17 +212,7 @@ def filter_near_ports(windows: WindowTable, ports: list[tuple[float, float]],
     return windows.take(~near)
 
 
-@dataclass(frozen=True)
-class OutlierCaps:
-    """Hard per-window limits; gap caps are inclusive upper bounds."""
-
-    max_time_gap_s: float = 9503.0
-    max_dist_gap_m: float = 3556.0
-    min_span_s: float = 180.0
-
-
-def remove_outliers(windows: WindowTable,
-                    caps: OutlierCaps = OutlierCaps()) -> WindowTable:
+def remove_outliers(windows: WindowTable, params: DatasetParams) -> WindowTable:
     """Drop windows with an oversized time/distance gap or too little coverage.
 
     Row 0 of a mid-trajectory window carries the real gap to the previous
@@ -219,9 +222,9 @@ def remove_outliers(windows: WindowTable,
     """
     dt = windows.tensor[:, :, COL_DT]
     dd = windows.tensor[:, :, COL_DD]
-    drop = ((dt.max(axis=1) > caps.max_time_gap_s)
-            | (dd.max(axis=1) > caps.max_dist_gap_m)
-            | (dt[:, 1:].sum(axis=1) < caps.min_span_s))
+    drop = ((dt.max(axis=1) > params.max_time_gap_s)
+            | (dd.max(axis=1) > params.max_dist_gap_m)
+            | (dt[:, 1:].sum(axis=1) < params.min_span_s))
     return windows.take(~drop)
 
 
@@ -246,8 +249,8 @@ class DatasetSplit:
 
 
 def split_by_vessel(windows: WindowTable, ratios: tuple[float, float, float],
-                    seed: int, max_train_per_context: int = 50_000,
-                    max_eval_per_context: int = 5_000) -> DatasetSplit:
+                    seed: int, max_train_per_context: int,
+                    max_eval_per_context: int) -> DatasetSplit:
     """Assign whole vessels to train/val/test, then apply per-context caps.
 
     Vessels carrying any ground-truth tag go straight to the test split
@@ -324,14 +327,6 @@ def normalize_split(split: DatasetSplit) -> DatasetSplit:
 
 
 # --- persistence ---------------------------------------------------------------
-
-def truth_fields(t: Truth) -> tuple[str, str]:
-    return t.kind, "" if t.true_context is None else str(t.true_context)
-
-
-def parse_truth(kind: str, true_context: str) -> Truth:
-    return Truth(kind=kind, true_context=int(true_context) if true_context else None)
-
 
 def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
                  window_len: int, seed: int) -> None:

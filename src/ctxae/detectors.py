@@ -107,11 +107,7 @@ class Detector:
         (encoder key, decoder key) pair, then one ``score_windows`` call per
         encoder key with one span per decoder key.
         """
-        return self._score_routed(x, *np.unique(context_ids, return_inverse=True))
-
-    def _score_routed(self, x: np.ndarray, contexts: np.ndarray,
-                      inverse: np.ndarray) -> np.ndarray:
-        """score_mixed given np.unique(context_ids, return_inverse=True)."""
+        contexts, inverse = np.unique(context_ids, return_inverse=True)
         routes = [(self.encoder_key(c), self.decoder_key(c)) for c in contexts.tolist()]
         pairs = sorted(set(routes))
         row_pair = np.array([pairs.index(r) for r in routes], dtype=np.intp)[inverse]
@@ -143,14 +139,13 @@ class Detector:
         """
         if self.thresholds is None:
             raise MissingArtifact(f"{self.kind} detector has no fitted thresholds")
-        contexts, inverse = np.unique(context_ids, return_inverse=True)
         if mode == "global":
             taus = self.thresholds.global_tau
         elif mode == "context":
-            taus = np.array([self.thresholds.tau(c) for c in contexts.tolist()])[inverse]
+            taus = np.array([self.thresholds.tau(c) for c in context_ids.tolist()])
         else:
             raise ValueError(f"unknown detection mode {mode!r}")
-        scores = self._score_routed(x, contexts, inverse)
+        scores = self.score_mixed(x, context_ids)
         verdicts = scores > taus
         severities = (scores - taus) / taus
         return scores, verdicts, severities
@@ -279,7 +274,9 @@ def _ckpt_name(role: str, key: int) -> str:
     return f"{role}_k{key}.ckpt"
 
 
-def save_detector(out_dir: Path, detector: Detector) -> None:
+def save_detector(out_dir: Path, detector: Detector) -> list[Path]:
+    """Write the bundle and remove any other checkpoint from out_dir; the
+    paths written, for the train manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "kind": detector.kind,
@@ -303,20 +300,23 @@ def save_detector(out_dir: Path, detector: Detector) -> None:
             for branch, r in sorted(detector.reports.items())
         },
     }
-    (out_dir / "detector.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for key, enc in detector.encoders.items():
-        save_checkpoint(out_dir / _ckpt_name("encoder", key), enc,
-                        meta={"role": "encoder", "key": key, "kind": detector.kind})
-    for key, dec in detector.decoders.items():
-        save_checkpoint(out_dir / _ckpt_name("decoder", key), dec,
-                        meta={"role": "decoder", "key": key, "kind": detector.kind})
+    written = [out_dir / "detector.json"]
+    written[0].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for role, models in (("encoder", detector.encoders), ("decoder", detector.decoders)):
+        for key, model in models.items():
+            written.append(out_dir / _ckpt_name(role, key))
+            save_checkpoint(written[-1], model,
+                            meta={"role": role, "key": key, "kind": detector.kind})
+    for stale in set(out_dir.glob("*.ckpt")) - set(written):
+        stale.unlink()
     thresholds_path = out_dir / "thresholds.csv"
     if detector.thresholds is not None:
         th.save_table(thresholds_path, detector.thresholds)
+        written.append(thresholds_path)
     else:
         # a retrained bundle must not inherit the previous model's taus
         thresholds_path.unlink(missing_ok=True)
+    return written
 
 
 def load_detector(bundle_dir: Path) -> Detector:

@@ -165,15 +165,14 @@ def stage_build(cfg: RunConfig) -> dict:
         _check(cfg, "simulate", "run the simulate stage first")
     spans = synth.load_truth(truth_path) if truth_path else []
     ports = synth.load_ports(ports_path) if ports_path else []
-    windows = concat([segment(traj, enrich(traj), registry,
-                              window_len=cfg.dataset.window_len,
-                              stride=cfg.dataset.stride)
+    windows = concat([segment(traj, enrich(traj), registry, cfg.dataset.window_len,
+                              cfg.dataset.stride)
                       for traj in group_trajectories(load_table(paths["messages"]))])
     total_cut = len(windows)
     windows = attach_truth(windows, spans)
     windows = filter_near_ports(windows, ports, cfg.dataset.port_radius_m)
     after_ports = len(windows)
-    windows = remove_outliers(windows, cfg.dataset.caps())
+    windows = remove_outliers(windows, cfg.dataset)
     after_outliers = len(windows)
 
     split = split_by_vessel(windows, cfg.dataset.ratios, cfg.seed,
@@ -241,7 +240,7 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
         det = detectors.train_gcae(split, spec, train_cfg, _grouping(cfg).as_map())
 
     out_dir = _model_dir(cfg, kind)
-    detectors.save_detector(out_dir, det)
+    outputs = {path.name: path for path in detectors.save_detector(out_dir, det)}
     summary = {
         "kind": kind,
         "param_count": det.param_count(),
@@ -250,8 +249,6 @@ def stage_train(cfg: RunConfig, kind: str) -> dict:
         "best_val_loss": min(r.best_val_loss for r in det.reports.values()),
         "epochs": {name: r.stopped_epoch for name, r in sorted(det.reports.items())},
     }
-    outputs = {f.name: f for f in sorted(out_dir.glob("*"))
-               if not f.name.endswith("manifest.json")}
     write_manifest(out_dir, "train", config_hash(cfg), _inputs(cfg, "train", kind),
                    outputs, extra=summary)
     return summary
@@ -425,6 +422,9 @@ def stage_evaluate(cfg: RunConfig) -> dict:
 
     detections = _detections(cfg)
     tables = {path.stem: _table(cfg, path.stem) for path in detections.values()}
+    for stale in paths["evaluation"].glob("dist_*.csv"):
+        stale.unlink()
+    dists: list[Path] = []
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}
@@ -468,8 +468,8 @@ def stage_evaluate(cfg: RunConfig) -> dict:
                 int(cid): d["score"][sel & (d["context_id"] == cid)]
                 for cid in sorted(set(d["context_id"][sel].tolist()))
             }
-        evaluation.export_distributions(paths["evaluation"], by_decoder, tables[kind],
-                                        prefix=f"dist_{kind}")
+        dists += evaluation.export_distributions(paths["evaluation"], by_decoder,
+                                                 tables[kind], prefix=f"dist_{kind}")
 
     report = {
         "models": models_report,
@@ -482,7 +482,7 @@ def stage_evaluate(cfg: RunConfig) -> dict:
     eval_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                        + "\n")
     write_manifest(paths["evaluation"], "evaluate", config_hash(cfg), detections,
-                   {"evaluation.json": eval_path})
+                   {"evaluation.json": eval_path, **{path.name: path for path in dists}})
     return report
 
 

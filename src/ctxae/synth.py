@@ -4,7 +4,8 @@ Behaviors are small per-step motion models (transit, zigzag fishing, anchor
 drift, moored, loitering, sailing). Every vessel draws from its own RNG
 stream seeded by (run seed, mmsi), so fleets are reproducible regardless of
 generation order. Two anomaly types can be injected, each recorded as one
-exact truth span of messages (mmsi, first_ts, last_ts, both inclusive):
+exact ``dataset.TruthSpan`` (mmsi, first_ts, last_ts, both inclusive, kind,
+true_context: NO_CONTEXT, an empty field in truth.csv, when collective):
 
 * contextual: a vessel broadcasts a false navigational status on every
   message, so its windows land in the wrong context while the motion stays
@@ -13,8 +14,8 @@ exact truth span of messages (mmsi, first_ts, last_ts, both inclusive):
   large step, inconsistent with the reported speeds. The span covers the
   displaced messages.
 
-Truth never refers to windows: which windows a span tags is decided when the
-dataset is cut, for any window length and stride.
+Ground truth never refers to windows: which windows a span tags is decided
+when the dataset is cut, for any window length and stride.
 
 A vessel is simulated step by step, since each step moves from the last.
 The loop keeps only what feeds a later draw: the motion state machine, the
@@ -58,7 +59,7 @@ import numpy as np
 from .ais import (BLOCK_ROWS, CANONICAL_FIELDS, NAV_STATUSES, TABLE_DTYPES,
                   VESSEL_TYPES, ContextLabel, ContextRegistry, NavStatus, Trajectory,
                   table_of)
-from .dataset import Truth, TruthSpan, parse_truth, truth_fields
+from .dataset import NO_CONTEXT, TruthSpan
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
 from .geo import (bearing, bearing_array, destination, destination_array,
                   haversine, haversine_array)
@@ -480,9 +481,8 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 
             if mmsi in falsified:
                 traj = inject_contextual(traj, plan.falsify_to, registry)
-                truth.append(TruthSpan(
-                    mmsi, int(traj.ts[0]), int(traj.ts[-1]),
-                    Truth(kind="contextual", true_context=plan.context_id)))
+                truth.append(TruthSpan(mmsi, int(traj.ts[0]), int(traj.ts[-1]),
+                                       "contextual", plan.context_id))
 
             if mmsi in collective:
                 inj_rng = np.random.default_rng([config.seed, mmsi, 3])
@@ -493,9 +493,8 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
                 traj = inject_collective(traj, start, span,
                                          config.collective_magnitude_m,
                                          heading_deg)
-                truth.append(TruthSpan(
-                    mmsi, int(traj.ts[start + 1]), int(traj.ts[start + span]),
-                    Truth(kind="collective")))
+                truth.append(TruthSpan(mmsi, int(traj.ts[start + 1]),
+                                       int(traj.ts[start + span]), "collective"))
 
             trajectories.append(traj)
 
@@ -529,7 +528,8 @@ def write_fleet(out_dir: Path, result: SynthResult) -> None:
         writer.writerow(TRUTH_COLUMNS)
         for s in sorted(result.truth,
                         key=lambda s: (s.mmsi, s.first_ts, s.last_ts)):
-            writer.writerow([s.mmsi, s.first_ts, s.last_ts, *truth_fields(s.truth)])
+            writer.writerow([s.mmsi, s.first_ts, s.last_ts, s.kind,
+                             "" if s.true_context == NO_CONTEXT else s.true_context])
     with open(out_dir / "ports.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lat", "lon"])
@@ -538,7 +538,7 @@ def write_fleet(out_dir: Path, result: SynthResult) -> None:
 
 
 def load_truth(path: Path) -> list[TruthSpan]:
-    """Truth spans in file order; a malformed file raises ConfigError."""
+    """The truth spans in file order; a malformed file raises ConfigError."""
     spans: list[TruthSpan] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -549,7 +549,7 @@ def load_truth(path: Path) -> list[TruthSpan]:
             try:
                 spans.append(TruthSpan(
                     int(row["mmsi"]), int(row["first_ts"]), int(row["last_ts"]),
-                    parse_truth(row["kind"], row["true_context"])))
+                    row["kind"], int(row["true_context"] or NO_CONTEXT)))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"truth file {path} line {reader.line_num}: {exc}") from exc

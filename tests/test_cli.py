@@ -169,6 +169,22 @@ def test_evaluate_without_a_models_detections_exits_3(tmp_path):
     assert _files(tmp_path / "run") == left
 
 
+def test_report_after_an_edited_loss_distribution_exits_2(tmp_path):
+    raw, _ = _run_ae_and_cae(tmp_path)
+    dist = tmp_path / "run" / "evaluation" / "dist_cae_decoder_0.csv"
+    recorded = sha256_file(dist)
+    data = bytearray(dist.read_bytes())
+    data[-2] ^= 1
+    dist.write_bytes(bytes(data))
+    left = _files(tmp_path / "run")
+    result = _invoke(tmp_path, ["report"], raw=raw)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: evaluate wrote dist_cae_decoder_0.csv "
+                                    f"with sha256 {recorded}, but {dist} now has sha256 "
+                                    f"{sha256_file(dist)}; run the evaluate stage first")
+    assert _files(tmp_path / "run") == left
+
+
 def test_kind_must_be_a_detector(tmp_path):
     result = _invoke(tmp_path, ["train", "--kind", "svm"])
     assert result.exit_code == 2

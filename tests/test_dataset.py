@@ -6,7 +6,7 @@ functions must give the same rows, in the same order, with the same bits.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,7 @@ from ctxae.dataset import (
     SPLIT_NAMES,
     TRUTH_DTYPE,
     TRUTH_KINDS,
-    OutlierCaps,
-    Truth,
+    DatasetParams,
     TruthSpan,
     WindowTable,
     attach_truth,
@@ -43,7 +42,7 @@ from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 from conftest import make_track
 
 REGISTRY = context_registry()
-CLEAN = Truth()
+PARAMS = DatasetParams()
 
 
 # --- per-window oracles --------------------------------------------------------
@@ -56,13 +55,13 @@ class Window:
     context_id: int
     mmsi: int
     start_ts: int
-    truth: Truth = CLEAN
+    truth: str = "none"
+    true_context: int = NO_CONTEXT
     end_ts: int | None = None
     positions: np.ndarray | None = None
 
 
-def oracle_segment(t, features, registry, window_len=50, stride=None):
-    stride = stride or window_len
+def oracle_segment(t, features, registry, window_len, stride):
     change = np.flatnonzero((t.status[1:] != t.status[:-1])
                             | (t.vtype[1:] != t.vtype[:-1])) + 1
     starts = [0, *change.tolist()]
@@ -86,34 +85,33 @@ def oracle_attach_truth(windows, spans):
     for w in windows:
         for s in spans:
             if s.mmsi == w.mmsi and s.first_ts <= w.end_ts and w.start_ts <= s.last_ts:
-                w = Window(w.tensor, w.context_id, w.mmsi, w.start_ts, s.truth,
-                           w.end_ts, w.positions)
+                w = replace(w, truth=s.kind, true_context=s.true_context)
                 break
         out.append(w)
     return out
 
 
-def oracle_remove_outliers(windows, caps=OutlierCaps()):
+def oracle_remove_outliers(windows, params):
     kept = []
     for w in windows:
         dt = w.tensor[:, COL_DT]
         dd = w.tensor[:, COL_DD]
-        if dt.max() > caps.max_time_gap_s or dd.max() > caps.max_dist_gap_m:
+        if dt.max() > params.max_time_gap_s or dd.max() > params.max_dist_gap_m:
             continue
-        if dt[1:].sum() < caps.min_span_s:
+        if dt[1:].sum() < params.min_span_s:
             continue
         kept.append(w)
     return kept
 
 
-def oracle_split_by_vessel(windows, ratios, seed, max_train_per_context=50_000,
-                           max_eval_per_context=5_000):
+def oracle_split_by_vessel(windows, ratios, seed, max_train_per_context,
+                           max_eval_per_context):
     """(windows per split name, excluded contexts)."""
     by_vessel = {}
     for w in windows:
         by_vessel.setdefault(w.mmsi, []).append(w)
     anomalous = {m for m, ws in by_vessel.items()
-                 if any(w.truth.kind != "none" for w in ws)}
+                 if any(w.truth != "none" for w in ws)}
     clean = sorted(set(by_vessel) - anomalous)
     rng = np.random.default_rng([seed, 101])
     order = [clean[i] for i in rng.permutation(len(clean))]
@@ -164,10 +162,8 @@ def _table(windows, window_len=50):
         tensor=(np.stack([w.tensor for w in windows]) if windows
                 else np.zeros((0, window_len, 6))),
         context_id=col("context_id"), mmsi=col("mmsi"), start_ts=col("start_ts"),
-        truth=np.array([w.truth.kind for w in windows], dtype=TRUTH_DTYPE),
-        true_context=np.array([NO_CONTEXT if w.truth.true_context is None
-                               else w.truth.true_context for w in windows],
-                              dtype=np.int64),
+        truth=np.array([w.truth for w in windows], dtype=TRUTH_DTYPE),
+        true_context=col("true_context"),
         end_ts=col("end_ts") if all(w.end_ts is not None for w in windows) else None,
         positions=np.stack([w.positions for w in windows]) if with_positions else None)
 
@@ -191,14 +187,20 @@ def _traj(n, mmsi=1001, status=NavStatus.UNDER_WAY_USING_ENGINE, start_ts=0):
                       status=status)
 
 
-def _window(mmsi=1, cid=0, start_ts=0, truth=CLEAN, fill=1.0, dt=30.0,
-            end_ts=None, n=50):
+def _window(mmsi=1, cid=0, start_ts=0, truth="none", true_context=NO_CONTEXT,
+            fill=1.0, dt=30.0, end_ts=None, n=50):
     tensor = np.full((n, 6), fill)
     tensor[:, 3] = dt
     tensor[0, 3] = 0.0
     tensor[:, 4] = 5.0
     return Window(tensor=tensor, context_id=cid, mmsi=mmsi, start_ts=start_ts,
-                  truth=truth, end_ts=end_ts)
+                  truth=truth, true_context=true_context, end_ts=end_ts)
+
+
+def _split(table, ratios, seed):
+    """split_by_vessel under the default caps."""
+    return split_by_vessel(table, ratios, seed, PARAMS.max_train_per_context,
+                           PARAMS.max_eval_per_context)
 
 
 def _uids(table):
@@ -207,7 +209,7 @@ def _uids(table):
 
 def test_segment_cuts_non_overlapping_windows():
     traj = _traj(120)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert len(windows) == 2
     assert list(zip(windows.start_ts.tolist(), windows.end_ts.tolist())) == [
         (0, 49 * 30), (50 * 30, 99 * 30)]
@@ -223,7 +225,7 @@ def test_segment_respects_context_runs():
                       lat=[10.0 + 0.001 * i for i in range(60)]
                       + [10.06 + 0.001 * i for i in range(70)],
                       status=[engine] * 60 + [fishing] * 70)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert windows.context_id.tolist() == [0, 16]
     # a window never straddles the status flip
     assert windows.start_ts[1] == 30 * 60
@@ -236,14 +238,14 @@ def test_segment_skips_unregistered_context():
                            for i in range(50)],
                       # the middle run is not registered
                       status=[engine] * 50 + [NavStatus.OTHER] * 50 + [engine] * 50)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert list(zip(windows.start_ts.tolist(), windows.end_ts.tolist())) == [
         (0, 49 * 30), (100 * 30, 149 * 30)]
 
 
 def test_segment_short_run_yields_nothing():
     traj = _traj(49)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert len(windows) == 0
     assert windows.tensor.shape == (0, 50, 6)
     assert windows.positions.shape == (0, 50, 2)
@@ -264,11 +266,10 @@ def test_window_table_rows_view_the_tensor():
 def test_attach_truth_by_overlapping_span():
     windows = _table([_window(mmsi=7, start_ts=100 * i, end_ts=100 * i + 49)
                       for i in range(4)])
-    tag = Truth(kind="contextual", true_context=16)
     tagged = attach_truth(windows, [
-        TruthSpan(8, 0, 400, Truth(kind="collective")),   # another vessel
-        TruthSpan(7, 120, 130, tag),                      # inside window 1
-        TruthSpan(7, 249, 300, Truth(kind="collective")), # ends inclusive
+        TruthSpan(8, 0, 400, "collective"),       # another vessel
+        TruthSpan(7, 120, 130, "contextual", 16), # inside window 1
+        TruthSpan(7, 249, 300, "collective"),     # ends inclusive
     ])
     assert tagged.truth.tolist() == [
         "none", "contextual", "collective", "collective"]
@@ -278,11 +279,9 @@ def test_attach_truth_by_overlapping_span():
 
 def test_attach_truth_takes_the_first_overlapping_span():
     window = _table([_window(mmsi=7, start_ts=0, end_ts=49)])
-    first, second = Truth(kind="collective"), Truth(kind="point")
-    assert attach_truth(window, [TruthSpan(7, 40, 60, first),
-                                 TruthSpan(7, 0, 10, second)]).truth.tolist() == ["collective"]
-    assert attach_truth(window, [TruthSpan(7, 0, 10, second),
-                                 TruthSpan(7, 40, 60, first)]).truth.tolist() == ["point"]
+    first, second = TruthSpan(7, 40, 60, "collective"), TruthSpan(7, 0, 10, "point")
+    assert attach_truth(window, [first, second]).truth.tolist() == ["collective"]
+    assert attach_truth(window, [second, first]).truth.tolist() == ["point"]
 
 
 def test_truth_tags_line_up_with_windows_at_any_stride():
@@ -294,7 +293,7 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
              ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=10))
     res = generate(SynthConfig(seed=7, plans=plans, messages_per_vessel=400,
                                contextual_rate=0.1, collective_rate=0.05), REGISTRY)
-    kinds = {s.truth.kind for s in res.truth}
+    kinds = {s.kind for s in res.truth}
     assert kinds == {"contextual", "collective"}
     spans = {s.mmsi: s for s in res.truth}
     for traj in res.trajectories:
@@ -304,7 +303,7 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
         span = spans.get(traj.mmsi)
         if span is None:
             expected = ["none"] * 15
-        elif span.truth.kind == "contextual":
+        elif span.kind == "contextual":
             expected = ["contextual"] * 15
         else:
             stamps = traj.ts.tolist()
@@ -316,27 +315,33 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
 
 
 def test_truth_validation():
-    with pytest.raises(ValueError):
-        Truth(kind="weird")
-    with pytest.raises(ValueError):
-        Truth(kind="contextual")            # needs true_context
+    assert TruthSpan(7, 0, 10, "collective").true_context == NO_CONTEXT
+    assert TruthSpan(7, 10, 10, "contextual", 16).true_context == 16
+    with pytest.raises(ValueError, match="unknown truth kind 'weird'"):
+        TruthSpan(7, 0, 10, "weird")
+    with pytest.raises(ValueError, match="must record the true context"):
+        TruthSpan(7, 0, 10, "contextual")
+    with pytest.raises(ValueError, match="must record the true context"):
+        TruthSpan(7, 0, 10, "contextual", NO_CONTEXT)
+    with pytest.raises(ValueError, match="first_ts 11 is after last_ts 10"):
+        TruthSpan(7, 11, 10, "collective")
 
 
 def test_filter_near_ports_drops_any_touching_window():
     traj = _traj(100)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     port_on_first = (10.0, -30.0)
-    kept = filter_near_ports(windows, [port_on_first], radius_m=5000.0)
+    kept = filter_near_ports(windows, [port_on_first], 5000.0)
     assert kept.start_ts.tolist() == [windows.start_ts[1]]
     # empty port list keeps everything
-    assert len(filter_near_ports(windows, [])) == 2
+    assert len(filter_near_ports(windows, [], 5000.0)) == 2
 
 
 def test_filter_near_ports_matches_the_scalar_loop():
     # a radius equal to a window's nearest distance to a port keeps it: the
     # comparison is strict and the distance must be the scalar one exactly
     traj = _traj(400)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     ports = [(10.05, -30.01), (10.3, -29.99), (-5.0, 40.0)]
     radius = min(haversine(lat, lon, plat, plon)
                  for lat, lon in windows.positions[2] for plat, plon in ports)
@@ -357,14 +362,14 @@ def test_segment_runs_split_on_vessel_type_too():
                       lon=[-30.0 - 0.001 * i for i in range(100)],
                       vtype=[VesselType.DRIFTING_LONGLINES] * 50
                       + [VesselType.TRAWLERS] * 50)
-    windows = segment(traj, enrich(traj), REGISTRY, window_len=50)
+    windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert windows.context_id.tolist() == [0, 3]
     assert np.array_equal(windows.positions[1],
                           np.column_stack((traj.lat[50:], traj.lon[50:])))
 
 
 def test_remove_outliers_caps_are_inclusive():
-    caps = OutlierCaps()
+    caps = PARAMS
     at_cap = _window(mmsi=1, dt=caps.max_time_gap_s)
     at_cap.tensor[0, 3] = 0.0
     over_cap = _window(mmsi=2)
@@ -380,13 +385,13 @@ def test_remove_outliers_caps_are_inclusive():
 def test_remove_outliers_drops_short_span():
     thin = _window(mmsi=1, dt=3.0)     # 49 * 3 = 147 s < 180 s
     ok = _window(mmsi=2, dt=30.0)
-    assert remove_outliers(_table([thin, ok])).mmsi.tolist() == [2]
+    assert remove_outliers(_table([thin, ok]), PARAMS).mmsi.tolist() == [2]
 
 
 def test_split_by_vessel_is_mmsi_disjoint():
     windows = [_window(mmsi=m, cid=m % 2, start_ts=i * 1500)
                for m in range(1, 21) for i in range(5)]
-    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=3)
+    split = _split(_table(windows), (0.6, 0.2, 0.2), 3)
     seen = {}
     for name in ("train", "val", "test"):
         for w in split.windows(name):
@@ -399,8 +404,8 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
     windows = [_window(mmsi=m, start_ts=i * 1500)
                for m in range(1, 11) for i in range(3)]
     windows.append(_window(mmsi=99, start_ts=0,
-                           truth=Truth(kind="collective")))
-    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=1)
+                           truth="collective"))
+    split = _split(_table(windows), (0.6, 0.2, 0.2), 1)
     assert 99 in split.test.mmsi
     assert 99 not in split.train.mmsi
     assert 99 not in split.val.mmsi
@@ -409,11 +414,11 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
 def test_split_by_vessel_is_deterministic():
     windows = _table([_window(mmsi=m, start_ts=i * 1500)
                       for m in range(1, 16) for i in range(4)])
-    a = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
-    b = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=9)
+    a = _split(windows, (0.6, 0.2, 0.2), 9)
+    b = _split(windows, (0.6, 0.2, 0.2), 9)
     for name in ("train", "val", "test"):
         assert _uids(a.windows(name)) == _uids(b.windows(name))
-    c = split_by_vessel(windows, (0.6, 0.2, 0.2), seed=10)
+    c = _split(windows, (0.6, 0.2, 0.2), 10)
     assert any(_uids(a.windows(n)) != _uids(c.windows(n))
                for n in ("train", "val", "test"))
 
@@ -436,7 +441,7 @@ def test_split_excludes_contexts_missing_from_train():
     windows += [_window(mmsi=50, cid=5, start_ts=i * 1500)
                 for i in range(3)]
     for seed in range(20):
-        split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed=seed)
+        split = _split(_table(windows), (0.6, 0.2, 0.2), seed)
         if split.excluded_contexts:
             assert split.excluded_contexts == (5,)
             for name in ("train", "val", "test"):
@@ -463,8 +468,8 @@ def _small_split(seed=4):
                        fill=float(m + i))
                for m in range(1, 13) for i in range(4)]
     windows[-1] = _window(mmsi=12, cid=5, start_ts=3 * 1500, fill=3.3,
-                          truth=Truth(kind="contextual", true_context=16))
-    return split_by_vessel(_table(windows), (0.5, 0.25, 0.25), seed=seed)
+                          truth="contextual", true_context=16)
+    return _split(_table(windows), (0.5, 0.25, 0.25), seed)
 
 
 def test_normalize_split_fits_on_train_only():
@@ -540,8 +545,8 @@ def test_load_dataset_refuses_other_normalisation_statistics(tmp_path):
 
 def test_empty_splits_keep_the_window_shape(tmp_path):
     # every vessel is clean and goes to train, so val and test are empty
-    split = split_by_vessel(_table([_window(mmsi=m, start_ts=0, n=8)
-                                    for m in range(1, 4)], 8), (1.0, 0.0, 0.0), seed=1)
+    split = _split(_table([_window(mmsi=m, start_ts=0, n=8) for m in range(1, 4)], 8),
+                   (1.0, 0.0, 0.0), 1)
     assert split.val.tensor.shape == split.test.tensor.shape == (0, 8, 6)
     save_dataset(tmp_path, normalize_split(split), REGISTRY, seed=1, window_len=8)
     loaded, _ = load_dataset(tmp_path)
@@ -601,16 +606,16 @@ def window_lists(draw):
 
 spans_st = st.lists(st.builds(
     lambda mmsi, first, length, kind, ctx: TruthSpan(
-        mmsi, first, first + length,
-        Truth(kind, ctx if kind == "contextual" else None)),
+        mmsi, first, first + length, kind, ctx if kind == "contextual" else NO_CONTEXT),
     st.integers(1, 6), st.integers(0, 500), st.integers(0, 200),
     st.sampled_from(TRUTH_KINDS), st.sampled_from((0, 16))), max_size=4)
 
 
 @settings(max_examples=150, deadline=None)
 @given(windows=window_lists(), spans=spans_st,
-       caps=st.builds(OutlierCaps, st.sampled_from((60.0, 100.0, 1e4)),
-                      st.sampled_from((50.0, 1e4)), st.sampled_from((0.0, 150.0))),
+       caps=st.builds(DatasetParams, max_time_gap_s=st.sampled_from((60.0, 100.0, 1e4)),
+                      max_dist_gap_m=st.sampled_from((50.0, 1e4)),
+                      min_span_s=st.sampled_from((0.0, 150.0))),
        ratios=st.sampled_from(((0.6, 0.2, 0.2), (0.34, 0.33, 0.33), (1.0, 0.0, 0.0),
                                (0.0, 0.5, 0.5))),
        max_train=st.integers(1, 12), max_eval=st.integers(1, 6),

@@ -580,6 +580,22 @@ def test_detect_checks_mode_and_taus_before_scoring(rng, monkeypatch):
     assert passes
 
 
+@pytest.mark.parametrize("mode", ["context", "global"])
+def test_detect_scores_through_one_score_mixed_call(rng, monkeypatch, mode):
+    det = _plan_detector("gcae")
+    x, cids = _signal(rng, 0, 6), np.array([2, 0, 1, 1, 0, 2])
+    det.thresholds = th.fit({c: np.arange(3.0) for c in (0, 1, 2)})
+    score_mixed, calls = Detector.score_mixed, []
+
+    def spy(self, x, context_ids):
+        calls.append(context_ids)
+        return score_mixed(self, x, context_ids)
+    monkeypatch.setattr(Detector, "score_mixed", spy)
+    scores, _, _ = det.detect(x, cids, mode=mode)
+    assert len(calls) == 1 and calls[0] is cids
+    np.testing.assert_array_equal(scores, score_mixed(det, x, cids))
+
+
 # --- determinism and persistence ---------------------------------------------------
 
 def test_training_is_reproducible_across_runs(rng):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 import struct
+from collections import Counter
 
 import pytest
 
@@ -482,6 +483,29 @@ def test_report_refuses_a_config_that_drops_an_evaluated_model(ae_cae_run, tmp_p
                                           r"but this check names \['ae.csv'\]; run the evaluate"):
         pipeline.stage_report(_tiny(out_dir, models=["ae"]))
     assert _artifacts(out_dir) == _artifacts(ae_cae_run)
+
+
+def _recorded(out_dir):
+    """How many manifests under out_dir record each output file."""
+    counts = Counter()
+    for manifest in out_dir.rglob("*.manifest.json"):
+        counts.update(manifest.parent / name
+                      for name in json.loads(manifest.read_text())["outputs"])
+    return counts
+
+
+def test_a_rerun_with_a_context_fewer_leaves_only_recorded_files(ae_cae_run, tmp_path):
+    out_dir = tmp_path / "run"
+    shutil.copytree(ae_cae_run, out_dir)
+    leftovers = ("models/cae/decoder_k16.ckpt", "evaluation/dist_cae_decoder_16.csv")
+    assert all((out_dir / name).exists() for name in leftovers)
+    synth = {**TINY_FLEET["synth"], "contexts": TINY_FLEET["synth"]["contexts"][:2]}
+    run_all(_tiny(out_dir, models=["ae", "cae"], synth=synth))
+    recorded = _recorded(out_dir)
+    assert set(recorded.values()) == {1}
+    assert set(recorded) == {path for path in out_dir.rglob("*") if path.is_file()
+                             and not path.name.endswith(".manifest.json")}
+    assert not any((out_dir / name).exists() for name in leftovers)
 
 
 def test_a_config_must_name_a_model():

@@ -69,7 +69,7 @@ def test_rejects_collective_span_that_does_not_fit():
     small_config(messages_per_vessel=22, collective_span=12, collective_rate=0.0)
     res = generate(small_config(messages_per_vessel=23, collective_span=12,
                                 collective_rate=1.0), REGISTRY)
-    assert any(s.truth.kind == "collective" for s in res.truth)
+    assert any(s.kind == "collective" for s in res.truth)
 
 
 def test_rejects_nonpositive_vessel_count():
@@ -150,7 +150,7 @@ def test_stationary_vessels_settle_outside_port_radius():
     # repositioning occupies the first two windows; from there on a moored
     # vessel must not wander back inside the exclusion radius
     res = generate(small_config(), REGISTRY)
-    falsified = {s.mmsi for s in res.truth if s.truth.kind == "contextual"}
+    falsified = {s.mmsi for s in res.truth if s.kind == "contextual"}
     moored = [t for t in res.trajectories
               if NAV_STATUSES[t.status[0]] == NavStatus.MOORED
               and t.mmsi not in falsified]
@@ -200,14 +200,14 @@ def test_contextual_rejects_unregistered_claim():
 
 def test_contextual_truth_tags_whole_vessel():
     res = generate(small_config(), REGISTRY)
-    spans = [s for s in res.truth if s.truth.kind == "contextual"]
+    spans = [s for s in res.truth if s.kind == "contextual"]
     assert spans, "rate 0.25 over 4 falsifiable vessels injects at least one"
     by_mmsi = {t.mmsi: t for t in res.trajectories}
     assert len({s.mmsi for s in spans}) == len(spans)    # one span per vessel
     for s in spans:
         ts = by_mmsi[s.mmsi].ts
         assert (s.first_ts, s.last_ts) == (ts[0], ts[-1])
-        assert s.truth.true_context == 0
+        assert s.true_context == 0
 
 
 # --- collective injection ----------------------------------------------------------
@@ -243,7 +243,7 @@ def test_collective_rejects_bad_span():
 def test_collective_truth_tags_touched_windows():
     cfg = small_config(contextual_rate=0.0)
     res = generate(cfg, REGISTRY)
-    spans = [s for s in res.truth if s.truth.kind == "collective"]
+    spans = [s for s in res.truth if s.kind == "collective"]
     assert spans
     by_mmsi = {t.mmsi: t for t in res.trajectories}
     for s in spans:
@@ -257,7 +257,8 @@ def test_collective_truth_tags_touched_windows():
                              traj.lon[i]) == pytest.approx(
                 cfg.collective_magnitude_m, rel=1e-6)
         # the windows cut from the vessel carry the tag iff they touch the span
-        windows = attach_truth(segment(traj, enrich(traj), REGISTRY), res.truth)
+        windows = attach_truth(segment(traj, enrich(traj), REGISTRY, 50, 50),
+                               res.truth)
         touched = (windows.truth == "collective").tolist()
         assert touched == [ws <= hi and lo <= ws + 49
                            for ws in range(0, len(stamps) - 49, 50)]
@@ -266,7 +267,7 @@ def test_collective_truth_tags_touched_windows():
 def test_anomaly_rate_rounds_up_to_one():
     cfg = small_config(contextual_rate=0.01, collective_rate=0.01)
     res = generate(cfg, REGISTRY)
-    kinds = {s.truth.kind for s in res.truth}
+    kinds = {s.kind for s in res.truth}
     assert kinds == {"contextual", "collective"}
 
 
@@ -529,7 +530,7 @@ def test_simulation_equals_the_reference_loop_bit_for_bit(monkeypatch, seed):
     fast = generate(cfg, REGISTRY)
     monkeypatch.setattr(synth, "_simulate_vessel", _reference_simulate_vessel)
     reference = generate(cfg, REGISTRY)
-    assert {s.truth.kind for s in reference.truth} == {"contextual", "collective"}
+    assert {s.kind for s in reference.truth} == {"contextual", "collective"}
     assert fast.truth == reference.truth
     assert [t.mmsi for t in fast.trajectories] == [t.mmsi for t in reference.trajectories]
     for got, want in zip(fast.trajectories, reference.trajectories):
