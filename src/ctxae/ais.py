@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (MissingArtifact, MissingField, ParseError, RangeError,
                      UnknownEnumToken)
+from .manifest import json_bytes, read_once, write_files
 
 
 class NavStatus(Enum):
@@ -413,25 +414,24 @@ def group_trajectories(table: MessageTable) -> list[Trajectory]:
             for a, b in zip(starts, ends) if b > a]
 
 
-def save_table(out_dir: Path, table: MessageTable) -> list[Path]:
-    """Write one raw little-endian file per column plus a JSON header
-    (bit-exact); return the header's path, then one per column."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / "header.json"] + [out_dir / f"{name}.bin" for name in TABLE_DTYPES]
+def save_table(out_dir: Path, table: MessageTable) -> dict[Path, str]:
+    """Write a JSON header plus one raw little-endian file per column
+    (bit-exact); their sha256 by path, the header's first."""
     header = {"version": TABLE_VERSION, "rows": len(table), "columns": TABLE_DTYPES}
-    paths[0].write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    for path, (name, dtype) in zip(paths[1:], TABLE_DTYPES.items()):
-        path.write_bytes(getattr(table, name).astype(dtype, copy=False).tobytes())
-    return paths
+    return write_files(out_dir, {
+        "header.json": json_bytes(header),
+        **{f"{name}.bin": getattr(table, name).astype(dtype, copy=False).tobytes()
+           for name, dtype in TABLE_DTYPES.items()}})
 
 
-def load_table(table_dir: Path) -> MessageTable:
-    """Read a table written by save_table; a missing or truncated one is refused."""
+def load_table(table_dir: Path, files: dict[Path, bytes]) -> MessageTable:
+    """Read a table written by save_table (files as in ``manifest``); a
+    missing or truncated one is refused."""
     header_path = table_dir / "header.json"
     if not header_path.exists():
         raise MissingArtifact(f"no ingest table at {table_dir}; run the ingest stage first")
-    rows = json.loads(header_path.read_text())["rows"]
-    cols = {name: np.frombuffer((table_dir / f"{name}.bin").read_bytes(), dtype)
+    rows = json.loads(read_once(files, header_path))["rows"]
+    cols = {name: np.frombuffer(read_once(files, table_dir / f"{name}.bin"), dtype)
             for name, dtype in TABLE_DTYPES.items()}
     short = [name for name, c in cols.items() if c.shape[0] != rows]
     if short:

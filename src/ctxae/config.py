@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigError(f"unknown model kinds: {bad}")
         if not self.models:
             raise ConfigError("models must name at least one detector kind")
+        if len(set(self.models)) != len(self.models):
+            raise ConfigError(f"models names a kind twice: {list(self.models)}")
 
 
 def _build_behavior(raw: dict) -> BehaviorModel:
@@ -105,25 +107,30 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
         raise ConfigError("synth section needs a non-empty contexts list")
     plans = []
     for entry in raw["contexts"]:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ConfigError(f"each synth context needs an id, got {entry!r}")
         falsify = entry.get("falsify_to")
         if falsify is not None:
             try:
                 falsify = NavStatus(falsify)
             except ValueError as exc:
                 raise ConfigError(f"unknown nav status {entry['falsify_to']!r}") from exc
-        plans.append(ContextPlan(
-            context_id=int(entry["id"]),
-            behavior=_build_behavior(entry),
-            vessels=int(entry.get("vessels", 10)),
-            falsify_to=falsify,
-        ))
+        try:
+            context_id, vessels = int(entry["id"]), int(entry.get("vessels", 10))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"synth context {entry!r}: {exc}") from exc
+        plans.append(ContextPlan(context_id=context_id, behavior=_build_behavior(entry),
+                                 vessels=vessels, falsify_to=falsify))
     known = ({f.name for f in fields(SynthConfig)} - {"seed", "plans"}) | {"contexts"}
     bad = set(raw) - known
     if bad:
         raise ConfigError(f"unknown synth parameters: {sorted(bad)}")
     kwargs = {k: raw[k] for k in known - {"contexts", "ports"} if k in raw}
     if "ports" in raw:
-        kwargs["ports"] = tuple((float(p[0]), float(p[1])) for p in raw["ports"])
+        try:
+            kwargs["ports"] = tuple((float(lat), float(lon)) for lat, lon in raw["ports"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"synth ports must be [lat, lon] pairs: {exc}") from exc
     return SynthConfig(seed=seed, plans=tuple(plans), **kwargs)
 
 
@@ -135,9 +142,9 @@ def _section(raw: dict, key: str, cls, **extra):
     bad = set(data) - known
     if bad:
         raise ConfigError(f"unknown keys in section {key!r}: {sorted(bad)}")
-    if key == "dataset" and "ratios" in data:
-        data = {**data, "ratios": tuple(data["ratios"])}
     try:
+        if key == "dataset" and "ratios" in data:
+            data = {**data, "ratios": tuple(data["ratios"])}
         return cls(**{**data, **extra})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section {key!r}: {exc}") from exc

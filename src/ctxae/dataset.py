@@ -42,6 +42,7 @@ from .ais import ContextRegistry, Trajectory, context_registry
 from .errors import ConfigError, MissingArtifact
 from .features import FEATURE_NAMES, NormStats, apply_norm, fit_norm
 from .geo import haversine_array
+from .manifest import csv_bytes, json_bytes, read_once, text, write_files
 
 log = logging.getLogger(__name__)
 
@@ -329,12 +330,11 @@ def normalize_split(split: DatasetSplit) -> DatasetSplit:
 # --- persistence ---------------------------------------------------------------
 
 def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
-                 window_len: int, seed: int) -> None:
+                 window_len: int, seed: int) -> dict[Path, str]:
     """Write header + per-split flat float32 tensors + index CSVs (bit-exact)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     if split.norm_stats is None:
         raise ValueError("dataset must be normalized before saving")
-    split.norm_stats.save(out_dir / "norm_stats.json")
+    written = split.norm_stats.save(out_dir / "norm_stats.json")
 
     header = {
         "version": DATASET_VERSION,
@@ -351,12 +351,10 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
         },
         "excluded_contexts": list(split.excluded_contexts),
     }
-    (out_dir / "header.json").write_text(
-        json.dumps(header, indent=2, sort_keys=True) + "\n")
-
+    named = {"header.json": json_bytes(header)}
     for name in SPLIT_NAMES:
         table = split.windows(name)
-        (out_dir / f"{name}.f32").write_bytes(table.tensor.astype("<f4").tobytes())
+        named[f"{name}.f32"] = table.tensor.astype("<f4").tobytes()
         columns = [table.mmsi.tolist(), table.context_id.tolist(),
                    table.start_ts.tolist(), table.truth.tolist(),
                    ["" if c == NO_CONTEXT else str(c) for c in table.true_context.tolist()]]
@@ -364,19 +362,23 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
         if name == "train":
             names.append("weight")
             columns.append([repr(w) for w in table.weight.tolist()])
-        with open(out_dir / f"{name}.index.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            writer.writerows(zip(*columns))
+        named[f"{name}.index.csv"] = csv_bytes([names, *zip(*columns)])
+    return written | write_files(out_dir, named)
 
 
 def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
-    """Load a saved dataset, its header digests checked; tensors are float64."""
+    """read_dataset from disk."""
+    return read_dataset(dataset_dir, {})
+
+
+def read_dataset(dataset_dir: Path, files: dict[Path, bytes]) -> tuple[DatasetSplit, dict]:
+    """Load a saved dataset, its header digests checked; tensors are float64.
+    files as in ``manifest``."""
     header_path = dataset_dir / "header.json"
     if not header_path.exists():
         raise MissingArtifact(f"no dataset header at {header_path}")
-    header = json.loads(header_path.read_text())
-    stats = NormStats.load(dataset_dir / header["norm_stats"])
+    header = json.loads(read_once(files, header_path))
+    stats = NormStats.load(dataset_dir / header["norm_stats"], files)
     for key, source, current in (
             ("registry_hash", "the context registry", context_registry().content_hash()),
             ("norm_stats_hash", header["norm_stats"], stats.content_hash())):
@@ -391,12 +393,11 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
 
     parts: dict[str, WindowTable] = {}
     for name in SPLIT_NAMES:
-        raw = np.frombuffer((dataset_dir / f"{name}.f32").read_bytes(), dtype="<f4")
+        raw = np.frombuffer(read_once(files, dataset_dir / f"{name}.f32"), dtype="<f4")
         count = header["counts"][name]
-        with open(dataset_dir / f"{name}.index.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            names = next(reader)
-            col = dict(zip(names, zip(*reader))) or dict.fromkeys(names, ())
+        reader = csv.reader(text(read_once(files, dataset_dir / f"{name}.index.csv")))
+        names = next(reader)
+        col = dict(zip(names, zip(*reader))) or dict.fromkeys(names, ())
         parts[name] = WindowTable(
             tensor=raw.reshape(count, window_len, n_feat).astype(np.float64),
             context_id=ints(col["context_id"]),

@@ -57,8 +57,9 @@ from . import thresholds as th
 from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
+from .manifest import json_bytes, read_once, write_files
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
-                  fold_for_scoring, load_checkpoint, save_checkpoint, score_windows,
+                  fold_for_scoring, read_checkpoint, save_checkpoint, score_windows,
                   snap_to_storage_precision, train_autoencoder, train_multi_decoder)
 
 SHARED = -1
@@ -274,9 +275,9 @@ def _ckpt_name(role: str, key: int) -> str:
     return f"{role}_k{key}.ckpt"
 
 
-def save_detector(out_dir: Path, detector: Detector) -> list[Path]:
+def save_detector(out_dir: Path, detector: Detector) -> dict[Path, str]:
     """Write the bundle and remove any other checkpoint from out_dir; the
-    paths written, for the train manifest."""
+    sha256 of each file written, by path, for the train manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "kind": detector.kind,
@@ -300,19 +301,16 @@ def save_detector(out_dir: Path, detector: Detector) -> list[Path]:
             for branch, r in sorted(detector.reports.items())
         },
     }
-    written = [out_dir / "detector.json"]
-    written[0].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    written = write_files(out_dir, {"detector.json": json_bytes(manifest)})
     for role, models in (("encoder", detector.encoders), ("decoder", detector.decoders)):
         for key, model in models.items():
-            written.append(out_dir / _ckpt_name(role, key))
-            save_checkpoint(written[-1], model,
-                            meta={"role": role, "key": key, "kind": detector.kind})
+            written |= save_checkpoint(out_dir / _ckpt_name(role, key), model,
+                                       meta={"role": role, "key": key, "kind": detector.kind})
     for stale in set(out_dir.glob("*.ckpt")) - set(written):
         stale.unlink()
     thresholds_path = out_dir / "thresholds.csv"
     if detector.thresholds is not None:
-        th.save_table(thresholds_path, detector.thresholds)
-        written.append(thresholds_path)
+        written |= th.save_table(thresholds_path, detector.thresholds)
     else:
         # a retrained bundle must not inherit the previous model's taus
         thresholds_path.unlink(missing_ok=True)
@@ -320,31 +318,41 @@ def save_detector(out_dir: Path, detector: Detector) -> list[Path]:
 
 
 def load_detector(bundle_dir: Path) -> Detector:
+    """read_detector from disk, with the bundle's thresholds.csv if it has one."""
+    detector = read_detector(bundle_dir, {})
+    thresholds_path = bundle_dir / "thresholds.csv"
+    if thresholds_path.exists():
+        detector.thresholds = th.load_table(thresholds_path, {})
+    return detector
+
+
+def read_detector(bundle_dir: Path, files: dict[Path, bytes]) -> Detector:
+    """The bundle in bundle_dir without thresholds; files as in ``manifest``.
+    A bundle whose detector.json lacks a training curve is refused."""
     manifest_path = bundle_dir / "detector.json"
     if not manifest_path.exists():
         raise MissingArtifact(f"no detector manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    encoders = {int(k): load_checkpoint(bundle_dir / name)[0]
-                for k, name in manifest["encoders"].items()}
-    decoders = {int(k): load_checkpoint(bundle_dir / name)[0]
-                for k, name in manifest["decoders"].items()}
-    thresholds_path = bundle_dir / "thresholds.csv"
-    table = th.load_table(thresholds_path) if thresholds_path.exists() else None
-    grouping = manifest.get("grouping")
-    # a bundle saved before the curves were kept loads with empty ones
-    reports = {branch: TrainReport(
-        train_losses=t.get("train_losses", []), val_losses=t.get("val_losses", []),
-        best_epoch=t["best_epoch"], best_val_loss=t["best_val_loss"],
-        stopped_epoch=t["stopped_epoch"],
-        samples_seen={int(k): n for k, n in t.get("samples_seen", {}).items()})
-        for branch, t in manifest["training"].items()}
+    manifest = json.loads(read_once(files, manifest_path))
+    try:
+        reports = {branch: TrainReport(
+            train_losses=t["train_losses"], val_losses=t["val_losses"],
+            best_epoch=t["best_epoch"], best_val_loss=t["best_val_loss"],
+            stopped_epoch=t["stopped_epoch"],
+            samples_seen={int(k): n for k, n in t["samples_seen"].items()})
+            for branch, t in manifest["training"].items()}
+        grouping = manifest["grouping"]
+    except KeyError as exc:
+        raise MissingArtifact(f"{manifest_path} records no {exc.args[0]}, as a bundle "
+                              "saved before the training curves were kept; train "
+                              "the detector again") from None
+    models = {role: {int(k): read_checkpoint(bundle_dir / name, files)[0]
+                     for k, name in manifest[role].items()}
+              for role in ("encoders", "decoders")}
     return Detector(
         kind=manifest["kind"],
         spec=AutoencoderSpec.from_dict(manifest["spec"]),
         contexts=tuple(manifest["contexts"]),
-        encoders=encoders,
-        decoders=decoders,
+        **models,
         grouping={int(c): g for c, g in grouping.items()} if grouping else None,
-        thresholds=table,
         reports=reports,
     )

@@ -17,13 +17,13 @@ files byte for byte.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset
 from .errors import NonAnomalyInSet
+from .manifest import csv_bytes, write_files
 from .thresholds import ThresholdTable
 
 
@@ -114,19 +114,12 @@ def truth_metrics(verdicts: np.ndarray, truth_kinds: list[str]) -> dict:
 def export_distributions(out_dir: Path,
                          scores_by_decoder: dict[int, dict[int, np.ndarray]],
                          table: ThresholdTable,
-                         prefix: str = "dist") -> list[Path]:
+                         prefix: str = "dist") -> dict[Path, str]:
     """One CSV per decoder: (context_id, loss, tau) rows, plot-ready."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for did in sorted(scores_by_decoder):
-        path = out_dir / f"{prefix}_decoder_{did}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["context_id", "loss", "tau"])
-            for cid in sorted(scores_by_decoder[did]):
-                tau = table.tau(cid)
-                for loss in scores_by_decoder[did][cid]:
-                    writer.writerow([cid, repr(float(loss)), repr(tau)])
-        written.append(path)
-    return written
+    return write_files(out_dir, {
+        f"{prefix}_decoder_{did}.csv": csv_bytes(
+            [("context_id", "loss", "tau")]
+            + [(cid, repr(float(loss)), repr(table.tau(cid)))
+               for cid in sorted(scores_by_decoder[did])
+               for loss in scores_by_decoder[did][cid]])
+        for did in sorted(scores_by_decoder)})

@@ -22,6 +22,7 @@ import numpy as np
 
 from .ais import Trajectory
 from .geo import bearing_array, haversine_array
+from .manifest import json_bytes, read_once, write_file
 
 FEATURE_NAMES = ("sog", "cog", "heading", "dt", "dd", "bearing")
 NUM_FEATURES = len(FEATURE_NAMES)
@@ -76,12 +77,12 @@ class NormStats:
             degenerate=tuple(bool(e["degenerate"]) for e in entries),
         )
 
-    def save(self, path: Path) -> None:
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+    def save(self, path: Path) -> dict[Path, str]:
+        return {path: write_file(path, [json_bytes(self.to_dict())])}
 
     @classmethod
-    def load(cls, path: Path) -> "NormStats":
-        return cls.from_dict(json.loads(path.read_text()))
+    def load(cls, path: Path, files: dict[Path, bytes]) -> "NormStats":
+        return cls.from_dict(json.loads(read_once(files, path)))
 
     def content_hash(self) -> str:
         import hashlib

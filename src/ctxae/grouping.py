@@ -22,6 +22,7 @@ import numpy as np
 
 from .detectors import SHARED
 from .errors import ConfigError, EmptyValidationSet, SingleContext
+from .manifest import json_bytes, read_once, write_file
 from .net import score_windows
 from .thresholds import ThresholdTable
 
@@ -192,21 +193,21 @@ def derive_grouping(matrix: LossMatrix, tau_dit: ThresholdTable,
 
 # --- export ---------------------------------------------------------------------
 
-def save_matrix(path: Path, matrix: LossMatrix) -> None:
+def save_matrix(path: Path, matrix: LossMatrix) -> dict[Path, str]:
     lines = ["decoder_id," + ",".join(f"c{c}" for c in matrix.context_ids)]
     lines.append("counts," + ",".join(str(int(n)) for n in matrix.counts))
     for i, did in enumerate(matrix.context_ids):
         cells = ",".join(repr(float(v)) for v in matrix.values[i])
         lines.append(f"{did},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return {Path(path): write_file(Path(path), [("\n".join(lines) + "\n").encode()])}
 
 
-def save_grouping(path: Path, result: GroupingResult) -> None:
-    Path(path).write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
+def save_grouping(path: Path, result: GroupingResult) -> dict[Path, str]:
+    return {Path(path): write_file(Path(path), [json_bytes(result.to_dict())])}
 
 
-def load_grouping(path: Path) -> GroupingResult:
-    data = json.loads(Path(path).read_text())
+def load_grouping(path: Path, files: dict[Path, bytes]) -> GroupingResult:
+    data = json.loads(read_once(files, path))
     return GroupingResult(
         groups=tuple((g["representative"], tuple(g["members"]))
                      for g in data["groups"]),

@@ -1,4 +1,4 @@
-"""Stage manifests: content hashes of inputs, config, and outputs.
+"""Stage manifests, and the run directory's files read and written once.
 
 Manifests carry no timestamps, so identical runs write identical manifests
 and stale-artifact reuse shows up as a hash mismatch instead of a silent
@@ -8,28 +8,74 @@ stage that reads a produced artifact calls check_inputs on the manifest of
 the stage that produced it before it parses any file that manifest records,
 so damaged bytes are refused before a parser meets them. check_inputs checks
 every input and output that manifest records, and refuses other input names.
+
+A stage call keeps one ``files`` mapping, path to bytes, of each file it
+has read: read_once reads a file only when the mapping lacks it, and every
+check and loader of the call takes its bytes from there. Every writer hashes
+what it writes and returns the sha256 by path. So a stage reads each file
+once, never reads back what it wrote, and parses only the bytes its check
+hashed. A loader given an empty mapping reads from disk.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifact
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def sha256_file(path: Path) -> str:
+    return sha256(Path(path).read_bytes())
+
+
+def read_once(files: dict[Path, bytes], path: Path) -> bytes:
+    """path's bytes in files; read from disk and added when files lacks them."""
+    path = Path(path)
+    if path not in files:
+        files[path] = path.read_bytes()
+    return files[path]
+
+
+def write_file(path: Path, blocks) -> str:
+    """Write the blocks of bytes to path in turn; their sha256."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
+            digest.update(block)
     return digest.hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def write_files(out_dir: Path, named: dict[str, bytes]) -> dict[Path, str]:
+    """Write each named file under out_dir; their sha256, by path."""
+    return {out_dir / name: write_file(out_dir / name, [data]) for name, data in named.items()}
+
+
+def text(data: bytes) -> io.TextIOWrapper:
+    """data as a text stream, for the csv module; no copy of the bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="")
+
+
+def csv_bytes(rows) -> bytes:
+    """rows as CSV with "\\n" line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+def json_bytes(obj, strict: bool = False) -> bytes:
+    """obj as indented JSON with sorted keys; strict refuses NaN and infinities."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=not strict) + "\n").encode()
 
 
 def config_hash(config) -> str:
@@ -38,33 +84,35 @@ def config_hash(config) -> str:
     The output directory is left out: one config and seed hash alike
     wherever the run is written.
     """
-    return sha256_text(repr(dataclasses.replace(config, out_dir=None)))
+    return sha256(repr(dataclasses.replace(config, out_dir=None)).encode())
 
 
 def write_manifest(out_dir: Path, stage: str, config_digest: str,
                    inputs: dict[str, Path], outputs: dict[str, Path],
-                   extra: dict | None = None) -> Path:
-    """Write <stage>.manifest.json in out_dir; each output is recorded under
-    its path relative to out_dir, whatever name the mapping gives it."""
+                   digests: dict[Path, str], extra: dict | None = None) -> Path:
+    """Write <stage>.manifest.json in out_dir with the sha256 digests gives
+    each input and output; each output is recorded under its path relative
+    to out_dir, whatever name the mapping gives it."""
     out_dir = Path(out_dir)
     manifest = {
         "stage": stage,
         "config_hash": config_digest,
-        "inputs": {name: sha256_file(Path(p)) for name, p in inputs.items()},
-        "outputs": {Path(p).relative_to(out_dir).as_posix(): sha256_file(Path(p))
+        "inputs": {name: digests[Path(p)] for name, p in inputs.items()},
+        "outputs": {Path(p).relative_to(out_dir).as_posix(): digests[Path(p)]
                     for p in outputs.values()},
     }
     if extra:
         manifest["extra"] = extra
     path = out_dir / f"{stage}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_file(path, [json_bytes(manifest)])
     return path
 
 
-def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path],
-                 rerun: str) -> None:
+def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path], rerun: str,
+                 files: dict[Path, bytes]) -> dict[Path, bytes]:
     """Raise unless inputs names exactly the inputs stage's manifest records,
-    and each of them and every recorded output has the bytes it records.
+    and each of them and every recorded output has the bytes it records;
+    return those bytes by path, as files now holds them.
 
     A missing manifest or file raises MissingArtifact ending in rerun; another
     set of input names raises ConfigError naming both sets, and other bytes
@@ -74,17 +122,22 @@ def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path],
     path = out_dir / f"{stage}.manifest.json"
     if not path.exists():
         raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
-    manifest = json.loads(path.read_text())
+    manifest = json.loads(path.read_bytes())
     if sorted(inputs) != sorted(manifest["inputs"]):
         raise ConfigError(f"{stage} recorded inputs {sorted(manifest['inputs'])}, but "
                           f"this check names {sorted(inputs)}; {rerun}")
     outputs = {name: out_dir / name for name in manifest["outputs"]}
-    for role, verb, files in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
-        for name, file_path in sorted(files.items()):
-            if not Path(file_path).exists():
+    checked = {}
+    for role, verb, named in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
+        for name, file_path in sorted(named.items()):
+            try:
+                current = sha256(read_once(files, file_path))
+            except FileNotFoundError:
                 raise MissingArtifact(f"{stage} {verb} {name} at {file_path}, "
-                                      f"which is gone; {rerun}")
-            recorded, current = manifest[role][name], sha256_file(file_path)
+                                      f"which is gone; {rerun}") from None
+            recorded = manifest[role][name]
             if recorded != current:
                 raise ConfigError(f"{stage} {verb} {name} with sha256 {recorded}, but "
                                   f"{file_path} now has sha256 {current}; {rerun}")
+            checked[Path(file_path)] = files[Path(file_path)]
+    return checked

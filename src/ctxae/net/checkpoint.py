@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ShapeMismatch
+from ..manifest import read_once, write_file
 from .layers import LayerSpec
 from .model import Sequential
 
@@ -35,7 +36,8 @@ def snap_to_storage_precision(model: Sequential) -> None:
         a[...] = a.astype("<f4").astype(np.float64)
 
 
-def save_checkpoint(path: Path, model: Sequential, meta: dict | None = None) -> None:
+def save_checkpoint(path: Path, model: Sequential,
+                    meta: dict | None = None) -> dict[Path, str]:
     snap_to_storage_precision(model)
     arrays = model.state()
     header = {
@@ -45,32 +47,35 @@ def save_checkpoint(path: Path, model: Sequential, meta: dict | None = None) -> 
         "blocks": [list(a.shape) for a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+    blocks = [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
+              *(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)]
+    return {Path(path): write_file(Path(path), blocks)}
 
 
 def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
-    """Rebuild the model (float64 state from the float32 block) plus metadata."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ShapeMismatch(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode())
-        specs = [LayerSpec.from_dict(d) for d in header["layers"]]
-        model = Sequential.build(specs)
-        state = model.state()
-        if len(state) != len(header["blocks"]):
-            raise ShapeMismatch(f"{path}: block count does not match layer specs")
-        for dst, shape in zip(state, header["blocks"]):
-            if list(dst.shape) != shape:
-                raise ShapeMismatch(f"{path}: block shape {shape} != expected {dst.shape}")
-            raw = fh.read(dst.size * 4)
-            if len(raw) != dst.size * 4:
-                raise ShapeMismatch(f"{path}: truncated parameter block")
-            dst[...] = np.frombuffer(raw, dtype="<f4").reshape(dst.shape)
+    """read_checkpoint from disk."""
+    return read_checkpoint(path, {})
+
+
+def read_checkpoint(path: Path, files: dict[Path, bytes]) -> tuple[Sequential, dict]:
+    """Rebuild the model (float64 state from the float32 block) plus metadata;
+    files as in ``manifest``."""
+    data = read_once(files, path)
+    if data[:len(MAGIC)] != MAGIC:
+        raise ShapeMismatch(f"{path}: not a checkpoint file")
+    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    offset = len(MAGIC) + 4 + header_len
+    header = json.loads(data[offset - header_len:offset])
+    specs = [LayerSpec.from_dict(d) for d in header["layers"]]
+    model = Sequential.build(specs)
+    state = model.state()
+    if len(state) != len(header["blocks"]):
+        raise ShapeMismatch(f"{path}: block count does not match layer specs")
+    for dst, shape in zip(state, header["blocks"]):
+        if list(dst.shape) != shape:
+            raise ShapeMismatch(f"{path}: block shape {shape} != expected {dst.shape}")
+        if offset + dst.size * 4 > len(data):
+            raise ShapeMismatch(f"{path}: truncated parameter block")
+        dst[...] = np.frombuffer(data, "<f4", dst.size, offset).reshape(dst.shape)
+        offset += dst.size * 4
     return model, header["meta"]

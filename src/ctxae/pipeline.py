@@ -1,24 +1,24 @@
 """Pipeline stages shared by the CLI and the test suite.
 
 Every stage reads its inputs from the run directory, writes its artifacts
-plus a manifest, and is idempotent for a fixed config + seed. Stage order:
-simulate, ingest, build, train, thresholds, group, detect, evaluate, report.
+plus a manifest, and is idempotent for a fixed config + seed. STAGES is the
+one description of each stage: its command and help line, its home (the
+directory of its manifest and outputs), the producers it reads, the inputs
+it records from them, and its body. Stage.run, behind the CLI, run_all and
+the stage_<name> functions, checks each producer's manifest, runs the body
+and writes the stage's manifest.
 
-One staleness rule: each stage's manifest names every file it wrote and the
-inputs it read, and a stage checks the producer's manifest (_check) before
-it parses any file that manifest records. _inputs gives each stage's inputs,
-for its write_manifest call and for every check of it, so a check names
-exactly what the producer recorded. Build records none, so a dataset copied
-alone stays usable; evaluate and report name the detections of every
-configured model; ingest and build check simulate before they read a
-simulated file. The check refuses a missing manifest or recorded file
-(MissingArtifact), and other recorded inputs or other bytes in a recorded
-file (ConfigError naming both), before a parser meets them. One loader per
-artifact (_load_split, _bundle, _table, _grouping, _detections) checks,
-then parses. The thresholds stage never reads the table it replaces: once
-the bundle's train check passes, it deletes it. gcae's train manifest
-records the grouping, so re-running group requires retraining gcae. A stage
-that reads fitted thresholds, other than the thresholds stage itself, also
+One staleness rule: a manifest names every file its stage wrote and the
+inputs it recorded, and every check of it names exactly those inputs. A
+check refuses a missing manifest or recorded file (MissingArtifact), and
+other recorded inputs or other bytes in a recorded file (ConfigError naming
+both), before the body starts. Build records no inputs, so a dataset copied
+alone stays usable. A stage call reads each file once (see ``manifest``):
+its body parses the bytes its checks hashed, so a file changed on disk after
+its check is never parsed. The thresholds stage never reads the table it
+replaces: once the checks pass, it deletes it. gcae's train manifest records
+the grouping, so re-running group requires retraining gcae. A stage that
+reads fitted thresholds, other than the thresholds stage itself, also
 refuses a table fitted under another lambda or fit split than the config
 asks for (ConfigError naming both).
 """
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,28 +38,20 @@ from .ais import (context_registry, group_trajectories, load_table,
                   parse_messages, save_table)
 from .config import RunConfig
 from .dataset import (DatasetSplit, attach_truth, concat, filter_near_ports,
-                      load_dataset, normalize_split, remove_outliers,
+                      normalize_split, read_dataset, remove_outliers,
                       save_dataset, segment, split_by_vessel)
 from .errors import ConfigError, MissingArtifact
 from .features import NUM_FEATURES, enrich
-from .manifest import check_inputs, config_hash, write_manifest
+from .manifest import (check_inputs, config_hash, csv_bytes, json_bytes, read_once,
+                       sha256, text, write_files, write_manifest)
 from .net import default_autoencoder_spec
 
 REPORT_VERSION = 1
 
 
-def _paths(cfg: RunConfig) -> dict[str, Path]:
-    out = Path(cfg.out_dir)
-    return {
-        "out": out,
-        "synth": out / "synth",
-        "messages": out / "messages",
-        "dataset": out / "dataset",
-        "models": out / "models",
-        "grouping": out / "grouping",
-        "detections": out / "detections",
-        "evaluation": out / "evaluation",
-    }
+def _dir(cfg: RunConfig, stage: str, kind: str | None = None) -> Path:
+    """The home of stage (kind's, for a stage per kind)."""
+    return Path(cfg.out_dir) / STAGES[stage].home.format(kind=kind)
 
 
 def _raw_path(cfg: RunConfig, name: str) -> Path | None:
@@ -66,75 +60,24 @@ def _raw_path(cfg: RunConfig, name: str) -> Path | None:
     configured = getattr(cfg, name)
     if configured is not None and not configured.exists():
         raise MissingArtifact(f"configured file not found: {configured}")
-    return configured or (_paths(cfg)["synth"] / f"{name}.csv" if cfg.synth else None)
+    return configured or (_dir(cfg, "simulate") / f"{name}.csv" if cfg.synth else None)
 
 
-def _model_dir(cfg: RunConfig, kind: str) -> Path:
-    return _paths(cfg)["models"] / kind
-
-
-def _inputs(cfg: RunConfig, stage: str, kind: str = "cae") -> dict[str, Path]:
-    """The inputs stage records, for its write_manifest call and for every
-    check of its manifest; kind names the bundle (group reads cae's)."""
-    paths = _paths(cfg)
-    if stage in ("simulate", "build"):
-        return {}
-    if stage == "ingest":
-        return {"records": _raw_path(cfg, "records")}
-    if stage == "evaluate":
-        return {f"{k}.csv": paths["detections"] / f"{k}.csv" for k in cfg.models}
-    if stage == "report":
-        return {"evaluation": paths["evaluation"] / "evaluation.json"}
-    inputs = {"dataset": paths["dataset"] / "header.json"}
-    bundle = _model_dir(cfg, kind)
-    if stage == "group":
-        inputs.update(cae=bundle / "detector.json", cae_thresholds=bundle / "thresholds.csv")
-    elif stage == "detect":
-        inputs.update(detector=bundle / "detector.json", thresholds=bundle / "thresholds.csv")
-    elif stage == "train" and kind == "gcae":
-        inputs["grouping"] = paths["grouping"] / "grouping.json"
-    return inputs
-
-
-_HOMES = {"simulate": "synth", "ingest": "out", "build": "dataset", "group": "grouping",
-          "detect": "detections", "evaluate": "evaluation"}
-
-
-def _check(cfg: RunConfig, stage: str, rerun: str, kind: str = "cae") -> None:
-    """Check stage's manifest (kind's, for train, thresholds and detect)
-    against _inputs(cfg, stage, kind), the inputs its producer recorded."""
-    home = (_model_dir(cfg, kind) if stage in ("train", "thresholds")
-            else _paths(cfg)[_HOMES[stage]])
-    name = f"detect-{kind}" if stage == "detect" else stage
-    check_inputs(home, name, _inputs(cfg, stage, kind), rerun)
-
-
-def stage_simulate(cfg: RunConfig) -> dict:
+def _simulate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     if cfg.synth is None:
         raise ConfigError("simulate requires a synth section in the config")
-    paths = _paths(cfg)
     result = synth.generate(cfg.synth, context_registry())
-    synth.write_fleet(paths["synth"], result)
     summary = {
         "vessels": len(result.trajectories),
         "messages": sum(len(t) for t in result.trajectories),
         "truth_spans": len(result.truth),
     }
-    write_manifest(paths["synth"], "simulate", config_hash(cfg), _inputs(cfg, "simulate"),
-                   {name: paths["synth"] / name
-                    for name in ("records.csv", "truth.csv", "ports.csv")},
-                   extra=summary)
-    return summary
+    return summary, synth.write_fleet(_dir(cfg, "simulate"), result)
 
 
-def stage_ingest(cfg: RunConfig) -> dict:
-    paths = _paths(cfg)
-    inputs = _inputs(cfg, "ingest")
-    if cfg.records is None:
-        _check(cfg, "simulate", "run the simulate stage first")
+def _ingest(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     registry = context_registry()
-    with open(inputs["records"], newline="") as fh:
-        table, errors = parse_messages(fh)
+    table, errors = parse_messages(text(read_once(files, _raw_path(cfg, "records"))))
     ids, counts = np.unique(registry.context_ids(table.vtype, table.status),
                             return_counts=True)
     context_counts = {registry.by_id(c).name if c >= 0 else "unregistered": n
@@ -146,28 +89,23 @@ def stage_ingest(cfg: RunConfig) -> dict:
         "first_errors": [str(e) for e in errors[:10]],
         "context_counts": dict(sorted(context_counts.items())),
     }
-    paths["out"].mkdir(parents=True, exist_ok=True)
-    ingest_path = paths["out"] / "ingest.json"
-    ingest_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs = {f"messages/{path.name}": path
-               for path in save_table(paths["messages"], table)}
-    write_manifest(paths["out"], "ingest", config_hash(cfg), inputs,
-                   {"ingest.json": ingest_path, **outputs})
-    return summary
+    out = _dir(cfg, "ingest")
+    return summary, (write_files(out, {"ingest.json": json_bytes(summary)})
+                     | save_table(out / "messages", table))
 
 
-def stage_build(cfg: RunConfig) -> dict:
-    paths = _paths(cfg)
+def _build(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     registry = context_registry()
     truth_path, ports_path = _raw_path(cfg, "truth"), _raw_path(cfg, "ports")
-    _check(cfg, "ingest", "run the ingest stage first")
-    if cfg.synth and None in (cfg.truth, cfg.ports):
-        _check(cfg, "simulate", "run the simulate stage first")
-    spans = synth.load_truth(truth_path) if truth_path else []
-    ports = synth.load_ports(ports_path) if ports_path else []
+    spans = synth.load_truth(truth_path, files) if truth_path else []
+    ports = synth.load_ports(ports_path, files) if ports_path else []
+    table = load_table(_dir(cfg, "ingest") / "messages", files)
+    # build parses nothing more and records no inputs: free the bytes its
+    # checks read, records.csv's among them, before the windows are cut
+    files.clear()
     windows = concat([segment(traj, enrich(traj), registry, cfg.dataset.window_len,
                               cfg.dataset.stride)
-                      for traj in group_trajectories(load_table(paths["messages"]))])
+                      for traj in group_trajectories(table)])
     total_cut = len(windows)
     windows = attach_truth(windows, spans)
     windows = filter_near_ports(windows, ports, cfg.dataset.port_radius_m)
@@ -179,9 +117,6 @@ def stage_build(cfg: RunConfig) -> dict:
                             cfg.dataset.max_train_per_context,
                             cfg.dataset.max_eval_per_context)
     split = normalize_split(split)
-    save_dataset(paths["dataset"], split, registry, cfg.dataset.window_len,
-                 cfg.seed)
-
     summary = {
         "windows_cut": total_cut,
         "after_port_filter": after_ports,
@@ -189,11 +124,8 @@ def stage_build(cfg: RunConfig) -> dict:
         "train": len(split.train), "val": len(split.val), "test": len(split.test),
         "excluded_contexts": list(split.excluded_contexts),
     }
-    outputs = {f.name: f for f in sorted(paths["dataset"].glob("*"))
-               if not f.name.endswith("manifest.json")}
-    write_manifest(paths["dataset"], "build", config_hash(cfg), _inputs(cfg, "build"),
-                   outputs, extra=summary)
-    return summary
+    return summary, save_dataset(_dir(cfg, "build"), split, registry,
+                                 cfg.dataset.window_len, cfg.seed)
 
 
 def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
@@ -212,72 +144,14 @@ def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
             "context: add vessels or raise the validation share")
 
 
-def _load_split(cfg: RunConfig) -> DatasetSplit:
-    _check(cfg, "build", "run the build stage first")
-    return load_dataset(_paths(cfg)["dataset"])[0]
+def _split(cfg: RunConfig, files: dict) -> DatasetSplit:
+    return read_dataset(_dir(cfg, "build"), files)[0]
 
 
-def _spec(cfg: RunConfig):
-    return default_autoencoder_spec(cfg.dataset.window_len, NUM_FEATURES,
-                                    cfg.arch.latent)
-
-
-def stage_train(cfg: RunConfig, kind: str) -> dict:
-    if kind not in detectors.KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    split = _load_split(cfg)
-    spec = _spec(cfg)
-    train_cfg = cfg.train
-
-    if kind == "ae":
-        det = detectors.train_ae(split, spec, train_cfg)
-    elif kind == "moe":
-        _check_validation_coverage(cfg, split, ("moe",))
-        det = detectors.train_moe(split, spec, train_cfg)
-    elif kind == "cae":
-        det = detectors.train_cae(split, spec, train_cfg)
-    else:
-        det = detectors.train_gcae(split, spec, train_cfg, _grouping(cfg).as_map())
-
-    out_dir = _model_dir(cfg, kind)
-    outputs = {path.name: path for path in detectors.save_detector(out_dir, det)}
-    summary = {
-        "kind": kind,
-        "param_count": det.param_count(),
-        "decoder_count": det.decoder_count,
-        "contexts": list(det.contexts),
-        "best_val_loss": min(r.best_val_loss for r in det.reports.values()),
-        "epochs": {name: r.stopped_epoch for name, r in sorted(det.reports.items())},
-    }
-    write_manifest(out_dir, "train", config_hash(cfg), _inputs(cfg, "train", kind),
-                   outputs, extra=summary)
-    return summary
-
-
-def _trained(cfg: RunConfig, kind: str) -> Path:
-    """kind's bundle directory, once its train manifest passes."""
-    _check(cfg, "train", f"retrain {kind}", kind)
-    return _model_dir(cfg, kind)
-
-
-def _bundle(cfg: RunConfig, kind: str, fitted: bool = True) -> detectors.Detector:
-    """kind's trained bundle, loaded once its train manifest passes. Fitted,
-    it holds its threshold table, once _table passes it (load_detector then
-    parses those few rows again). Unfitted, for the thresholds stage, the
-    table it replaces is deleted unread."""
-    model_dir = _trained(cfg, kind)
-    if fitted:
-        _table(cfg, kind)
-    else:
-        (model_dir / "thresholds.csv").unlink(missing_ok=True)
-    return detectors.load_detector(model_dir)
-
-
-def _table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
-    """kind's threshold table, parsed once its thresholds manifest passes,
-    and refused unless fitted under the lambda and split the config asks for."""
-    _check(cfg, "thresholds", f"run the thresholds stage for {kind}", kind)
-    table = th.load_table(_model_dir(cfg, kind) / "thresholds.csv")
+def _table(cfg: RunConfig, kind: str, files: dict) -> th.ThresholdTable:
+    """kind's threshold table, refused unless fitted under the lambda and
+    split the config asks for."""
+    table = th.load_table(_dir(cfg, "thresholds", kind) / "thresholds.csv", files)
     asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
     if (table.lam, table.fit_split) != asked:
         raise ConfigError(
@@ -287,14 +161,50 @@ def _table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
     return table
 
 
-def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
-    split = _load_split(cfg)
-    det = _bundle(cfg, kind, fitted=False)
-    table = detectors.fit_detector_thresholds(det, split,
-                                              cfg.thresholds.fit_split,
+def _bundle(cfg: RunConfig, kind: str, files: dict) -> detectors.Detector:
+    """kind's trained bundle, holding the table _table passed."""
+    table = _table(cfg, kind, files)
+    det = detectors.read_detector(_dir(cfg, "train", kind), files)
+    det.thresholds = table
+    return det
+
+
+def _grouping(cfg: RunConfig, files: dict) -> grouping.GroupingResult:
+    """The grouping, once the cae table it was derived with passes _table."""
+    _table(cfg, "cae", files)
+    return grouping.load_grouping(_dir(cfg, "group") / "grouping.json", files)
+
+
+def _train(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
+    split = _split(cfg, files)
+    spec = default_autoencoder_spec(cfg.dataset.window_len, NUM_FEATURES, cfg.arch.latent)
+    if kind == "ae":
+        det = detectors.train_ae(split, spec, cfg.train)
+    elif kind == "moe":
+        _check_validation_coverage(cfg, split, ("moe",))
+        det = detectors.train_moe(split, spec, cfg.train)
+    elif kind == "cae":
+        det = detectors.train_cae(split, spec, cfg.train)
+    else:
+        det = detectors.train_gcae(split, spec, cfg.train, _grouping(cfg, files).as_map())
+    summary = {
+        "kind": kind,
+        "param_count": det.param_count(),
+        "decoder_count": det.decoder_count,
+        "contexts": list(det.contexts),
+        "best_val_loss": min(r.best_val_loss for r in det.reports.values()),
+        "epochs": {name: r.stopped_epoch for name, r in sorted(det.reports.items())},
+    }
+    return summary, detectors.save_detector(_dir(cfg, "train", kind), det)
+
+
+def _thresholds(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
+    split = _split(cfg, files)
+    bundle = _dir(cfg, "thresholds", kind)
+    (bundle / "thresholds.csv").unlink(missing_ok=True)
+    det = detectors.read_detector(bundle, files)
+    table = detectors.fit_detector_thresholds(det, split, cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
-    out_dir = _model_dir(cfg, kind)
-    th.save_table(out_dir / "thresholds.csv", table)
     summary = {
         "kind": kind,
         "lam": table.lam,
@@ -302,23 +212,12 @@ def stage_thresholds(cfg: RunConfig, kind: str) -> dict:
         "taus": {str(c): e.tau for c, e in sorted(table.entries.items())},
         "flagged": list(table.flagged),
     }
-    write_manifest(out_dir, "thresholds", config_hash(cfg), _inputs(cfg, "thresholds", kind),
-                   {"thresholds.csv": out_dir / "thresholds.csv"}, extra=summary)
-    return summary
+    return summary, th.save_table(bundle / "thresholds.csv", table)
 
 
-def _grouping(cfg: RunConfig) -> grouping.GroupingResult:
-    """The grouping, parsed once its group manifest passes and the cae table
-    it was derived with passes _table."""
-    _check(cfg, "group", "run the group stage first")
-    _table(cfg, "cae")
-    return grouping.load_grouping(_paths(cfg)["grouping"] / "grouping.json")
-
-
-def stage_group(cfg: RunConfig) -> dict:
-    paths = _paths(cfg)
-    split = _load_split(cfg)
-    det = _bundle(cfg, "cae")
+def _group(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+    split = _split(cfg, files)
+    det = _bundle(cfg, "cae", files)
     _check_validation_coverage(cfg, split, ("gcae",))
     val = split.val
     matrix = grouping.cross_loss_matrix(
@@ -326,9 +225,6 @@ def stage_group(cfg: RunConfig) -> dict:
     result = grouping.derive_grouping(matrix, det.thresholds,
                                       delta=cfg.grouping.delta,
                                       strategy=cfg.grouping.strategy)
-    paths["grouping"].mkdir(parents=True, exist_ok=True)
-    grouping.save_matrix(paths["grouping"] / "loss_matrix.csv", matrix)
-    grouping.save_grouping(paths["grouping"] / "grouping.json", result)
     summary = {
         "groups": [{"representative": rep, "members": list(members)}
                    for rep, members in result.groups],
@@ -337,11 +233,9 @@ def stage_group(cfg: RunConfig) -> dict:
         "delta": result.delta,
         "strategy": result.strategy,
     }
-    write_manifest(paths["grouping"], "group", config_hash(cfg), _inputs(cfg, "group"),
-                   {name: paths["grouping"] / name
-                    for name in ("loss_matrix.csv", "grouping.json")},
-                   extra=summary)
-    return summary
+    out = _dir(cfg, "group")
+    return summary, (grouping.save_matrix(out / "loss_matrix.csv", matrix)
+                     | grouping.save_grouping(out / "grouping.json", result))
 
 
 DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
@@ -349,93 +243,62 @@ DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
                     "context_verdict", "margin_context")
 
 
-def stage_detect(cfg: RunConfig, kind: str) -> dict:
-    paths = _paths(cfg)
-    split = _load_split(cfg)
-    det = _bundle(cfg, kind)
+def _detect(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
+    split = _split(cfg, files)
+    det = _bundle(cfg, kind, files)
     table = det.thresholds
     windows = split.test
     scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
                                                mode="context")
     global_verdicts = scores > table.global_tau
-
-    paths["detections"].mkdir(parents=True, exist_ok=True)
-    det_path = paths["detections"] / f"{kind}.csv"
-    with open(det_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DETECTION_FIELDS)
+    rows = [DETECTION_FIELDS] + [
+        [w.mmsi, w.start_ts, w.context_id, det.decoder_key(w.context_id),
+         repr(score), repr(table.tau(w.context_id)),
+         repr(table.global_tau), int(g), int(c), repr(margin)]
         for w, score, g, c, margin in zip(windows, scores.tolist(), global_verdicts.tolist(),
-                                          ctx_verdicts.tolist(), margins.tolist()):
-            writer.writerow([
-                w.mmsi, w.start_ts, w.context_id, det.decoder_key(w.context_id),
-                repr(score), repr(table.tau(w.context_id)),
-                repr(table.global_tau), int(g), int(c), repr(margin),
-            ])
+                                          ctx_verdicts.tolist(), margins.tolist())]
     summary = {
         "kind": kind,
         "windows": len(windows),
         "context_anomalies": int(ctx_verdicts.sum()),
         "global_anomalies": int(global_verdicts.sum()),
     }
-    write_manifest(paths["detections"], f"detect-{kind}", config_hash(cfg),
-                   _inputs(cfg, "detect", kind), {f"{kind}.csv": det_path}, extra=summary)
-    return summary
+    return summary, write_files(_dir(cfg, "detect"), {f"{kind}.csv": csv_bytes(rows)})
 
 
-def _read_detections(path: Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+def _read_detections(data: bytes) -> dict[str, np.ndarray]:
+    rows = list(csv.DictReader(text(data)))
     def col(name, dtype):
         return np.array([dtype(r[name]) for r in rows])
-    return {
-        "mmsi": col("mmsi", int),
-        "start_ts": col("start_ts", int),
-        "context_id": col("context_id", int),
-        "decoder_key": col("decoder_key", int),
-        "score": col("score", float),
-        "tau_context": col("tau_context", float),
-        "tau_global": col("tau_global", float),
-        "global_verdict": col("global_verdict", int).astype(bool),
-        "context_verdict": col("context_verdict", int).astype(bool),
-    }
+    cols = {name: col(name, int) for name in ("mmsi", "start_ts", "context_id", "decoder_key")}
+    cols.update({name: col(name, float) for name in ("score", "tau_context", "tau_global")})
+    cols.update({name: col(name, int).astype(bool)
+                 for name in ("global_verdict", "context_verdict")})
+    return cols
 
 
-def _detections(cfg: RunConfig) -> dict[str, Path]:
-    """The detections CSV of each configured model, by file name, once every
-    detect manifest passes."""
-    for kind in cfg.models:
-        _check(cfg, "detect", f"run the detect stage for {kind} first", kind)
-    return _inputs(cfg, "evaluate")
-
-
-def _primary_mode(kind: str) -> str:
-    """AE is the global-threshold baseline; the rest use context thresholds."""
-    return "global" if kind == "ae" else "context"
-
-
-def stage_evaluate(cfg: RunConfig) -> dict:
-    paths = _paths(cfg)
-    split = _load_split(cfg)
+def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+    split = _split(cfg, files)
     test = split.test
     truth_by_id = dict(zip(zip(test.mmsi.tolist(), test.start_ts.tolist()),
                            test.truth.tolist()))
 
-    detections = _detections(cfg)
-    tables = {path.stem: _table(cfg, path.stem) for path in detections.values()}
-    for stale in paths["evaluation"].glob("dist_*.csv"):
+    tables = {kind: _table(cfg, kind, files) for kind in cfg.models}
+    out = _dir(cfg, "evaluate")
+    for stale in out.glob("dist_*.csv"):
         stale.unlink()
-    dists: list[Path] = []
+    written: dict[Path, str] = {}
 
     models_report: dict[str, dict] = {}
     anomaly_sets: dict[str, set] = {}
     severity_by_id: dict[str, dict] = {}
-    for det_path in detections.values():
-        kind = det_path.stem
-        d = _read_detections(det_path)
+    for kind in cfg.models:
+        d = _read_detections(read_once(files, _dir(cfg, "detect") / f"{kind}.csv"))
         n = d["score"].shape[0]
         uids = list(zip(d["mmsi"].tolist(), d["start_ts"].tolist()))
         truth_kinds = [truth_by_id[uid] for uid in uids]
-        mode = _primary_mode(kind)
+        # ae is the global-threshold baseline; the rest use context thresholds
+        mode = "global" if kind == "ae" else "context"
         primary = d["global_verdict"] if mode == "global" else d["context_verdict"]
         taus = d["tau_global"] if mode == "global" else d["tau_context"]
 
@@ -468,8 +331,8 @@ def stage_evaluate(cfg: RunConfig) -> dict:
                 int(cid): d["score"][sel & (d["context_id"] == cid)]
                 for cid in sorted(set(d["context_id"][sel].tolist()))
             }
-        dists += evaluation.export_distributions(paths["evaluation"], by_decoder,
-                                                 tables[kind], prefix=f"dist_{kind}")
+        written |= evaluation.export_distributions(out, by_decoder, tables[kind],
+                                                   prefix=f"dist_{kind}")
 
     report = {
         "models": models_report,
@@ -477,26 +340,15 @@ def stage_evaluate(cfg: RunConfig) -> dict:
         "anomaly_ids": {k: sorted(map(list, v)) for k, v in anomaly_sets.items()},
         "severity_by_id": severity_by_id,
     }
-    paths["evaluation"].mkdir(parents=True, exist_ok=True)
-    eval_path = paths["evaluation"] / "evaluation.json"
-    eval_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-                       + "\n")
-    write_manifest(paths["evaluation"], "evaluate", config_hash(cfg), detections,
-                   {"evaluation.json": eval_path, **{path.name: path for path in dists}})
-    return report
+    return report, written | write_files(out, {"evaluation.json": json_bytes(report, strict=True)})
 
 
-def stage_report(cfg: RunConfig) -> dict:
-    paths = _paths(cfg)
-    _detections(cfg)
-    _check(cfg, "evaluate", "run the evaluate stage first")
-    inputs = _inputs(cfg, "report")
-    evaluation_report = json.loads(inputs["evaluation"].read_text())
-
+def _report(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+    evaluation_report = json.loads(read_once(files, _dir(cfg, "evaluate") / "evaluation.json"))
     models = {}
     for kind in cfg.models:
-        manifest = json.loads((_trained(cfg, kind) / "detector.json").read_text())
-        table = _table(cfg, kind)
+        manifest = json.loads(read_once(files, _dir(cfg, "train", kind) / "detector.json"))
+        table = _table(cfg, kind, files)
         models[kind] = {
             "param_count": manifest["param_count"],
             "decoder_count": manifest["decoder_count"],
@@ -515,34 +367,139 @@ def stage_report(cfg: RunConfig) -> dict:
         "severity_by_id": evaluation_report["severity_by_id"],
     }
     if "gcae" in models:
-        report["grouping"] = _grouping(cfg).to_dict()
+        report["grouping"] = _grouping(cfg, files).to_dict()
+    return report, write_files(_dir(cfg, "report"),
+                               {"report.json": json_bytes(report, strict=True)})
 
-    report_path = paths["out"] / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-                         + "\n")
-    write_manifest(paths["out"], "report", config_hash(cfg),
-                   inputs, {"report.json": report_path})
-    return report
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage; see the module doc."""
+
+    name: str
+    home: str          # under the run directory; {kind} names a kind's own
+    body: Callable     # (cfg, kind, files) -> (summary, sha256 of each file written)
+    help: str
+    # (producer, its kind, {input name this stage records: file in its home})
+    # for each producer, in the order their manifests are checked; a file
+    # outside the run directory is recorded, unchecked, under producer None
+    reads: Callable = lambda cfg, kind: []
+    rerun: str = "run the {name} stage first"
+    manifest: str = "{name}"
+    extra: bool = True                     # the manifest keeps the summary
+    per_model: bool = False                # runs once per configured model
+
+    def inputs(self, cfg: RunConfig, kind: str | None) -> dict[str, Path]:
+        """The inputs the stage records, by name."""
+        return {name: _dir(cfg, producer, of) / file if producer else file
+                for producer, of, recorded in self.reads(cfg, kind)
+                for name, file in recorded.items()}
+
+    def check(self, cfg: RunConfig, kind: str | None, files: dict) -> None:
+        """Check the stage's manifest (kind's) against the inputs it records."""
+        check_inputs(_dir(cfg, self.name, kind), self.manifest.format(name=self.name, kind=kind),
+                     self.inputs(cfg, kind), self.rerun.format(name=self.name, kind=kind),
+                     files)
+
+    def run(self, cfg: RunConfig, kind: str | None = None) -> dict:
+        """Check each producer the stage reads, run its body and write its
+        manifest; the summary."""
+        if self.per_model and kind not in detectors.KINDS:
+            raise ConfigError(f"unknown model kind {kind!r}")
+        files: dict[Path, bytes] = {}
+        inputs = self.inputs(cfg, kind)
+        for producer, of, _ in self.reads(cfg, kind):
+            if producer:
+                STAGES[producer].check(cfg, of, files)
+        summary, written = self.body(cfg, kind, files)
+        read = {path: sha256(files[path]) for path in inputs.values()}
+        write_manifest(_dir(cfg, self.name, kind), self.manifest.format(name=self.name, kind=kind),
+                       config_hash(cfg), inputs, {str(path): path for path in written},
+                       read | written, extra=summary if self.extra else None)
+        return summary
+
+
+_DATASET = ("build", None, {"dataset": "header.json"})
+
+STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("simulate", "synth", _simulate,
+          "Generate the synthetic fleet with ground-truth anomaly tags."),
+    Stage("ingest", "", _ingest,
+          "Parse and validate input records once; write the table and context counts.",
+          reads=lambda cfg, kind: [
+              ("simulate", None, {"records": "records.csv"}) if cfg.records is None
+              else (None, None, {"records": _raw_path(cfg, "records")})],
+          extra=False),
+    Stage("build", "dataset", _build,
+          "Cut, filter, split, normalize and persist the window dataset.",
+          reads=lambda cfg, kind: [("ingest", None, {})] + (
+              [("simulate", None, {})] if cfg.synth and None in (cfg.truth, cfg.ports)
+              else [])),
+    Stage("train", "models/{kind}", _train,
+          "Train one detector variant on the built dataset.",
+          reads=lambda cfg, kind: [_DATASET] + (
+              [("group", None, {"grouping": "grouping.json"}), ("thresholds", "cae", {})]
+              if kind == "gcae" else []),
+          rerun="retrain {kind}", per_model=True),
+    Stage("thresholds", "models/{kind}", _thresholds,
+          "Fit per-context and global thresholds for a trained detector.",
+          reads=lambda cfg, kind: [_DATASET, ("train", kind, {})],
+          rerun="run the thresholds stage for {kind}", per_model=True),
+    Stage("group", "grouping", _group,
+          "Derive the context grouping from the trained CAE.",
+          reads=lambda cfg, kind: [_DATASET, ("train", "cae", {"cae": "detector.json"}),
+                                   ("thresholds", "cae", {"cae_thresholds": "thresholds.csv"})]),
+    Stage("detect", "detections", _detect,
+          "Score the test split and write verdicts.",
+          reads=lambda cfg, kind: [_DATASET, ("train", kind, {"detector": "detector.json"}),
+                                   ("thresholds", kind, {"thresholds": "thresholds.csv"})],
+          rerun="run the detect stage for {kind} first", manifest="detect-{kind}",
+          per_model=True),
+    Stage("evaluate", "evaluation", _evaluate,
+          "Aggregate detections into confusion/overlap/severity/truth metrics.",
+          reads=lambda cfg, kind: [("build", None, {})]
+          + [("detect", k, {f"{k}.csv": f"{k}.csv"}) for k in cfg.models]
+          + [("thresholds", k, {}) for k in cfg.models],
+          extra=False),
+    Stage("report", "", _report,
+          "Write the versioned summary report for the run.",
+          reads=lambda cfg, kind: [("detect", k, {}) for k in cfg.models]
+          + [("evaluate", None, {"evaluation": "evaluation.json"})]
+          + [(stage, k, {}) for k in cfg.models for stage in ("train", "thresholds")]
+          + ([("group", None, {})] if "gcae" in cfg.models else []),
+          extra=False),
+)}
+
+
+# the stages by the names the benchmark and the tests call them by
+stage_simulate = STAGES["simulate"].run
+stage_ingest = STAGES["ingest"].run
+stage_build = STAGES["build"].run
+stage_train = STAGES["train"].run
+stage_thresholds = STAGES["thresholds"].run
+stage_group = STAGES["group"].run
+stage_detect = STAGES["detect"].run
+stage_evaluate = STAGES["evaluate"].run
+stage_report = STAGES["report"].run
 
 
 def run_all(cfg: RunConfig) -> dict:
-    """Canonical end-to-end order; gcae slots in after grouping."""
+    """The report, each stage call it reads run first, recursively: so every
+    stage the config needs runs once, after each producer it reads."""
     if "gcae" in cfg.models and "cae" not in cfg.models:
         raise ConfigError("gcae requires cae in the model list")
-    if cfg.synth is not None:
-        stage_simulate(cfg)
-    stage_ingest(cfg)
-    stage_build(cfg)
-    _check_validation_coverage(cfg, _load_split(cfg), cfg.models)
-    base = [k for k in cfg.models if k != "gcae"]
-    for kind in base:
-        stage_train(cfg, kind)
-        stage_thresholds(cfg, kind)
-    if "gcae" in cfg.models:
-        stage_group(cfg)
-        stage_train(cfg, "gcae")
-        stage_thresholds(cfg, "gcae")
-    for kind in cfg.models:
-        stage_detect(cfg, kind)
-    stage_evaluate(cfg)
-    return stage_report(cfg)
+    done: dict[tuple[str, str | None], dict] = {}
+
+    def run(name: str, kind: str | None) -> dict:
+        if (name, kind) not in done:
+            for producer, of, _ in STAGES[name].reads(cfg, kind):
+                if producer:
+                    run(producer, of)
+            done[name, kind] = STAGES[name].run(cfg, kind)
+            if name == "build":
+                # a split moe or gcae cannot train on is refused before any model trains
+                files: dict[Path, bytes] = {}
+                STAGES["build"].check(cfg, None, files)
+                _check_validation_coverage(cfg, _split(cfg, files), cfg.models)
+        return done[name, kind]
+    return run("report", None)

@@ -63,6 +63,7 @@ from .dataset import NO_CONTEXT, TruthSpan
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
 from .geo import (bearing, bearing_array, destination, destination_array,
                   haversine, haversine_array)
+from .manifest import csv_bytes, read_once, text, write_file, write_files
 
 KNOT_MPS = 0.514444
 START_TS = 1_600_000_000
@@ -507,55 +508,54 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 TRUTH_COLUMNS = ("mmsi", "first_ts", "last_ts", "kind", "true_context")
 
 
-def write_fleet(out_dir: Path, result: SynthResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_fleet(out_dir: Path, result: SynthResult) -> dict[Path, str]:
+    """Write records.csv, truth.csv and ports.csv; their sha256, by path."""
     table = table_of(result.trajectories)
     order = np.lexsort((table.ts, table.mmsi))
     status_names = [s.value for s in NAV_STATUSES]
     type_names = [t.value for t in VESSEL_TYPES]
-    with open(out_dir / "records.csv", "w", newline="") as fh:
-        fh.write(",".join(CANONICAL_FIELDS) + "\n")
+
+    def records():     # a block of rows at a time, never the whole file in memory
+        yield (",".join(CANONICAL_FIELDS) + "\n").encode()
         for first in range(0, len(order), BLOCK_ROWS):
             rows = order[first:first + BLOCK_ROWS]
-            fh.write("".join(
+            yield "".join(
                 f"{mmsi},{ts},{lat!r},{lon!r},{sog!r},{cog!r},"
                 f"{'unavailable' if heading != heading else repr(heading)},"
                 f"{status_names[status]},{type_names[vtype]}\n"
                 for mmsi, ts, lat, lon, sog, cog, heading, status, vtype in zip(
-                    *(getattr(table, c)[rows].tolist() for c in TABLE_DTYPES))))
-    with open(out_dir / "truth.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRUTH_COLUMNS)
-        for s in sorted(result.truth,
-                        key=lambda s: (s.mmsi, s.first_ts, s.last_ts)):
-            writer.writerow([s.mmsi, s.first_ts, s.last_ts, s.kind,
-                             "" if s.true_context == NO_CONTEXT else s.true_context])
-    with open(out_dir / "ports.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lat", "lon"])
-        for lat, lon in result.ports:
-            writer.writerow([repr(float(lat)), repr(float(lon))])
+                    *(getattr(table, c)[rows].tolist() for c in TABLE_DTYPES))).encode()
+    spans = sorted(result.truth, key=lambda s: (s.mmsi, s.first_ts, s.last_ts))
+    records_path = out_dir / "records.csv"
+    return {records_path: write_file(records_path, records())} | write_files(out_dir, {
+        "truth.csv": csv_bytes([TRUTH_COLUMNS] + [
+            [s.mmsi, s.first_ts, s.last_ts, s.kind,
+             "" if s.true_context == NO_CONTEXT else s.true_context] for s in spans]),
+        "ports.csv": csv_bytes([["lat", "lon"]] + [
+            [repr(float(lat)), repr(float(lon))] for lat, lon in result.ports]),
+    })
 
 
-def load_truth(path: Path) -> list[TruthSpan]:
-    """The truth spans in file order; a malformed file raises ConfigError."""
+def load_truth(path: Path, files: dict[Path, bytes]) -> list[TruthSpan]:
+    """The truth spans in file order (files as in ``manifest``); a malformed
+    file raises ConfigError."""
     spans: list[TruthSpan] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TRUTH_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"truth file {path} lacks columns {missing}")
-        for row in reader:
-            try:
-                spans.append(TruthSpan(
-                    int(row["mmsi"]), int(row["first_ts"]), int(row["last_ts"]),
-                    row["kind"], int(row["true_context"] or NO_CONTEXT)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"truth file {path} line {reader.line_num}: {exc}") from exc
+    reader = csv.DictReader(text(read_once(files, path)))
+    missing = [c for c in TRUTH_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"truth file {path} lacks columns {missing}")
+    for row in reader:
+        try:
+            spans.append(TruthSpan(
+                int(row["mmsi"]), int(row["first_ts"]), int(row["last_ts"]),
+                row["kind"], int(row["true_context"] or NO_CONTEXT)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"truth file {path} line {reader.line_num}: {exc}") from exc
     return spans
 
 
-def load_ports(path: Path) -> list[tuple[float, float]]:
-    with open(path, newline="") as fh:
-        return [(float(r["lat"]), float(r["lon"])) for r in csv.DictReader(fh)]
+def load_ports(path: Path, files: dict[Path, bytes]) -> list[tuple[float, float]]:
+    """The ports in file order; files as in ``manifest``."""
+    return [(float(r["lat"]), float(r["lon"]))
+            for r in csv.DictReader(text(read_once(files, path)))]

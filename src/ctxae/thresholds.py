@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingArtifact, MissingThreshold
+from .manifest import csv_bytes, read_once, text, write_file
 
 GLOBAL_ID = -1
 DEFAULT_LAMBDA = 5.0
@@ -76,32 +77,23 @@ def fit(losses_by_context: dict[int, np.ndarray], lam: float = DEFAULT_LAMBDA,
     return table
 
 
-def save_table(path: Path, table: ThresholdTable) -> None:
+def save_table(path: Path, table: ThresholdTable) -> dict[Path, str]:
     """CSV with one row per context plus a 'global' row, full precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["context_id", "n", "mu", "sigma", "tau"])
-        ordered = sorted(c for c in table.entries if c != GLOBAL_ID)
-        for cid in ordered + [GLOBAL_ID]:
-            e = table.entries[cid]
-            writer.writerow([
-                "global" if cid == GLOBAL_ID else cid,
-                e.n,
-                repr(e.mu),
-                repr(e.sigma),
-                "" if e.tau is None else repr(e.tau),
-            ])
-        writer.writerow(["# lambda", repr(table.lam), "fit_split",
-                         table.fit_split, ""])
+    rows = [["context_id", "n", "mu", "sigma", "tau"]]
+    for cid in sorted(c for c in table.entries if c != GLOBAL_ID) + [GLOBAL_ID]:
+        e = table.entries[cid]
+        rows.append(["global" if cid == GLOBAL_ID else cid, e.n, repr(e.mu),
+                     repr(e.sigma), "" if e.tau is None else repr(e.tau)])
+    rows.append(["# lambda", repr(table.lam), "fit_split", table.fit_split, ""])
+    return {Path(path): write_file(Path(path), [csv_bytes(rows)])}
 
 
-def load_table(path: Path) -> ThresholdTable:
-    """Read a table written by ``save_table``; refuse one without its
-    ``# lambda`` row, which alone says what lambda and split it was fitted
-    under, and one with a row of the wrong field count or a non-numeric
-    field."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def load_table(path: Path, files: dict[Path, bytes]) -> ThresholdTable:
+    """Read a table written by ``save_table`` (files as in ``manifest``);
+    refuse one without its ``# lambda`` row, which alone says what lambda
+    and split it was fitted under, and one with a row of the wrong field
+    count or a non-numeric field."""
+    rows = list(csv.reader(text(read_once(files, path))))
     lam = fit_split = None
     entries: dict[int, ThresholdEntry] = {}
     for line, row in enumerate(rows[1:], start=2):
@@ -122,6 +114,4 @@ def load_table(path: Path) -> ThresholdTable:
         raise MissingArtifact(f"{path} has no '# lambda' row, so the lambda and "
                               "split it was fitted under are unknown; run the "
                               "thresholds stage again")
-    table = ThresholdTable(lam=lam, fit_split=fit_split)
-    table.entries = entries
-    return table
+    return ThresholdTable(lam=lam, fit_split=fit_split, entries=entries)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -40,6 +41,21 @@ def test_config_error_exits_2(tmp_path):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, "bogus": 1})
     assert result.exit_code == 2
     assert result.stderr.startswith("ConfigError: ")
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"synth": {"contexts": [{"behavior": "transit"}]}}, "each synth context needs an id"),
+    ({"synth": {"contexts": [{"id": 0, "behavior": "transit", "vessels": "many"}]}},
+     "invalid literal for int() with base 10: 'many'"),
+    ({"synth": {**TINY["synth"], "ports": [[1.0]]}}, "synth ports must be [lat, lon] pairs"),
+    ({"dataset": {"ratios": 5}}, "invalid section 'dataset'"),
+    ({"models": ["cae", "cae"]}, "models names a kind twice: ['cae', 'cae']"),
+])
+def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
+    result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ConfigError: ") and message in result.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_collective_span_that_does_not_fit_exits_2(tmp_path):
@@ -183,6 +199,22 @@ def test_report_after_an_edited_loss_distribution_exits_2(tmp_path):
                                     f"with sha256 {recorded}, but {dist} now has sha256 "
                                     f"{sha256_file(dist)}; run the evaluate stage first")
     assert _files(tmp_path / "run") == left
+
+
+def test_each_command_prints_its_own_name(tmp_path):
+    raw = {**TINY, "synth": {"messages_per_vessel": 200, "contexts": [
+        {"id": 0, "behavior": "transit", "vessels": 10},
+        {"id": 12, "behavior": "moored", "vessels": 10}]},
+        "train": {"max_epochs": 2, "patience": 1}, "models": ["ae", "cae"]}
+    commands = [["simulate"], ["ingest"], ["build"],
+                *([stage, "--kind", kind] for kind in ("ae", "cae")
+                  for stage in ("train", "thresholds")),
+                ["group"], *(["detect", "--kind", kind] for kind in ("ae", "cae")),
+                ["evaluate"], ["report"], ["run"]]
+    for args in commands:
+        result = _invoke(tmp_path, args, raw=raw)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout.strip().splitlines()[-1])["ok"] == args[0]
 
 
 def test_kind_must_be_a_detector(tmp_path):

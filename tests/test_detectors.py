@@ -654,23 +654,19 @@ def test_two_trainings_of_one_seed_write_the_same_detector_json(tmp_path, rng):
             == (tmp_path / "b" / "detector.json").read_bytes())
 
 
-def test_a_bundle_without_training_curves_still_loads(tmp_path, rng):
+def test_a_bundle_without_training_curves_is_refused(tmp_path, rng):
     """detector.json as written before it kept the curves."""
     split = _split(rng, contexts=(0, 1))
-    det = train_cae(split, _toy_spec(), _fast_config())
-    save_detector(tmp_path, det)
-    manifest = json.loads((tmp_path / "detector.json").read_text())
-    for saved in manifest["training"].values():
-        for key in ("train_losses", "val_losses", "samples_seen"):
+    save_detector(tmp_path, train_cae(split, _toy_spec(), _fast_config()))
+    written = (tmp_path / "detector.json").read_text()
+    for key in ("train_losses", "val_losses", "samples_seen"):
+        manifest = json.loads(written)
+        for saved in manifest["training"].values():
             del saved[key]
-    (tmp_path / "detector.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    loaded = load_detector(tmp_path)
-    report = det.reports["cae"]
-    assert loaded.reports == {"cae": TrainReport(
-        best_epoch=report.best_epoch, best_val_loss=report.best_val_loss,
-        stopped_epoch=report.stopped_epoch)}
-    x, cids = split.test.tensor, split.test.context_id
-    np.testing.assert_array_equal(loaded.score_mixed(x, cids), det.score_mixed(x, cids))
+        (tmp_path / "detector.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with pytest.raises(MissingArtifact, match=f"detector.json records no {key}, as a "
+                                                  "bundle saved before the training curves"):
+            load_detector(tmp_path)
 
 
 def test_load_detector_requires_manifest(tmp_path):

@@ -85,8 +85,8 @@ def test_export_distributions_is_byte_stable(tmp_path):
     table = fit({0: np.array([0.1, 0.3]), 5: np.array([0.2, 0.4, 0.9])})
     scores = {5: {5: np.array([0.25, 1.5])},
               0: {5: np.array([0.2]), 0: np.array([0.1, 0.3])}}
-    first = export_distributions(tmp_path / "a", scores, table, prefix="dist_cae")
-    second = export_distributions(tmp_path / "b", scores, table, prefix="dist_cae")
+    first = list(export_distributions(tmp_path / "a", scores, table, prefix="dist_cae"))
+    second = list(export_distributions(tmp_path / "b", scores, table, prefix="dist_cae"))
     assert [p.name for p in first] == ["dist_cae_decoder_0.csv",
                                        "dist_cae_decoder_5.csv"]
     for a, b in zip(first, second):

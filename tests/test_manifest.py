@@ -15,34 +15,36 @@ def produced(tmp_path):
     source.write_text("first\n")
     output = tmp_path / "made.txt"
     output.write_text("made\n")
-    write_manifest(tmp_path, "make", "cfg", {"source": source}, {"made.txt": output})
+    write_manifest(tmp_path, "make", "cfg", {"source": source}, {"made.txt": output},
+                   {path: sha256_file(path) for path in (source, output)})
     return source
 
 
 def test_matching_inputs_pass(produced):
-    check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+    check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
 
 
 def test_a_recorded_input_the_reader_does_not_name_is_refused(produced):
     with pytest.raises(ConfigError, match=r"make recorded inputs \['source'\], but this "
                                           r"check names \[\]; run make first"):
-        check_inputs(produced.parent, "make", {}, "run make first")
+        check_inputs(produced.parent, "make", {}, "run make first", {})
 
 
 def test_outputs_are_keyed_by_their_path_under_the_manifest_directory(tmp_path):
     nested = tmp_path / "sub" / "deep.txt"
     nested.parent.mkdir()
     nested.write_text("deep\n")
-    path = write_manifest(tmp_path, "make", "cfg", {}, {"any name": nested})
+    path = write_manifest(tmp_path, "make", "cfg", {}, {"any name": nested},
+                          {nested: sha256_file(nested)})
     assert json.loads(path.read_text())["outputs"] == {"sub/deep.txt": sha256_file(nested)}
-    check_inputs(tmp_path, "make", {}, "run make first")
+    check_inputs(tmp_path, "make", {}, "run make first", {})
 
 
 def test_a_missing_manifest_is_refused_with_the_hint(tmp_path):
     source = tmp_path / "source.txt"
     source.write_text("first\n")
     with pytest.raises(MissingArtifact, match="no make manifest at .*; run make first"):
-        check_inputs(tmp_path, "make", {"source": source}, "run make first")
+        check_inputs(tmp_path, "make", {"source": source}, "run make first", {})
 
 
 def test_a_changed_input_is_refused_naming_both_hashes(produced):
@@ -50,23 +52,23 @@ def test_a_changed_input_is_refused_naming_both_hashes(produced):
     produced.write_text("second\n")
     current = sha256_file(produced)
     with pytest.raises(ConfigError, match="run make first") as err:
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
     assert recorded in str(err.value) and current in str(err.value)
 
 
 def test_an_input_the_manifest_does_not_name_is_refused(produced):
     with pytest.raises(ConfigError, match=r"make recorded inputs \['source'\], but this "
                                           r"check names \['other'\]; run make first"):
-        check_inputs(produced.parent, "make", {"other": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"other": produced}, "run make first", {})
     with pytest.raises(ConfigError, match=r"check names \['other', 'source'\]"):
         check_inputs(produced.parent, "make", {"source": produced, "other": produced},
-                     "run make first")
+                     "run make first", {})
 
 
 def test_a_deleted_input_is_refused_as_missing(produced):
     produced.unlink()
     with pytest.raises(MissingArtifact, match="run make first"):
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
 
 
 def test_a_changed_or_deleted_output_is_refused(produced):
@@ -75,11 +77,11 @@ def test_a_changed_or_deleted_output_is_refused(produced):
     made.write_text("edited\n")
     current = sha256_file(made)
     with pytest.raises(ConfigError, match="make wrote made.txt with sha256") as err:
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
     assert recorded in str(err.value) and current in str(err.value)
     made.unlink()
     with pytest.raises(MissingArtifact, match="which is gone; run make first"):
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
 
 
 def test_a_changed_output_the_reader_never_names_is_refused(produced):
@@ -88,6 +90,6 @@ def test_a_changed_output_the_reader_never_names_is_refused(produced):
     recorded = sha256_file(made)
     made.write_bytes(b"mbde\n")
     with pytest.raises(ConfigError) as err:
-        check_inputs(produced.parent, "make", {"source": produced}, "run make first")
+        check_inputs(produced.parent, "make", {"source": produced}, "run make first", {})
     assert str(made) in str(err.value)
     assert recorded in str(err.value) and sha256_file(made) in str(err.value)

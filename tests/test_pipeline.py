@@ -1,11 +1,16 @@
 """End to end: run_all on a tiny fleet is deterministic per seed."""
 
+import builtins
 import hashlib
+import io
 import json
+import os
 import shutil
 import struct
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxae import pipeline
@@ -468,6 +473,81 @@ def test_a_dataset_copied_on_its_own_trains_fits_and_detects(cae_run, tmp_path):
     assert (out_dir / detections).read_bytes() == (cae_run / detections).read_bytes()
 
 
+def _doubled_floats(data):
+    """test.f32 with every value doubled: same length, other scores."""
+    return (np.frombuffer(data, dtype="<f4") * 2).astype("<f4").tobytes()
+
+
+def _doubled_taus(data):
+    """thresholds.csv with every tau doubled: same rows, other verdicts."""
+    rows = [line.split(",") for line in data.decode().splitlines()]
+    for row in rows[1:-1]:
+        row[4] = repr(2 * float(row[4])) if row[4] else ""
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize("name, producer, swap", [
+    ("dataset/test.f32", "build", _doubled_floats),
+    ("models/cae/thresholds.csv", "thresholds", _doubled_taus),
+])
+def test_detect_parses_the_bytes_its_check_hashed(cae_run, tmp_path, monkeypatch, name,
+                                                   producer, swap):
+    """A file rewritten on disk right after its check passes is not read again."""
+    out_dir = tmp_path / "run"
+    shutil.copytree(cae_run, out_dir)
+    path = out_dir / name
+    checked = pipeline.check_inputs
+
+    def check_then_swap(out, stage, *args):
+        result = checked(out, stage, *args)
+        if stage == producer:
+            path.write_bytes(swap(path.read_bytes()))
+        return result
+    monkeypatch.setattr(pipeline, "check_inputs", check_then_swap)
+    pipeline.stage_detect(_tiny(out_dir, models=["cae"]), "cae")
+    assert path.read_bytes() != (cae_run / name).read_bytes()
+    detections = "detections/cae.csv"
+    assert (out_dir / detections).read_bytes() == (cae_run / detections).read_bytes()
+
+
+def test_no_stage_call_opens_a_file_of_the_run_twice(tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+    run = pipeline.Stage.run
+    opened_in_call = []     # the paths opened by the stage call under way
+    calls = []              # (stage, kind, paths it opened) per stage call
+
+    def counted_run(stage, cfg, kind=None):
+        calls.append((stage.name, kind, []))
+        opened_in_call.append(calls[-1][2])
+        try:
+            return run(stage, cfg, kind)
+        finally:
+            opened_in_call.pop()
+
+    def counted_open(file, *args, _open=io.open, **kwargs):
+        if opened_in_call and isinstance(file, (str, os.PathLike)) \
+                and out_dir in Path(file).parents:
+            opened_in_call[-1].append(Path(file))
+        return _open(file, *args, **kwargs)
+    monkeypatch.setattr(pipeline.Stage, "run", counted_run)
+    monkeypatch.setattr(io, "open", counted_open)
+    monkeypatch.setattr(builtins, "open", counted_open)
+    run_all(_tiny(out_dir))
+    monkeypatch.undo()
+
+    assert [(name, kind) for name, kind, _ in calls] == [
+        ("simulate", None), ("ingest", None), ("build", None),
+        *((stage, kind) for kind in ("ae", "moe", "cae")
+          for stage in ("train", "thresholds", "detect")),
+        ("group", None), ("train", "gcae"), ("thresholds", "gcae"), ("detect", "gcae"),
+        ("evaluate", None), ("report", None)]
+    assert all(opened for _, _, opened in calls)
+    twice = {(name, kind): sorted(str(path.relative_to(out_dir))
+                                  for path, n in Counter(opened).items() if n > 1)
+             for name, kind, opened in calls}
+    assert twice == dict.fromkeys(twice, [])
+
+
 @pytest.fixture(scope="module")
 def ae_cae_run(tmp_path_factory):
     """The tiny fleet through report with ae and cae."""
@@ -638,6 +718,12 @@ GOLDEN_SHA256 = {
     "dataset/train.index.csv": "aaea8a8380747a0fff64c9fd70d929179da0586d0208ddb295a42f0541920f43",
     "dataset/val.f32": "5e2ff9768af622310d12150f590ebd16d12c5e64d890ca9c1a1db2bd87f86910",
     "dataset/val.index.csv": "3f36a848c89dd1bfbba3c4eb09265b13ccdfccdfba04c8cce860e46c84979806",
+    # the manifests too: they are the same from any run directory
+    "synth/simulate.manifest.json":
+        "03cd5cfbc8c2d6515d1c9b1d1e5813c30a5f843bcf858ff746e0d4d27ff8801a",
+    "ingest.manifest.json": "1d0f821c42c92dc5139d1ef8003b0a23847f6e01c9423bcfe481eac7844a0a69",
+    "dataset/build.manifest.json":
+        "be39ccc7fe65669c0ab36723ebc6e6cd329518f51457474014ad904660ffe2a3",
 }
 
 
@@ -653,7 +739,8 @@ def test_data_path_bytes_are_pinned(tmp_path):
     _prepare(config_from_dict(GOLDEN_FLEET, seed=1, out_dir=out_dir))
     written = sorted(str(p.relative_to(out_dir)) for p in out_dir.glob("dataset/*")
                      if not p.name.endswith("manifest.json"))
-    assert written == sorted(n for n in GOLDEN_SHA256 if n.startswith("dataset/"))
+    assert written == sorted(n for n in GOLDEN_SHA256 if n.startswith("dataset/")
+                             and not n.endswith("manifest.json"))
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
