@@ -8,8 +8,11 @@ lives next to the functions that read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
+from os import PathLike
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -85,6 +88,35 @@ class RunConfig:
             raise ConfigError(f"models names a kind twice: {list(self.models)}")
 
 
+# what a YAML value may be for a field of each type, and its name
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"),
+            str: (str, "a string"), Path: ((str, PathLike), "a path"),
+            tuple: ((list, tuple), "a list"), list: (list, "a list"),
+            type(None): (type(None), "null")}
+
+
+def _options(hint) -> list[tuple]:
+    if get_origin(hint) in (Union, UnionType):
+        return [option for h in get_args(hint) for option in _options(h)]
+    if is_dataclass(hint):      # a section, which is null when left empty
+        return [((dict, type(None)), "a mapping")]
+    return [_ACCEPTS[get_origin(hint) or hint]]
+
+
+def _typed(where: str, data: dict, hints: dict) -> None:
+    """The config's one check of a mapping's keys and value types: refuse a
+    key hints lacks, or a value without the type hints gives its key, naming
+    the key. No field is a bool, and a float is not an integer."""
+    bad = set(data) - set(hints)
+    if bad:
+        raise ConfigError(f"{where}unknown keys {sorted(bad)}")
+    for key, value in data.items():
+        options = _options(hints[key])
+        if isinstance(value, bool) or not isinstance(value, tuple(t for t, _ in options)):
+            raise ConfigError(f"{where}{key} must be {' or '.join(n for _, n in options)}, "
+                              f"got {value!r}")
+
+
 def _build_behavior(raw: dict) -> BehaviorModel:
     name = raw.get("behavior")
     if name not in PRESETS:
@@ -92,18 +124,15 @@ def _build_behavior(raw: dict) -> BehaviorModel:
     preset = PRESETS[name]
     overrides = {k: v for k, v in raw.items()
                  if k not in ("behavior", "id", "vessels", "falsify_to")}
-    known = {f.name for f in fields(BehaviorModel)}
-    bad = set(overrides) - known
-    if bad:
-        raise ConfigError(f"unknown behavior parameters: {sorted(bad)}")
-    try:
-        return BehaviorModel(**{**preset.__dict__, **overrides})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    _typed(f"synth context {raw['id']!r}: ", overrides, get_type_hints(BehaviorModel))
+    return BehaviorModel(**{**preset.__dict__, **overrides})
 
 
 def _build_synth(raw: dict, seed: int) -> SynthConfig:
-    if "contexts" not in raw or not raw["contexts"]:
+    hints = get_type_hints(SynthConfig)
+    _typed("invalid section 'synth': ", raw,
+           {k: hints[k] for k in hints if k not in ("seed", "plans")} | {"contexts": list})
+    if not raw.get("contexts"):
         raise ConfigError("synth section needs a non-empty contexts list")
     plans = []
     for entry in raw["contexts"]:
@@ -121,11 +150,7 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
             raise ConfigError(f"synth context {entry!r}: {exc}") from exc
         plans.append(ContextPlan(context_id=context_id, behavior=_build_behavior(entry),
                                  vessels=vessels, falsify_to=falsify))
-    known = ({f.name for f in fields(SynthConfig)} - {"seed", "plans"}) | {"contexts"}
-    bad = set(raw) - known
-    if bad:
-        raise ConfigError(f"unknown synth parameters: {sorted(bad)}")
-    kwargs = {k: raw[k] for k in known - {"contexts", "ports"} if k in raw}
+    kwargs = {k: v for k, v in raw.items() if k not in ("contexts", "ports")}
     if "ports" in raw:
         try:
             kwargs["ports"] = tuple((float(lat), float(lon)) for lat, lon in raw["ports"])
@@ -136,12 +161,7 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
 
 def _section(raw: dict, key: str, cls, **extra):
     data = raw.get(key) or {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"section {key!r} must be a mapping")
-    known = {f.name for f in fields(cls)}
-    bad = set(data) - known
-    if bad:
-        raise ConfigError(f"unknown keys in section {key!r}: {sorted(bad)}")
+    _typed(f"invalid section {key!r}: ", data, get_type_hints(cls))
     try:
         if key == "dataset" and "ratios" in data:
             data = {**data, "ratios": tuple(data["ratios"])}
@@ -150,29 +170,22 @@ def _section(raw: dict, key: str, cls, **extra):
         raise ConfigError(f"invalid section {key!r}: {exc}") from exc
 
 
-TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)}
-
-
 def config_from_dict(raw: dict, seed: int | None = None,
                      out_dir: Path | str | None = None) -> RunConfig:
-    bad = set(raw) - TOP_LEVEL_KEYS
-    if bad:
-        raise ConfigError(f"unknown top-level config keys: {sorted(bad)}")
-    if seed is None:
-        seed = raw.get("seed")
-    if seed is None:
-        raise ConfigError("seed is mandatory")
-    seed = int(seed)
-    out = out_dir or raw.get("out_dir")
-    if out is None:
-        raise ConfigError("out_dir is mandatory")
+    raw = {**raw, "seed": raw.get("seed") if seed is None else seed,
+           "out_dir": out_dir or raw.get("out_dir")}
+    for key in ("seed", "out_dir"):
+        if raw[key] is None:
+            raise ConfigError(f"{key} is mandatory")
+    _typed("", raw, get_type_hints(RunConfig))
+    seed = raw["seed"]
 
     synth = _build_synth(raw["synth"], seed) if raw.get("synth") else None
     train = _section(raw, "train", TrainConfig, seed=seed)
     models = tuple(raw.get("models", KINDS))
     return RunConfig(
         seed=seed,
-        out_dir=Path(out),
+        out_dir=Path(raw["out_dir"]),
         synth=synth,
         records=Path(raw["records"]) if raw.get("records") else None,
         ports=Path(raw["ports"]) if raw.get("ports") else None,

@@ -6,25 +6,23 @@ model's entry under "models" has the keys mode ("global" for ae, else
 gn_ca, ga_cn, ga_ca of global by context verdict, global_totals,
 context_totals, grand_total), truth (per_kind, clean_total, clean_flagged,
 flagged_total, false_positive_rate), severity (count, mean, median,
-hist_counts, hist_edges) and fpr_by_context; "overlap" has sizes and
-intersections (models, count, pct_of_first, pct_of_second).
+hist_counts, hist_edges), fpr_by_context and loss_by_context (per context:
+decoder_key, n, min, p50, p90, p99, max and the tau of the model's verdicts);
+"overlap" has sizes and intersections (models, count, pct_of_first,
+pct_of_second).
 
 Anomaly identity is the (mmsi, window start timestamp) pair so sets from
-different models intersect without shared row indices. All exports are
+different models intersect without shared row indices. Every output is
 sorted and timestamp-free, so re-running a pipeline reproduces the report
 files byte for byte.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from . import dataset
 from .errors import NonAnomalyInSet
-from .manifest import csv_bytes, write_files
-from .thresholds import ThresholdTable
 
 
 def confusion(global_verdicts: np.ndarray, context_verdicts: np.ndarray) -> dict:
@@ -111,15 +109,18 @@ def truth_metrics(verdicts: np.ndarray, truth_kinds: list[str]) -> dict:
             "false_positive_rate": clean_flagged / clean_total if clean_total else None}
 
 
-def export_distributions(out_dir: Path,
-                         scores_by_decoder: dict[int, dict[int, np.ndarray]],
-                         table: ThresholdTable,
-                         prefix: str = "dist") -> dict[Path, str]:
-    """One CSV per decoder: (context_id, loss, tau) rows, plot-ready."""
-    return write_files(out_dir, {
-        f"{prefix}_decoder_{did}.csv": csv_bytes(
-            [("context_id", "loss", "tau")]
-            + [(cid, repr(float(loss)), repr(table.tau(cid)))
-               for cid in sorted(scores_by_decoder[did])
-               for loss in scores_by_decoder[did][cid]])
-        for did in sorted(scores_by_decoder)})
+def export_distributions(context_id: np.ndarray, decoder_key: np.ndarray,
+                         score: np.ndarray, tau: np.ndarray) -> dict[str, dict]:
+    """Per context of one model's aligned detection columns: its decoder_key,
+    window count n, min, p50, p90, p99 and max loss, and the tau its verdicts
+    use (one per context: the global tau for ae)."""
+    summary = {}
+    for cid in sorted(set(context_id.tolist())):
+        sel = context_id == cid
+        losses = score[sel]
+        p50, p90, p99 = np.quantile(losses, (0.5, 0.9, 0.99)).tolist()
+        summary[str(cid)] = {
+            "decoder_key": int(decoder_key[sel][0]), "n": int(sel.sum()),
+            "min": float(losses.min()), "p50": p50, "p90": p90, "p99": p99,
+            "max": float(losses.max()), "tau": float(tau[sel][0])}
+    return summary

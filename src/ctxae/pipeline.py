@@ -46,7 +46,7 @@ from .manifest import (check_inputs, config_hash, csv_bytes, json_bytes, read_on
                        sha256, text, write_files, write_manifest)
 from .net import default_autoencoder_spec
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _dir(cfg: RunConfig, stage: str, kind: str | None = None) -> Path:
@@ -283,18 +283,11 @@ def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     truth_by_id = dict(zip(zip(test.mmsi.tolist(), test.start_ts.tolist()),
                            test.truth.tolist()))
 
-    tables = {kind: _table(cfg, kind, files) for kind in cfg.models}
-    out = _dir(cfg, "evaluate")
-    for stale in out.glob("dist_*.csv"):
-        stale.unlink()
-    written: dict[Path, str] = {}
-
     models_report: dict[str, dict] = {}
-    anomaly_sets: dict[str, set] = {}
     severity_by_id: dict[str, dict] = {}
     for kind in cfg.models:
+        _table(cfg, kind, files)    # refuses a table fitted under another lambda or split
         d = _read_detections(read_once(files, _dir(cfg, "detect") / f"{kind}.csv"))
-        n = d["score"].shape[0]
         uids = list(zip(d["mmsi"].tolist(), d["start_ts"].tolist()))
         truth_kinds = [truth_by_id[uid] for uid in uids]
         # ae is the global-threshold baseline; the rest use context thresholds
@@ -311,36 +304,26 @@ def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
                 float((primary & mask).sum() / mask.sum()) if mask.sum() else None)
 
         flagged = [uid for uid, v in zip(uids, primary.tolist()) if v]
-        anomaly_sets[kind] = set(flagged)
         severity_by_id[kind] = {f"{m}:{t}": s
                                 for (m, t), s in zip(flagged, sev_values.tolist())}
         models_report[kind] = {
             "mode": mode,
-            "windows": n,
+            "windows": len(uids),
             "confusion": evaluation.confusion(d["global_verdict"], d["context_verdict"]),
             "truth": evaluation.truth_metrics(primary, truth_kinds),
             "severity": sev,
             "fpr_by_context": fpr_by_context,
+            "loss_by_context": evaluation.export_distributions(
+                d["context_id"], d["decoder_key"], d["score"], taus),
         }
-
-        # plot-ready loss distributions, one file per decoder
-        by_decoder: dict[int, dict[int, np.ndarray]] = {}
-        for dk in sorted(set(d["decoder_key"].tolist())):
-            sel = d["decoder_key"] == dk
-            by_decoder[int(dk)] = {
-                int(cid): d["score"][sel & (d["context_id"] == cid)]
-                for cid in sorted(set(d["context_id"][sel].tolist()))
-            }
-        written |= evaluation.export_distributions(out, by_decoder, tables[kind],
-                                                   prefix=f"dist_{kind}")
 
     report = {
         "models": models_report,
-        "overlap": evaluation.overlap(anomaly_sets),
-        "anomaly_ids": {k: sorted(map(list, v)) for k, v in anomaly_sets.items()},
+        "overlap": evaluation.overlap({k: set(v) for k, v in severity_by_id.items()}),
         "severity_by_id": severity_by_id,
     }
-    return report, written | write_files(out, {"evaluation.json": json_bytes(report, strict=True)})
+    return report, write_files(_dir(cfg, "evaluate"),
+                               {"evaluation.json": json_bytes(report, strict=True)})
 
 
 def _report(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
@@ -363,7 +346,6 @@ def _report(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
         "seed": cfg.seed,
         "models": models,
         "overlap": evaluation_report["overlap"],
-        "anomaly_ids": evaluation_report["anomaly_ids"],
         "severity_by_id": evaluation_report["severity_by_id"],
     }
     if "gcae" in models:

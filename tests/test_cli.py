@@ -50,6 +50,22 @@ def test_config_error_exits_2(tmp_path):
     ({"synth": {**TINY["synth"], "ports": [[1.0]]}}, "synth ports must be [lat, lon] pairs"),
     ({"dataset": {"ratios": 5}}, "invalid section 'dataset'"),
     ({"models": ["cae", "cae"]}, "models names a kind twice: ['cae', 'cae']"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"synth": {**TINY["synth"], "messages_per_vessel": "x"}},
+     "invalid section 'synth': messages_per_vessel must be an integer, got 'x'"),
+    ({"synth": {**TINY["synth"], "contextual_rate": "x"}},
+     "invalid section 'synth': contextual_rate must be a number, got 'x'"),
+    ({"records": 5}, "records must be a path or null, got 5"),
+    ({"synth": {**TINY["synth"], "contexts": 5}},
+     "invalid section 'synth': contexts must be a list, got 5"),
+    ({"models": None}, "models must be a list, got None"),
+    ({"models": "ae"}, "models must be a list, got 'ae'"),
+    ({"train": []}, "train must be a mapping, got []"),
+    ({"dataset": {"stride": 25.5}},
+     "invalid section 'dataset': stride must be an integer, got 25.5"),
+    ({"train": {"batch_size": 64.0}},
+     "invalid section 'train': batch_size must be an integer, got 64.0"),
 ])
 def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})
@@ -187,17 +203,18 @@ def test_evaluate_without_a_models_detections_exits_3(tmp_path):
 
 def test_report_after_an_edited_loss_distribution_exits_2(tmp_path):
     raw, _ = _run_ae_and_cae(tmp_path)
-    dist = tmp_path / "run" / "evaluation" / "dist_cae_decoder_0.csv"
-    recorded = sha256_file(dist)
-    data = bytearray(dist.read_bytes())
+    evaluation = tmp_path / "run" / "evaluation" / "evaluation.json"
+    recorded = sha256_file(evaluation)
+    data = bytearray(evaluation.read_bytes())
     data[-2] ^= 1
-    dist.write_bytes(bytes(data))
+    evaluation.write_bytes(bytes(data))
     left = _files(tmp_path / "run")
     result = _invoke(tmp_path, ["report"], raw=raw)
     assert result.exit_code == 2
-    assert result.stderr.startswith("ConfigError: evaluate wrote dist_cae_decoder_0.csv "
-                                    f"with sha256 {recorded}, but {dist} now has sha256 "
-                                    f"{sha256_file(dist)}; run the evaluate stage first")
+    assert result.stderr.startswith("ConfigError: evaluate wrote evaluation.json "
+                                    f"with sha256 {recorded}, but {evaluation} now has "
+                                    f"sha256 {sha256_file(evaluation)}; run the evaluate "
+                                    "stage first")
     assert _files(tmp_path / "run") == left
 
 

@@ -1,4 +1,4 @@
-"""Confusion, overlap, severity, truth metrics and the distribution exports."""
+"""Confusion, overlap, severity, truth metrics and the per-context loss summary."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from ctxae.errors import NonAnomalyInSet
 from ctxae.evaluation import (confusion, export_distributions, overlap, severity,
                               truth_metrics)
+from ctxae.manifest import json_bytes
 from ctxae.thresholds import fit
 
 
@@ -81,18 +82,27 @@ def test_truth_metrics_recall_precision_and_fpr():
         truth_metrics(verdicts, kinds[:-1])
 
 
-def test_export_distributions_is_byte_stable(tmp_path):
+def test_export_distributions_is_byte_stable():
     table = fit({0: np.array([0.1, 0.3]), 5: np.array([0.2, 0.4, 0.9])})
-    scores = {5: {5: np.array([0.25, 1.5])},
-              0: {5: np.array([0.2]), 0: np.array([0.1, 0.3])}}
-    first = list(export_distributions(tmp_path / "a", scores, table, prefix="dist_cae"))
-    second = list(export_distributions(tmp_path / "b", scores, table, prefix="dist_cae"))
-    assert [p.name for p in first] == ["dist_cae_decoder_0.csv",
-                                       "dist_cae_decoder_5.csv"]
-    for a, b in zip(first, second):
-        assert a.read_bytes() == b.read_bytes()
-    lines = first[0].read_text().splitlines()
-    assert lines[0] == "context_id,loss,tau"
-    assert [line.split(",")[:2] for line in lines[1:]] == [
-        ["0", "0.1"], ["0", "0.3"], ["5", "0.2"]]
-    assert lines[1].split(",")[2] == repr(table.tau(0))
+    context_id = np.array([5, 0, 5, 0, 5, 5])
+    decoder_key = np.where(context_id == 5, 5, 0)
+    score = np.array([0.25, 0.1, 1.5, 0.3, 0.2, 0.7])
+    tau_context = np.array([table.tau(int(c)) for c in context_id])
+    tau_global = np.full(context_id.shape, table.global_tau)
+
+    ae = export_distributions(context_id, np.zeros_like(context_id), score, tau_global)
+    cae = export_distributions(context_id, decoder_key, score, tau_context)
+    assert sorted(ae) == sorted(cae) == ["0", "5"]
+    for cid in (0, 5):
+        losses = score[context_id == cid]
+        p50, p90, p99 = (float(np.quantile(losses, q)) for q in (0.5, 0.9, 0.99))
+        assert cae[str(cid)] == {"decoder_key": cid, "n": losses.size,
+                                 "min": losses.min(), "p50": p50, "p90": p90,
+                                 "p99": p99, "max": losses.max(), "tau": table.tau(cid)}
+        assert ae[str(cid)] == {**cae[str(cid)], "decoder_key": 0, "tau": table.global_tau}
+    assert table.tau(0) != table.global_tau != table.tau(5)
+
+    order = np.array([3, 0, 5, 1, 4, 2])
+    shuffled = export_distributions(context_id[order], decoder_key[order], score[order],
+                                    tau_context[order])
+    assert json_bytes(shuffled) == json_bytes(cae)

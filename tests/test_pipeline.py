@@ -1,6 +1,7 @@
 """End to end: run_all on a tiny fleet is deterministic per seed."""
 
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -74,17 +75,45 @@ def test_detector_bundles_keep_their_training_record(two_runs):
         assert manifest["outputs"]["detector.json"] == sha256_file(detector_json)
 
 
+def _detections(out_dir, kind):
+    with open(out_dir / "detections" / f"{kind}.csv", newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def test_severity_by_id_holds_exactly_the_flagged_windows(two_runs):
     report = json.loads((two_runs[0] / "evaluation" / "evaluation.json").read_text())
-    # every model flags windows, so none of the checks below runs on empty sets
-    assert sorted(report["anomaly_ids"]) == ["ae", "cae", "gcae", "moe"]
-    assert all(report["anomaly_ids"].values())
-    assert sorted(report["severity_by_id"]) == sorted(report["models"])
+    assert sorted(report["severity_by_id"]) == sorted(report["models"]) \
+        == ["ae", "cae", "gcae", "moe"]
     for kind, entry in report["models"].items():
         by_id = report["severity_by_id"][kind]
-        assert set(by_id) == {f"{m}:{t}" for m, t in report["anomaly_ids"][kind]}
+        verdict = "global_verdict" if kind == "ae" else "context_verdict"
+        # every model flags windows, so none of the checks below runs on an empty set
+        assert by_id
+        assert set(by_id) == {f"{row['mmsi']}:{row['start_ts']}"
+                              for row in _detections(two_runs[0], kind) if row[verdict] == "1"}
         assert len(by_id) == entry["severity"]["count"]
         assert all(value > 0 for value in by_id.values())
+
+
+def test_loss_by_context_summarises_each_contexts_detections(two_runs):
+    report = json.loads((two_runs[0] / "evaluation" / "evaluation.json").read_text())
+    assert sorted(report["models"]) == ["ae", "cae", "gcae", "moe"]
+    for kind, entry in report["models"].items():
+        rows = _detections(two_runs[0], kind)
+        tau = "tau_global" if kind == "ae" else "tau_context"
+        by_context = {}
+        for row in rows:
+            by_context.setdefault(row["context_id"], []).append(row)
+        assert sorted(entry["loss_by_context"]) == sorted(by_context) == ["0", "12", "16"]
+        for cid, summary in entry["loss_by_context"].items():
+            scores = [float(row["score"]) for row in by_context[cid]]
+            assert {int(row["decoder_key"]) for row in by_context[cid]} \
+                == {summary["decoder_key"]}
+            assert {float(row[tau]) for row in by_context[cid]} == {summary["tau"]}
+            assert (summary["n"], summary["min"], summary["max"]) \
+                == (len(scores), min(scores), max(scores))
+            assert summary["min"] <= summary["p50"] <= summary["p90"] \
+                <= summary["p99"] <= summary["max"]
 
 
 def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):
@@ -577,15 +606,19 @@ def _recorded(out_dir):
 def test_a_rerun_with_a_context_fewer_leaves_only_recorded_files(ae_cae_run, tmp_path):
     out_dir = tmp_path / "run"
     shutil.copytree(ae_cae_run, out_dir)
-    leftovers = ("models/cae/decoder_k16.ckpt", "evaluation/dist_cae_decoder_16.csv")
-    assert all((out_dir / name).exists() for name in leftovers)
+    leftover = out_dir / "models/cae/decoder_k16.ckpt"
+    evaluation = out_dir / "evaluation/evaluation.json"
+
+    def cae_losses():
+        return json.loads(evaluation.read_text())["models"]["cae"]["loss_by_context"]
+    assert leftover.exists() and "16" in cae_losses()
     synth = {**TINY_FLEET["synth"], "contexts": TINY_FLEET["synth"]["contexts"][:2]}
     run_all(_tiny(out_dir, models=["ae", "cae"], synth=synth))
     recorded = _recorded(out_dir)
     assert set(recorded.values()) == {1}
     assert set(recorded) == {path for path in out_dir.rglob("*") if path.is_file()
                              and not path.name.endswith(".manifest.json")}
-    assert not any((out_dir / name).exists() for name in leftovers)
+    assert not leftover.exists() and "16" not in cae_losses()
 
 
 def test_a_config_must_name_a_model():
