@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (MissingArtifact, MissingField, ParseError, RangeError,
                      UnknownEnumToken)
-from .manifest import json_bytes, read_once, write_files
+from .manifest import json_bytes, present, read_once, write_files
 
 
 class NavStatus(Enum):
@@ -424,14 +424,13 @@ def save_table(out_dir: Path, table: MessageTable) -> dict[Path, str]:
            for name, dtype in TABLE_DTYPES.items()}})
 
 
-def load_table(table_dir: Path, files: dict[Path, bytes]) -> MessageTable:
-    """Read a table written by save_table (files as in ``manifest``); a
-    missing or truncated one is refused."""
+def load_table(table_dir: Path) -> MessageTable:
+    """Read a table written by save_table; refuse a missing or truncated one."""
     header_path = table_dir / "header.json"
-    if not header_path.exists():
+    if not present(header_path):
         raise MissingArtifact(f"no ingest table at {table_dir}; run the ingest stage first")
-    rows = json.loads(read_once(files, header_path))["rows"]
-    cols = {name: np.frombuffer(read_once(files, table_dir / f"{name}.bin"), dtype)
+    rows = json.loads(read_once(header_path))["rows"]
+    cols = {name: np.frombuffer(read_once(table_dir / f"{name}.bin"), dtype)
             for name, dtype in TABLE_DTYPES.items()}
     short = [name for name, c in cols.items() if c.shape[0] != rows]
     if short:

@@ -134,6 +134,8 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
            {k: hints[k] for k in hints if k not in ("seed", "plans")} | {"contexts": list})
     if not raw.get("contexts"):
         raise ConfigError("synth section needs a non-empty contexts list")
+    plan = get_type_hints(ContextPlan)
+    plan_hints = {"id": plan["context_id"], "vessels": plan["vessels"]}
     plans = []
     for entry in raw["contexts"]:
         if not isinstance(entry, dict) or "id" not in entry:
@@ -144,12 +146,10 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
                 falsify = NavStatus(falsify)
             except ValueError as exc:
                 raise ConfigError(f"unknown nav status {entry['falsify_to']!r}") from exc
-        try:
-            context_id, vessels = int(entry["id"]), int(entry.get("vessels", 10))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"synth context {entry!r}: {exc}") from exc
-        plans.append(ContextPlan(context_id=context_id, behavior=_build_behavior(entry),
-                                 vessels=vessels, falsify_to=falsify))
+        _typed(f"synth context {entry['id']!r}: ",
+               {key: entry[key] for key in ("id", "vessels") if key in entry}, plan_hints)
+        plans.append(ContextPlan(context_id=entry["id"], behavior=_build_behavior(entry),
+                                 vessels=entry.get("vessels", 10), falsify_to=falsify))
     kwargs = {k: v for k, v in raw.items() if k not in ("contexts", "ports")}
     if "ports" in raw:
         try:

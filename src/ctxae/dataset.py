@@ -42,7 +42,7 @@ from .ais import ContextRegistry, Trajectory, context_registry
 from .errors import ConfigError, MissingArtifact
 from .features import FEATURE_NAMES, NormStats, apply_norm, fit_norm
 from .geo import haversine_array
-from .manifest import csv_bytes, json_bytes, read_once, text, write_files
+from .manifest import csv_bytes, json_bytes, present, read_once, text, write_files
 
 log = logging.getLogger(__name__)
 
@@ -367,18 +367,12 @@ def save_dataset(out_dir: Path, split: DatasetSplit, registry: ContextRegistry,
 
 
 def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
-    """read_dataset from disk."""
-    return read_dataset(dataset_dir, {})
-
-
-def read_dataset(dataset_dir: Path, files: dict[Path, bytes]) -> tuple[DatasetSplit, dict]:
-    """Load a saved dataset, its header digests checked; tensors are float64.
-    files as in ``manifest``."""
+    """Load a saved dataset, its header digests checked; tensors are float64."""
     header_path = dataset_dir / "header.json"
-    if not header_path.exists():
+    if not present(header_path):
         raise MissingArtifact(f"no dataset header at {header_path}")
-    header = json.loads(read_once(files, header_path))
-    stats = NormStats.load(dataset_dir / header["norm_stats"], files)
+    header = json.loads(read_once(header_path))
+    stats = NormStats.load(dataset_dir / header["norm_stats"])
     for key, source, current in (
             ("registry_hash", "the context registry", context_registry().content_hash()),
             ("norm_stats_hash", header["norm_stats"], stats.content_hash())):
@@ -393,9 +387,9 @@ def read_dataset(dataset_dir: Path, files: dict[Path, bytes]) -> tuple[DatasetSp
 
     parts: dict[str, WindowTable] = {}
     for name in SPLIT_NAMES:
-        raw = np.frombuffer(read_once(files, dataset_dir / f"{name}.f32"), dtype="<f4")
+        raw = np.frombuffer(read_once(dataset_dir / f"{name}.f32"), dtype="<f4")
         count = header["counts"][name]
-        reader = csv.reader(text(read_once(files, dataset_dir / f"{name}.index.csv")))
+        reader = csv.reader(text(read_once(dataset_dir / f"{name}.index.csv")))
         names = next(reader)
         col = dict(zip(names, zip(*reader))) or dict.fromkeys(names, ())
         parts[name] = WindowTable(

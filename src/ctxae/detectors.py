@@ -57,9 +57,9 @@ from . import thresholds as th
 from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
                      UnroutedContext)
-from .manifest import json_bytes, read_once, write_files
+from .manifest import json_bytes, present, read_once, write_files
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
-                  fold_for_scoring, read_checkpoint, save_checkpoint, score_windows,
+                  fold_for_scoring, load_checkpoint, save_checkpoint, score_windows,
                   snap_to_storage_precision, train_autoencoder, train_multi_decoder)
 
 SHARED = -1
@@ -318,21 +318,12 @@ def save_detector(out_dir: Path, detector: Detector) -> dict[Path, str]:
 
 
 def load_detector(bundle_dir: Path) -> Detector:
-    """read_detector from disk, with the bundle's thresholds.csv if it has one."""
-    detector = read_detector(bundle_dir, {})
-    thresholds_path = bundle_dir / "thresholds.csv"
-    if thresholds_path.exists():
-        detector.thresholds = th.load_table(thresholds_path, {})
-    return detector
-
-
-def read_detector(bundle_dir: Path, files: dict[Path, bytes]) -> Detector:
-    """The bundle in bundle_dir without thresholds; files as in ``manifest``.
-    A bundle whose detector.json lacks a training curve is refused."""
+    """The bundle in bundle_dir, with its thresholds.csv if it has one. A
+    bundle whose detector.json lacks a training curve is refused."""
     manifest_path = bundle_dir / "detector.json"
-    if not manifest_path.exists():
+    if not present(manifest_path):
         raise MissingArtifact(f"no detector manifest at {manifest_path}")
-    manifest = json.loads(read_once(files, manifest_path))
+    manifest = json.loads(read_once(manifest_path))
     try:
         reports = {branch: TrainReport(
             train_losses=t["train_losses"], val_losses=t["val_losses"],
@@ -345,14 +336,16 @@ def read_detector(bundle_dir: Path, files: dict[Path, bytes]) -> Detector:
         raise MissingArtifact(f"{manifest_path} records no {exc.args[0]}, as a bundle "
                               "saved before the training curves were kept; train "
                               "the detector again") from None
-    models = {role: {int(k): read_checkpoint(bundle_dir / name, files)[0]
+    models = {role: {int(k): load_checkpoint(bundle_dir / name)[0]
                      for k, name in manifest[role].items()}
               for role in ("encoders", "decoders")}
+    table = bundle_dir / "thresholds.csv"
     return Detector(
         kind=manifest["kind"],
         spec=AutoencoderSpec.from_dict(manifest["spec"]),
         contexts=tuple(manifest["contexts"]),
         **models,
         grouping={int(c): g for c, g in grouping.items()} if grouping else None,
+        thresholds=th.load_table(table) if present(table) else None,
         reports=reports,
     )

@@ -81,8 +81,8 @@ class NormStats:
         return {path: write_file(path, [json_bytes(self.to_dict())])}
 
     @classmethod
-    def load(cls, path: Path, files: dict[Path, bytes]) -> "NormStats":
-        return cls.from_dict(json.loads(read_once(files, path)))
+    def load(cls, path: Path) -> "NormStats":
+        return cls.from_dict(json.loads(read_once(path)))
 
     def content_hash(self) -> str:
         import hashlib

@@ -206,8 +206,8 @@ def save_grouping(path: Path, result: GroupingResult) -> dict[Path, str]:
     return {Path(path): write_file(Path(path), [json_bytes(result.to_dict())])}
 
 
-def load_grouping(path: Path, files: dict[Path, bytes]) -> GroupingResult:
-    data = json.loads(read_once(files, path))
+def load_grouping(path: Path) -> GroupingResult:
+    data = json.loads(read_once(path))
     return GroupingResult(
         groups=tuple((g["representative"], tuple(g["members"]))
                      for g in data["groups"]),

@@ -9,12 +9,12 @@ the stage that produced it before it parses any file that manifest records,
 so damaged bytes are refused before a parser meets them. check_inputs checks
 every input and output that manifest records, and refuses other input names.
 
-A stage call keeps one ``files`` mapping, path to bytes, of each file it
-has read: read_once reads a file only when the mapping lacks it, and every
-check and loader of the call takes its bytes from there. Every writer hashes
-what it writes and returns the sha256 by path. So a stage reads each file
-once, never reads back what it wrote, and parses only the bytes its check
-hashed. A loader given an empty mapping reads from disk.
+Checks and loaders read through read_once. In the read scope a stage call
+opens (``reading()``) it reads each file once, and later reads get the same
+bytes even if the file changed on disk; with no scope open it reads from
+disk. Every writer hashes what it writes and returns the sha256 by path. So
+a stage reads each file once, never reads back what it wrote, and parses
+only the bytes its check hashed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConfigError, MissingArtifact
@@ -37,12 +38,36 @@ def sha256_file(path: Path) -> str:
     return sha256(Path(path).read_bytes())
 
 
-def read_once(files: dict[Path, bytes], path: Path) -> bytes:
-    """path's bytes in files; read from disk and added when files lacks them."""
-    path = Path(path)
-    if path not in files:
-        files[path] = path.read_bytes()
-    return files[path]
+_scope: dict[Path, bytes] | None = None     # the open read scope's bytes by path
+
+
+@contextmanager
+def reading():
+    """A read scope: within it, read_once reads each file once."""
+    global _scope
+    outer, _scope = _scope, {}
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
+def read_once(path: Path) -> bytes:
+    """path's bytes, read into the open scope once; from disk with none open."""
+    path, scope = Path(path), {} if _scope is None else _scope
+    if path not in scope:
+        scope[path] = path.read_bytes()
+    return scope[path]
+
+
+def present(path: Path) -> bool:
+    """Whether read_once has path's bytes, in the open scope or on disk."""
+    return (_scope is not None and Path(path) in _scope) or Path(path).exists()
+
+
+def forget() -> None:
+    """Drop the bytes the open scope holds, if one is open."""
+    (_scope or {}).clear()
 
 
 def write_file(path: Path, blocks) -> str:
@@ -108,36 +133,34 @@ def write_manifest(out_dir: Path, stage: str, config_digest: str,
     return path
 
 
-def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path], rerun: str,
-                 files: dict[Path, bytes]) -> dict[Path, bytes]:
+def check_inputs(out_dir: Path, stage: str, inputs: dict[str, Path], rerun: str) -> None:
     """Raise unless inputs names exactly the inputs stage's manifest records,
-    and each of them and every recorded output has the bytes it records;
-    return those bytes by path, as files now holds them.
+    and each of them and every recorded output has the bytes it records.
 
-    A missing manifest or file raises MissingArtifact ending in rerun; another
-    set of input names raises ConfigError naming both sets, and other bytes
-    raise ConfigError naming both sha256 values.
+    A missing or unreadable manifest or a missing file raises MissingArtifact
+    ending in rerun; another set of input names raises ConfigError naming
+    both sets, and other bytes raise ConfigError naming both sha256 values.
     """
     out_dir = Path(out_dir)
     path = out_dir / f"{stage}.manifest.json"
-    if not path.exists():
-        raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}")
-    manifest = json.loads(path.read_bytes())
-    if sorted(inputs) != sorted(manifest["inputs"]):
-        raise ConfigError(f"{stage} recorded inputs {sorted(manifest['inputs'])}, but "
+    try:
+        manifest = json.loads(path.read_bytes())
+        recorded = {role: dict(manifest[role]) for role in ("inputs", "outputs")}
+    except FileNotFoundError:
+        raise MissingArtifact(f"no {stage} manifest at {path}; {rerun}") from None
+    except (ValueError, KeyError, TypeError):
+        raise MissingArtifact(f"the {stage} manifest at {path} is unreadable; {rerun}") from None
+    if sorted(inputs) != sorted(recorded["inputs"]):
+        raise ConfigError(f"{stage} recorded inputs {sorted(recorded['inputs'])}, but "
                           f"this check names {sorted(inputs)}; {rerun}")
-    outputs = {name: out_dir / name for name in manifest["outputs"]}
-    checked = {}
+    outputs = {name: out_dir / name for name in recorded["outputs"]}
     for role, verb, named in (("inputs", "read", inputs), ("outputs", "wrote", outputs)):
         for name, file_path in sorted(named.items()):
             try:
-                current = sha256(read_once(files, file_path))
+                current = sha256(read_once(file_path))
             except FileNotFoundError:
                 raise MissingArtifact(f"{stage} {verb} {name} at {file_path}, "
                                       f"which is gone; {rerun}") from None
-            recorded = manifest[role][name]
-            if recorded != current:
-                raise ConfigError(f"{stage} {verb} {name} with sha256 {recorded}, but "
-                                  f"{file_path} now has sha256 {current}; {rerun}")
-            checked[Path(file_path)] = files[Path(file_path)]
-    return checked
+            if recorded[role][name] != current:
+                raise ConfigError(f"{stage} {verb} {name} with sha256 {recorded[role][name]}, "
+                                  f"but {file_path} now has sha256 {current}; {rerun}")

@@ -53,14 +53,8 @@ def save_checkpoint(path: Path, model: Sequential,
 
 
 def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
-    """read_checkpoint from disk."""
-    return read_checkpoint(path, {})
-
-
-def read_checkpoint(path: Path, files: dict[Path, bytes]) -> tuple[Sequential, dict]:
-    """Rebuild the model (float64 state from the float32 block) plus metadata;
-    files as in ``manifest``."""
-    data = read_once(files, path)
+    """Rebuild the model (float64 state from the float32 block) plus metadata."""
+    data = read_once(path)
     if data[:len(MAGIC)] != MAGIC:
         raise ShapeMismatch(f"{path}: not a checkpoint file")
     (header_len,) = struct.unpack_from("<I", data, len(MAGIC))

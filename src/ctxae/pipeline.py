@@ -5,22 +5,22 @@ plus a manifest, and is idempotent for a fixed config + seed. STAGES is the
 one description of each stage: its command and help line, its home (the
 directory of its manifest and outputs), the producers it reads, the inputs
 it records from them, and its body. Stage.run, behind the CLI, run_all and
-the stage_<name> functions, checks each producer's manifest, runs the body
-and writes the stage's manifest.
+the stage_<name> functions, opens one read scope (see ``manifest``), checks
+each producer's manifest, runs the body and writes the stage's manifest.
 
 One staleness rule: a manifest names every file its stage wrote and the
 inputs it recorded, and every check of it names exactly those inputs. A
-check refuses a missing manifest or recorded file (MissingArtifact), and
-other recorded inputs or other bytes in a recorded file (ConfigError naming
-both), before the body starts. Build records no inputs, so a dataset copied
-alone stays usable. A stage call reads each file once (see ``manifest``):
-its body parses the bytes its checks hashed, so a file changed on disk after
-its check is never parsed. The thresholds stage never reads the table it
-replaces: once the checks pass, it deletes it. gcae's train manifest records
-the grouping, so re-running group requires retraining gcae. A stage that
-reads fitted thresholds, other than the thresholds stage itself, also
-refuses a table fitted under another lambda or fit split than the config
-asks for (ConfigError naming both).
+check refuses a missing or unreadable manifest or a missing recorded file
+(MissingArtifact), and other recorded inputs or other bytes in a recorded
+file (ConfigError naming both), before the body starts. Build records no
+inputs, so a dataset copied alone stays usable. Bodies load through the
+public loaders (load_dataset, load_detector, ...), which in the scope parse
+the bytes the checks hashed even if a file changed on disk since. The
+thresholds stage never reads the table it replaces: once the checks pass,
+it deletes it. gcae's train manifest records the grouping, so re-running
+group requires retraining gcae. A stage that reads fitted thresholds, other
+than the thresholds stage itself, also refuses a table fitted under another
+lambda or fit split than the config asks for (ConfigError naming both).
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from .ais import (context_registry, group_trajectories, load_table,
                   parse_messages, save_table)
 from .config import RunConfig
 from .dataset import (DatasetSplit, attach_truth, concat, filter_near_ports,
-                      normalize_split, read_dataset, remove_outliers,
+                      load_dataset, normalize_split, remove_outliers,
                       save_dataset, segment, split_by_vessel)
 from .errors import ConfigError, MissingArtifact
 from .features import NUM_FEATURES, enrich
-from .manifest import (check_inputs, config_hash, csv_bytes, json_bytes, read_once,
-                       sha256, text, write_files, write_manifest)
+from .manifest import (check_inputs, config_hash, csv_bytes, forget, json_bytes,
+                       read_once, reading, sha256, text, write_files, write_manifest)
 from .net import default_autoencoder_spec
 
 REPORT_VERSION = 2
@@ -63,7 +63,7 @@ def _raw_path(cfg: RunConfig, name: str) -> Path | None:
     return configured or (_dir(cfg, "simulate") / f"{name}.csv" if cfg.synth else None)
 
 
-def _simulate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+def _simulate(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
     if cfg.synth is None:
         raise ConfigError("simulate requires a synth section in the config")
     result = synth.generate(cfg.synth, context_registry())
@@ -75,9 +75,9 @@ def _simulate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     return summary, synth.write_fleet(_dir(cfg, "simulate"), result)
 
 
-def _ingest(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+def _ingest(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
     registry = context_registry()
-    table, errors = parse_messages(text(read_once(files, _raw_path(cfg, "records"))))
+    table, errors = parse_messages(text(read_once(_raw_path(cfg, "records"))))
     ids, counts = np.unique(registry.context_ids(table.vtype, table.status),
                             return_counts=True)
     context_counts = {registry.by_id(c).name if c >= 0 else "unregistered": n
@@ -94,15 +94,15 @@ def _ingest(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
                      | save_table(out / "messages", table))
 
 
-def _build(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
+def _build(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
     registry = context_registry()
     truth_path, ports_path = _raw_path(cfg, "truth"), _raw_path(cfg, "ports")
-    spans = synth.load_truth(truth_path, files) if truth_path else []
-    ports = synth.load_ports(ports_path, files) if ports_path else []
-    table = load_table(_dir(cfg, "ingest") / "messages", files)
+    spans = synth.load_truth(truth_path) if truth_path else []
+    ports = synth.load_ports(ports_path) if ports_path else []
+    table = load_table(_dir(cfg, "ingest") / "messages")
     # build parses nothing more and records no inputs: free the bytes its
     # checks read, records.csv's among them, before the windows are cut
-    files.clear()
+    forget()
     windows = concat([segment(traj, enrich(traj), registry, cfg.dataset.window_len,
                               cfg.dataset.stride)
                       for traj in group_trajectories(table)])
@@ -144,14 +144,12 @@ def _check_validation_coverage(cfg: RunConfig, split: DatasetSplit,
             "context: add vessels or raise the validation share")
 
 
-def _split(cfg: RunConfig, files: dict) -> DatasetSplit:
-    return read_dataset(_dir(cfg, "build"), files)[0]
+def _split(cfg: RunConfig) -> DatasetSplit:
+    return load_dataset(_dir(cfg, "build"))[0]
 
 
-def _table(cfg: RunConfig, kind: str, files: dict) -> th.ThresholdTable:
-    """kind's threshold table, refused unless fitted under the lambda and
-    split the config asks for."""
-    table = th.load_table(_dir(cfg, "thresholds", kind) / "thresholds.csv", files)
+def _fitted(cfg: RunConfig, kind: str, table: th.ThresholdTable) -> th.ThresholdTable:
+    """kind's table, refused unless fitted under the lambda and split asked for."""
     asked = (cfg.thresholds.lam, cfg.thresholds.fit_split)
     if (table.lam, table.fit_split) != asked:
         raise ConfigError(
@@ -161,22 +159,25 @@ def _table(cfg: RunConfig, kind: str, files: dict) -> th.ThresholdTable:
     return table
 
 
-def _bundle(cfg: RunConfig, kind: str, files: dict) -> detectors.Detector:
-    """kind's trained bundle, holding the table _table passed."""
-    table = _table(cfg, kind, files)
-    det = detectors.read_detector(_dir(cfg, "train", kind), files)
-    det.thresholds = table
+def _table(cfg: RunConfig, kind: str) -> th.ThresholdTable:
+    return _fitted(cfg, kind, th.load_table(_dir(cfg, "thresholds", kind) / "thresholds.csv"))
+
+
+def _bundle(cfg: RunConfig, kind: str) -> detectors.Detector:
+    """kind's trained bundle, once the table it holds passes _fitted."""
+    det = detectors.load_detector(_dir(cfg, "train", kind))
+    _fitted(cfg, kind, det.thresholds)
     return det
 
 
-def _grouping(cfg: RunConfig, files: dict) -> grouping.GroupingResult:
-    """The grouping, once the cae table it was derived with passes _table."""
-    _table(cfg, "cae", files)
-    return grouping.load_grouping(_dir(cfg, "group") / "grouping.json", files)
+def _grouping(cfg: RunConfig) -> grouping.GroupingResult:
+    """The grouping, once the cae table it was derived with passes _fitted."""
+    _table(cfg, "cae")
+    return grouping.load_grouping(_dir(cfg, "group") / "grouping.json")
 
 
-def _train(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
-    split = _split(cfg, files)
+def _train(cfg: RunConfig, kind: str) -> tuple[dict, dict]:
+    split = _split(cfg)
     spec = default_autoencoder_spec(cfg.dataset.window_len, NUM_FEATURES, cfg.arch.latent)
     if kind == "ae":
         det = detectors.train_ae(split, spec, cfg.train)
@@ -186,7 +187,7 @@ def _train(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
     elif kind == "cae":
         det = detectors.train_cae(split, spec, cfg.train)
     else:
-        det = detectors.train_gcae(split, spec, cfg.train, _grouping(cfg, files).as_map())
+        det = detectors.train_gcae(split, spec, cfg.train, _grouping(cfg).as_map())
     summary = {
         "kind": kind,
         "param_count": det.param_count(),
@@ -198,11 +199,11 @@ def _train(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
     return summary, detectors.save_detector(_dir(cfg, "train", kind), det)
 
 
-def _thresholds(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
-    split = _split(cfg, files)
+def _thresholds(cfg: RunConfig, kind: str) -> tuple[dict, dict]:
+    split = _split(cfg)
     bundle = _dir(cfg, "thresholds", kind)
     (bundle / "thresholds.csv").unlink(missing_ok=True)
-    det = detectors.read_detector(bundle, files)
+    det = detectors.load_detector(bundle)
     table = detectors.fit_detector_thresholds(det, split, cfg.thresholds.fit_split,
                                               cfg.thresholds.lam)
     summary = {
@@ -215,9 +216,9 @@ def _thresholds(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
     return summary, th.save_table(bundle / "thresholds.csv", table)
 
 
-def _group(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
-    split = _split(cfg, files)
-    det = _bundle(cfg, "cae", files)
+def _group(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
+    split = _split(cfg)
+    det = _bundle(cfg, "cae")
     _check_validation_coverage(cfg, split, ("gcae",))
     val = split.val
     matrix = grouping.cross_loss_matrix(
@@ -243,9 +244,9 @@ DETECTION_FIELDS = ("mmsi", "start_ts", "context_id", "decoder_key", "score",
                     "context_verdict", "margin_context")
 
 
-def _detect(cfg: RunConfig, kind: str, files: dict) -> tuple[dict, dict]:
-    split = _split(cfg, files)
-    det = _bundle(cfg, kind, files)
+def _detect(cfg: RunConfig, kind: str) -> tuple[dict, dict]:
+    split = _split(cfg)
+    det = _bundle(cfg, kind)
     table = det.thresholds
     windows = split.test
     scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
@@ -277,8 +278,8 @@ def _read_detections(data: bytes) -> dict[str, np.ndarray]:
     return cols
 
 
-def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
-    split = _split(cfg, files)
+def _evaluate(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
+    split = _split(cfg)
     test = split.test
     truth_by_id = dict(zip(zip(test.mmsi.tolist(), test.start_ts.tolist()),
                            test.truth.tolist()))
@@ -286,8 +287,8 @@ def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
     models_report: dict[str, dict] = {}
     severity_by_id: dict[str, dict] = {}
     for kind in cfg.models:
-        _table(cfg, kind, files)    # refuses a table fitted under another lambda or split
-        d = _read_detections(read_once(files, _dir(cfg, "detect") / f"{kind}.csv"))
+        _table(cfg, kind)    # refuses a table fitted under another lambda or split
+        d = _read_detections(read_once(_dir(cfg, "detect") / f"{kind}.csv"))
         uids = list(zip(d["mmsi"].tolist(), d["start_ts"].tolist()))
         truth_kinds = [truth_by_id[uid] for uid in uids]
         # ae is the global-threshold baseline; the rest use context thresholds
@@ -326,12 +327,12 @@ def _evaluate(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
                                {"evaluation.json": json_bytes(report, strict=True)})
 
 
-def _report(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
-    evaluation_report = json.loads(read_once(files, _dir(cfg, "evaluate") / "evaluation.json"))
+def _report(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
+    evaluation_report = json.loads(read_once(_dir(cfg, "evaluate") / "evaluation.json"))
     models = {}
     for kind in cfg.models:
-        manifest = json.loads(read_once(files, _dir(cfg, "train", kind) / "detector.json"))
-        table = _table(cfg, kind, files)
+        manifest = json.loads(read_once(_dir(cfg, "train", kind) / "detector.json"))
+        table = _table(cfg, kind)
         models[kind] = {
             "param_count": manifest["param_count"],
             "decoder_count": manifest["decoder_count"],
@@ -349,7 +350,7 @@ def _report(cfg: RunConfig, kind: None, files: dict) -> tuple[dict, dict]:
         "severity_by_id": evaluation_report["severity_by_id"],
     }
     if "gcae" in models:
-        report["grouping"] = _grouping(cfg, files).to_dict()
+        report["grouping"] = _grouping(cfg).to_dict()
     return report, write_files(_dir(cfg, "report"),
                                {"report.json": json_bytes(report, strict=True)})
 
@@ -360,7 +361,7 @@ class Stage:
 
     name: str
     home: str          # under the run directory; {kind} names a kind's own
-    body: Callable     # (cfg, kind, files) -> (summary, sha256 of each file written)
+    body: Callable     # (cfg, kind) -> (summary, sha256 of each file written)
     help: str
     # (producer, its kind, {input name this stage records: file in its home})
     # for each producer, in the order their manifests are checked; a file
@@ -377,24 +378,23 @@ class Stage:
                 for producer, of, recorded in self.reads(cfg, kind)
                 for name, file in recorded.items()}
 
-    def check(self, cfg: RunConfig, kind: str | None, files: dict) -> None:
+    def check(self, cfg: RunConfig, kind: str | None) -> None:
         """Check the stage's manifest (kind's) against the inputs it records."""
         check_inputs(_dir(cfg, self.name, kind), self.manifest.format(name=self.name, kind=kind),
-                     self.inputs(cfg, kind), self.rerun.format(name=self.name, kind=kind),
-                     files)
+                     self.inputs(cfg, kind), self.rerun.format(name=self.name, kind=kind))
 
     def run(self, cfg: RunConfig, kind: str | None = None) -> dict:
         """Check each producer the stage reads, run its body and write its
-        manifest; the summary."""
+        manifest, in one read scope; the summary."""
         if self.per_model and kind not in detectors.KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
-        files: dict[Path, bytes] = {}
         inputs = self.inputs(cfg, kind)
-        for producer, of, _ in self.reads(cfg, kind):
-            if producer:
-                STAGES[producer].check(cfg, of, files)
-        summary, written = self.body(cfg, kind, files)
-        read = {path: sha256(files[path]) for path in inputs.values()}
+        with reading():
+            for producer, of, _ in self.reads(cfg, kind):
+                if producer:
+                    STAGES[producer].check(cfg, of)
+            summary, written = self.body(cfg, kind)
+            read = {path: sha256(read_once(path)) for path in inputs.values()}
         write_manifest(_dir(cfg, self.name, kind), self.manifest.format(name=self.name, kind=kind),
                        config_hash(cfg), inputs, {str(path): path for path in written},
                        read | written, extra=summary if self.extra else None)
@@ -480,8 +480,8 @@ def run_all(cfg: RunConfig) -> dict:
             done[name, kind] = STAGES[name].run(cfg, kind)
             if name == "build":
                 # a split moe or gcae cannot train on is refused before any model trains
-                files: dict[Path, bytes] = {}
-                STAGES["build"].check(cfg, None, files)
-                _check_validation_coverage(cfg, _split(cfg, files), cfg.models)
+                with reading():
+                    STAGES["build"].check(cfg, None)
+                    _check_validation_coverage(cfg, _split(cfg), cfg.models)
         return done[name, kind]
     return run("report", None)

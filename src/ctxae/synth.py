@@ -536,11 +536,10 @@ def write_fleet(out_dir: Path, result: SynthResult) -> dict[Path, str]:
     })
 
 
-def load_truth(path: Path, files: dict[Path, bytes]) -> list[TruthSpan]:
-    """The truth spans in file order (files as in ``manifest``); a malformed
-    file raises ConfigError."""
+def load_truth(path: Path) -> list[TruthSpan]:
+    """The truth spans in file order; a malformed file raises ConfigError."""
     spans: list[TruthSpan] = []
-    reader = csv.DictReader(text(read_once(files, path)))
+    reader = csv.DictReader(text(read_once(path)))
     missing = [c for c in TRUTH_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"truth file {path} lacks columns {missing}")
@@ -555,7 +554,7 @@ def load_truth(path: Path, files: dict[Path, bytes]) -> list[TruthSpan]:
     return spans
 
 
-def load_ports(path: Path, files: dict[Path, bytes]) -> list[tuple[float, float]]:
-    """The ports in file order; files as in ``manifest``."""
+def load_ports(path: Path) -> list[tuple[float, float]]:
+    """The ports in file order."""
     return [(float(r["lat"]), float(r["lon"]))
-            for r in csv.DictReader(text(read_once(files, path)))]
+            for r in csv.DictReader(text(read_once(path)))]

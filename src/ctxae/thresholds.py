@@ -88,12 +88,11 @@ def save_table(path: Path, table: ThresholdTable) -> dict[Path, str]:
     return {Path(path): write_file(Path(path), [csv_bytes(rows)])}
 
 
-def load_table(path: Path, files: dict[Path, bytes]) -> ThresholdTable:
-    """Read a table written by ``save_table`` (files as in ``manifest``);
-    refuse one without its ``# lambda`` row, which alone says what lambda
-    and split it was fitted under, and one with a row of the wrong field
-    count or a non-numeric field."""
-    rows = list(csv.reader(text(read_once(files, path))))
+def load_table(path: Path) -> ThresholdTable:
+    """Read a table written by ``save_table``; refuse one without its
+    ``# lambda`` row, which alone says what lambda and split it was fitted
+    under, and one with a row of the wrong field count or a non-numeric field."""
+    rows = list(csv.reader(text(read_once(path))))
     lam = fit_split = None
     entries: dict[int, ThresholdEntry] = {}
     for line, row in enumerate(rows[1:], start=2):

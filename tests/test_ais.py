@@ -255,16 +255,16 @@ class TestParsing:
                                                       {"mmsi": "9"})))
         paths = save_table(tmp_path / "t", table)
         assert [p.name for p in paths] == ["header.json"] + [f"{c}.bin" for c in TABLE_DTYPES]
-        loaded = load_table(tmp_path / "t", {})
+        loaded = load_table(tmp_path / "t")
         assert repr(table_rows(loaded)) == repr(table_rows(table))
         first = [p.read_bytes() for p in paths]
         save_table(tmp_path / "t", loaded)
         assert [p.read_bytes() for p in paths] == first
         (tmp_path / "t" / "lat.bin").write_bytes(first[3][:8])
         with pytest.raises(MissingArtifact, match=r"\['lat'\] .* do not hold 3 rows"):
-            load_table(tmp_path / "t", {})
+            load_table(tmp_path / "t")
         with pytest.raises(MissingArtifact, match="run the ingest stage"):
-            load_table(tmp_path / "none", {})
+            load_table(tmp_path / "none")
 
 
 class TestTrajectories:

@@ -9,6 +9,8 @@ as data, without importing them, and check every bound name here instead.
 
 import ast
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +106,33 @@ def test_model_hooks_exist():
         for layer in build(np.random.default_rng(0)).layers:
             assert isinstance(layer.spec.kind, str)
             assert callable(layer.forward) and callable(layer.backward)
+
+
+def test_stages_load_through_the_functions_the_tracer_counts(tmp_path, monkeypatch):
+    """run_all calls each function whose calls the fit segment counts, and the
+    checkpoint loader the tracer hooks, each rebound in every `ctxae` module
+    that binds it, as tracing.rebind does."""
+    from ctxae.config import config_from_dict
+    from ctxae.pipeline import run_all
+
+    spans = {name: (module, attr) for module, attr, name in _table("SPANS")}
+    targets = [spans[name] for name in _table("FIT_CALLS")]
+    targets.append(("ctxae.net.checkpoint", "load_checkpoint"))
+    calls = Counter()
+    for module, attr in targets:
+        orig = getattr(importlib.import_module(module), attr)
+
+        def counted(*args, _orig=orig, _name=f"{module}.{attr}", **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ctxae") and mod is not None:
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    run_all(config_from_dict({
+        "synth": {"messages_per_vessel": 200, "contexts": [
+            {"id": 0, "behavior": "transit", "vessels": 3}]},
+        "train": {"max_epochs": 2, "patience": 1}, "models": ["ae", "cae"]},
+        seed=2, out_dir=tmp_path / "run"))
+    assert sorted(calls) == sorted(f"{module}.{attr}" for module, attr in targets)

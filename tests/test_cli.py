@@ -46,7 +46,7 @@ def test_config_error_exits_2(tmp_path):
 @pytest.mark.parametrize("section, message", [
     ({"synth": {"contexts": [{"behavior": "transit"}]}}, "each synth context needs an id"),
     ({"synth": {"contexts": [{"id": 0, "behavior": "transit", "vessels": "many"}]}},
-     "invalid literal for int() with base 10: 'many'"),
+     "vessels must be an integer, got 'many'"),
     ({"synth": {**TINY["synth"], "ports": [[1.0]]}}, "synth ports must be [lat, lon] pairs"),
     ({"dataset": {"ratios": 5}}, "invalid section 'dataset'"),
     ({"models": ["cae", "cae"]}, "models names a kind twice: ['cae', 'cae']"),
@@ -66,6 +66,14 @@ def test_config_error_exits_2(tmp_path):
      "invalid section 'dataset': stride must be an integer, got 25.5"),
     ({"train": {"batch_size": 64.0}},
      "invalid section 'train': batch_size must be an integer, got 64.0"),
+    ({"synth": {**TINY["synth"], "contexts": [{"id": 1.5, "behavior": "transit"}]}},
+     "synth context 1.5: id must be an integer, got 1.5"),
+    ({"synth": {**TINY["synth"], "contexts": [{"id": True, "behavior": "transit"}]}},
+     "synth context True: id must be an integer, got True"),
+    ({"synth": {**TINY["synth"], "contexts": [{"id": 0, "behavior": "transit", "vessels": 2.5}]}},
+     "synth context 0: vessels must be an integer, got 2.5"),
+    ({"synth": {**TINY["synth"], "contexts": [{"id": 0, "behavior": "transit", "vessels": True}]}},
+     "synth context 0: vessels must be an integer, got True"),
 ])
 def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})
@@ -199,6 +207,17 @@ def test_evaluate_without_a_models_detections_exits_3(tmp_path):
         assert result.exit_code == 3
         assert result.stderr.startswith("MissingArtifact: no detect-cae manifest at ")
     assert _files(tmp_path / "run") == left
+
+
+def test_detect_after_a_truncated_thresholds_manifest_exits_3(tmp_path):
+    raw, _ = _run_ae_and_cae(tmp_path)
+    manifest = tmp_path / "run" / "models" / "cae" / "thresholds.manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:40])
+    result = _invoke(tmp_path, ["detect", "--kind", "cae"], raw=raw)
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"MissingArtifact: the thresholds manifest at {manifest} "
+                                    "is unreadable; run the thresholds stage for cae")
+    assert "Traceback" not in result.output + result.stderr
 
 
 def test_report_after_an_edited_loss_distribution_exits_2(tmp_path):

@@ -537,7 +537,7 @@ def test_load_dataset_refuses_other_normalisation_statistics(tmp_path):
     data = json.loads(stats.read_text())
     data["features"][0]["scale"] *= 2
     stats.write_text(json.dumps(data))
-    current = NormStats.load(stats, {}).content_hash()
+    current = NormStats.load(stats).content_hash()
     with pytest.raises(ConfigError, match=f"records norm_stats_hash {recorded}, but "
                                           f"norm_stats.json hashes to {current}; run the build"):
         load_dataset(tmp_path)

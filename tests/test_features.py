@@ -146,7 +146,7 @@ def test_norm_stats_round_trip(tmp_path, rng):
     stats = fit_norm(rng.normal(size=(5, 50, 6)))
     path = tmp_path / "norm_stats.json"
     stats.save(path)
-    loaded = NormStats.load(path, {})
+    loaded = NormStats.load(path)
     assert np.array_equal(loaded.location, stats.location)
     assert np.array_equal(loaded.scale, stats.scale)
     assert loaded.degenerate == stats.degenerate

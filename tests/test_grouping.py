@@ -127,7 +127,7 @@ def test_grouping_and_loss_matrix_files(tmp_path):
     path = tmp_path / "grouping.json"
     save_grouping(path, result)
     # stage_train --kind gcae reads the partition back through load_grouping
-    loaded = load_grouping(path, {})
+    loaded = load_grouping(path)
     assert loaded == result
     assert loaded.as_map() == {0: 0, 1: 0, 2: 2}
     save_grouping(tmp_path / "again.json", loaded)

@@ -539,6 +539,45 @@ def test_detect_parses_the_bytes_its_check_hashed(cae_run, tmp_path, monkeypatch
     assert (out_dir / detections).read_bytes() == (cae_run / detections).read_bytes()
 
 
+@pytest.mark.parametrize("name, producer", [
+    ("dataset/header.json", "build"),
+    ("models/cae/detector.json", "train"),
+    ("models/cae/thresholds.csv", "thresholds"),
+])
+def test_detect_parses_a_file_deleted_after_its_check(cae_run, tmp_path, monkeypatch, name,
+                                                      producer):
+    """A loader finds a checked file in the stage's read scope once it is gone from disk."""
+    out_dir = tmp_path / "run"
+    shutil.copytree(cae_run, out_dir)
+    path = out_dir / name
+    checked = pipeline.check_inputs
+
+    def check_then_delete(out, stage, *args):
+        checked(out, stage, *args)
+        if stage == producer:
+            path.unlink()
+    monkeypatch.setattr(pipeline, "check_inputs", check_then_delete)
+    pipeline.stage_detect(_tiny(out_dir, models=["cae"]), "cae")
+    assert not path.exists()
+    detections = "detections/cae.csv"
+    assert (out_dir / detections).read_bytes() == (cae_run / detections).read_bytes()
+
+
+def test_detect_parses_the_thresholds_table_once(cae_run, tmp_path, monkeypatch):
+    """The table the bundle loads is the one the lambda and split check reads."""
+    out_dir = tmp_path / "run"
+    shutil.copytree(cae_run, out_dir)
+    parsed = []
+    load_table = pipeline.th.load_table
+
+    def counted(path):
+        parsed.append(Path(path).relative_to(out_dir).as_posix())
+        return load_table(path)
+    monkeypatch.setattr(pipeline.th, "load_table", counted)
+    pipeline.stage_detect(_tiny(out_dir, models=["cae"]), "cae")
+    assert parsed == ["models/cae/thresholds.csv"]
+
+
 def test_no_stage_call_opens_a_file_of_the_run_twice(tmp_path, monkeypatch):
     out_dir = tmp_path / "run"
     run = pipeline.Stage.run

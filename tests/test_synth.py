@@ -278,12 +278,12 @@ def test_fleet_files_round_trip(tmp_path):
     res = generate(cfg, REGISTRY)
     write_fleet(tmp_path, res)
     assert (tmp_path / "records.csv").exists()
-    truth = load_truth(tmp_path / "truth.csv", {})
+    truth = load_truth(tmp_path / "truth.csv")
     assert truth == res.truth
     lines = (tmp_path / "truth.csv").read_text().splitlines()
     assert lines[0] == "mmsi,first_ts,last_ts,kind,true_context"
     assert len(lines) == len(res.truth) + 1
-    ports = load_ports(tmp_path / "ports.csv", {})
+    ports = load_ports(tmp_path / "ports.csv")
     assert [tuple(p) for p in ports] == [tuple(p) for p in res.ports]
 
 
@@ -301,7 +301,7 @@ def test_load_truth_refuses_a_file_without_span_columns(tmp_path):
     # a file keyed by window number has no span columns
     path.write_text("mmsi,window,kind,true_context\n7,0,collective,\n")
     with pytest.raises(ConfigError, match="truth.csv.*first_ts"):
-        load_truth(path, {})
+        load_truth(path)
 
 
 def test_load_truth_refuses_a_reversed_span(tmp_path):
@@ -310,7 +310,7 @@ def test_load_truth_refuses_a_reversed_span(tmp_path):
                     "7,100,200,collective,\n"
                     "8,300,299,contextual,5\n")
     with pytest.raises(ConfigError, match="line 3"):
-        load_truth(path, {})
+        load_truth(path)
 
 
 # --- the simulation loop against its reference form ---------------------------

@@ -119,7 +119,7 @@ def test_save_load_round_trip(tmp_path, rng):
     table = fit(losses, lam=5.0, fit_split="train")
     path = tmp_path / "thresholds.csv"
     save_table(path, table)
-    loaded = load_table(path, {})
+    loaded = load_table(path)
     assert loaded.lam == table.lam
     assert loaded.fit_split == table.fit_split
     assert set(loaded.entries) == set(table.entries)
@@ -143,7 +143,7 @@ def test_a_table_without_its_lambda_row_is_refused(tmp_path, rng):
     # without the row nothing says what lambda and split it was fitted under,
     # not even that they were the defaults
     with pytest.raises(MissingArtifact, match="no '# lambda' row"):
-        load_table(path, {})
+        load_table(path)
 
 
 @pytest.mark.parametrize("line, row, why", [
@@ -162,10 +162,10 @@ def test_a_malformed_row_is_refused_with_its_line(tmp_path, rng, line, row, why)
     lines[line - 1] = row
     path.write_text("\n".join(lines) + "\n")
     if why is None:
-        assert load_table(path, {}).entries[GLOBAL_ID].tau is None
+        assert load_table(path).entries[GLOBAL_ID].tau is None
         return
     with pytest.raises(MissingArtifact, match=f"line {line} is malformed") as err:
-        load_table(path, {})
+        load_table(path)
     assert str(path) in str(err.value) and why in str(err.value)
     assert "run the thresholds stage again" in str(err.value)
 
@@ -175,7 +175,7 @@ def test_a_truncated_table_is_refused(tmp_path, rng):
     save_table(path, fit({0: rng.exponential(1.0, 9)}))
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(MissingArtifact, match="line 2 is malformed"):
-        load_table(path, {})
+        load_table(path)
 
 
 def test_save_is_byte_stable(tmp_path, rng):
@@ -214,6 +214,6 @@ def test_table_round_trip_property(tmp_path_factory, losses):
     table = fit({0: np.array(losses)})
     path = tmp_path_factory.mktemp("tt") / "t.csv"
     save_table(path, table)
-    loaded = load_table(path, {})
+    loaded = load_table(path)
     assert loaded.entries[0].tau == table.entries[0].tau
     assert loaded.entries[GLOBAL_ID].sigma == table.entries[GLOBAL_ID].sigma
