@@ -1,8 +1,9 @@
 """AIS domain model: message columns, trajectories, and the context registry.
 
-A *context* is a (vessel type, navigational status) pair. The built-in
-registry enumerates the 26 registered pairs with stable ids c0..c25; pairs
-outside the registry have no context (id -1 in a column lookup).
+A *context* is a (vessel type, navigational status) pair. The registry,
+built once at import and returned by ``context_registry()``, enumerates the
+26 registered pairs with stable ids c0..c25; pairs outside it have no
+context (id -1 in a column lookup).
 
 Messages are held as column arrays, never as one object per message. A
 ``MessageTable`` holds parsed records in input order and a ``Trajectory``
@@ -17,7 +18,9 @@ Parsing converts a whole column at a time with the same Python ``int`` and
 ``float`` calls the row parser makes, then checks ranges on the arrays. A
 row that fails any check is parsed again by ``parse_record``, the scalar
 row parser, which names the fault, so every ParseError has the same class,
-line number and text whichever path saw the row first. Ingest writes the
+line number and text whichever path saw the row first. A record file names
+its columns by the canonical field names (``CANONICAL_FIELDS``), in any
+order. Ingest writes the
 parsed table once as raw little-endian column files (``save_table``), and
 the dataset build reads them back (``load_table``) instead of parsing again.
 """
@@ -32,7 +35,7 @@ from enum import Enum
 from itertools import islice
 from math import inf
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -165,33 +168,15 @@ _REGISTRY_ROWS: list[tuple[NavStatus, list[VesselType]]] = [
 ]
 
 
-def _build_default_registry() -> tuple[ContextLabel, ...]:
-    labels = []
-    next_id = 0
-    for status, vessel_types in _REGISTRY_ROWS:
-        for vt in vessel_types:
-            labels.append(ContextLabel(next_id, vt, status))
-            next_id += 1
-    return tuple(labels)
-
-
-_DEFAULT_REGISTRY = _build_default_registry()
-
-
 class ContextRegistry:
-    """Bijective table between ids and (vessel_type, nav_status) pairs."""
+    """Bijective table between ids and (vessel_type, nav_status) pairs: the
+    rows of ``_REGISTRY_ROWS``, numbered in order."""
 
-    def __init__(self, labels: Iterable[ContextLabel] | None = None):
-        self.labels: tuple[ContextLabel, ...] = (
-            tuple(labels) if labels is not None else _DEFAULT_REGISTRY
-        )
+    def __init__(self):
+        pairs = [(vt, status) for status, types in _REGISTRY_ROWS for vt in types]
+        self.labels = tuple(ContextLabel(i, *pair) for i, pair in enumerate(pairs))
         self._by_pair = {(l.vessel_type, l.nav_status): l for l in self.labels}
         self._by_id = {l.id: l for l in self.labels}
-        if len(self._by_pair) != len(self.labels) or len(self._by_id) != len(self.labels):
-            raise ValueError("registry ids and (type, status) pairs must be unique")
-        for label in self.labels:
-            if label.vessel_type is VesselType.UNKNOWN or label.nav_status is NavStatus.OTHER:
-                raise ValueError("unknown type / other status can never be registered")
         self._ids = np.full((len(VESSEL_TYPES), len(NAV_STATUSES)), -1, dtype=np.int64)
         for l in self.labels:
             self._ids[VESSEL_TYPES.index(l.vessel_type),
@@ -228,9 +213,12 @@ class ContextRegistry:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
 
+_REGISTRY = ContextRegistry()
+
+
 def context_registry() -> ContextRegistry:
-    """The built-in 26-context registry with stable ids c0..c25."""
-    return ContextRegistry()
+    """The 26-context registry with stable ids c0..c25, built at import."""
+    return _REGISTRY
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -247,20 +235,17 @@ def _heading_value(token: str) -> float:
     return float("nan") if token in HEADING_UNAVAILABLE_TOKENS else float(token)
 
 
-def parse_record(row: list[str], index: dict[str, int], schema: dict[str, str],
-                 line_no: int) -> tuple:
+def parse_record(row: list[str], index: dict[str, int], line_no: int) -> tuple:
     """One CSV row as a tuple in TABLE_DTYPES order, or a located ParseError.
 
-    index maps header names to row positions; schema renames canonical
-    fields to the columns that hold them.
+    index maps header names to row positions.
     """
     values: dict[str, str] = {}
     for field in CANONICAL_FIELDS:
-        column = schema.get(field, field)
-        i = index.get(column)
+        i = index.get(field)
         # a short row lacks its trailing fields, like an empty one
         if i is None or i >= len(row) or row[i] == "":
-            raise MissingField(line_no, f"missing field {field!r} (column {column!r})")
+            raise MissingField(line_no, f"missing field {field!r}")
         values[field] = row[i]
 
     try:
@@ -313,8 +298,8 @@ _CONVERTERS = (int, int, float, float, float, float, _heading_value,
                lambda token: _TYPE_CODES[token.strip().lower()])
 
 
-def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str],
-                 line_nos: Sequence[int]) -> tuple[dict[str, np.ndarray], list[ParseError]]:
+def _parse_block(rows: list[list[str]], header: list[str], line_nos: Sequence[int],
+                 ) -> tuple[dict[str, np.ndarray], list[ParseError]]:
     """Columns of the well-formed rows, and an error for each other row.
 
     line_nos holds the file line on which each row starts.
@@ -326,7 +311,7 @@ def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str
     try:
         # a missing column, a row of another width or a token a converter
         # refuses sends the whole block to the row parser
-        positions = [index[schema.get(f, f)] for f in CANONICAL_FIELDS]
+        positions = [index[f] for f in CANONICAL_FIELDS]
         if any(len(row) != len(header) for row in rows):
             raise ValueError("ragged rows")
         tokens = list(zip(*rows)) or [()] * len(header)
@@ -346,7 +331,7 @@ def _parse_block(rows: list[list[str]], header: list[str], schema: dict[str, str
     errors: list[ParseError] = []
     for i in np.flatnonzero(bad).tolist():
         try:
-            record = parse_record(rows[i], index, schema, line_nos[i])
+            record = parse_record(rows[i], index, line_nos[i])
         except ParseError as exc:
             errors.append(exc)
             continue
@@ -365,8 +350,7 @@ def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
         start = reader.line_num + 1
 
 
-def parse_messages(stream: TextIO, schema: dict[str, str] | None = None,
-                   ) -> tuple[MessageTable, list[ParseError]]:
+def parse_messages(stream: TextIO) -> tuple[MessageTable, list[ParseError]]:
     """Parse a CSV record stream (header row required) into a message table.
 
     Malformed records are collected as located errors, never silently
@@ -376,7 +360,6 @@ def parse_messages(stream: TextIO, schema: dict[str, str] | None = None,
     that span lines count too. Records are read in blocks of BLOCK_ROWS,
     which bounds the memory the raw text takes.
     """
-    schema = schema or {}
     reader = csv.reader(stream)
     header = next(reader, [])
     records = _numbered(reader)
@@ -384,7 +367,7 @@ def parse_messages(stream: TextIO, schema: dict[str, str] | None = None,
     errors: list[ParseError] = []
     while block := list(islice(records, BLOCK_ROWS)):
         line_nos, rows = zip(*block)
-        cols, block_errors = _parse_block(list(rows), header, schema, line_nos)
+        cols, block_errors = _parse_block(list(rows), header, line_nos)
         parts.append(cols)
         errors.extend(block_errors)
     return MessageTable(**{name: np.concatenate([p[name] for p in parts])
@@ -425,15 +408,17 @@ def save_table(out_dir: Path, table: MessageTable) -> dict[Path, str]:
 
 
 def load_table(table_dir: Path) -> MessageTable:
-    """Read a table written by save_table; refuse a missing or truncated one."""
+    """Read a table written by save_table; refuse a missing one, or a column
+    file not exactly as long as the header's row count."""
     header_path = table_dir / "header.json"
     if not present(header_path):
         raise MissingArtifact(f"no ingest table at {table_dir}; run the ingest stage first")
     rows = json.loads(read_once(header_path))["rows"]
-    cols = {name: np.frombuffer(read_once(table_dir / f"{name}.bin"), dtype)
-            for name, dtype in TABLE_DTYPES.items()}
-    short = [name for name, c in cols.items() if c.shape[0] != rows]
+    data = {name: read_once(table_dir / f"{name}.bin") for name in TABLE_DTYPES}
+    short = [name for name, dtype in TABLE_DTYPES.items()
+             if len(data[name]) != rows * np.dtype(dtype).itemsize]
     if short:
         raise MissingArtifact(f"ingest table columns {short} in {table_dir} do not "
                               f"hold {rows} rows; run the ingest stage again")
-    return MessageTable(**cols)
+    return MessageTable(**{name: np.frombuffer(data[name], dtype)
+                           for name, dtype in TABLE_DTYPES.items()})

@@ -3,7 +3,10 @@
 Only seed and output directory may be overridden on the command line;
 everything else lives in the file so a run is reproducible from config +
 seed alone. The ``dataset`` section is ``dataset.DatasetParams``, which
-lives next to the functions that read it.
+lives next to the functions that read it. A section's keys are the fields
+of its dataclass, less the seed that the run sets; any other key is refused.
+Values that no run changes (Adam's hyperparameters, the synth injection
+constants) are named constants where they are used, not keys.
 """
 
 from __future__ import annotations
@@ -160,8 +163,10 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
 
 
 def _section(raw: dict, key: str, cls, **extra):
+    """The section's dataclass; a key that extra sets from the run is unknown."""
     data = raw.get(key) or {}
-    _typed(f"invalid section {key!r}: ", data, get_type_hints(cls))
+    _typed(f"invalid section {key!r}: ", data,
+           {k: h for k, h in get_type_hints(cls).items() if k not in extra})
     try:
         if key == "dataset" and "ratios" in data:
             data = {**data, "ratios": tuple(data["ratios"])}

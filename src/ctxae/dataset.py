@@ -15,10 +15,12 @@ window never mixes contexts. Ground truth arrives as ``TruthSpan``s, each a
 stretch of one vessel's messages between two timestamps with its kind and
 true context in the table's encoding; a window carries those of the span of
 its vessel that overlaps it, whatever the window length and stride. Splits
-are made by vessel id (no mmsi crosses splits) and per-context caps are
-applied after splitting. All randomness is seeded, and saved datasets are
-byte-identical across runs. ``DatasetParams``, a run config's ``dataset``
-section, is the one home of the build parameters and their defaults.
+are made by vessel id (no mmsi crosses splits), and a split keeps every
+window of its vessels. All randomness is seeded, and saved datasets are
+byte-identical across runs.
+``DatasetParams``, a run config's ``dataset`` section, is the one home of
+the build parameters and their defaults. ``load_dataset`` refuses a split
+whose tensor or index file disagrees with the header's window count.
 
 Trajectories arrive as column arrays (see ``ais``): context runs start
 where the status or vessel type code changes, and the port filter is one
@@ -92,8 +94,6 @@ class DatasetParams:
     max_dist_gap_m: float = 3556.0
     min_span_s: float = 180.0
     port_radius_m: float = 5000.0
-    max_train_per_context: int = 50_000
-    max_eval_per_context: int = 5_000
 
     def __post_init__(self):
         if self.window_len < 2 or self.stride < 1:
@@ -250,9 +250,8 @@ class DatasetSplit:
 
 
 def split_by_vessel(windows: WindowTable, ratios: tuple[float, float, float],
-                    seed: int, max_train_per_context: int,
-                    max_eval_per_context: int) -> DatasetSplit:
-    """Assign whole vessels to train/val/test, then apply per-context caps.
+                    seed: int) -> DatasetSplit:
+    """Assign whole vessels, with all their windows, to train/val/test.
 
     Vessels carrying any ground-truth tag go straight to the test split
     (synthetic runs must not train on injected anomalies). Each split is in
@@ -276,22 +275,8 @@ def split_by_vessel(windows: WindowTable, ratios: tuple[float, float, float],
     }
 
     by_key = np.lexsort((windows.start_ts, windows.mmsi))
-    parts: dict[str, np.ndarray] = {}
-    for split_name, cap in (("train", max_train_per_context),
-                            ("val", max_eval_per_context),
-                            ("test", max_eval_per_context)):
-        rows = by_key[np.isin(windows.mmsi[by_key], assignment[split_name])]
-        # per-context downsampling caps
-        context_ids = windows.context_id[rows]
-        keep = np.ones(rows.shape[0], dtype=bool)
-        for cid in np.unique(context_ids).tolist():
-            idx = np.flatnonzero(context_ids == cid)
-            if idx.shape[0] > cap:
-                sub_rng = np.random.default_rng([seed, 211, cid, SPLIT_NAMES.index(split_name)])
-                chosen = sub_rng.choice(idx.shape[0], size=cap, replace=False)
-                keep[idx] = False
-                keep[idx[chosen]] = True
-        parts[split_name] = rows[keep]
+    parts = {name: by_key[np.isin(windows.mmsi[by_key], vessels)]
+             for name, vessels in assignment.items()}
 
     present = np.unique(windows.context_id[np.concatenate(list(parts.values()))])
     trained = np.unique(windows.context_id[parts["train"]])
@@ -387,13 +372,21 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
 
     parts: dict[str, WindowTable] = {}
     for name in SPLIT_NAMES:
-        raw = np.frombuffer(read_once(dataset_dir / f"{name}.f32"), dtype="<f4")
         count = header["counts"][name]
+        raw = read_once(dataset_dir / f"{name}.f32")
         reader = csv.reader(text(read_once(dataset_dir / f"{name}.index.csv")))
         names = next(reader)
-        col = dict(zip(names, zip(*reader))) or dict.fromkeys(names, ())
+        rows = list(reader)
+        for file, holds, want, unit in (
+                (f"{name}.f32", len(raw), count * window_len * n_feat * 4, "bytes"),
+                (f"{name}.index.csv", len(rows), count, "rows")):
+            if holds != want:
+                raise MissingArtifact(f"{dataset_dir / file} holds {holds} {unit}, but "
+                                      f"{header_path} counts {count} {name} windows "
+                                      f"({want} {unit}); run the build stage again")
+        col = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
         parts[name] = WindowTable(
-            tensor=raw.reshape(count, window_len, n_feat).astype(np.float64),
+            tensor=np.frombuffer(raw, "<f4").reshape(count, window_len, n_feat).astype(np.float64),
             context_id=ints(col["context_id"]),
             mmsi=ints(col["mmsi"]),
             start_ts=ints(col["start_ts"]),

@@ -11,7 +11,8 @@ reproduces identical bytes.
 
 Loading builds the model from the header's layer specs with zero state (no
 random draws) and then overwrites every state array from the file, so the
-loaded model depends on the file alone.
+loaded model depends on the file alone. A file shorter or longer than its
+blocks is refused.
 """
 
 from __future__ import annotations
@@ -72,4 +73,6 @@ def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
             raise ShapeMismatch(f"{path}: truncated parameter block")
         dst[...] = np.frombuffer(data, "<f4", dst.size, offset).reshape(dst.shape)
         offset += dst.size * 4
+    if offset != len(data):
+        raise ShapeMismatch(f"{path}: {len(data) - offset} bytes after the last state block")
     return model, header["meta"]

@@ -17,6 +17,9 @@ chunk sizes. Validation runs it each epoch on the scoring fold of the
 encoder and decoders (``fold_for_scoring``), as detector scoring and the
 grouping's cross-loss matrix do.
 
+``Adam`` runs with fixed hyperparameters (``LEARNING_RATE``, ``BETA1``,
+``BETA2``, ``EPSILON``: the textbook defaults, which no run changes), so a
+run config's ``train`` section holds only the epoch schedule and batch size.
 ``Adam.step`` updates its moments in place and works in one pair of flat
 scratch arrays that every optimizer of a training run shares
 (``adam_scratch``): steps run one at a time, and each overwrites the
@@ -34,15 +37,16 @@ from ..errors import EmptyTrainingSet, NonFiniteLoss
 from .model import Sequential, fold_for_scoring, mse_per_sample
 
 SCORE_BATCH = 512     # rows per encoder pass of score_windows
+# Adam's step size, moment decays and denominator guard
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 250
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 128
     patience: int = 10
     seed: int = 0
@@ -50,10 +54,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.max_epochs, self.batch_size, self.patience) <= 0:
             raise ValueError("max_epochs, batch_size and patience must be positive")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("moment decays must lie in [0, 1)")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
 
@@ -83,12 +83,8 @@ class Adam:
     its leading elements, shaped like each parameter in turn.
     """
 
-    def __init__(self, params: list[np.ndarray], config: TrainConfig,
+    def __init__(self, params: list[np.ndarray],
                  scratch: tuple[np.ndarray, np.ndarray]):
-        self.lr = config.learning_rate
-        self.beta1 = config.beta1
-        self.beta2 = config.beta2
-        self.eps = config.epsilon
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -98,20 +94,20 @@ class Adam:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """p -= lr * (m / c1) / (sqrt(v / c2) + eps), with m and v decayed in place."""
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - BETA1 ** self.t
+        correction2 = 1.0 - BETA2 ** self.t
         for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=a)
+            v *= BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - BETA2
             v += a
             np.divide(v, correction2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += EPSILON
             np.divide(m, correction1, out=b)
-            b *= self.lr
+            b *= LEARNING_RATE
             b /= a
             p -= b
 
@@ -207,8 +203,8 @@ def _train(encoder: Sequential, decoders: dict[int, Sequential],
     rng = np.random.default_rng(config.seed)
     models = [encoder] + [decoders[k] for k in keys]
     scratch = adam_scratch(*(m.params() for m in models))
-    enc_adam = Adam(encoder.params(), config, scratch)
-    dec_adams = {k: Adam(decoders[k].params(), config, scratch) for k in keys}
+    enc_adam = Adam(encoder.params(), scratch)
+    dec_adams = {k: Adam(decoders[k].params(), scratch) for k in keys}
     report = TrainReport()
     best_state: list[list[np.ndarray]] | None = None
     bad_epochs = 0

@@ -113,9 +113,7 @@ def _build(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
     windows = remove_outliers(windows, cfg.dataset)
     after_outliers = len(windows)
 
-    split = split_by_vessel(windows, cfg.dataset.ratios, cfg.seed,
-                            cfg.dataset.max_train_per_context,
-                            cfg.dataset.max_eval_per_context)
+    split = split_by_vessel(windows, cfg.dataset.ratios, cfg.seed)
     split = normalize_split(split)
     summary = {
         "windows_cut": total_cut,

@@ -10,9 +10,12 @@ true_context: NO_CONTEXT, an empty field in truth.csv, when collective):
 * contextual: a vessel broadcasts a false navigational status on every
   message, so its windows land in the wrong context while the motion stays
   true to the real one. The span runs from its first to its last message.
-* collective: a short run of consecutive positions is displaced by a fixed
-  large step, inconsistent with the reported speeds. The span covers the
-  displaced messages.
+* collective: a run of ``COLLECTIVE_SPAN`` consecutive positions is
+  displaced by a fixed large step (``COLLECTIVE_MAGNITUDE_M``), inconsistent
+  with the reported speeds. The span covers the displaced messages.
+
+Vessels are numbered from ``BASE_MMSI``. These three are constants, not
+config keys: a run sets only the fleet's plans, length, rates and ports.
 
 Ground truth never refers to windows: which windows a span tags is decided
 when the dataset is cut, for any window length and stride.
@@ -67,6 +70,9 @@ from .manifest import csv_bytes, read_once, text, write_file, write_files
 
 KNOT_MPS = 0.514444
 START_TS = 1_600_000_000
+BASE_MMSI = 200_000_000          # vessels are numbered from BASE_MMSI + 1
+COLLECTIVE_SPAN = 12             # messages displaced by a collective injection
+COLLECTIVE_MAGNITUDE_M = 3000.0  # the length of each displaced step
 
 
 @dataclass(frozen=True)
@@ -152,10 +158,7 @@ class SynthConfig:
     messages_per_vessel: int = 4000
     contextual_rate: float = 0.0
     collective_rate: float = 0.0
-    collective_span: int = 12
-    collective_magnitude_m: float = 3000.0
     ports: tuple[tuple[float, float], ...] = ((55.0, 10.0),)
-    base_mmsi: int = 200_000_000
 
     def __post_init__(self):
         if not self.plans:
@@ -164,15 +167,13 @@ class SynthConfig:
             raise ConfigError("contextual_rate must be in [0, 1]")
         if not 0.0 <= self.collective_rate <= 1.0:
             raise ConfigError("collective_rate must be in [0, 1]")
-        if self.collective_span < 2:
-            raise ConfigError("collective_span must be >= 2")
         if self.messages_per_vessel < 1:
             raise ConfigError("messages_per_vessel must be positive")
         # an injection starts at least 5 messages from either end of the track
-        if self.collective_rate > 0 and self.messages_per_vessel <= self.collective_span + 10:
+        if self.collective_rate > 0 and self.messages_per_vessel <= COLLECTIVE_SPAN + 10:
             raise ConfigError(
-                f"messages_per_vessel {self.messages_per_vessel} leaves no room for "
-                f"collective_span {self.collective_span}; it must exceed the span by 10")
+                f"messages_per_vessel {self.messages_per_vessel} leaves no room for a "
+                f"collective span of {COLLECTIVE_SPAN} messages; it must exceed the span by 10")
         ids = [p.context_id for p in self.plans]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate context ids in synthetic plan")
@@ -437,7 +438,7 @@ def inject_collective(trajectory: Trajectory, start: int, span: int,
 def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
     """Build the full fleet, inject anomalies, and emit exact truth tags."""
     plan_vessels: dict[int, list[tuple[int, ContextPlan]]] = {}
-    mmsi_counter = config.base_mmsi
+    mmsi_counter = BASE_MMSI
     for plan in config.plans:
         if not registry.has_id(plan.context_id):
             raise UnmappedContext(
@@ -487,15 +488,14 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 
             if mmsi in collective:
                 inj_rng = np.random.default_rng([config.seed, mmsi, 3])
-                span = config.collective_span
-                lo, hi = 5, config.messages_per_vessel - span - 5
+                lo, hi = 5, config.messages_per_vessel - COLLECTIVE_SPAN - 5
                 start = int(inj_rng.integers(lo, hi))
                 heading_deg = float(inj_rng.uniform(0.0, 360.0))
-                traj = inject_collective(traj, start, span,
-                                         config.collective_magnitude_m,
-                                         heading_deg)
+                traj = inject_collective(traj, start, COLLECTIVE_SPAN,
+                                         COLLECTIVE_MAGNITUDE_M, heading_deg)
                 truth.append(TruthSpan(mmsi, int(traj.ts[start + 1]),
-                                       int(traj.ts[start + span]), "collective"))
+                                       int(traj.ts[start + COLLECTIVE_SPAN]),
+                                       "collective"))
 
             trajectories.append(traj)
 

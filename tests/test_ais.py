@@ -108,8 +108,18 @@ class TestRegistry:
     def test_content_hash_stable(self):
         assert context_registry().content_hash() == context_registry().content_hash()
 
+    def test_built_in_table_is_a_bijection_of_known_pairs(self):
+        labels = context_registry().labels
+        pairs = [(l.vessel_type, l.nav_status) for l in labels]
+        assert len(set(pairs)) == len({l.id for l in labels}) == len(labels)
+        assert all(vt is not VesselType.UNKNOWN and ns is not NavStatus.OTHER
+                   for vt, ns in pairs)
 
-def scalar_parse(text, schema):
+    def test_one_registry_is_built_at_import(self):
+        assert context_registry() is context_registry()
+
+
+def scalar_parse(text):
     """The reference: every non-blank row through the scalar row parser,
     numbered by the file line it starts on."""
     reader = csv.reader(io.StringIO(text))
@@ -119,16 +129,15 @@ def scalar_parse(text, schema):
     for row in reader:
         if row:
             try:
-                rows.append(parse_record(row, index, schema, line_no))
+                rows.append(parse_record(row, index, line_no))
             except ParseError as exc:
                 errors.append(exc)
         line_no = reader.line_num + 1
     return rows, errors
 
 
-# one row per fault the parser knows, plus the tokens it must accept;
-# the timestamp column is renamed, so the parse needs a schema
-PARITY_HEADER = "mmsi,time,lat,lon,sog,cog,heading,nav_status,vessel_type,note"
+# one row per fault the parser knows, plus the tokens it must accept
+PARITY_HEADER = "mmsi,timestamp,lat,lon,sog,cog,heading,nav_status,vessel_type,note"
 PARITY_ROWS = [
     "7,0,1.0,2.0,3.0,4.0,5,moored,trawlers,ok",
     "7,1,1.0,2.0",                                       # short row
@@ -223,9 +232,8 @@ class TestParsing:
     def test_columnar_parse_matches_the_row_parser(self, monkeypatch, block_rows):
         monkeypatch.setattr(ais, "BLOCK_ROWS", block_rows)
         text = "\n".join([PARITY_HEADER] + PARITY_ROWS) + "\n"
-        schema = {"timestamp": "time"}
-        table, errors = parse_messages(io.StringIO(text), schema)
-        ref_rows, ref_errors = scalar_parse(text, schema)
+        table, errors = parse_messages(io.StringIO(text))
+        ref_rows, ref_errors = scalar_parse(text)
         assert [(type(e), e.line_no) for e in errors] == PARITY_ERRORS
         assert [(type(e), e.line_no, str(e)) for e in errors] == \
             [(type(e), e.line_no, str(e)) for e in ref_errors]
@@ -243,7 +251,15 @@ class TestParsing:
         table, errors = parse_messages(io.StringIO(text))
         assert len(table) == 0
         assert [str(e) for e in errors] == [
-            f"line {n}: missing field 'timestamp' (column 'timestamp')" for n in (2, 3)]
+            f"line {n}: missing field 'timestamp'" for n in (2, 3)]
+
+    def test_columns_may_come_in_any_order(self):
+        text = records({}, {"heading": "511"}, {"mmsi": "9"})
+        swapped = "\n".join(",".join(reversed(line.split(",")))
+                            for line in text.splitlines()) + "\n"
+        table, errors = parse_messages(io.StringIO(swapped))
+        assert errors == []
+        assert repr(table_rows(table)) == repr(table_rows(parse_messages(io.StringIO(text))[0]))
 
     def test_empty_stream_gives_an_empty_table(self):
         for text in ("", HEADER + "\n"):
@@ -265,6 +281,18 @@ class TestParsing:
             load_table(tmp_path / "t")
         with pytest.raises(MissingArtifact, match="run the ingest stage"):
             load_table(tmp_path / "none")
+
+    @pytest.mark.parametrize("column, cut", [("lat", 1), ("status", -1), ("mmsi", 7)])
+    def test_a_column_file_of_another_length_is_refused(self, tmp_path, column, cut):
+        # a cut of 1 or 7 bytes leaves a partial value, which numpy cannot view
+        table, _ = parse_messages(io.StringIO(records({}, {"mmsi": "9"})))
+        save_table(tmp_path / "t", table)
+        path = tmp_path / "t" / f"{column}.bin"
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut] if cut > 0 else data + b"\0")
+        with pytest.raises(MissingArtifact,
+                           match=rf"\['{column}'\] in {tmp_path / 't'} do not hold 2 rows"):
+            load_table(tmp_path / "t")
 
 
 class TestTrajectories:

@@ -88,7 +88,7 @@ def test_collective_span_that_does_not_fit_exits_2(tmp_path):
     result = _invoke(tmp_path, ["simulate"], raw=raw)
     assert result.exit_code == 2
     assert result.stderr.startswith("ConfigError: messages_per_vessel 20 ")
-    assert "collective_span 12" in result.stderr
+    assert "collective span of 12 messages" in result.stderr
 
 
 def test_build_before_ingest_exits_3(tmp_path):

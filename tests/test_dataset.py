@@ -34,7 +34,7 @@ from ctxae.dataset import (
     segment,
     split_by_vessel,
 )
-from ctxae.errors import ConfigError
+from ctxae.errors import ConfigError, MissingArtifact
 from ctxae.features import NormStats, enrich
 from ctxae.geo import haversine
 from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
@@ -104,8 +104,7 @@ def oracle_remove_outliers(windows, params):
     return kept
 
 
-def oracle_split_by_vessel(windows, ratios, seed, max_train_per_context,
-                           max_eval_per_context):
+def oracle_split_by_vessel(windows, ratios, seed):
     """(windows per split name, excluded contexts)."""
     by_vessel = {}
     for w in windows:
@@ -120,24 +119,9 @@ def oracle_split_by_vessel(windows, ratios, seed, max_train_per_context,
     n_val = int(n * (ratios[0] + ratios[1])) - n_train
     assignment = {"train": order[:n_train], "val": order[n_train:n_train + n_val],
                   "test": order[n_train + n_val:] + sorted(anomalous)}
-    parts = {}
-    for name, cap in (("train", max_train_per_context), ("val", max_eval_per_context),
-                      ("test", max_eval_per_context)):
-        ws = sorted((w for m in assignment[name] for w in by_vessel[m]),
-                    key=lambda w: (w.mmsi, w.start_ts))
-        groups = {}
-        for i, w in enumerate(ws):
-            groups.setdefault(w.context_id, []).append(i)
-        keep = []
-        for cid, idx in sorted(groups.items()):
-            idx = np.array(idx)
-            if idx.shape[0] > cap:
-                sub_rng = np.random.default_rng([seed, 211, cid, SPLIT_NAMES.index(name)])
-                chosen = sub_rng.choice(idx.shape[0], size=cap, replace=False)
-                keep.extend(idx[np.sort(chosen)])
-            else:
-                keep.extend(idx)
-        parts[name] = [ws[i] for i in sorted(keep)]
+    parts = {name: sorted((w for m in vessels for w in by_vessel[m]),
+                          key=lambda w: (w.mmsi, w.start_ts))
+             for name, vessels in assignment.items()}
     present = {w.context_id for p in parts.values() for w in p}
     excluded = tuple(sorted(present - {w.context_id for w in parts["train"]}))
     parts = {name: [w for w in p if w.context_id not in excluded]
@@ -195,12 +179,6 @@ def _window(mmsi=1, cid=0, start_ts=0, truth="none", true_context=NO_CONTEXT,
     tensor[:, 4] = 5.0
     return Window(tensor=tensor, context_id=cid, mmsi=mmsi, start_ts=start_ts,
                   truth=truth, true_context=true_context, end_ts=end_ts)
-
-
-def _split(table, ratios, seed):
-    """split_by_vessel under the default caps."""
-    return split_by_vessel(table, ratios, seed, PARAMS.max_train_per_context,
-                           PARAMS.max_eval_per_context)
 
 
 def _uids(table):
@@ -391,7 +369,7 @@ def test_remove_outliers_drops_short_span():
 def test_split_by_vessel_is_mmsi_disjoint():
     windows = [_window(mmsi=m, cid=m % 2, start_ts=i * 1500)
                for m in range(1, 21) for i in range(5)]
-    split = _split(_table(windows), (0.6, 0.2, 0.2), 3)
+    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), 3)
     seen = {}
     for name in ("train", "val", "test"):
         for w in split.windows(name):
@@ -405,7 +383,7 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
                for m in range(1, 11) for i in range(3)]
     windows.append(_window(mmsi=99, start_ts=0,
                            truth="collective"))
-    split = _split(_table(windows), (0.6, 0.2, 0.2), 1)
+    split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), 1)
     assert 99 in split.test.mmsi
     assert 99 not in split.train.mmsi
     assert 99 not in split.val.mmsi
@@ -414,23 +392,13 @@ def test_split_by_vessel_sends_anomalous_vessels_to_test():
 def test_split_by_vessel_is_deterministic():
     windows = _table([_window(mmsi=m, start_ts=i * 1500)
                       for m in range(1, 16) for i in range(4)])
-    a = _split(windows, (0.6, 0.2, 0.2), 9)
-    b = _split(windows, (0.6, 0.2, 0.2), 9)
+    a = split_by_vessel(windows, (0.6, 0.2, 0.2), 9)
+    b = split_by_vessel(windows, (0.6, 0.2, 0.2), 9)
     for name in ("train", "val", "test"):
         assert _uids(a.windows(name)) == _uids(b.windows(name))
-    c = _split(windows, (0.6, 0.2, 0.2), 10)
+    c = split_by_vessel(windows, (0.6, 0.2, 0.2), 10)
     assert any(_uids(a.windows(n)) != _uids(c.windows(n))
                for n in ("train", "val", "test"))
-
-
-def test_split_by_vessel_applies_eval_caps():
-    windows = [_window(mmsi=m, start_ts=i * 1500)
-               for m in range(1, 6) for i in range(40)]
-    split = split_by_vessel(_table(windows), (0.34, 0.33, 0.33), seed=2,
-                            max_train_per_context=30, max_eval_per_context=10)
-    assert len(split.train) <= 30
-    assert len(split.val) <= 10
-    assert len(split.test) <= 10
 
 
 def test_split_excludes_contexts_missing_from_train():
@@ -441,7 +409,7 @@ def test_split_excludes_contexts_missing_from_train():
     windows += [_window(mmsi=50, cid=5, start_ts=i * 1500)
                 for i in range(3)]
     for seed in range(20):
-        split = _split(_table(windows), (0.6, 0.2, 0.2), seed)
+        split = split_by_vessel(_table(windows), (0.6, 0.2, 0.2), seed)
         if split.excluded_contexts:
             assert split.excluded_contexts == (5,)
             for name in ("train", "val", "test"):
@@ -469,7 +437,7 @@ def _small_split(seed=4):
                for m in range(1, 13) for i in range(4)]
     windows[-1] = _window(mmsi=12, cid=5, start_ts=3 * 1500, fill=3.3,
                           truth="contextual", true_context=16)
-    return _split(_table(windows), (0.5, 0.25, 0.25), seed)
+    return split_by_vessel(_table(windows), (0.5, 0.25, 0.25), seed)
 
 
 def test_normalize_split_fits_on_train_only():
@@ -543,10 +511,31 @@ def test_load_dataset_refuses_other_normalisation_statistics(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("file, cut, holds", [
+    ("val.index.csv", "last row", "rows"), ("train.f32", 4, "bytes"),
+    ("test.f32", 3, "bytes"), ("train.index.csv", "extra row", "rows")])
+def test_load_dataset_refuses_a_file_that_disagrees_with_its_header(tmp_path, file, cut,
+                                                                    holds):
+    split = _saved(tmp_path)
+    path = tmp_path / file
+    data = path.read_bytes()
+    if cut == "last row":
+        data = data[:data.rindex(b"\n", 0, -1) + 1]
+    elif cut == "extra row":
+        data += data[data.rindex(b"\n", 0, -1) + 1:]
+    else:
+        data = data[:-cut]
+    path.write_bytes(data)
+    count = len(split.windows(file.split(".")[0]))
+    with pytest.raises(MissingArtifact, match=rf"{path} holds \d+ {holds}, but .* counts "
+                                              rf"{count} .* windows .*run the build stage again"):
+        load_dataset(tmp_path)
+
+
 def test_empty_splits_keep_the_window_shape(tmp_path):
     # every vessel is clean and goes to train, so val and test are empty
-    split = _split(_table([_window(mmsi=m, start_ts=0, n=8) for m in range(1, 4)], 8),
-                   (1.0, 0.0, 0.0), 1)
+    split = split_by_vessel(_table([_window(mmsi=m, start_ts=0, n=8) for m in range(1, 4)], 8),
+                            (1.0, 0.0, 0.0), 1)
     assert split.val.tensor.shape == split.test.tensor.shape == (0, 8, 6)
     save_dataset(tmp_path, normalize_split(split), REGISTRY, seed=1, window_len=8)
     loaded, _ = load_dataset(tmp_path)
@@ -618,10 +607,8 @@ spans_st = st.lists(st.builds(
                       min_span_s=st.sampled_from((0.0, 150.0))),
        ratios=st.sampled_from(((0.6, 0.2, 0.2), (0.34, 0.33, 0.33), (1.0, 0.0, 0.0),
                                (0.0, 0.5, 0.5))),
-       max_train=st.integers(1, 12), max_eval=st.integers(1, 6),
        seed=st.integers(0, 2 ** 16))
-def test_split_path_equals_the_per_window_oracles(windows, spans, caps, ratios,
-                                                  max_train, max_eval, seed):
+def test_split_path_equals_the_per_window_oracles(windows, spans, caps, ratios, seed):
     table = attach_truth(_table(windows, WINDOW_LEN), spans)
     windows = oracle_attach_truth(windows, spans)
     assert_table_equals(table, windows, WINDOW_LEN)
@@ -629,8 +616,8 @@ def test_split_path_equals_the_per_window_oracles(windows, spans, caps, ratios,
     assert_table_equals(remove_outliers(table, caps),
                         oracle_remove_outliers(windows, caps), WINDOW_LEN)
 
-    split = split_by_vessel(table, ratios, seed, max_train, max_eval)
-    parts, excluded = oracle_split_by_vessel(windows, ratios, seed, max_train, max_eval)
+    split = split_by_vessel(table, ratios, seed)
+    parts, excluded = oracle_split_by_vessel(windows, ratios, seed)
     assert split.excluded_contexts == excluded
     for name in SPLIT_NAMES:
         assert_table_equals(split.windows(name), parts[name], WINDOW_LEN)

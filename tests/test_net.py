@@ -12,6 +12,10 @@ from ctxae.net.model import (
     mse_per_sample,
 )
 from ctxae.net.training import (
+    BETA1,
+    BETA2,
+    EPSILON,
+    LEARNING_RATE,
     Adam,
     TrainConfig,
     adam_scratch,
@@ -351,20 +355,19 @@ def test_multi_decoder_rejects_empty_branch(rng):
 
 
 def test_adam_matches_reference_formula():
-    cfg = TrainConfig(learning_rate=0.01)
     p = np.array([1.0, -2.0])
     params = [p]
-    opt = Adam(params, cfg, adam_scratch(params))
+    opt = Adam(params, adam_scratch(params))
     m = np.zeros(2)
     v = np.zeros(2)
     ref = p.copy()
     for t in range(1, 4):
         g = 2.0 * ref                       # gradient of sum(p^2)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        ref = ref - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        m_hat = m / (1 - 0.9 ** t)
+        v_hat = v / (1 - 0.999 ** t)
+        ref = ref - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
         opt.step(params, [2.0 * params[0]])
         assert np.allclose(params[0], ref, atol=1e-12)
 
@@ -388,6 +391,19 @@ def test_checkpoint_round_trip(tmp_path, rng):
     path2 = tmp_path / "again.ckpt"
     save_checkpoint(path2, loaded, meta={"role": "encoder"})
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("tail", [b"\0" * 8, b"\1"])
+def test_checkpoint_with_bytes_after_its_last_block_is_refused(tmp_path, tail):
+    enc, _ = _build_pair(_toy_spec(), seed=4)
+    path = tmp_path / "encoder.ckpt"
+    save_checkpoint(path, enc)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ShapeMismatch, match=f"{len(tail)} bytes after the last state block"):
+        load_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:-len(tail) - 1])
+    with pytest.raises(ShapeMismatch, match="truncated parameter block"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_preserves_running_stats(tmp_path, rng):
@@ -419,9 +435,8 @@ def test_sequential_snapshot_restore_round_trip(rng):
 class _ReferenceAdam:
     """The textbook out-of-place Adam update, kept as the in-place step's oracle."""
 
-    def __init__(self, params, config):
-        self.lr, self.eps = config.learning_rate, config.epsilon
-        self.beta1, self.beta2 = config.beta1, config.beta2
+    def __init__(self, params):
+        self.lr, self.eps, self.beta1, self.beta2 = LEARNING_RATE, EPSILON, BETA1, BETA2
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -439,7 +454,6 @@ class _ReferenceAdam:
 
 
 def test_adam_in_place_step_matches_out_of_place_reference(rng):
-    cfg = TrainConfig(learning_rate=3e-3)
     # an encoder and two decoders of different shapes, the largest
     # parameter in a decoder, with one scratch pair built as _train builds it
     shapes = {"enc": [(7, 5), (5,), (3, 2, 4)],
@@ -449,8 +463,8 @@ def test_adam_in_place_step_matches_out_of_place_reference(rng):
     ref_params = {k: [p.copy() for p in ps] for k, ps in params.items()}
     scratch = adam_scratch(*params.values())
     assert scratch[0].shape == scratch[1].shape == (54,)
-    opts = {k: Adam(ps, cfg, scratch) for k, ps in params.items()}
-    refs = {k: _ReferenceAdam(ps, cfg) for k, ps in ref_params.items()}
+    opts = {k: Adam(ps, scratch) for k, ps in params.items()}
+    refs = {k: _ReferenceAdam(ps) for k, ps in ref_params.items()}
     for _ in range(40):
         for k in ("enc", "a", "enc", "b"):
             grads = [rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=s)

@@ -792,10 +792,10 @@ GOLDEN_SHA256 = {
     "dataset/val.index.csv": "3f36a848c89dd1bfbba3c4eb09265b13ccdfccdfba04c8cce860e46c84979806",
     # the manifests too: they are the same from any run directory
     "synth/simulate.manifest.json":
-        "03cd5cfbc8c2d6515d1c9b1d1e5813c30a5f843bcf858ff746e0d4d27ff8801a",
-    "ingest.manifest.json": "1d0f821c42c92dc5139d1ef8003b0a23847f6e01c9423bcfe481eac7844a0a69",
+        "c6748d45d867ff72d655f4967f370736514987a2a4ead551bdef9a2dcdac7ca6",
+    "ingest.manifest.json": "18293a3f45349ae0cf70b5b736230ec6ddb76cefe26ac1a043257ec6764c72a4",
     "dataset/build.manifest.json":
-        "be39ccc7fe65669c0ab36723ebc6e6cd329518f51457474014ad904660ffe2a3",
+        "c3251a386e788a666cb1345e3126f52a618a8dacacf8785928155e240c19623e",
 }
 
 

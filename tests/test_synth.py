@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 
 from ctxae import synth
 from ctxae.ais import (MESSAGE_COLUMNS, NAV_STATUSES, VESSEL_TYPES, ContextRegistry,
-                       NavStatus, Trajectory, table_of)
+                       NavStatus, Trajectory, context_registry, table_of)
 from ctxae.dataset import attach_truth, segment
 from ctxae.errors import (ConfigError, UnmappedContext,
                           UnregisteredFalsification)
 from ctxae.features import enrich
 from ctxae.geo import bearing, destination, destination_array, haversine
-from ctxae.synth import (KNOT_MPS, START_TS, BehaviorModel, ContextPlan, PRESETS,
-                         SynthConfig, generate, inject_collective, inject_contextual,
-                         load_ports, load_truth, write_fleet)
+from ctxae.synth import (COLLECTIVE_MAGNITUDE_M, COLLECTIVE_SPAN, KNOT_MPS, START_TS,
+                         BehaviorModel, ContextPlan, PRESETS, SynthConfig, generate,
+                         inject_collective, inject_contextual, load_ports, load_truth,
+                         write_fleet)
 
-REGISTRY = ContextRegistry()
+REGISTRY = context_registry()
 
 
 def small_config(**kw):
@@ -54,8 +55,7 @@ def test_rejects_duplicate_context_ids():
 
 @pytest.mark.parametrize("field,value", [
     ("contextual_rate", -0.1), ("contextual_rate", 1.5),
-    ("collective_rate", 2.0), ("collective_span", 1),
-    ("messages_per_vessel", 0),
+    ("collective_rate", 2.0), ("messages_per_vessel", 0),
 ])
 def test_rejects_bad_scalars(field, value):
     with pytest.raises(ConfigError):
@@ -64,11 +64,11 @@ def test_rejects_bad_scalars(field, value):
 
 def test_rejects_collective_span_that_does_not_fit():
     # generate() would draw a start from an empty range
-    with pytest.raises(ConfigError, match=r"messages_per_vessel 22 .*collective_span 12"):
-        small_config(messages_per_vessel=22, collective_span=12, collective_rate=0.5)
-    small_config(messages_per_vessel=22, collective_span=12, collective_rate=0.0)
-    res = generate(small_config(messages_per_vessel=23, collective_span=12,
-                                collective_rate=1.0), REGISTRY)
+    assert COLLECTIVE_SPAN == 12
+    with pytest.raises(ConfigError, match=r"messages_per_vessel 22 .*collective span of 12"):
+        small_config(messages_per_vessel=22, collective_rate=0.5)
+    small_config(messages_per_vessel=22, collective_rate=0.0)
+    res = generate(small_config(messages_per_vessel=23, collective_rate=1.0), REGISTRY)
     assert any(s.kind == "collective" for s in res.truth)
 
 
@@ -251,11 +251,11 @@ def test_collective_truth_tags_touched_windows():
         stamps = traj.ts.tolist()
         lo, hi = stamps.index(s.first_ts), stamps.index(s.last_ts)
         # the span is exactly the displaced messages, each one a full step
-        assert hi - lo + 1 == cfg.collective_span
+        assert hi - lo + 1 == COLLECTIVE_SPAN
         for i in range(lo, hi + 1):
             assert haversine(traj.lat[i - 1], traj.lon[i - 1], traj.lat[i],
                              traj.lon[i]) == pytest.approx(
-                cfg.collective_magnitude_m, rel=1e-6)
+                COLLECTIVE_MAGNITUDE_M, rel=1e-6)
         # the windows cut from the vessel carry the tag iff they touch the span
         windows = attach_truth(segment(traj, enrich(traj), REGISTRY, 50, 50),
                                res.truth)
