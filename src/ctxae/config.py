@@ -127,7 +127,9 @@ def _build_behavior(raw: dict) -> BehaviorModel:
     preset = PRESETS[name]
     overrides = {k: v for k, v in raw.items()
                  if k not in ("behavior", "id", "vessels", "falsify_to")}
-    _typed(f"synth context {raw['id']!r}: ", overrides, get_type_hints(BehaviorModel))
+    # the preset names the motion model, so kind is not an override
+    _typed(f"synth context {raw['id']!r}: ", overrides,
+           {k: h for k, h in get_type_hints(BehaviorModel).items() if k != "kind"})
     return BehaviorModel(**{**preset.__dict__, **overrides})
 
 

@@ -14,15 +14,22 @@ context with neither is refused. A window is always scored through the
 decoder its (claimed) context routes to; scoring and verdicts never look at
 ground truth.
 
-Scoring runs a pass plan, not a loop over contexts: the distinct contexts of
-a batch are routed once, rows are ordered by their (encoder, decoder) pair,
-and each encoder key's rows go through one ``net.score_windows`` call with
-one span per decoder key. That loop alone sets chunk sizes. So ae makes two
-passes per batch whatever the contexts, gcae one encoder pass plus one per
-group present, and moe one pair per context. A score depends on the row
-count of the GEMMs that produced it at the ULP level (BLAS kernels differ
-below and above a few dozen rows), so the same window can score a few ULPs
-apart in batches of other sizes or mixes.
+Scoring runs a pass plan, not a loop over contexts. The plan is built once,
+when a Detector is constructed: every (encoder key, decoder key) pair a
+context routes to, sorted, and a table from context id to its pair's index
+(an id without a key of its own routes like any untrained one). A batch
+then costs one lookup of its rows' passes, a stable sort of the rows by
+pass, and one ``net.score_windows`` call per encoder key with one span per
+decoder key; a batch of a single pass is scored as it comes. That loop
+alone sets chunk sizes. So ae makes two passes per batch whatever the
+contexts, gcae one encoder pass plus one per group present, and moe one
+pair per context. A score depends on the row count of the GEMMs that
+produced it at the ULP level (BLAS kernels differ below and above a few
+dozen rows), so the same window can score a few ULPs apart in batches of
+other sizes or mixes. ``detect`` takes each window's tau from the
+threshold table's own lookup (see ``thresholds``), and refuses a batch
+whose ids and windows differ in number, a context without a tau, or an
+unrouted one before any window is scored.
 
 The passes run folded scoring models (``net.fold_for_scoring``: each
 convolution -> batch norm pair merged into one convolution), built once when
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +64,7 @@ import numpy as np
 from . import thresholds as th
 from .dataset import DatasetSplit
 from .errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
-                     UnroutedContext)
+                     ShapeMismatch, UnroutedContext)
 from .manifest import json_bytes, present, read_once, write_files
 from .net import (AutoencoderSpec, Sequential, TrainConfig, TrainReport,
                   fold_for_scoring, load_checkpoint, save_checkpoint, score_windows,
@@ -79,6 +87,14 @@ class Detector:
     # what score_mixed runs: the stored models folded (see the module doc)
     scoring_encoders: dict[int, Sequential] = field(init=False, repr=False, compare=False)
     scoring_decoders: dict[int, Sequential] = field(init=False, repr=False, compare=False)
+    # the pass plan: every (encoder key, decoder key) pair a context routes to, sorted
+    plan: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    # slot c + 1 holds context c's index into plan (len(plan) if unrouted); both
+    # end slots hold that of every id outside, which take(mode="clip") sends there
+    _pass_of: np.ndarray = field(init=False, repr=False, compare=False)
+    # per encoder key of plan: its scoring encoder, its first pass, and the
+    # scoring decoders of its passes in plan order
+    _encoder_passes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for model in (*self.encoders.values(), *self.decoders.values()):
@@ -86,48 +102,78 @@ class Detector:
         self.scoring_encoders = {k: fold_for_scoring(m) for k, m in self.encoders.items()}
         self.scoring_decoders = {k: fold_for_scoring(m) for k, m in self.decoders.items()}
 
-    def encoder_key(self, context_id: int) -> int:
-        if context_id in self.encoders:
-            return context_id
-        if SHARED in self.encoders:
-            return SHARED
-        raise UnroutedContext(f"context {context_id} has no encoder")
+        # ids 0..n-1 cover every key, so id n routes like any id outside them
+        n = 1 + max((c for c in (*self.encoders, *self.decoders, *(self.grouping or {}))
+                     if c >= 0), default=-1)
+        routes = []
+        for c in range(n + 1):
+            try:
+                routes.append(self.route(c))
+            except UnroutedContext:
+                routes.append(None)
+        self.plan = tuple(sorted(set(routes) - {None}))
+        index = [len(self.plan) if r is None else self.plan.index(r) for r in routes]
+        self._pass_of = np.array([index[n], *index], dtype=np.intp)
+        self._encoder_passes, first = [], 0
+        for enc_key, pairs in groupby(self.plan, key=lambda pair: pair[0]):
+            decoders = [self.scoring_decoders[dec_key] for _, dec_key in pairs]
+            self._encoder_passes.append((self.scoring_encoders[enc_key], first, decoders))
+            first += len(decoders)
 
-    def decoder_key(self, context_id: int) -> int:
-        key = (self.grouping or {}).get(context_id, context_id)
-        if key not in self.decoders:
-            key = SHARED
-        if key not in self.decoders:
+    def route(self, context_id: int) -> tuple[int, int]:
+        """The (encoder key, decoder key) pair that scores context_id."""
+        enc_key = context_id if context_id in self.encoders else SHARED
+        if enc_key not in self.encoders:
+            raise UnroutedContext(f"context {context_id} has no encoder")
+        dec_key = (self.grouping or {}).get(context_id, context_id)
+        if dec_key not in self.decoders:
+            dec_key = SHARED
+        if dec_key not in self.decoders:
             raise UnroutedContext(f"context {context_id} has no decoder")
-        return key
+        return enc_key, dec_key
+
+    def _passes(self, context_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Each row's index into plan, and where each pass's rows start in
+        pass order, plus the row count; refuses an unrouted context."""
+        row_pass = self._pass_of.take(context_ids + 1, mode="clip")
+        counts = np.bincount(row_pass, minlength=len(self.plan) + 1)
+        if counts[-1]:
+            self.route(int(context_ids[row_pass == len(self.plan)][0]))    # raises
+        return row_pass, [0, *counts[:-1].cumsum().tolist()]
+
+    def decoder_keys(self, context_ids: np.ndarray) -> np.ndarray:
+        """The decoder key of each context id; refuses an unrouted context."""
+        row_pass, _ = self._passes(context_ids)
+        return np.array([dec_key for _, dec_key in self.plan], dtype=np.int64)[row_pass]
 
     def score_mixed(self, x: np.ndarray, context_ids: np.ndarray) -> np.ndarray:
         """Per-window reconstruction loss of a mixed batch; shape (n,).
 
-        Runs the pass plan (see the module doc): rows sorted by their
-        (encoder key, decoder key) pair, then one ``score_windows`` call per
-        encoder key with one span per decoder key.
+        Runs the pass plan (see the module doc): rows sorted by their pass,
+        then one ``score_windows`` call per encoder key with one span per
+        decoder key. A batch of a single pass is scored as it comes.
         """
-        contexts, inverse = np.unique(context_ids, return_inverse=True)
-        routes = [(self.encoder_key(c), self.decoder_key(c)) for c in contexts.tolist()]
-        pairs = sorted(set(routes))
-        row_pair = np.array([pairs.index(r) for r in routes], dtype=np.intp)[inverse]
-        order = np.argsort(row_pair, kind="stable")
-        # encoder key -> [(scoring decoder, lo, hi)]: its pairs' spans of order
-        spans: dict[int, list[tuple[Sequential, int, int]]] = {}
-        lo = 0
-        for (enc_key, dec_key), hi in zip(
-                pairs, np.bincount(row_pair, minlength=len(pairs)).cumsum().tolist()):
-            spans.setdefault(enc_key, []).append((self.scoring_decoders[dec_key], lo, hi))
-            lo = hi
-
-        out = np.empty(x.shape[0])
-        for enc_key, dec_spans in spans.items():
-            first, last = dec_spans[0][1], dec_spans[-1][2]
-            rows = order[first:last]
-            relative = [(dec, lo - first, hi - first) for dec, lo, hi in dec_spans]
-            out[rows] = np.concatenate(
-                score_windows(self.scoring_encoders[enc_key], x[rows], relative))
+        _check_lengths(x, context_ids)
+        row_pass, starts = self._passes(context_ids)
+        n = x.shape[0]
+        if n == 0:
+            return np.empty(0)
+        p = row_pass[0]
+        if starts[p + 1] - starts[p] == n:
+            enc_key, dec_key = self.plan[p]
+            return score_windows(self.scoring_encoders[enc_key], x,
+                                 [(self.scoring_decoders[dec_key], 0, n)])[0]
+        # rows in pass order: each encoder key's rows are one slice of order,
+        # each of its passes one span of that slice
+        order = np.argsort(row_pass, kind="stable")
+        out = np.empty(n)
+        for encoder, first, decoders in self._encoder_passes:
+            lo, hi = starts[first], starts[first + len(decoders)]
+            if lo < hi:
+                spans = [(dec, a - lo, b - lo) for dec, a, b in
+                         zip(decoders, starts[first:], starts[first + 1:]) if a < b]
+                rows = order[lo:hi]
+                out[rows] = np.concatenate(score_windows(encoder, x[rows], spans))
         return out
 
     def detect(self, x: np.ndarray, context_ids: np.ndarray,
@@ -135,15 +181,17 @@ class Detector:
         """Scores, verdicts and severities under the fitted thresholds.
 
         mode 'context' applies tau_c of each window's context, 'global'
-        applies the pooled threshold to every window. The mode and every
-        threshold it needs are checked before any window is scored.
+        applies the pooled threshold to every window. The mode, the batch's
+        shape and every threshold it needs are checked before any window is
+        scored.
         """
         if self.thresholds is None:
             raise MissingArtifact(f"{self.kind} detector has no fitted thresholds")
+        _check_lengths(x, context_ids)
         if mode == "global":
             taus = self.thresholds.global_tau
         elif mode == "context":
-            taus = np.array([self.thresholds.tau(c) for c in context_ids.tolist()])
+            taus = self.thresholds.taus(context_ids)
         else:
             raise ValueError(f"unknown detection mode {mode!r}")
         scores = self.score_mixed(x, context_ids)
@@ -158,6 +206,11 @@ class Detector:
     @property
     def decoder_count(self) -> int:
         return len(self.decoders)
+
+
+def _check_lengths(x: np.ndarray, context_ids: np.ndarray) -> None:
+    if x.shape[0] != context_ids.shape[0]:
+        raise ShapeMismatch(f"{x.shape[0]} windows but {context_ids.shape[0]} context ids")
 
 
 def train_ae(split: DatasetSplit, spec: AutoencoderSpec,

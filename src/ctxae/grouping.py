@@ -91,7 +91,7 @@ def camt(matrix: LossMatrix, context_id: int, delta: float) -> str:
 
 def _tau_vector(matrix: LossMatrix, tau_dit: ThresholdTable) -> np.ndarray:
     """Each context's cap, in matrix order."""
-    return np.array([tau_dit.tau(c) for c in matrix.context_ids])
+    return tau_dit.taus(np.array(matrix.context_ids, dtype=np.int64))
 
 
 def dit(matrix: LossMatrix, decoder_id: int, tau_dit: ThresholdTable) -> tuple[int, ...]:

@@ -247,15 +247,17 @@ def _detect(cfg: RunConfig, kind: str) -> tuple[dict, dict]:
     det = _bundle(cfg, kind)
     table = det.thresholds
     windows = split.test
-    scores, ctx_verdicts, margins = det.detect(windows.tensor, windows.context_id,
-                                               mode="context")
+    cids = windows.context_id
+    scores, ctx_verdicts, margins = det.detect(windows.tensor, cids, mode="context")
     global_verdicts = scores > table.global_tau
+    tau_global = repr(table.global_tau)
     rows = [DETECTION_FIELDS] + [
-        [w.mmsi, w.start_ts, w.context_id, det.decoder_key(w.context_id),
-         repr(score), repr(table.tau(w.context_id)),
-         repr(table.global_tau), int(g), int(c), repr(margin)]
-        for w, score, g, c, margin in zip(windows, scores.tolist(), global_verdicts.tolist(),
-                                          ctx_verdicts.tolist(), margins.tolist())]
+        [mmsi, start_ts, cid, key, repr(score), repr(tau), tau_global, int(g), int(c),
+         repr(margin)]
+        for mmsi, start_ts, cid, key, score, tau, g, c, margin in zip(
+            windows.mmsi.tolist(), windows.start_ts.tolist(), cids.tolist(),
+            det.decoder_keys(cids).tolist(), scores.tolist(), table.taus(cids).tolist(),
+            global_verdicts.tolist(), ctx_verdicts.tolist(), margins.tolist())]
     summary = {
         "kind": kind,
         "windows": len(windows),

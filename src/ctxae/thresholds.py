@@ -4,6 +4,12 @@ Statistics are fitted on reconstruction losses of one split (training by
 default), with population sigma. A window is anomalous iff its score is
 strictly above tau; a score exactly at tau is normal. Contexts with fewer
 than two samples are flagged and get no threshold.
+
+A table looks up the taus of a whole batch of context ids at once: an array
+built at construction holds each fitted context's tau, and NaN for every
+other id (flagged, never fitted, negative or above every fitted one), which
+the lookup refuses with ``MissingThreshold``. The pooled entry is read only
+as ``global_tau``; its id is no context.
 """
 
 from __future__ import annotations
@@ -33,24 +39,47 @@ class ThresholdEntry:
 
 @dataclass
 class ThresholdTable:
+    """Fitted entries by context id, plus the GLOBAL_ID entry. The entries
+    are fixed at construction, which builds the array ``taus`` reads."""
+
     lam: float
     fit_split: str
     entries: dict[int, ThresholdEntry] = field(default_factory=dict)
+    # slot c + 1 holds context c's tau (NaN if it has none); both end slots
+    # are NaN for every id outside, which take(mode="clip") sends there
+    _tau_of: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = 1 + max((c for c in self.entries if c >= 0), default=-1)
+        self._tau_of = np.full(n + 2, np.nan)
+        for c, entry in self.entries.items():
+            if c >= 0 and entry.tau is not None:
+                self._tau_of[c + 1] = entry.tau
 
     @property
     def flagged(self) -> tuple[int, ...]:
         return tuple(sorted(c for c, e in self.entries.items()
                             if e.tau is None and c != GLOBAL_ID))
 
+    def taus(self, context_ids: np.ndarray) -> np.ndarray:
+        """tau of each context id, in one lookup; refuses an id without one."""
+        taus = self._tau_of.take(context_ids + 1, mode="clip")
+        missing = np.isnan(taus)
+        if missing.any():
+            raise MissingThreshold(
+                f"no threshold fitted for context {context_ids[missing][0]}")
+        return taus
+
     def tau(self, context_id: int) -> float:
-        entry = self.entries.get(context_id)
-        if entry is None or entry.tau is None:
-            raise MissingThreshold(f"no threshold fitted for context {context_id}")
-        return entry.tau
+        return float(self.taus(np.array([context_id]))[0])
 
     @property
     def global_tau(self) -> float:
-        return self.tau(GLOBAL_ID)
+        entry = self.entries.get(GLOBAL_ID)
+        if entry is None or entry.tau is None:
+            raise MissingThreshold("no global threshold fitted")
+        return entry.tau
+
 
 def _entry(context_id: int, losses: np.ndarray, lam: float) -> ThresholdEntry:
     losses = np.asarray(losses, dtype=np.float64)
@@ -66,15 +95,14 @@ def _entry(context_id: int, losses: np.ndarray, lam: float) -> ThresholdEntry:
 def fit(losses_by_context: dict[int, np.ndarray], lam: float = DEFAULT_LAMBDA,
         fit_split: str = "train") -> ThresholdTable:
     """Fit per-context entries plus a global entry over the pooled losses."""
-    table = ThresholdTable(lam=lam, fit_split=fit_split)
-    pooled = []
+    entries, pooled = {}, []
     for cid in sorted(losses_by_context):
         losses = np.asarray(losses_by_context[cid], dtype=np.float64)
-        table.entries[cid] = _entry(cid, losses, lam)
+        entries[cid] = _entry(cid, losses, lam)
         pooled.append(losses)
     all_losses = np.concatenate(pooled) if pooled else np.zeros(0)
-    table.entries[GLOBAL_ID] = _entry(GLOBAL_ID, all_losses, lam)
-    return table
+    entries[GLOBAL_ID] = _entry(GLOBAL_ID, all_losses, lam)
+    return ThresholdTable(lam=lam, fit_split=fit_split, entries=entries)
 
 
 def save_table(path: Path, table: ThresholdTable) -> dict[Path, str]:

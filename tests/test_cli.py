@@ -74,6 +74,9 @@ def test_config_error_exits_2(tmp_path):
      "synth context 0: vessels must be an integer, got 2.5"),
     ({"synth": {**TINY["synth"], "contexts": [{"id": 0, "behavior": "transit", "vessels": True}]}},
      "synth context 0: vessels must be an integer, got True"),
+    # the preset names the motion model: a moored vessel at transit speeds is no preset
+    ({"synth": {**TINY["synth"], "contexts": [{"id": 0, "behavior": "transit", "kind": "moored"}]}},
+     "synth context 0: unknown keys ['kind']"),
 ])
 def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})

@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxae import detectors
 from ctxae import thresholds as th
 from ctxae.dataset import NO_CONTEXT, TRUTH_DTYPE, DatasetSplit, WindowTable, concat
-from ctxae.detectors import (SHARED, Detector, fit_detector_thresholds,
+from ctxae.detectors import (KINDS, SHARED, Detector, fit_detector_thresholds,
                              load_detector, save_detector, train_ae,
                              train_cae, train_gcae, train_moe)
-from ctxae.errors import (EmptyValidationSet, IncompleteGrouping,
-                          MissingArtifact, MissingThreshold, UnroutedContext)
+from ctxae.errors import (EmptyValidationSet, IncompleteGrouping, MissingArtifact,
+                          MissingThreshold, ShapeMismatch, UnroutedContext)
 from ctxae.grouping import cross_loss_matrix
 from ctxae.net import (TrainConfig, TrainReport, default_autoencoder_spec,
                        fold_for_scoring, score_windows)
@@ -147,8 +149,7 @@ def test_moe_trains_one_branch_per_context(rng):
     assert set(det.encoders) == {0, 1}
     assert set(det.decoders) == {0, 1}
     for cid in (0, 1):
-        assert det.encoder_key(cid) == cid
-        assert det.decoder_key(cid) == cid
+        assert det.route(cid) == (cid, cid)
         # each branch saw exactly its own training windows every epoch
         report = det.reports[f"c{cid}"]
         n_c = sum(1 for w in split.train if w.context_id == cid)
@@ -172,9 +173,7 @@ def test_gcae_routes_members_to_their_group_decoder(rng):
     grouping = {0: 0, 1: 0, 2: 2}
     det = train_gcae(split, _toy_spec(), _fast_config(), grouping)
     assert set(det.decoders) == {0, 2}
-    assert det.decoder_key(0) == 0
-    assert det.decoder_key(1) == 0
-    assert det.decoder_key(2) == 2
+    assert [det.route(c) for c in (0, 1, 2)] == [(SHARED, 0), (SHARED, 0), (SHARED, 2)]
     report = det.reports["gcae"]
     n_pair = sum(1 for w in split.train if w.context_id in (0, 1))
     assert report.samples_seen[0] == n_pair * report.stopped_epoch
@@ -279,8 +278,8 @@ def _per_context_reference(det, x, cids):
     out = np.empty(x.shape[0])
     for cid in np.unique(cids):
         mask = cids == cid
-        enc = det.encoders[det.encoder_key(int(cid))]
-        dec = det.decoders[det.decoder_key(int(cid))]
+        enc_key, dec_key = det.route(int(cid))
+        enc, dec = det.encoders[enc_key], det.decoders[dec_key]
         out[mask], = score_windows(enc, x[mask], [(dec, 0, int(mask.sum()))])
     return out
 
@@ -353,6 +352,97 @@ def test_unrouted_context_is_refused_by_the_plan(rng, kind):
     for mode in ("context", "global"):
         with pytest.raises(UnroutedContext, match="context 9"):
             det.detect(x, cids, mode=mode)
+
+
+def test_a_batch_and_ids_of_other_lengths_are_refused(rng, monkeypatch):
+    det = _plan_detector("cae")
+    det.thresholds = th.fit({c: np.arange(3.0) for c in (0, 1, 2)})
+    x = _signal(rng, 0, 10)
+    passes = _count_passes(monkeypatch, det)
+    for n_ids in (8, 12):
+        cids = rng.choice((0, 1, 2), n_ids)
+        for call in (det.score_mixed, det.detect,
+                     lambda x, cids: det.detect(x, cids, mode="global")):
+            with pytest.raises(ShapeMismatch, match=f"10 windows but {n_ids} context ids"):
+                call(x, cids)
+    assert passes == {}
+
+
+# --- the context table: one route and one tau per context id ------------------------
+
+TRAINED = (0, 2, 5)
+# 3 lies inside the routing table, -1 and -4 below it, 9 above it
+UNTRAINED = (3, -1, -4, 9)
+TABLE_DETECTORS = {kind: _untrained(kind, _toy_spec(), TRAINED,
+                                    grouping={0: 0, 2: 0, 5: 5} if kind == "gcae" else None)
+                   for kind in KINDS}
+
+
+def _pair(det, cid):
+    """The routing rule, read off the detector's dicts."""
+    enc = cid if cid in det.encoders else SHARED
+    dec = (det.grouping or {}).get(cid, cid)
+    return enc, dec if dec in det.decoders else SHARED
+
+
+def _pair_reference(det, x, cids):
+    """Rows stably sorted by their (encoder, decoder) pair, in sorted pair
+    order; each encoder key's rows go through one score_windows call with
+    one span per pair, so every GEMM has the plan's row count."""
+    pairs = [_pair(det, c) for c in cids.tolist()]
+    out = np.empty(len(pairs))
+    for enc_key in sorted({enc for enc, _ in pairs}):
+        rows, spans = [], []
+        for pair in sorted({p for p in pairs if p[0] == enc_key}):
+            mine = [i for i, p in enumerate(pairs) if p == pair]
+            spans.append((det.scoring_decoders[pair[1]], len(rows), len(rows) + len(mine)))
+            rows += mine
+        out[rows] = np.concatenate(score_windows(det.scoring_encoders[enc_key],
+                                                 x[rows], spans))
+    return out
+
+
+def _mix(data, untrained=UNTRAINED):
+    """A shuffled batch of trained ids, with up to two others; may be empty."""
+    ids = data.draw(st.lists(st.sampled_from(TRAINED), max_size=12))
+    ids += data.draw(st.lists(st.sampled_from(untrained), max_size=2))
+    return np.array(data.draw(st.permutations(ids)), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_the_context_table_scores_like_the_sorted_pair_reference(kind, data):
+    det = TABLE_DETECTORS[kind]
+    cids = _mix(data)
+    x = _signal(np.random.default_rng(data.draw(st.integers(0, 2**16))), 0, len(cids))
+    unrouted = [c for c in cids.tolist() if c not in TRAINED] if kind != "ae" else []
+    if unrouted:
+        for call in (det.score_mixed, lambda x, cids: det.decoder_keys(cids)):
+            with pytest.raises(UnroutedContext, match=f"context {unrouted[0]} "):
+                call(x, cids)
+        return
+    assert det.score_mixed(x, cids).tobytes() == _pair_reference(det, x, cids).tobytes()
+    assert det.decoder_keys(cids).tolist() == [_pair(det, c)[1] for c in cids.tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_detect_applies_the_tau_of_each_windows_context(kind, data):
+    # context 5 has a single fitted loss, so it is flagged without a tau
+    det = replace(TABLE_DETECTORS[kind], thresholds=th.fit(
+        {0: np.arange(3.0), 2: np.arange(4.0) ** 2, 5: np.ones(1)}))
+    cids = _mix(data, untrained=UNTRAINED + (5,))
+    x = _signal(np.random.default_rng(data.draw(st.integers(0, 2**16))), 0, len(cids))
+    missing = [c for c in cids.tolist() if c not in (0, 2)]
+    if missing:
+        with pytest.raises(MissingThreshold, match=f"context {missing[0]}$"):
+            det.detect(x, cids)
+        return
+    taus = np.array([det.thresholds.entries[c].tau for c in cids.tolist()], dtype=float)
+    assert det.thresholds.taus(cids).tobytes() == taus.tobytes()
+    scores, verdicts, severities = det.detect(x, cids)
+    np.testing.assert_array_equal(verdicts, scores > taus)
+    assert severities.tobytes() == ((scores - taus) / taus).tobytes()
 
 
 # --- the scoring fold ---------------------------------------------------------------

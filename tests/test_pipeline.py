@@ -16,6 +16,7 @@ import pytest
 
 from ctxae import pipeline
 from ctxae.config import config_from_dict
+from ctxae.detectors import KINDS, load_detector
 from ctxae.errors import ConfigError, MissingArtifact
 from ctxae.manifest import config_hash, sha256_file
 from ctxae.pipeline import run_all
@@ -114,6 +115,18 @@ def test_loss_by_context_summarises_each_contexts_detections(two_runs):
                 == (len(scores), min(scores), max(scores))
             assert summary["min"] <= summary["p50"] <= summary["p90"] \
                 <= summary["p99"] <= summary["max"]
+
+
+def test_each_detection_row_has_the_decoder_key_and_tau_its_context_routes_to(two_runs):
+    for kind in KINDS:
+        det = load_detector(two_runs[0] / "models" / kind)
+        rows = _detections(two_runs[0], kind)
+        assert rows
+        for row in rows:
+            cid = int(row["context_id"])
+            assert int(row["decoder_key"]) == det.route(cid)[1]
+            assert float(row["tau_context"]) == det.thresholds.tau(cid)
+            assert float(row["tau_global"]) == det.thresholds.global_tau
 
 
 def test_config_hash_ignores_out_dir_but_not_seed(tmp_path):

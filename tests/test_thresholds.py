@@ -102,6 +102,18 @@ def test_single_sample_context_is_flagged_not_fitted():
     assert table.entries[GLOBAL_ID].n == 3
 
 
+def test_taus_look_up_every_id_at_once():
+    table = fit({0: np.array([1.0, 2.0]), 4: np.array([1.5]), 7: np.array([2.0, 5.0])})
+    ids = np.array([7, 0, 7, 0])
+    assert table.taus(ids).tolist() == [table.entries[c].tau for c in ids.tolist()]
+    assert table.taus(ids[:0]).shape == (0,)
+    # flagged, never fitted, negative (the global entry is no context) or
+    # above every fitted id
+    for bad in (4, 5, -1, -3, 8, 99):
+        with pytest.raises(MissingThreshold, match=f"context {bad}$"):
+            table.taus(np.array([0, bad, 7]))
+
+
 def test_unknown_context_raises():
     table = fit({1: np.array([1.0, 2.0])})
     with pytest.raises(MissingThreshold):
