@@ -14,15 +14,18 @@ holds one vessel's messages in time order, both with the columns ``ts``
 unavailable (``heading_unavailable``); a parsed heading is never NaN, since
 the range check refuses one.
 
-Parsing converts a whole column at a time with the same Python ``int`` and
-``float`` calls the row parser makes, then checks ranges on the arrays. A
-row that fails any check is parsed again by ``parse_record``, the scalar
-row parser, which names the fault, so every ParseError has the same class,
-line number and text whichever path saw the row first. A record file names
-its columns by the canonical field names (``CANONICAL_FIELDS``), in any
-order. Ingest writes the
-parsed table once as raw little-endian column files (``save_table``), and
-the dataset build reads them back (``load_table``) instead of parsing again.
+Parsing converts a whole column at a time with the same Python ``int``,
+``float``, ``str.strip``, ``str.lower`` and code-table lookups the row
+parser makes, chained under ``map`` so that no token costs a Python frame,
+then checks row widths and ranges on the whole block. A block with a row
+of another width, or a token a converter refuses, goes to the row parser
+whole; a row that fails a range check is parsed again alone. The row
+parser, ``parse_record``, names the fault, so every ParseError has the same
+class, line number and text whichever path saw the row first. A record file
+names its columns by the canonical field names (``CANONICAL_FIELDS``), in
+any order. Ingest writes the parsed table once as raw little-endian column
+files (``save_table``), and the dataset build reads them back
+(``load_table``) instead of parsing again.
 """
 
 from __future__ import annotations
@@ -229,10 +232,8 @@ CANONICAL_FIELDS = (
 )
 
 
-def _heading_value(token: str) -> float:
-    """A heading token as degrees; NaN for a token meaning unavailable."""
-    token = token.strip().lower()
-    return float("nan") if token in HEADING_UNAVAILABLE_TOKENS else float(token)
+# each heading token meaning unavailable, as the token float reads NaN from
+_UNAVAILABLE_AS_NAN = dict.fromkeys(HEADING_UNAVAILABLE_TOKENS, "nan")
 
 
 def parse_record(row: list[str], index: dict[str, int], line_no: int) -> tuple:
@@ -258,11 +259,12 @@ def parse_record(row: list[str], index: dict[str, int], line_no: int) -> tuple:
     except ValueError as exc:
         raise RangeError(line_no, f"non-numeric field: {exc}") from None
 
+    token = values["heading"].strip().lower()
+    unavailable = token in _UNAVAILABLE_AS_NAN
     try:
-        heading = _heading_value(values["heading"])
+        heading = float(_UNAVAILABLE_AS_NAN.get(token, token))
     except ValueError:
         raise RangeError(line_no, f"bad heading {values['heading']!r}") from None
-    unavailable = values["heading"].strip().lower() in HEADING_UNAVAILABLE_TOKENS
 
     try:
         status = _STATUS_CODES[values["nav_status"].strip().lower()]
@@ -292,17 +294,19 @@ def parse_record(row: list[str], index: dict[str, int], line_no: int) -> tuple:
     return mmsi, timestamp, lat, lon, sog, cog, heading, status, vtype
 
 
-# converters of the column path, in TABLE_DTYPES order
-_CONVERTERS = (int, int, float, float, float, float, _heading_value,
-               lambda token: _STATUS_CODES[token.strip().lower()],
-               lambda token: _TYPE_CODES[token.strip().lower()])
+def _normalized(tokens) -> list[str]:
+    """The tokens stripped and lower-cased, by C-level maps."""
+    return list(map(str.lower, map(str.strip, tokens)))
 
 
 def _parse_block(rows: list[list[str]], header: list[str], line_nos: Sequence[int],
                  ) -> tuple[dict[str, np.ndarray], list[ParseError]]:
     """Columns of the well-formed rows, and an error for each other row.
 
-    line_nos holds the file line on which each row starts.
+    line_nos holds the file line on which each row starts. Tokens go through
+    chains of C-level callables under ``map`` (the converter types,
+    ``str.strip``, ``str.lower`` and bound dict methods), so no token costs a
+    Python frame.
     """
     index = {name: i for i, name in enumerate(header)}
     n = len(rows)
@@ -312,19 +316,26 @@ def _parse_block(rows: list[list[str]], header: list[str], line_nos: Sequence[in
         # a missing column, a row of another width or a token a converter
         # refuses sends the whole block to the row parser
         positions = [index[f] for f in CANONICAL_FIELDS]
-        if any(len(row) != len(header) for row in rows):
+        if set(map(len, rows)) - {len(header)}:
             raise ValueError("ragged rows")
         tokens = list(zip(*rows)) or [()] * len(header)
-        for (name, dtype), convert, i in zip(TABLE_DTYPES.items(), _CONVERTERS, positions):
-            cols[name] = np.fromiter(map(convert, tokens[i]), dtype, n)
+        raw = dict(zip(TABLE_DTYPES, (tokens[i] for i in positions)))
+        for name in ("mmsi", "ts"):
+            cols[name] = np.fromiter(map(int, raw[name]), np.int64, n)
+        for name in ("lat", "lon", "sog", "cog"):
+            cols[name] = np.fromiter(map(float, raw[name]), np.float64, n)
+        heading = _normalized(raw["heading"])
+        cols["heading"] = np.fromiter(map(float, map(_UNAVAILABLE_AS_NAN.get, heading, heading)),
+                                      np.float64, n)
+        unavailable = np.fromiter(map(_UNAVAILABLE_AS_NAN.__contains__, heading), bool, n)
+        for name, codes in (("status", _STATUS_CODES), ("vtype", _TYPE_CODES)):
+            cols[name] = np.fromiter(map(codes.__getitem__, _normalized(raw[name])), np.uint8, n)
         lat, lon, sog, cog, heading = (cols[c] for c in ("lat", "lon", "sog", "cog", "heading"))
+        # a NaN heading no unavailable token gave was parsed from "nan"
         bad = ((cols["mmsi"] <= 0) | ~((lat >= -90.0) & (lat <= 90.0))
                | ~((lon > -180.0) & (lon <= 180.0)) | ~((sog >= 0.0) & (sog < np.inf))
-               | ~((cog >= 0.0) & (cog < 360.0)) | (heading < 0.0) | (heading >= 360.0))
-        # a NaN heading no unavailable token gave was parsed from "nan"
-        for i in np.flatnonzero(np.isnan(heading)).tolist():
-            token = tokens[positions[CANONICAL_FIELDS.index("heading")]][i].strip().lower()
-            bad[i] |= token not in HEADING_UNAVAILABLE_TOKENS
+               | ~((cog >= 0.0) & (cog < 360.0)) | (heading < 0.0) | (heading >= 360.0)
+               | (np.isnan(heading) & ~unavailable))
     except (KeyError, ValueError, OverflowError):
         pass
 

@@ -23,10 +23,20 @@ the build parameters and their defaults. ``load_dataset`` refuses a split
 whose tensor or index file disagrees with the header's window count.
 
 Trajectories arrive as column arrays (see ``ais``): context runs start
-where the status or vessel type code changes, and the port filter is one
-windows x positions x ports distance reduction through
-``geo.haversine_array``, which equals the scalar ``geo.haversine`` bit for
-bit, so a window on the radius is kept or dropped exactly as before.
+where the status or vessel type code changes.
+
+The port filter decides each (position, port) pair in two tiers, a block of
+windows at a time. ``geo.haversine_screen`` gives every pair's distance in
+numpy ufuncs, and decides ``distance < radius`` for each pair farther than
+``PORT_SCREEN_BAND`` x radius from the radius. Only the pairs inside that
+band go through ``geo.haversine_array``, which equals the scalar
+``geo.haversine`` bit for bit. The screen differs from libm by a few ulp,
+about 1e-15 relative, six orders of magnitude inside the band, so a pair
+outside the band lies on the same side of the radius under both, and every
+window is kept or dropped exactly as under the scalar distance. (The one
+place the screen's error grows is next to the antipode, where ``asin`` has
+no bounded slope: a radius within a few meters of half the Earth's
+circumference, 20,015 km, is the one case the band does not cover.)
 """
 
 from __future__ import annotations
@@ -43,23 +53,28 @@ import numpy as np
 from .ais import ContextRegistry, Trajectory, context_registry
 from .errors import ConfigError, MissingArtifact
 from .features import FEATURE_NAMES, NormStats, apply_norm, fit_norm
-from .geo import haversine_array
+from .geo import haversine_array, haversine_screen
 from .manifest import csv_bytes, json_bytes, present, read_once, text, write_files
 
 log = logging.getLogger(__name__)
 
 DATASET_VERSION = 1
 SPLIT_NAMES = ("train", "val", "test")
-TRUTH_KINDS = ("none", "point", "collective", "contextual")
+TRUTH_KINDS = ("none", "collective", "contextual")
 TRUTH_DTYPE = f"U{max(map(len, TRUTH_KINDS))}"
 # true_context of a window whose truth is not contextual
 NO_CONTEXT = -1
+# an index file's true_context field, empty for NO_CONTEXT, as int reads it
+_EMPTY_AS_NO_CONTEXT = {"": str(NO_CONTEXT)}
 
 # feature column indices
 COL_DT = FEATURE_NAMES.index("dt")
 COL_DD = FEATURE_NAMES.index("dd")
 # windows per distance reduction in filter_near_ports
 PORT_FILTER_BLOCK = 64
+# relative half-width, around the port radius, of the distances that
+# filter_near_ports passes through libm
+PORT_SCREEN_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,13 +218,16 @@ def filter_near_ports(windows: WindowTable, ports: list[tuple[float, float]],
         raise ValueError("port filtering requires window positions")
     port = np.asarray(ports, dtype=np.float64)
     near = np.zeros(len(windows), dtype=bool)
-    # a block of windows at a time bounds the libm round trip's Python floats
+    # a block of windows at a time bounds the temporaries' memory
     for first in range(0, len(windows), PORT_FILTER_BLOCK):
         block = slice(first, first + PORT_FILTER_BLOCK)
-        pos = windows.positions[block]
-        dist = haversine_array(pos[:, :, None, 0], pos[:, :, None, 1],
-                               port[:, 0], port[:, 1])
-        near[block] = (dist < radius_m).any(axis=(1, 2))
+        lat, lon = windows.positions[block, :, None, 0], windows.positions[block, :, None, 1]
+        dist = haversine_screen(lat, lon, port[:, 0], port[:, 1])
+        inside = dist < radius_m
+        w, p, k = np.nonzero(np.abs(dist - radius_m) <= PORT_SCREEN_BAND * radius_m)
+        inside[w, p, k] = haversine_array(lat[w, p, 0], lon[w, p, 0],
+                                          port[k, 0], port[k, 1]) < radius_m
+        near[block] = inside.any(axis=(1, 2))
     return windows.take(~near)
 
 
@@ -368,7 +386,7 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
     n_feat = len(header["feature_names"])
 
     def ints(values):
-        return np.array([int(v) for v in values], dtype=np.int64)
+        return np.fromiter(map(int, values), np.int64)
 
     parts: dict[str, WindowTable] = {}
     for name in SPLIT_NAMES:
@@ -391,8 +409,9 @@ def load_dataset(dataset_dir: Path) -> tuple[DatasetSplit, dict]:
             mmsi=ints(col["mmsi"]),
             start_ts=ints(col["start_ts"]),
             truth=np.array(col["truth"], dtype=TRUTH_DTYPE),
-            true_context=ints(v or NO_CONTEXT for v in col["true_context"]),
-            weight=(np.array([float(v) for v in col["weight"]])
+            true_context=ints(map(_EMPTY_AS_NO_CONTEXT.get, col["true_context"],
+                                  col["true_context"])),
+            weight=(np.fromiter(map(float, col["weight"]), np.float64, count)
                     if name == "train" else None))
 
     split = DatasetSplit(**parts, excluded_contexts=tuple(header["excluded_contexts"]),

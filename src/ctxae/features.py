@@ -7,9 +7,10 @@ message). Unavailable headings are replaced by the message's cog so the
 tensor stays dense.
 
 ``enrich`` works on a trajectory's columns in one pass. Its distances and
-bearings come from ``geo.haversine_array`` and ``geo.bearing_array``, which
-route ``asin``, ``atan2`` and squaring through libm with ``map``, so every
-value equals the per-message scalar computation bit for bit.
+bearings come from one ``geo.steps_array`` call, which routes ``asin``,
+``atan2`` and squaring through libm with ``map`` and hands the bearing's
+degenerate test the distance it already computed, so every value equals the
+per-message scalar computation bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .ais import Trajectory
-from .geo import bearing_array, haversine_array
+from .geo import steps_array
 from .manifest import json_bytes, read_once, write_file
 
 FEATURE_NAMES = ("sog", "cog", "heading", "dt", "dd", "bearing")
@@ -40,8 +41,8 @@ def enrich(trajectory: Trajectory) -> np.ndarray:
     if len(t) > 1:
         prev, cur = slice(None, -1), slice(1, None)
         out[1:, 3] = np.diff(t.ts).astype(np.float64)
-        out[1:, 4] = haversine_array(t.lat[prev], t.lon[prev], t.lat[cur], t.lon[cur])
-        out[1:, 5] = bearing_array(t.lat[prev], t.lon[prev], t.lat[cur], t.lon[cur])
+        out[1:, 4], out[1:, 5] = steps_array(t.lat[prev], t.lon[prev],
+                                             t.lat[cur], t.lon[cur])
     return out
 
 

@@ -10,7 +10,14 @@ operations that round as ``math`` does (``sin``, ``cos``, ``sqrt``,
 ``radians``, ``degrees``, ``%`` and the basic arithmetic), and passes
 ``asin``, ``atan2`` and squaring through ``math`` with ``map`` over
 ``tolist()``, because numpy's ``arcsin``, ``arctan2`` and ``square`` do not
-round as libm's ``asin``, ``atan2`` and ``pow`` do.
+round as libm's ``asin``, ``atan2`` and ``pow`` do. ``steps_array`` returns
+the distance and the bearing of each step from one pass, so the bearing's
+degenerate test reads the distance it returns instead of recomputing it.
+
+``haversine_screen`` is the one inexact function: the haversine formula in
+numpy's own ufuncs, within a few ulp of ``haversine`` (about 1e-15
+relative), for callers that only need to know on which side of a threshold
+far from the distance a value lies.
 """
 
 from math import asin, atan2, cos, degrees, radians, sin, sqrt
@@ -79,25 +86,34 @@ def _libm(fn, *arrays) -> np.ndarray:
                        arrays[0].size).reshape(arrays[0].shape)
 
 
+def _haversine(square, arcsin, lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine's formula over broadcast arrays, with the given square and arcsine."""
+    phi1, lam1, phi2, lam2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    a = square(np.sin((phi2 - phi1) / 2.0)) \
+        + np.cos(phi1) * np.cos(phi2) * square(np.sin((lam2 - lam1) / 2.0))
+    return EARTH_RADIUS_M * 2.0 * arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 def haversine_array(lat1, lon1, lat2, lon2) -> np.ndarray:
     """haversine over broadcast arrays, bit for bit."""
-    phi1, lam1, phi2, lam2 = map(np.radians, (lat1, lon1, lat2, lon2))
-    dphi = phi2 - phi1
-    dlam = lam2 - lam1
-    a = _libm(pow, np.sin(dphi / 2.0), 2.0) \
-        + np.cos(phi1) * np.cos(phi2) * _libm(pow, np.sin(dlam / 2.0), 2.0)
-    return EARTH_RADIUS_M * 2.0 * _libm(asin, np.minimum(1.0, np.sqrt(a)))
+    return _haversine(lambda x: _libm(pow, x, 2.0), lambda x: _libm(asin, x),
+                      lat1, lon1, lat2, lon2)
 
 
-def bearing_array(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """bearing over broadcast arrays, bit for bit."""
+def haversine_screen(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """haversine over broadcast arrays in numpy ufuncs: a few ulp off, not bit for bit."""
+    return _haversine(np.square, np.arcsin, lat1, lon1, lat2, lon2)
+
+
+def steps_array(lat1, lon1, lat2, lon2) -> tuple[np.ndarray, np.ndarray]:
+    """haversine and bearing over broadcast arrays, bit for bit."""
+    dist = haversine_array(lat1, lon1, lat2, lon2)
     phi1, lam1, phi2, lam2 = map(np.radians, (lat1, lon1, lat2, lon2))
     dlam = lam2 - lam1
     y = np.sin(dlam) * np.cos(phi2)
     x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlam)
     brg = np.degrees(_libm(atan2, y, x)) % 360.0
-    degenerate = haversine_array(lat1, lon1, lat2, lon2) < DEGENERATE_DISTANCE_M
-    return np.where(degenerate | (brg == 360.0), 0.0, brg)
+    return dist, np.where((dist < DEGENERATE_DISTANCE_M) | (brg == 360.0), 0.0, brg)
 
 
 def destination_array(lat, lon, bearing_deg, distance_m) -> tuple[np.ndarray, np.ndarray]:

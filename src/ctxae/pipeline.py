@@ -46,7 +46,7 @@ from .manifest import (check_inputs, config_hash, csv_bytes, forget, json_bytes,
                        read_once, reading, sha256, text, write_files, write_manifest)
 from .net import default_autoencoder_spec
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def _dir(cfg: RunConfig, stage: str, kind: str | None = None) -> Path:

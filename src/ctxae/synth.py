@@ -64,8 +64,7 @@ from .ais import (BLOCK_ROWS, CANONICAL_FIELDS, NAV_STATUSES, TABLE_DTYPES,
                   table_of)
 from .dataset import NO_CONTEXT, TruthSpan
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
-from .geo import (bearing, bearing_array, destination, destination_array,
-                  haversine, haversine_array)
+from .geo import bearing, destination, destination_array, haversine, steps_array
 from .manifest import csv_bytes, read_once, text, write_file, write_files
 
 KNOT_MPS = 0.514444
@@ -421,8 +420,8 @@ def inject_collective(trajectory: Trajectory, start: int, span: int,
     end = start + span
     prev = (trajectory.lat[end:-1], trajectory.lon[end:-1])
     cur = (trajectory.lat[end + 1:], trajectory.lon[end + 1:])
-    steps = list(zip(bearing_array(*prev, *cur).tolist(),
-                     haversine_array(*prev, *cur).tolist()))
+    dist, brg = steps_array(*prev, *cur)
+    steps = list(zip(brg.tolist(), dist.tolist()))
 
     lats, lons = trajectory.lat.copy(), trajectory.lon.copy()
     lat, lon = float(lats[start]), float(lons[start])

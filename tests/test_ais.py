@@ -171,6 +171,14 @@ PARITY_ROWS = [
     "7,25,-90.0,180.0,0.0,0.0,0,moored,trawlers,x",      # range ends accepted
     '7,26,1.0,2.0,3.0,4.0,5,moored,trawlers,"a note\non two lines"',
     "7,27,1.0,2.0,3.0,400.0,5,moored,trawlers,x",        # after a two-line record
+    "7,28,1.0,2.0,3.0,4.0,5, Engaged_In_FISHING ,  SQUID_Jigger,x",  # mixed case, padded
+    "7,29,1.0,2.0,3.0,4.0,NaN,moored,trawlers,x",        # parsed NaN heading, then
+    "7,30,1.0,2.0,3.0,4.0,unavailable,moored,trawlers,x",  # each unavailable token
+    "7,31,1.0,2.0,3.0,4.0, 511 ,moored,trawlers,x",
+    "7,32,1.0,2.0,3.0,4.0,511.0,moored,trawlers,x",
+    "7,33,1.0,2.0,3.0,4.0, nan,moored,trawlers,x",       # parsed NaN heading
+    "7,34,1.0,2.0,3.0,4.0,5,moored",                     # ragged: short
+    "7,35,1.0,2.0,3.0,4.0,5,moored,trawlers,x,y,z",      # ragged: long is fine
 ]
 # (class, file line); the blank line is line 20 and the two-line record
 # spans lines 32 and 33
@@ -180,7 +188,8 @@ PARITY_ERRORS = [
     (RangeError, 11), (RangeError, 12), (UnknownEnumToken, 13),
     (UnknownEnumToken, 14), (RangeError, 21), (RangeError, 22),
     (RangeError, 23), (RangeError, 24), (RangeError, 25), (RangeError, 26),
-    (RangeError, 27), (RangeError, 28), (RangeError, 34),
+    (RangeError, 27), (RangeError, 28), (RangeError, 34), (RangeError, 36),
+    (RangeError, 40), (MissingField, 41),
 ]
 
 
@@ -238,9 +247,9 @@ class TestParsing:
         assert [(type(e), e.line_no, str(e)) for e in errors] == \
             [(type(e), e.line_no, str(e)) for e in ref_errors]
         got = table_rows(table)
-        assert len(got) == len(ref_rows) == 10
+        assert len(got) == len(ref_rows) == 15
         assert repr(got) == repr(ref_rows)
-        assert table.heading_unavailable.sum() == 4
+        assert table.heading_unavailable.sum() == 7
         assert np.isfinite(table.sog).all()
         assert [str(e) for e in errors if e.line_no in (24, 25)] == [
             "line 24: sog must be finite and >= 0, got nan",

@@ -102,6 +102,21 @@ def test_build_before_ingest_exits_3(tmp_path):
     assert "run the ingest stage first" in result.stderr
 
 
+def test_a_truth_file_naming_a_point_anomaly_exits_2(tmp_path):
+    # synth injects collective and contextual anomalies only, so no truth kind
+    # names a point anomaly
+    assert _invoke(tmp_path, ["simulate"]).exit_code == 0
+    synth = tmp_path / "run" / "synth"
+    truth = synth / "truth.csv"
+    truth.write_text("mmsi,first_ts,last_ts,kind,true_context\n200000001,0,10,point,\n")
+    raw = {"seed": 2, **{name: str(synth / f"{name}.csv") for name in ("records", "truth", "ports")}}
+    assert _invoke(tmp_path, ["ingest"], raw=raw).exit_code == 0
+    result = _invoke(tmp_path, ["build"], raw=raw)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(
+        f"ConfigError: truth file {truth} line 2: unknown truth kind 'point'")
+
+
 def test_detect_before_train_exits_3(tmp_path):
     for stage in ("simulate", "ingest", "build"):
         assert _invoke(tmp_path, [stage]).exit_code == 0
@@ -139,13 +154,17 @@ def test_a_flipped_checkpoint_byte_exits_2(tmp_path):
     for stage in ("train", "thresholds", "detect"):
         assert _invoke(tmp_path, [stage, "--kind", "ae"], raw=raw).exit_code == 0
     checkpoint = tmp_path / "run" / "models" / "ae" / "decoder.ckpt"
-    data = bytearray(checkpoint.read_bytes())
-    data[-1] ^= 0x01
-    checkpoint.write_bytes(bytes(data))
-    result = _invoke(tmp_path, ["detect", "--kind", "ae"], raw=raw)
-    assert result.exit_code == 2
-    assert result.stderr.startswith("ConfigError: train wrote decoder.ckpt with sha256 ")
-    assert str(checkpoint) in result.stderr
+    written = checkpoint.read_bytes()
+    # the last weight byte, and byte 12, inside the JSON header the checkpoint
+    # parser would choke on
+    for at, bit in ((-1, 0x01), (12, 0x80)):
+        data = bytearray(written)
+        data[at] ^= bit
+        checkpoint.write_bytes(bytes(data))
+        result = _invoke(tmp_path, ["detect", "--kind", "ae"], raw=raw)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("ConfigError: train wrote decoder.ckpt with sha256 ")
+        assert str(checkpoint) in result.stderr
 
 
 def _detect_after_table_edit(tmp_path, edit):

@@ -3,21 +3,27 @@
 The per-window forms of segment, attach_truth, remove_outliers,
 split_by_vessel and sample_weights are kept below as oracles: the column
 functions must give the same rows, in the same order, with the same bits.
+So is the port filter's block loop that sends every (position, port) pair
+through libm: the screened filter must keep the same windows.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxae import dataset
 from ctxae.ais import NavStatus, VesselType, context_registry
 from ctxae.dataset import (
     COL_DD,
     COL_DT,
     NO_CONTEXT,
+    PORT_SCREEN_BAND,
     SPLIT_NAMES,
     TRUTH_DTYPE,
     TRUTH_KINDS,
@@ -36,7 +42,8 @@ from ctxae.dataset import (
 )
 from ctxae.errors import ConfigError, MissingArtifact
 from ctxae.features import NormStats, enrich
-from ctxae.geo import haversine
+from ctxae.geo import (destination, destination_array, haversine, haversine_array,
+                       haversine_screen)
 from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate
 
 from conftest import make_track
@@ -127,6 +134,18 @@ def oracle_split_by_vessel(windows, ratios, seed):
     parts = {name: [w for w in p if w.context_id not in excluded]
              for name, p in parts.items()}
     return parts, excluded
+
+
+def oracle_filter_near_ports(windows, ports, radius_m, block=64):
+    """The block loop the screened filter replaced: every pair through libm."""
+    port = np.asarray(ports, dtype=np.float64)
+    near = np.zeros(len(windows), dtype=bool)
+    for first in range(0, len(windows), block):
+        pos = windows.positions[first:first + block]
+        dist = haversine_array(pos[:, :, None, 0], pos[:, :, None, 1],
+                               port[:, 0], port[:, 1])
+        near[first:first + block] = (dist < radius_m).any(axis=(1, 2))
+    return windows.take(~near)
 
 
 def oracle_sample_weights(windows):
@@ -257,9 +276,9 @@ def test_attach_truth_by_overlapping_span():
 
 def test_attach_truth_takes_the_first_overlapping_span():
     window = _table([_window(mmsi=7, start_ts=0, end_ts=49)])
-    first, second = TruthSpan(7, 40, 60, "collective"), TruthSpan(7, 0, 10, "point")
+    first, second = TruthSpan(7, 40, 60, "collective"), TruthSpan(7, 0, 10, "contextual", 16)
     assert attach_truth(window, [first, second]).truth.tolist() == ["collective"]
-    assert attach_truth(window, [second, first]).truth.tolist() == ["point"]
+    assert attach_truth(window, [second, first]).truth.tolist() == ["contextual"]
 
 
 def test_truth_tags_line_up_with_windows_at_any_stride():
@@ -297,6 +316,9 @@ def test_truth_validation():
     assert TruthSpan(7, 10, 10, "contextual", 16).true_context == 16
     with pytest.raises(ValueError, match="unknown truth kind 'weird'"):
         TruthSpan(7, 0, 10, "weird")
+    # synth never injects point anomalies, so no span may name one
+    with pytest.raises(ValueError, match="unknown truth kind 'point'"):
+        TruthSpan(7, 0, 10, "point")
     with pytest.raises(ValueError, match="must record the true context"):
         TruthSpan(7, 0, 10, "contextual")
     with pytest.raises(ValueError, match="must record the true context"):
@@ -333,6 +355,56 @@ def test_filter_near_ports_matches_the_scalar_loop():
     assert windows.start_ts[2] in filter_near_ports(windows, ports, radius).start_ts
     assert windows.start_ts[2] not in filter_near_ports(
         windows, ports, np.nextafter(radius, np.inf)).start_ts
+
+
+@st.composite
+def positions_around_ports(draw):
+    """Ports, window positions on circles around them at a few ulp to half
+    a radius off, and the position and port that pick the radius. The
+    picked position is one where the screen and libm disagree, when any of
+    4,096 bearings gives one: on a radius there, the screen alone would keep
+    or drop a window that the scalar distance does not."""
+    ports = draw(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-179.0, 179.0)),
+                          min_size=1, max_size=3))
+    r0 = draw(st.sampled_from((5000.0, 1500.0, 20_000.0)))
+    n, length = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    positions = np.empty((n, length, 2))
+    for point in positions.reshape(-1, 2):
+        plat, plon = draw(st.sampled_from(ports))
+        off = draw(st.sampled_from((0.0, 1e-13, -1e-13, 1e-10, -1e-10, 0.5, -0.5)))
+        lat, lon = destination(plat, plon, draw(st.floats(0.0, 359.99)), r0 * (1 + off))
+        point[:] = lat + draw(st.integers(-3, 3)) * math.ulp(lat), lon
+    w, i = draw(st.integers(0, n - 1)), draw(st.integers(0, length - 1))
+    plat, plon = draw(st.sampled_from(ports))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lat, lon = destination_array(plat, plon, rng.uniform(0.0, 360.0, 4096), r0)
+    differ = np.flatnonzero(haversine_screen(lat, lon, plat, plon)
+                            != haversine_array(lat, lon, plat, plon))
+    j = differ[0] if differ.size else 0
+    positions[w, i] = lat[j], lon[j]
+    return ports, positions, (w, i), (plat, plon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=positions_around_ports(), block=st.sampled_from((1, 2, 64)))
+def test_the_screened_port_filter_keeps_what_the_block_loop_keeps(case, block):
+    ports, positions, (w, i), port = case
+    n = positions.shape[0]
+    windows = WindowTable(
+        tensor=np.zeros((n, positions.shape[1], 6)), context_id=np.zeros(n, np.int64),
+        mmsi=np.arange(n, dtype=np.int64), start_ts=np.zeros(n, np.int64),
+        truth=np.full(n, "none", dtype=TRUTH_DTYPE),
+        true_context=np.full(n, NO_CONTEXT, dtype=np.int64), positions=positions)
+    exact = haversine(*positions[w, i], *port)
+    # the screen puts the chosen pair inside the band, so libm decides it
+    assert abs(haversine_screen(*positions[w, i], *port) - exact) <= PORT_SCREEN_BAND * exact
+    for ulps in range(-3, 4):
+        # exactly on the radius at 0 ulps, a few ulp inside or outside else
+        radius = exact + ulps * math.ulp(exact)
+        with mock.patch.object(dataset, "PORT_FILTER_BLOCK", block):
+            kept = filter_near_ports(windows, ports, radius)
+        assert kept.mmsi.tolist() == \
+            oracle_filter_near_ports(windows, ports, radius, block).mmsi.tolist()
 
 
 def test_segment_runs_split_on_vessel_type_too():

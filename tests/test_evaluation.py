@@ -72,9 +72,11 @@ def test_truth_metrics_recall_precision_and_fpr():
     assert m["per_kind"]["contextual"] == {"injected": 2, "detected": 1,
                                            "recall": 0.5, "precision": 0.25}
     assert m["per_kind"]["collective"]["recall"] == 1.0
+    # synth injects no point anomalies, so no row reports them
+    assert list(m["per_kind"]) == ["collective", "contextual"]
     # a kind with no injections reports neither recall nor precision
-    assert m["per_kind"]["point"] == {"injected": 0, "detected": 0,
-                                      "recall": None, "precision": None}
+    assert truth_metrics(verdicts[:2], kinds[:2])["per_kind"]["collective"] == {
+        "injected": 0, "detected": 0, "recall": None, "precision": None}
     assert (m["clean_total"], m["clean_flagged"], m["flagged_total"]) == (3, 2, 4)
     assert m["false_positive_rate"] == pytest.approx(2 / 3)
     assert truth_metrics(np.zeros(0, bool), [])["false_positive_rate"] is None

@@ -5,7 +5,8 @@ cosines (a different derivation of the same distance), and destination() is
 checked by measuring the distance and initial bearing from the start to the
 point it returns. Bearings are compared on the circle, so 359.9999 and 0.0
 are a hair apart, not 360 degrees apart. The array functions are checked
-against the scalar ones bit for bit.
+against the scalar ones bit for bit, and the numpy screen against the
+scalar distance within the band the port filter gives it.
 """
 
 import math
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxae.geo import (EARTH_RADIUS_M, bearing, bearing_array, destination,
-                       destination_array, haversine, haversine_array)
+from ctxae.dataset import PORT_SCREEN_BAND
+from ctxae.geo import (EARTH_RADIUS_M, bearing, destination, destination_array,
+                       haversine, haversine_array, haversine_screen, steps_array)
 
 lat_st = st.floats(min_value=-85.0, max_value=85.0)
 lon_st = st.floats(min_value=-179.9, max_value=180.0)
@@ -149,10 +151,11 @@ pair_st = st.one_of(st.tuples(lat_st, lon_st, lat_st, lon_st),
           (-10.0, -179.95, -10.01, 179.97)])
 def test_haversine_and_bearing_arrays_equal_scalar_bits(pairs):
     lat1, lon1, lat2, lon2 = (np.array(c) for c in zip(*pairs))
-    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2),
-                      [haversine(*p) for p in pairs])
-    assert _same_bits(bearing_array(lat1, lon1, lat2, lon2),
-                      [bearing(*p) for p in pairs])
+    want = [haversine(*p) for p in pairs]
+    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2), want)
+    dist, brg = steps_array(lat1, lon1, lat2, lon2)
+    assert _same_bits(dist, want)
+    assert _same_bits(brg, [bearing(*p) for p in pairs])
 
 
 dist_st = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.floats(0.0, 2_000_000.0))
@@ -184,13 +187,30 @@ def test_arrays_equal_scalar_bits_on_many_nearby_pairs():
                     rng.uniform(0.0, 0.05, n))
     lat2, lon2 = lat1 + step * rng.normal(size=n), lon1 + step * rng.normal(size=n)
     pairs = list(zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist()))
-    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2),
-                      [haversine(*p) for p in pairs])
-    assert _same_bits(bearing_array(lat1, lon1, lat2, lon2),
-                      [bearing(*p) for p in pairs])
+    want = [haversine(*p) for p in pairs]
+    assert _same_bits(haversine_array(lat1, lon1, lat2, lon2), want)
+    got_dist, got_brg = steps_array(lat1, lon1, lat2, lon2)
+    assert _same_bits(got_dist, want)
+    assert _same_bits(got_brg, [bearing(*p) for p in pairs])
     brg, dist = rng.uniform(0.0, 360.0, n), np.abs(rng.normal(0.0, 30.0, n))
     got_lat, got_lon = destination_array(lat1, lon1, brg, dist)
     want = [destination(*r) for r in zip(lat1.tolist(), lon1.tolist(),
                                          brg.tolist(), dist.tolist())]
     assert _same_bits(got_lat, [w[0] for w in want])
     assert _same_bits(got_lon, [w[1] for w in want])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_st, min_size=1, max_size=16))
+@example([(12.3, -45.6, 12.3, -45.6)])           # zero distance
+@example([(0.0, 0.0, 0.0, 170.9)])               # 1,000 km short of the antipode
+def test_the_screen_stays_far_inside_the_port_band(pairs):
+    # the port filter trusts the screen for distances farther than
+    # PORT_SCREEN_BAND x radius from the radius; short of the antipode,
+    # where asin's slope is unbounded, the screen is 1e5 times closer
+    lat1, lon1, lat2, lon2 = (np.array(c) for c in zip(*pairs))
+    screen = haversine_screen(lat1, lon1, lat2, lon2)
+    exact = haversine_array(lat1, lon1, lat2, lon2)
+    away = exact < math.pi * EARTH_RADIUS_M - 1e6
+    assert np.all((np.abs(screen - exact) <= 1e-5 * PORT_SCREEN_BAND * np.maximum(exact, 1.0))
+                  | ~away)
