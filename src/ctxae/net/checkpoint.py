@@ -12,7 +12,7 @@ reproduces identical bytes.
 Loading builds the model from the header's layer specs with zero state (no
 random draws) and then overwrites every state array from the file, so the
 loaded model depends on the file alone. A file shorter or longer than its
-blocks is refused.
+blocks, or one whose header does not parse, is refused.
 """
 
 from __future__ import annotations
@@ -58,15 +58,18 @@ def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
     data = read_once(path)
     if data[:len(MAGIC)] != MAGIC:
         raise ShapeMismatch(f"{path}: not a checkpoint file")
-    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
-    offset = len(MAGIC) + 4 + header_len
-    header = json.loads(data[offset - header_len:offset])
-    specs = [LayerSpec.from_dict(d) for d in header["layers"]]
-    model = Sequential.build(specs)
+    try:
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        offset = len(MAGIC) + 4 + header_len
+        header = json.loads(data[offset - header_len:offset])
+        model = Sequential.build([LayerSpec.from_dict(d) for d in header["layers"]])
+        blocks, meta = list(header["blocks"]), header["meta"]
+    except (struct.error, ValueError, TypeError, KeyError, AttributeError) as e:
+        raise ShapeMismatch(f"{path}: damaged header ({type(e).__name__}: {e})") from None
     state = model.state()
-    if len(state) != len(header["blocks"]):
+    if len(state) != len(blocks):
         raise ShapeMismatch(f"{path}: block count does not match layer specs")
-    for dst, shape in zip(state, header["blocks"]):
+    for dst, shape in zip(state, blocks):
         if list(dst.shape) != shape:
             raise ShapeMismatch(f"{path}: block shape {shape} != expected {dst.shape}")
         if offset + dst.size * 4 > len(data):
@@ -75,4 +78,4 @@ def load_checkpoint(path: Path) -> tuple[Sequential, dict]:
         offset += dst.size * 4
     if offset != len(data):
         raise ShapeMismatch(f"{path}: {len(data) - offset} bytes after the last state block")
-    return model, header["meta"]
+    return model, meta

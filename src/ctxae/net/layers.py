@@ -6,7 +6,8 @@ nothing, so it may run between a training forward and its backward. A
 training forward's cache serves one backward: ``Sequential.backward`` drops
 each layer's cache as soon as that layer's backward returns, so a model
 holds no activations between its batches.
-``backward`` accumulates parameter gradients and returns the input gradient.
+``backward`` writes each parameter gradient once, over its old value, and
+returns the input gradient.
 Convolutions use valid padding and stride 1; the decoder recovers length
 through nearest-neighbour upsampling and transposed convolutions. A
 transposed convolution runs the upsampling before it as one polyphase
@@ -129,15 +130,11 @@ class Layer:
         """Trained parameters plus buffers: the element count of state()."""
         return sum(a.size for a in self.state())
 
-    def zero_grads(self) -> None:
-        for g in self.grads():
-            g.fill(0.0)
-
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate parameter gradients and return the input gradient.
+        """Write the parameter gradients and return the input gradient.
 
         With input_grad False the caller needs no input gradient; the
         convolutions then skip it and return None. The parameter gradients
@@ -200,10 +197,10 @@ class Conv1D(Conv):
         dx = np.zeros_like(x) if input_grad else None
         for i in range(self.k):
             x_slice = x[:, i:i + l_out, :]
-            self.dw[i] += x_slice.reshape(-1, self.c_in).T @ dy.reshape(-1, self.c_out)
+            self.dw[i] = x_slice.reshape(-1, self.c_in).T @ dy.reshape(-1, self.c_out)
             if input_grad:
                 dx[:, i:i + l_out, :] += dy @ self.w[i].T
-        self.db += _channel_sums(dy)
+        self.db[...] = _channel_sums(dy)
         return dx
 
 
@@ -272,8 +269,9 @@ class ConvTranspose1D(Conv):
         dy2 = full.reshape(n * rows, f * c_out)
         # dw_i sums the gradients of the P blocks that hold w_i
         d_taps = (stacked.T @ dy2).reshape(m + 1, c_in, f, c_out).transpose(0, 2, 1, 3)
-        self.dw += (_phase_map(f, k).T @ d_taps.reshape((m + 1) * f, -1)).reshape(k, c_in, c_out)
-        self.db += _channel_sums(dy)
+        d_w = _phase_map(f, k).T @ d_taps.reshape((m + 1) * f, -1)
+        self.dw[...] = d_w.reshape(k, c_in, c_out)
+        self.db[...] = _channel_sums(dy)
         if not input_grad:
             return None
         d_blocks = (dy2 @ taps.T).reshape(n, rows, m + 1, c_in)
@@ -452,8 +450,8 @@ class BatchNorm(Layer):
         x_hat, inv_std, n = self._cache
         dot = _channel_dots(dy, x_hat)
         total = _channel_sums(dy)
-        self.dgamma += dot
-        self.dbeta += total
+        self.dgamma[...] = dot
+        self.dbeta[...] = total
         a = self.gamma * inv_std
         dx = np.multiply(dy, a)
         # the cache is spent: x_hat takes its term in place
@@ -502,8 +500,8 @@ class Dense(Layer):
 
     def backward(self, dy, input_grad=True):
         dy2d = dy.reshape(dy.shape[0], -1)
-        self.dw += self._x2d.T @ dy2d
-        self.db += dy2d.sum(axis=0)
+        self.dw[...] = self._x2d.T @ dy2d
+        self.db[...] = dy2d.sum(axis=0)
         return (dy2d @ self.w.T).reshape(self._in_shape)
 
 

@@ -83,10 +83,6 @@ class Sequential:
     def grads(self) -> list[np.ndarray]:
         return [a for layer in self.layers for a in layer.grads()]
 
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
-
     def state(self) -> list[np.ndarray]:
         """Every state array (params then buffers, per layer, in order)."""
         return [a for layer in self.layers for a in layer.state()]

@@ -132,8 +132,6 @@ def _weighted_batch_step(encoder: Sequential, decoder: Sequential,
     # x_hat is no layer's cache, so the gradient can take its place
     d_xhat = np.subtract(x_hat, x, out=x_hat)
     d_xhat *= (2.0 / (batch * elements)) * w[:, None, None]
-    encoder.zero_grads()
-    decoder.zero_grads()
     dz = decoder.backward(d_xhat)
     encoder.backward(dz, input_grad=False)
     return loss

@@ -108,31 +108,75 @@ def test_model_hooks_exist():
             assert callable(layer.forward) and callable(layer.backward)
 
 
+def _counted(orig, name: str, calls: Counter):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+    return counted
+
+
+def _rebind_counted(monkeypatch, module: str, attr: str, name: str, calls: Counter) -> None:
+    """Count calls of module.attr under name in every `ctxae` module that
+    binds it, as tracing.rebind does."""
+    orig = getattr(importlib.import_module(module), attr)
+    counted = _counted(orig, name, calls)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("ctxae") and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+def _run(out_dir: Path, contexts: list[dict]) -> None:
+    from ctxae.config import config_from_dict
+    from ctxae.pipeline import run_all
+
+    run_all(config_from_dict({
+        "synth": {"messages_per_vessel": 200, "contexts": contexts},
+        "train": {"max_epochs": 2, "patience": 1}, "models": ["ae", "cae"]},
+        seed=2, out_dir=out_dir))
+
+
 def test_stages_load_through_the_functions_the_tracer_counts(tmp_path, monkeypatch):
     """run_all calls each function whose calls the fit segment counts, and the
     checkpoint loader the tracer hooks, each rebound in every `ctxae` module
     that binds it, as tracing.rebind does."""
-    from ctxae.config import config_from_dict
-    from ctxae.pipeline import run_all
-
     spans = {name: (module, attr) for module, attr, name in _table("SPANS")}
     targets = [spans[name] for name in _table("FIT_CALLS")]
     targets.append(("ctxae.net.checkpoint", "load_checkpoint"))
     calls = Counter()
     for module, attr in targets:
-        orig = getattr(importlib.import_module(module), attr)
-
-        def counted(*args, _orig=orig, _name=f"{module}.{attr}", **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("ctxae") and mod is not None:
-                for key, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, key, counted)
-    run_all(config_from_dict({
-        "synth": {"messages_per_vessel": 200, "contexts": [
-            {"id": 0, "behavior": "transit", "vessels": 3}]},
-        "train": {"max_epochs": 2, "patience": 1}, "models": ["ae", "cae"]},
-        seed=2, out_dir=tmp_path / "run"))
+        _rebind_counted(monkeypatch, module, attr, f"{module}.{attr}", calls)
+    _run(tmp_path / "run", [{"id": 0, "behavior": "transit", "vessels": 3}])
     assert sorted(calls) == sorted(f"{module}.{attr}" for module, attr in targets)
+
+
+def test_detect_runs_through_the_methods_and_the_counter_the_tracer_reads(
+        tmp_path, monkeypatch):
+    """Detector.detect on a mixed-context batch, as a stream request makes it,
+    enters each Detector method the stream segment times, swapped on the class
+    as Tracer.install does, and calls score_windows, counted in every `ctxae`
+    module that binds it; for ae (every row one pass) and cae (a pass per
+    context)."""
+    from ctxae.dataset import load_dataset
+    from ctxae.detectors import load_detector
+
+    _run(tmp_path / "run", [{"id": 0, "behavior": "transit", "vessels": 4},
+                            {"id": 12, "behavior": "moored", "vessels": 4}])
+    test = load_dataset(tmp_path / "run" / "dataset")[0].test
+    rows = np.concatenate([np.flatnonzero(test.context_id == c)[:3] for c in (0, 12)])
+    x, cids = test.tensor[rows], test.context_id[rows]
+    assert set(cids.tolist()) == {0, 12}
+    counters = [row for row in _table("COUNTERS") if row[1] == "score_windows"]
+    methods = [row for row in _table("METHOD_SPANS") if row[1] == "Detector"]
+    for kind in ("ae", "cae"):
+        det = load_detector(tmp_path / "run" / "models" / kind)
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            for module, attr, name in counters:
+                _rebind_counted(patch, module, attr, name, calls)
+            for module, cls_name, attr, name in methods:
+                cls = _resolve(module, cls_name)
+                patch.setattr(cls, attr, _counted(cls.__dict__[attr], name, calls))
+            det.detect(x, cids, mode="context")
+        assert sorted(calls) == sorted(row[-1] for row in counters + methods), kind

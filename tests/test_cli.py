@@ -77,6 +77,8 @@ def test_config_error_exits_2(tmp_path):
     # the preset names the motion model: a moored vessel at transit speeds is no preset
     ({"synth": {**TINY["synth"], "contexts": [{"id": 0, "behavior": "transit", "kind": "moored"}]}},
      "synth context 0: unknown keys ['kind']"),
+    # Adam runs with fixed hyperparameters, so the key is gone
+    ({"train": {"learning_rate": 0.01}}, "unknown keys ['learning_rate']"),
 ])
 def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})

@@ -73,7 +73,7 @@ def _check_layer(spec: LayerSpec, in_shape: tuple, seed: int) -> None:
 
 def _check_unit(unit, in_shape: tuple, rng, label: str) -> None:
     """Gradcheck a layer or a Sequential: anything with forward, backward,
-    params, grads and zero_grads."""
+    params and grads."""
     x = rng.normal(0.0, 1.0, size=in_shape)
     out = unit.forward(x, training=True)
     w = rng.normal(0.0, 1.0, size=out.shape)
@@ -82,7 +82,6 @@ def _check_unit(unit, in_shape: tuple, rng, label: str) -> None:
         return float(np.sum(w * unit.forward(x, training=True)))
 
     unit.forward(x, training=True)
-    unit.zero_grads()
     dx = unit.backward(w.copy())
 
     _assert_close(dx, _fd_grad(loss, x), f"{label} input grad")
@@ -403,10 +402,9 @@ def test_batchnorm_matches_reference_bit_for_bit(shape, fill):
     other = _input(rng, shape, fill)
     _same_bits(layer.forward(other, training=False), _reference_batchnorm_infer(
         other, layer.gamma, layer.beta, layer.running_mean, layer.running_var, layer.EPS))
-    layer.zero_grads()
     _close_to(layer.backward(dy), dx_ref)
-    _same_bits(layer.dgamma, np.zeros(c) + dgamma_ref)
-    _same_bits(layer.dbeta, np.zeros(c) + dbeta_ref)
+    _same_bits(layer.dgamma, dgamma_ref)
+    _same_bits(layer.dbeta, dbeta_ref)
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 1), (3, 9, 2), (4, 24, 16)])
@@ -457,15 +455,14 @@ def test_bias_gradients_are_the_bits_of_the_textbook_sum():
         # magnitudes far apart, so that another order of addition rounds differently
         dy = rng.normal(size=shape)
         dy *= 10.0 ** rng.integers(-8, 8, size=shape)
-        ref = np.zeros(shape[2]) + dy.sum(axis=(0, 1))
-        _same_bits(_channel_sums(dy), dy.sum(axis=(0, 1)))
+        ref = dy.sum(axis=(0, 1))
+        _same_bits(_channel_sums(dy), ref)
         conv = build_layer(conv1d(2, shape[2], 3), rng)
         conv.forward(rng.normal(size=(shape[0], shape[1] + 2, 2)), training=True)
         conv.backward(dy)
         _same_bits(conv.db, ref)
         up_conv = _pair(2, 3, 2, shape[2], rng)
         up_conv.forward(rng.normal(size=(shape[0], (shape[1] - 2) // 2, 2)), training=True)
-        up_conv.zero_grads()
         up_conv.backward(dy)
         _same_bits(up_conv.layers[1].db, ref)
 
@@ -524,7 +521,6 @@ def test_merged_upsample_conv_transpose_equals_the_pair(fk, batch, length, c_in,
     y_ref, dx_ref, dw_ref, db_ref = _reference_pair(x, factor, conv.w, conv.b, dy)
     _close_to(model.forward(x, training=False), y_ref)
     _close_to(model.forward(x, training=True), y_ref)
-    model.zero_grads()
     _close_to(model.backward(dy), dx_ref)
     _close_to(conv.dw, dw_ref)
     _close_to(conv.db, db_ref)

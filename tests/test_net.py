@@ -1,5 +1,8 @@
 """Training loop, scoring, checkpoints and the desk architecture counts."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -215,8 +218,6 @@ def test_weighted_batch_step_gradients_match_reference(rng):
     enc, dec = _build_pair(spec, seed=5)
     x_hat = dec.forward(enc.forward(x, training=True), training=True)
     d_xhat = (2.0 / (x.shape[0] * x[0].size)) * w[:, None, None] * (x_hat - x)
-    enc.zero_grads()
-    dec.zero_grads()
     enc.backward(dec.backward(d_xhat))
 
     enc2, dec2 = _build_pair(spec, seed=5)
@@ -406,6 +407,25 @@ def test_checkpoint_with_bytes_after_its_last_block_is_refused(tmp_path, tail):
         load_checkpoint(path)
 
 
+def _header_len(data: bytes, length: int) -> bytes:
+    return data[:5] + struct.pack("<I", length) + data[9:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:12] + bytes([data[12] ^ 0x80]) + data[13:],   # not UTF-8
+    lambda data: data[:7],                                            # no header length
+    lambda data: _header_len(data, len(data)),                        # past the end
+    lambda data: b"CTAE1" + struct.pack("<I", 2) + b"[]",             # a JSON list
+], ids=["flipped-byte-12", "seven-bytes", "length-past-the-end", "json-list"])
+def test_a_damaged_checkpoint_header_is_refused(tmp_path, damage):
+    enc, _ = _build_pair(_toy_spec(), seed=4)
+    path = tmp_path / "encoder.ckpt"
+    save_checkpoint(path, enc)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ShapeMismatch, match=f"{re.escape(str(path))}: damaged header"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_preserves_running_stats(tmp_path, rng):
     spec = default_autoencoder_spec()
     enc, _ = _build_pair(spec, seed=2)
@@ -484,8 +504,6 @@ def test_skipping_the_input_gradient_keeps_every_parameter_gradient(rng):
     grads = []
     for input_grad in (True, False):
         x_hat = dec.forward(enc.forward(x, training=True), training=True)
-        enc.zero_grads()
-        dec.zero_grads()
         dx = enc.backward(dec.backward(x_hat - x), input_grad=input_grad)
         assert (dx is None) == (not input_grad)
         grads.append([g.copy() for g in enc.grads() + dec.grads()])
