@@ -1,9 +1,9 @@
 """AIS domain model: message columns, trajectories, and the context registry.
 
-A *context* is a (vessel type, navigational status) pair. The registry,
-built once at import and returned by ``context_registry()``, enumerates the
-26 registered pairs with stable ids c0..c25; pairs outside it have no
-context (id -1 in a column lookup).
+A *context* is a (vessel type, navigational status) pair, named in files
+and configs and coded in message columns. The registry, built once at import
+and returned by ``context_registry()``, numbers the 26 registered code pairs
+c0..c25 (``pairs``); other pairs have no context (id -1 from ``context_ids``).
 
 Messages are held as column arrays, never as one object per message. A
 ``MessageTable`` holds parsed records in input order and a ``Trajectory``
@@ -34,7 +34,6 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from math import inf
 from pathlib import Path
@@ -47,31 +46,14 @@ from .errors import (MissingArtifact, MissingField, ParseError, RangeError,
 from .manifest import json_bytes, present, read_once, write_files
 
 
-class NavStatus(Enum):
-    UNDER_WAY_USING_ENGINE = "under_way_using_engine"
-    AT_ANCHOR = "at_anchor"
-    NOT_UNDER_COMMAND = "not_under_command"
-    RESTRICTED_MANEUVERABILITY = "restricted_maneuverability"
-    MOORED = "moored"
-    ENGAGED_IN_FISHING = "engaged_in_fishing"
-    UNDER_WAY_SAILING = "under_way_sailing"
-    OTHER = "other"
-
-
-class VesselType(Enum):
-    DRIFTING_LONGLINES = "drifting_longlines"
-    SET_LONGLINES = "set_longlines"
-    SQUID_JIGGER = "squid_jigger"
-    TRAWLERS = "trawlers"
-    TUNA_PURSE_SEINES = "tuna_purse_seines"
-    UNKNOWN = "unknown"
-
-
 # the code of a status or vessel type is its index here
-NAV_STATUSES = tuple(NavStatus)
-VESSEL_TYPES = tuple(VesselType)
-_STATUS_CODES = {s.value: i for i, s in enumerate(NAV_STATUSES)}
-_TYPE_CODES = {t.value: i for i, t in enumerate(VESSEL_TYPES)}
+NAV_STATUSES = ("under_way_using_engine", "at_anchor", "not_under_command",
+                "restricted_maneuverability", "moored", "engaged_in_fishing",
+                "under_way_sailing", "other")
+VESSEL_TYPES = ("drifting_longlines", "set_longlines", "squid_jigger", "trawlers",
+                "tuna_purse_seines", "unknown")
+_STATUS_CODES = {s: i for i, s in enumerate(NAV_STATUSES)}
+_TYPE_CODES = {t: i for i, t in enumerate(VESSEL_TYPES)}
 
 # Raw AIS encodes "heading unavailable" as 511 degrees.
 HEADING_UNAVAILABLE_TOKENS = ("unavailable", "511", "511.0")
@@ -131,86 +113,44 @@ class Trajectory(_Columns):
             raise ValueError("timestamps must be non-decreasing")
 
 
-@dataclass(frozen=True)
-class ContextLabel:
-    id: int
-    vessel_type: VesselType
-    nav_status: NavStatus
-
-    @property
-    def name(self) -> str:
-        return f"c{self.id}"
-
-
 # Registered (status, vessel type) pairs, ids c0..c25. Grouped by status:
 # engine c0-c4, anchor c5-c7, not-under-command c8, restricted c9-c11,
 # moored c12-c15, fishing c16-c20, sailing c21-c25.
-_REGISTRY_ROWS: list[tuple[NavStatus, list[VesselType]]] = [
-    (NavStatus.UNDER_WAY_USING_ENGINE, [
-        VesselType.DRIFTING_LONGLINES, VesselType.SET_LONGLINES,
-        VesselType.SQUID_JIGGER, VesselType.TRAWLERS,
-        VesselType.TUNA_PURSE_SEINES]),
-    (NavStatus.AT_ANCHOR, [
-        VesselType.DRIFTING_LONGLINES, VesselType.TRAWLERS,
-        VesselType.TUNA_PURSE_SEINES]),
-    (NavStatus.NOT_UNDER_COMMAND, [VesselType.DRIFTING_LONGLINES]),
-    (NavStatus.RESTRICTED_MANEUVERABILITY, [
-        VesselType.DRIFTING_LONGLINES, VesselType.SQUID_JIGGER,
-        VesselType.TRAWLERS]),
-    (NavStatus.MOORED, [
-        VesselType.DRIFTING_LONGLINES, VesselType.SQUID_JIGGER,
-        VesselType.TRAWLERS, VesselType.TUNA_PURSE_SEINES]),
-    (NavStatus.ENGAGED_IN_FISHING, [
-        VesselType.DRIFTING_LONGLINES, VesselType.SET_LONGLINES,
-        VesselType.SQUID_JIGGER, VesselType.TRAWLERS,
-        VesselType.TUNA_PURSE_SEINES]),
-    (NavStatus.UNDER_WAY_SAILING, [
-        VesselType.DRIFTING_LONGLINES, VesselType.SET_LONGLINES,
-        VesselType.SQUID_JIGGER, VesselType.TRAWLERS,
-        VesselType.TUNA_PURSE_SEINES]),
-]
+_ALL_GEAR = ("drifting_longlines", "set_longlines", "squid_jigger", "trawlers",
+             "tuna_purse_seines")
+_REGISTRY_ROWS = (
+    ("under_way_using_engine", _ALL_GEAR),
+    ("at_anchor", ("drifting_longlines", "trawlers", "tuna_purse_seines")),
+    ("not_under_command", ("drifting_longlines",)),
+    ("restricted_maneuverability", ("drifting_longlines", "squid_jigger", "trawlers")),
+    ("moored", ("drifting_longlines", "squid_jigger", "trawlers", "tuna_purse_seines")),
+    ("engaged_in_fishing", _ALL_GEAR),
+    ("under_way_sailing", _ALL_GEAR),
+)
 
 
 class ContextRegistry:
-    """Bijective table between ids and (vessel_type, nav_status) pairs: the
-    rows of ``_REGISTRY_ROWS``, numbered in order."""
+    """Bijective table between context ids and (vessel type code, status
+    code) pairs: the rows of ``_REGISTRY_ROWS``, numbered in order.
+    ``pairs[id]`` is the pair of an id."""
 
     def __init__(self):
-        pairs = [(vt, status) for status, types in _REGISTRY_ROWS for vt in types]
-        self.labels = tuple(ContextLabel(i, *pair) for i, pair in enumerate(pairs))
-        self._by_pair = {(l.vessel_type, l.nav_status): l for l in self.labels}
-        self._by_id = {l.id: l for l in self.labels}
+        self.pairs = tuple((_TYPE_CODES[vt], _STATUS_CODES[status])
+                           for status, types in _REGISTRY_ROWS for vt in types)
         self._ids = np.full((len(VESSEL_TYPES), len(NAV_STATUSES)), -1, dtype=np.int64)
-        for l in self.labels:
-            self._ids[VESSEL_TYPES.index(l.vessel_type),
-                      NAV_STATUSES.index(l.nav_status)] = l.id
+        for cid, pair in enumerate(self.pairs):
+            self._ids[pair] = cid
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.pairs)
 
-    def __iter__(self) -> Iterator[ContextLabel]:
-        return iter(self.labels)
-
-    def lookup(self, vessel_type: VesselType, nav_status: NavStatus) -> ContextLabel | None:
-        """Total context function: the registry entry, or None if unregistered."""
-        return self._by_pair.get((vessel_type, nav_status))
-
-    def context_ids(self, vtype: np.ndarray, status: np.ndarray) -> np.ndarray:
+    def context_ids(self, vtype, status) -> np.ndarray:
         """Context id per (vessel type code, status code) pair; -1 if unregistered."""
         return self._ids[vtype, status]
 
-    def by_id(self, context_id: int) -> ContextLabel:
-        return self._by_id[context_id]
-
-    def has_id(self, context_id: int) -> bool:
-        return context_id in self._by_id
-
     def serialize(self) -> str:
-        lines = [
-            f"{l.id},{l.vessel_type.value},{l.nav_status.value}"
-            for l in sorted(self.labels, key=lambda l: l.id)
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{cid},{VESSEL_TYPES[vt]},{NAV_STATUSES[status]}\n"
+                       for cid, (vt, status) in enumerate(self.pairs))
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()

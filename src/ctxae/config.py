@@ -6,7 +6,8 @@ seed alone. The ``dataset`` section is ``dataset.DatasetParams``, which
 lives next to the functions that read it. A section's keys are the fields
 of its dataclass, less the seed that the run sets; any other key is refused.
 Values that no run changes (Adam's hyperparameters, the synth injection
-constants) are named constants where they are used, not keys.
+and behaviour constants) are named constants where they are used, not keys.
+A context's ``falsify_to`` is a status name, checked when its plan is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .ais import NavStatus
 from .dataset import DatasetParams
 from .detectors import KINDS
 from .errors import ConfigError
@@ -140,21 +140,16 @@ def _build_synth(raw: dict, seed: int) -> SynthConfig:
     if not raw.get("contexts"):
         raise ConfigError("synth section needs a non-empty contexts list")
     plan = get_type_hints(ContextPlan)
-    plan_hints = {"id": plan["context_id"], "vessels": plan["vessels"]}
+    plan_hints = {"id": plan["context_id"], "vessels": plan["vessels"],
+                  "falsify_to": plan["falsify_to"]}
     plans = []
     for entry in raw["contexts"]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"each synth context needs an id, got {entry!r}")
-        falsify = entry.get("falsify_to")
-        if falsify is not None:
-            try:
-                falsify = NavStatus(falsify)
-            except ValueError as exc:
-                raise ConfigError(f"unknown nav status {entry['falsify_to']!r}") from exc
         _typed(f"synth context {entry['id']!r}: ",
-               {key: entry[key] for key in ("id", "vessels") if key in entry}, plan_hints)
-        plans.append(ContextPlan(context_id=entry["id"], behavior=_build_behavior(entry),
-                                 vessels=entry.get("vessels", 10), falsify_to=falsify))
+               {key: entry[key] for key in plan_hints if key in entry}, plan_hints)
+        plans.append(ContextPlan(entry["id"], _build_behavior(entry), entry.get("vessels", 10),
+                                 falsify_to=entry.get("falsify_to")))
     kwargs = {k: v for k, v in raw.items() if k not in ("contexts", "ports")}
     if "ports" in raw:
         try:

@@ -49,7 +49,7 @@ class UnmappedContext(ConfigError):
     pass
 
 
-class UnregisteredFalsification(CtxaeError):
+class UnregisteredFalsification(ConfigError):
     pass
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .detectors import SHARED
 from .errors import ConfigError, EmptyValidationSet, SingleContext
-from .manifest import json_bytes, read_once, write_file
+from .manifest import csv_bytes, json_bytes, read_once, write_file, write_files
 from .net import score_windows
 from .thresholds import ThresholdTable
 
@@ -194,12 +194,13 @@ def derive_grouping(matrix: LossMatrix, tau_dit: ThresholdTable,
 # --- export ---------------------------------------------------------------------
 
 def save_matrix(path: Path, matrix: LossMatrix) -> dict[Path, str]:
-    lines = ["decoder_id," + ",".join(f"c{c}" for c in matrix.context_ids)]
-    lines.append("counts," + ",".join(str(int(n)) for n in matrix.counts))
-    for i, did in enumerate(matrix.context_ids):
-        cells = ",".join(repr(float(v)) for v in matrix.values[i])
-        lines.append(f"{did},{cells}")
-    return {Path(path): write_file(Path(path), [("\n".join(lines) + "\n").encode()])}
+    """Context names, counts, then one row of losses per decoder."""
+    path = Path(path)
+    return write_files(path.parent, {path.name: csv_bytes(
+        [["decoder_id", *(f"c{c}" for c in matrix.context_ids)],
+         ["counts", *matrix.counts.astype(int).tolist()],
+         *([did, *map(repr, row)] for did, row in zip(matrix.context_ids,
+                                                       matrix.values.tolist()))])})
 
 
 def save_grouping(path: Path, result: GroupingResult) -> dict[Path, str]:

@@ -80,7 +80,7 @@ def _ingest(cfg: RunConfig, kind: None) -> tuple[dict, dict]:
     table, errors = parse_messages(text(read_once(_raw_path(cfg, "records"))))
     ids, counts = np.unique(registry.context_ids(table.vtype, table.status),
                             return_counts=True)
-    context_counts = {registry.by_id(c).name if c >= 0 else "unregistered": n
+    context_counts = {f"c{c}" if c >= 0 else "unregistered": n
                       for c, n in zip(ids.tolist(), counts.tolist())}
     summary = {
         "messages": len(table),

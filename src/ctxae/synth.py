@@ -14,8 +14,9 @@ true_context: NO_CONTEXT, an empty field in truth.csv, when collective):
   displaced by a fixed large step (``COLLECTIVE_MAGNITUDE_M``), inconsistent
   with the reported speeds. The span covers the displaced messages.
 
-Vessels are numbered from ``BASE_MMSI``. These three are constants, not
-config keys: a run sets only the fleet's plans, length, rates and ports.
+Vessels are numbered from ``BASE_MMSI``. These and the behaviour constants
+no preset varies are not config keys: a run sets only the fleet's plans,
+length, rates and ports.
 
 Ground truth never refers to windows: which windows a span tags is decided
 when the dataset is cut, for any window length and stride.
@@ -60,8 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from .ais import (BLOCK_ROWS, CANONICAL_FIELDS, NAV_STATUSES, TABLE_DTYPES,
-                  VESSEL_TYPES, ContextLabel, ContextRegistry, NavStatus, Trajectory,
-                  table_of)
+                  VESSEL_TYPES, ContextRegistry, Trajectory, context_registry, table_of)
 from .dataset import NO_CONTEXT, TruthSpan
 from .errors import ConfigError, UnmappedContext, UnregisteredFalsification
 from .geo import bearing, destination, destination_array, haversine, steps_array
@@ -72,6 +72,11 @@ START_TS = 1_600_000_000
 BASE_MMSI = 200_000_000          # vessels are numbered from BASE_MMSI + 1
 COLLECTIVE_SPAN = 12             # messages displaced by a collective injection
 COLLECTIVE_MAGNITUDE_M = 3000.0  # the length of each displaced step
+INTERVAL_S = 30.0                # mean time between a vessel's messages
+INTERVAL_JITTER_S = 5.0          # half-width of the uniform jitter around it
+HEADING_UNAVAILABLE_RATE = 0.05  # share of messages that report no heading
+ZIGZAG_PERIOD = 10               # mean messages per leg of a fishing zigzag
+ANCHOR_RADIUS_M = 300.0          # drift beyond which an anchored vessel heads back
 
 
 @dataclass(frozen=True)
@@ -82,18 +87,13 @@ class BehaviorModel:
     speed_lo: float
     speed_hi: float
     turn_sigma_deg: float = 2.0
-    interval_s: float = 30.0
-    interval_jitter_s: float = 5.0
     pos_noise_m: float = 15.0
-    heading_unavailable_rate: float = 0.05
     event_rate: float = 0.004
     event_turn_factor: float = 4.0
     event_speed_factor: float = 1.0
     event_len_lo: int = 8
     event_len_hi: int = 16
-    zigzag_period: int = 10
     zigzag_amplitude_deg: float = 40.0
-    anchor_radius_m: float = 300.0
 
     def __post_init__(self):
         if self.kind not in PRESET_KINDS:
@@ -102,8 +102,6 @@ class BehaviorModel:
             raise ConfigError(
                 f"speed range must satisfy 0 <= lo <= hi <= 30 kn, "
                 f"got [{self.speed_lo}, {self.speed_hi}]")
-        if self.interval_s <= self.interval_jitter_s:
-            raise ConfigError("interval jitter must be smaller than interval")
         if not 0 < self.event_len_lo <= self.event_len_hi:
             raise ConfigError("event length range must satisfy 0 < lo <= hi")
 
@@ -117,7 +115,7 @@ PRESETS: dict[str, BehaviorModel] = {
         event_rate=0.0),
     "fishing_zigzag": BehaviorModel(
         kind="fishing_zigzag", speed_lo=1.0, speed_hi=4.0, turn_sigma_deg=3.0,
-        zigzag_period=10, zigzag_amplitude_deg=40.0, event_rate=0.003,
+        zigzag_amplitude_deg=40.0, event_rate=0.003,
         event_turn_factor=2.5),
     "loiter": BehaviorModel(
         kind="loiter", speed_lo=0.5, speed_hi=2.0, turn_sigma_deg=30.0),
@@ -138,16 +136,21 @@ PRESETS: dict[str, BehaviorModel] = {
 
 @dataclass(frozen=True)
 class ContextPlan:
-    """How many vessels to generate for one context and how they move."""
+    """How many vessels to generate for one registered context and how they move."""
 
     context_id: int
     behavior: BehaviorModel
     vessels: int
-    falsify_to: NavStatus | None = None   # claimed status for contextual anomalies
+    falsify_to: str | None = None   # status name its contextual anomalies claim
 
     def __post_init__(self):
         if self.vessels <= 0:
             raise ConfigError("each context plan needs at least one vessel")
+        registry = context_registry()
+        if not 0 <= self.context_id < len(registry):
+            raise UnmappedContext(f"context {self.context_id} is not in the registry")
+        if self.falsify_to is not None:
+            _claimed_status(registry, *registry.pairs[self.context_id], self.falsify_to)
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,10 @@ class SynthResult:
     ports: tuple[tuple[float, float], ...]
 
 
-def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
-                     n_msgs: int, seed: int, registry: ContextRegistry,
+def _simulate_vessel(mmsi: int, pair: tuple[int, int], behavior: BehaviorModel,
+                     n_msgs: int, seed: int,
                      ports: tuple[tuple[float, float], ...]) -> Trajectory:
-    label = registry.by_id(context_id)
+    """One vessel's track; pair is its context's (vessel type, status) codes."""
     rng = np.random.default_rng([seed, mmsi])
     # uniform and normal are written out as numpy defines them (module doc)
     random, normal = rng.random, rng.standard_normal
@@ -200,10 +203,8 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
     event_len_lo, event_len_end = behavior.event_len_lo, behavior.event_len_hi + 1
     event_turn_factor = behavior.event_turn_factor
     event_speed_factor = behavior.event_speed_factor
-    interval = behavior.interval_s
-    jitter_lo = -behavior.interval_jitter_s
-    jitter_hi = behavior.interval_jitter_s
-    heading_unavailable_rate = behavior.heading_unavailable_rate
+    interval, jitter_lo, jitter_hi = INTERVAL_S, -INTERVAL_JITTER_S, INTERVAL_JITTER_S
+    heading_unavailable_rate = HEADING_UNAVAILABLE_RATE
 
     ts = START_TS + int(integers(0, 86_400))
     base_speed = speed_lo + (speed_hi - speed_lo) * random()
@@ -244,7 +245,7 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
     # zigzag geometry is redrawn per trawl pass (a few windows long) so the
     # spread lives between windows rather than averaging out inside one, and
     # no vessel owns a private operating point
-    half_period = max(3, round(behavior.zigzag_period + 1.0 * normal()))
+    half_period = max(3, round(ZIGZAG_PERIOD + 1.0 * normal()))
     zz_phase = int(integers(0, 2 * half_period))
     pass_left = 0
     amp = behavior.zigzag_amplitude_deg
@@ -302,7 +303,7 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
                 pass_left = int(integers(100, 221))
                 amp = min(max(behavior.zigzag_amplitude_deg + 7.0 * normal(), 22.0), 58.0)
                 base_speed = speed_lo + (speed_hi - speed_lo) * random()
-                half_period = min(max(round(behavior.zigzag_period + 1.5 * normal()), 7), 14)
+                half_period = min(max(round(ZIGZAG_PERIOD + 1.5 * normal()), 7), 14)
             cyc = (i + zz_phase) // half_period
             sign = 1.0 if cyc % 2 == 0 else -1.0
             base_course = min(max(base_course + (0.0 + 0.5 * normal()), 75.0), 285.0)
@@ -315,7 +316,7 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
         elif kind == "anchor_drift":
             current_bearing += 0.0 + 4.0 * normal()
             course = current_bearing + (0.0 + turn_sigma * normal())
-            if haversine(lat, lon, *anchor) > behavior.anchor_radius_m:
+            if haversine(lat, lon, *anchor) > ANCHOR_RADIUS_M:
                 course = bearing(lat, lon, *anchor) + (0.0 + 10.0 * normal())
             speed = abs(0.0 + 0.15 * normal())
         else:  # moored
@@ -338,10 +339,10 @@ def _simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
                       random(), normal(), random(), normal(), normal(),
                       nan if random() < heading_unavailable_rate else normal()))
 
-    return _measure(mmsi, label, behavior, steps)
+    return _measure(mmsi, pair, behavior, steps)
 
 
-def _measure(mmsi: int, label: ContextLabel, behavior: BehaviorModel,
+def _measure(mmsi: int, pair: tuple[int, int], behavior: BehaviorModel,
              steps: list[tuple]) -> Trajectory:
     """The reported channels of a simulated track, from its per-step draws.
 
@@ -371,11 +372,11 @@ def _measure(mmsi: int, label: ContextLabel, behavior: BehaviorModel,
     sog, cog = _round1(sog), _round1(cog)
     cog %= 360.0   # a course rounded up to 360.0 reports as 0.0
     heading = np.trunc((course + (0.0 + 2.0 * quality * heading_z)) % 360.0)
+    vtype, status = pair
     return Trajectory(
         mmsi=mmsi, ts=ts.astype(np.int64), lat=rep_lat, lon=rep_lon,
         sog=sog, cog=cog, heading=heading,
-        status=np.full(n, NAV_STATUSES.index(label.nav_status), dtype=np.uint8),
-        vtype=np.full(n, VESSEL_TYPES.index(label.vessel_type), dtype=np.uint8))
+        status=np.full(n, status, dtype=np.uint8), vtype=np.full(n, vtype, dtype=np.uint8))
 
 
 def _round1(v: np.ndarray) -> np.ndarray:
@@ -388,20 +389,27 @@ def _round1(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def inject_contextual(trajectory: Trajectory, claimed: NavStatus,
+def _claimed_status(registry: ContextRegistry, vtype: int, status: int, claimed: str) -> int:
+    """The code of the status a vessel of the (vtype, status) codes claims;
+    refuses a claim that maps to no registered context or to its own."""
+    if claimed not in NAV_STATUSES:
+        raise ConfigError(f"unknown nav status {claimed!r}")
+    code = NAV_STATUSES.index(claimed)
+    claimed_id, true_id = registry.context_ids(vtype, [code, status]).tolist()
+    if claimed_id < 0:
+        raise UnregisteredFalsification(
+            f"({VESSEL_TYPES[vtype]}, {claimed}) is not a registered context")
+    if claimed_id == true_id:
+        raise UnregisteredFalsification("falsified status maps to the vessel's true context")
+    return code
+
+
+def inject_contextual(trajectory: Trajectory, claimed: str,
                       registry: ContextRegistry) -> Trajectory:
-    """Broadcast a false navigational status on every message."""
-    vessel_type = VESSEL_TYPES[trajectory.vtype[0]]
-    true_label = registry.lookup(vessel_type, NAV_STATUSES[trajectory.status[0]])
-    claimed_label = registry.lookup(vessel_type, claimed)
-    if claimed_label is None:
-        raise UnregisteredFalsification(
-            f"({vessel_type.value}, {claimed.value}) is not a registered context")
-    if true_label is not None and claimed_label.id == true_label.id:
-        raise UnregisteredFalsification(
-            "falsified status maps to the vessel's true context")
-    return replace(trajectory, status=np.full(len(trajectory), NAV_STATUSES.index(claimed),
-                                              dtype=np.uint8))
+    """Broadcast the claimed status name on every message."""
+    code = _claimed_status(registry, int(trajectory.vtype[0]), int(trajectory.status[0]),
+                           claimed)
+    return replace(trajectory, status=np.full(len(trajectory), code, dtype=np.uint8))
 
 
 def inject_collective(trajectory: Trajectory, start: int, span: int,
@@ -439,9 +447,6 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
     plan_vessels: dict[int, list[tuple[int, ContextPlan]]] = {}
     mmsi_counter = BASE_MMSI
     for plan in config.plans:
-        if not registry.has_id(plan.context_id):
-            raise UnmappedContext(
-                f"context {plan.context_id} is not in the registry")
         vessels = []
         for _ in range(plan.vessels):
             mmsi_counter += 1
@@ -476,9 +481,8 @@ def generate(config: SynthConfig, registry: ContextRegistry) -> SynthResult:
 
     for plan in config.plans:
         for mmsi, _ in plan_vessels[plan.context_id]:
-            traj = _simulate_vessel(mmsi, plan.context_id, plan.behavior,
-                                    config.messages_per_vessel, config.seed,
-                                    registry, config.ports)
+            traj = _simulate_vessel(mmsi, registry.pairs[plan.context_id], plan.behavior,
+                                    config.messages_per_vessel, config.seed, config.ports)
 
             if mmsi in falsified:
                 traj = inject_contextual(traj, plan.falsify_to, registry)
@@ -511,8 +515,6 @@ def write_fleet(out_dir: Path, result: SynthResult) -> dict[Path, str]:
     """Write records.csv, truth.csv and ports.csv; their sha256, by path."""
     table = table_of(result.trajectories)
     order = np.lexsort((table.ts, table.mmsi))
-    status_names = [s.value for s in NAV_STATUSES]
-    type_names = [t.value for t in VESSEL_TYPES]
 
     def records():     # a block of rows at a time, never the whole file in memory
         yield (",".join(CANONICAL_FIELDS) + "\n").encode()
@@ -521,7 +523,7 @@ def write_fleet(out_dir: Path, result: SynthResult) -> dict[Path, str]:
             yield "".join(
                 f"{mmsi},{ts},{lat!r},{lon!r},{sog!r},{cog!r},"
                 f"{'unavailable' if heading != heading else repr(heading)},"
-                f"{status_names[status]},{type_names[vtype]}\n"
+                f"{NAV_STATUSES[status]},{VESSEL_TYPES[vtype]}\n"
                 for mmsi, ts, lat, lon, sog, cog, heading, status, vtype in zip(
                     *(getattr(table, c)[rows].tolist() for c in TABLE_DTYPES))).encode()
     spans = sorted(result.truth, key=lambda s: (s.mmsi, s.first_ts, s.last_ts))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxae.ais import NAV_STATUSES, VESSEL_TYPES, NavStatus, Trajectory, VesselType
+from ctxae.ais import NAV_STATUSES, VESSEL_TYPES, Trajectory
 
 
 @pytest.fixture
@@ -16,13 +16,13 @@ def _codes(value, members, n):
 
 
 def make_track(ts, mmsi=1001, lat=10.0, lon=-30.0, sog=8.0, cog=45.0,
-               heading=44.0, status=NavStatus.UNDER_WAY_USING_ENGINE,
-               vtype=VesselType.DRIFTING_LONGLINES) -> Trajectory:
+               heading=44.0, status="under_way_using_engine",
+               vtype="drifting_longlines") -> Trajectory:
     """A columnar trajectory with one message per timestamp.
 
     Every other column is a scalar for all messages or a sequence with one
     value per message; a heading of None means unavailable, and status and
-    vtype take enum members.
+    vtype take names.
     """
     n = len(ts)
 

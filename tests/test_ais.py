@@ -8,10 +8,9 @@ import pytest
 
 from ctxae import ais
 from ctxae.ais import (CANONICAL_FIELDS, MESSAGE_COLUMNS, NAV_STATUSES,
-                       TABLE_DTYPES, VESSEL_TYPES, MessageTable, NavStatus,
-                       VesselType, context_registry, group_trajectories,
-                       load_table, parse_messages, parse_record, save_table,
-                       table_of)
+                       TABLE_DTYPES, VESSEL_TYPES, MessageTable, context_registry,
+                       group_trajectories, load_table, parse_messages, parse_record,
+                       save_table, table_of)
 from ctxae.errors import (MissingArtifact, MissingField, ParseError,
                           RangeError, UnknownEnumToken)
 from ctxae.synth import PRESETS, ContextPlan, SynthConfig, generate, write_fleet
@@ -63,38 +62,36 @@ class TestMessageValidation:
             == [True, False]
 
 
+def codes(vessel_type, nav_status):
+    """The (vessel type, status) code pair of two names."""
+    return VESSEL_TYPES.index(vessel_type), NAV_STATUSES.index(nav_status)
+
+
 class TestRegistry:
     def test_twenty_six_contexts(self):
         reg = context_registry()
-        assert len(reg.labels) == 26
-        assert [l.id for l in reg.labels] == list(range(26))
+        assert len(reg) == len(reg.pairs) == 26
+        assert reg.context_ids(*np.array(reg.pairs).T).tolist() == list(range(26))
 
     @pytest.mark.parametrize("vt,ns,cid", [
-        (VesselType.DRIFTING_LONGLINES, NavStatus.UNDER_WAY_USING_ENGINE, 0),
-        (VesselType.TRAWLERS, NavStatus.ENGAGED_IN_FISHING, 19),
-        (VesselType.TUNA_PURSE_SEINES, NavStatus.MOORED, 15),
-        (VesselType.SQUID_JIGGER, NavStatus.RESTRICTED_MANEUVERABILITY, 10),
-        (VesselType.DRIFTING_LONGLINES, NavStatus.AT_ANCHOR, 5),
-        (VesselType.DRIFTING_LONGLINES, NavStatus.MOORED, 12),
-        (VesselType.DRIFTING_LONGLINES, NavStatus.UNDER_WAY_SAILING, 21),
-        (VesselType.DRIFTING_LONGLINES, NavStatus.ENGAGED_IN_FISHING, 16),
+        ("drifting_longlines", "under_way_using_engine", 0),
+        ("trawlers", "engaged_in_fishing", 19),
+        ("tuna_purse_seines", "moored", 15),
+        ("squid_jigger", "restricted_maneuverability", 10),
+        ("drifting_longlines", "at_anchor", 5),
+        ("drifting_longlines", "moored", 12),
+        ("drifting_longlines", "under_way_sailing", 21),
+        ("drifting_longlines", "engaged_in_fishing", 16),
     ])
     def test_known_ids(self, vt, ns, cid):
-        label = context_registry().lookup(vt, ns)
-        assert label is not None and label.id == cid
-        assert label.name == f"c{cid}"
+        reg = context_registry()
+        assert reg.context_ids(*codes(vt, ns)) == cid
+        assert reg.pairs[cid] == codes(vt, ns)
 
     def test_unregistered_pair_maps_to_none(self):
         reg = context_registry()
-        assert reg.lookup(VesselType.SET_LONGLINES, NavStatus.MOORED) is None
-        assert reg.lookup(VesselType.UNKNOWN,
-                          NavStatus.UNDER_WAY_USING_ENGINE) is None
-
-    def test_lookup_matches_by_id(self):
-        reg = context_registry()
-        for label in reg.labels:
-            assert reg.by_id(label.id) is label
-            assert reg.lookup(label.vessel_type, label.nav_status) is label
+        assert reg.context_ids(*codes("set_longlines", "moored")) == -1
+        assert reg.context_ids(*codes("unknown", "under_way_using_engine")) == -1
 
     def test_context_ids_match_lookup_on_every_code_pair(self):
         reg = context_registry()
@@ -102,17 +99,18 @@ class TestRegistry:
                                     np.arange(len(NAV_STATUSES), dtype=np.uint8))
         ids = reg.context_ids(vtype.ravel(), status.ravel()).tolist()
         for v, s, cid in zip(vtype.ravel().tolist(), status.ravel().tolist(), ids):
-            label = reg.lookup(VESSEL_TYPES[v], NAV_STATUSES[s])
-            assert cid == (-1 if label is None else label.id)
+            assert cid == (reg.pairs.index((v, s)) if (v, s) in reg.pairs else -1)
 
     def test_content_hash_stable(self):
         assert context_registry().content_hash() == context_registry().content_hash()
+        # every dataset header records this digest as its registry_hash
+        assert context_registry().content_hash() == \
+            "a09f5e7014772602079ae0dd67c4b4e750ee2010bd5ddf2b9352f8dcc7a08ecc"
 
     def test_built_in_table_is_a_bijection_of_known_pairs(self):
-        labels = context_registry().labels
-        pairs = [(l.vessel_type, l.nav_status) for l in labels]
-        assert len(set(pairs)) == len({l.id for l in labels}) == len(labels)
-        assert all(vt is not VesselType.UNKNOWN and ns is not NavStatus.OTHER
+        pairs = context_registry().pairs
+        assert len(set(pairs)) == len(pairs)
+        assert all(VESSEL_TYPES[vt] != "unknown" and NAV_STATUSES[ns] != "other"
                    for vt, ns in pairs)
 
     def test_one_registry_is_built_at_import(self):
@@ -233,7 +231,7 @@ class TestParsing:
         # statuses outside the enum are a parse error, not silently dropped
         table, errors = parse_messages(io.StringIO(records({"nav_status": "other"})))
         assert errors == []
-        assert NAV_STATUSES[table.status[0]] is NavStatus.OTHER
+        assert NAV_STATUSES[table.status[0]] == "other"
 
     # one block sends the file through the row parser, as it holds short and
     # long rows; a block of one row puts every full-width row on the column path

@@ -79,11 +79,35 @@ def test_config_error_exits_2(tmp_path):
      "synth context 0: unknown keys ['kind']"),
     # Adam runs with fixed hyperparameters, so the key is gone
     ({"train": {"learning_rate": 0.01}}, "unknown keys ['learning_rate']"),
+    ({"synth": {**TINY["synth"], "contexts": [
+        {"id": 0, "behavior": "transit", "falsify_to": "sunk"}]}},
+     "unknown nav status 'sunk'"),
+    # no preset varies the message interval, so it is a constant, not a key
+    ({"synth": {**TINY["synth"], "contexts": [
+        {"id": 0, "behavior": "transit", "interval_s": 60.0}]}},
+     "synth context 0: unknown keys ['interval_s']"),
 ])
 def test_a_malformed_config_exits_2_without_a_traceback(tmp_path, section, message):
     result = _invoke(tmp_path, ["simulate"], raw={**TINY, **section})
     assert result.exit_code == 2
     assert result.stderr.startswith("ConfigError: ") and message in result.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("context, message", [
+    # set_longlines (context 1) has no moored context
+    ({"id": 1, "behavior": "transit", "falsify_to": "moored"},
+     "(set_longlines, moored) is not a registered context"),
+    ({"id": 0, "behavior": "transit", "falsify_to": "under_way_using_engine"},
+     "falsified status maps to the vessel's true context"),
+])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+def test_a_falsification_to_no_other_context_exits_2_at_load(tmp_path, context, message, rate):
+    # refused when the config is built, even where no vessel would carry it
+    raw = {**TINY, "synth": {**TINY["synth"], "contextual_rate": rate, "contexts": [context]}}
+    result = _invoke(tmp_path, ["simulate"], raw=raw)
+    assert result.exit_code == 2
+    assert result.stderr == f"UnregisteredFalsification: {message}\n"
     assert not (tmp_path / "run").exists()
 
 

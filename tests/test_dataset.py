@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxae import dataset
-from ctxae.ais import NavStatus, VesselType, context_registry
+from ctxae.ais import context_registry
 from ctxae.dataset import (
     COL_DD,
     COL_DT,
@@ -184,7 +184,7 @@ def assert_table_equals(table, windows, window_len):
 
 # --- fixtures ------------------------------------------------------------------
 
-def _traj(n, mmsi=1001, status=NavStatus.UNDER_WAY_USING_ENGINE, start_ts=0):
+def _traj(n, mmsi=1001, status="under_way_using_engine", start_ts=0):
     i = np.arange(n)
     return make_track(start_ts + 30 * i, mmsi=mmsi, lat=10.0 + 0.001 * i,
                       status=status)
@@ -217,7 +217,7 @@ def test_segment_cuts_non_overlapping_windows():
 
 def test_segment_respects_context_runs():
     # 60 engine + 70 fishing messages: one window per run, remainders dropped
-    engine, fishing = NavStatus.UNDER_WAY_USING_ENGINE, NavStatus.ENGAGED_IN_FISHING
+    engine, fishing = "under_way_using_engine", "engaged_in_fishing"
     traj = make_track(30 * np.arange(130),
                       lat=[10.0 + 0.001 * i for i in range(60)]
                       + [10.06 + 0.001 * i for i in range(70)],
@@ -229,12 +229,12 @@ def test_segment_respects_context_runs():
 
 
 def test_segment_skips_unregistered_context():
-    engine = NavStatus.UNDER_WAY_USING_ENGINE
+    engine = "under_way_using_engine"
     traj = make_track(30 * np.arange(150),
                       lat=[base + 0.001 * i for base in (10.0, 10.05, 10.1)
                            for i in range(50)],
                       # the middle run is not registered
-                      status=[engine] * 50 + [NavStatus.OTHER] * 50 + [engine] * 50)
+                      status=[engine] * 50 + ["other"] * 50 + [engine] * 50)
     windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert list(zip(windows.start_ts.tolist(), windows.end_ts.tolist())) == [
         (0, 49 * 30), (100 * 30, 149 * 30)]
@@ -286,7 +286,7 @@ def test_truth_tags_line_up_with_windows_at_any_stride():
     # a falsified vessel and every window touching a collective span is
     # tagged, and no other window is
     plans = (ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=12,
-                         falsify_to=NavStatus.MOORED),
+                         falsify_to="moored"),
              ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=10))
     res = generate(SynthConfig(seed=7, plans=plans, messages_per_vessel=400,
                                contextual_rate=0.1, collective_rate=0.05), REGISTRY)
@@ -410,8 +410,7 @@ def test_the_screened_port_filter_keeps_what_the_block_loop_keeps(case, block):
 def test_segment_runs_split_on_vessel_type_too():
     traj = make_track(30 * np.arange(100), lat=10.0 + 0.001 * np.arange(100),
                       lon=[-30.0 - 0.001 * i for i in range(100)],
-                      vtype=[VesselType.DRIFTING_LONGLINES] * 50
-                      + [VesselType.TRAWLERS] * 50)
+                      vtype=["drifting_longlines"] * 50 + ["trawlers"] * 50)
     windows = segment(traj, enrich(traj), REGISTRY, 50, 50)
     assert windows.context_id.tolist() == [0, 3]
     assert np.array_equal(windows.positions[1],
@@ -620,9 +619,9 @@ def test_empty_splits_keep_the_window_shape(tmp_path):
 
 # --- the column functions equal the per-window oracles -------------------------
 
-STATUSES = (NavStatus.UNDER_WAY_USING_ENGINE, NavStatus.ENGAGED_IN_FISHING,
-            NavStatus.MOORED, NavStatus.OTHER)   # OTHER is never registered
-VTYPES = (VesselType.DRIFTING_LONGLINES, VesselType.TRAWLERS)
+STATUSES = ("under_way_using_engine", "engaged_in_fishing", "moored",
+            "other")   # "other" is never registered
+VTYPES = ("drifting_longlines", "trawlers")
 
 
 @settings(max_examples=150, deadline=None)

@@ -377,6 +377,23 @@ def test_configured_records_need_no_simulate_manifest(tmp_path):
     assert json.loads((out_dir / "dataset" / "build.manifest.json").read_text())["inputs"] == {}
 
 
+def test_ingest_counts_messages_by_context(tmp_path):
+    # engine drifting longliners are c0 and fishing trawlers c19; no context
+    # holds an unknown vessel type
+    pairs = ([("under_way_using_engine", "drifting_longlines")] * 3
+             + [("engaged_in_fishing", "trawlers")] * 2
+             + [("moored", "unknown")] * 4)
+    records = tmp_path / "records.csv"
+    records.write_text("mmsi,timestamp,lat,lon,sog,cog,heading,nav_status,vessel_type\n" + "".join(
+        f"{100 + i % 3},{30 * i},10.0,-30.0,8.0,45.0,44.0,{status},{vtype}\n"
+        for i, (status, vtype) in enumerate(pairs)))
+    out_dir = tmp_path / "run"
+    pipeline.stage_ingest(config_from_dict({"records": str(records)}, seed=3, out_dir=out_dir))
+    summary = json.loads((out_dir / "ingest.json").read_text())
+    assert summary["messages"] == 9 and summary["parse_errors"] == 0
+    assert summary["context_counts"] == {"c0": 3, "c19": 2, "unregistered": 4}
+
+
 def test_ingest_and_build_refuse_an_edited_simulated_file(tmp_path):
     cfg = _tiny(tmp_path / "run")
     pipeline.stage_simulate(cfg)
@@ -805,10 +822,10 @@ GOLDEN_SHA256 = {
     "dataset/val.index.csv": "3f36a848c89dd1bfbba3c4eb09265b13ccdfccdfba04c8cce860e46c84979806",
     # the manifests too: they are the same from any run directory
     "synth/simulate.manifest.json":
-        "c6748d45d867ff72d655f4967f370736514987a2a4ead551bdef9a2dcdac7ca6",
-    "ingest.manifest.json": "18293a3f45349ae0cf70b5b736230ec6ddb76cefe26ac1a043257ec6764c72a4",
+        "bb843b132e1d1cb5038c389dbc065888d196499b373a10699a8af8f332992a46",
+    "ingest.manifest.json": "736e6428306d7f4479bcd774dbcd08658d849c719531ae986bc624a63ec1dbac",
     "dataset/build.manifest.json":
-        "c3251a386e788a666cb1345e3126f52a618a8dacacf8785928155e240c19623e",
+        "30ebbd4666daff3422bcd96cdeb4cba31d4a2a53198e8f8808b0048c7ad2902a",
 }
 
 

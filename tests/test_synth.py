@@ -9,17 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxae import synth
-from ctxae.ais import (MESSAGE_COLUMNS, NAV_STATUSES, VESSEL_TYPES, ContextRegistry,
-                       NavStatus, Trajectory, context_registry, table_of)
+from ctxae.ais import MESSAGE_COLUMNS, NAV_STATUSES, Trajectory, context_registry, table_of
 from ctxae.dataset import attach_truth, segment
 from ctxae.errors import (ConfigError, UnmappedContext,
                           UnregisteredFalsification)
 from ctxae.features import enrich
 from ctxae.geo import bearing, destination, destination_array, haversine
-from ctxae.synth import (COLLECTIVE_MAGNITUDE_M, COLLECTIVE_SPAN, KNOT_MPS, START_TS,
-                         BehaviorModel, ContextPlan, PRESETS, SynthConfig, generate,
-                         inject_collective, inject_contextual, load_ports, load_truth,
-                         write_fleet)
+from ctxae.synth import (ANCHOR_RADIUS_M, COLLECTIVE_MAGNITUDE_M, COLLECTIVE_SPAN,
+                         HEADING_UNAVAILABLE_RATE, INTERVAL_JITTER_S, INTERVAL_S, KNOT_MPS,
+                         START_TS, ZIGZAG_PERIOD, BehaviorModel, ContextPlan, PRESETS,
+                         SynthConfig, generate, inject_collective, inject_contextual,
+                         load_ports, load_truth, write_fleet)
 
 REGISTRY = context_registry()
 
@@ -29,7 +29,7 @@ def small_config(**kw):
         seed=5,
         plans=(
             ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=4,
-                        falsify_to=NavStatus.MOORED),
+                        falsify_to="moored"),
             ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=3),
         ),
         messages_per_vessel=250,
@@ -91,10 +91,10 @@ def test_behavior_validation():
 
 
 def test_unregistered_context_id():
-    cfg = small_config(plans=(
-        ContextPlan(context_id=999, behavior=PRESETS["transit"], vessels=1),))
-    with pytest.raises(UnmappedContext):
-        generate(cfg, REGISTRY)
+    # the plan is refused when built, before any vessel is simulated
+    for context_id in (999, 26, -1):
+        with pytest.raises(UnmappedContext, match=f"context {context_id} is not in the registry"):
+            ContextPlan(context_id=context_id, behavior=PRESETS["transit"], vessels=1)
 
 
 # --- determinism ------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_vessel_stream_isolated_from_plan_edits():
                     REGISTRY)
     plans = (
         ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=4,
-                    falsify_to=NavStatus.MOORED),
+                    falsify_to="moored"),
         ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=3),
         ContextPlan(context_id=21, behavior=PRESETS["sailing"], vessels=2),
     )
@@ -152,7 +152,7 @@ def test_stationary_vessels_settle_outside_port_radius():
     res = generate(small_config(), REGISTRY)
     falsified = {s.mmsi for s in res.truth if s.kind == "contextual"}
     moored = [t for t in res.trajectories
-              if NAV_STATUSES[t.status[0]] == NavStatus.MOORED
+              if NAV_STATUSES[t.status[0]] == "moored"
               and t.mmsi not in falsified]
     assert moored
     for traj in moored:
@@ -176,8 +176,8 @@ def test_heading_sometimes_unavailable():
 def test_contextual_swaps_status_everywhere():
     traj = generate(small_config(contextual_rate=0.0, collective_rate=0.0),
                     REGISTRY).trajectories[0]
-    swapped = inject_contextual(traj, NavStatus.MOORED, REGISTRY)
-    assert all(NAV_STATUSES[c] == NavStatus.MOORED for c in swapped.status)
+    swapped = inject_contextual(traj, "moored", REGISTRY)
+    assert all(NAV_STATUSES[c] == "moored" for c in swapped.status)
     # motion itself is untouched
     for col in ("ts", "lat", "lon", "sog", "cog", "vtype"):
         assert np.array_equal(getattr(swapped, col), getattr(traj, col))
@@ -187,7 +187,7 @@ def test_contextual_rejects_identity_claim():
     traj = generate(small_config(contextual_rate=0.0, collective_rate=0.0),
                     REGISTRY).trajectories[0]
     with pytest.raises(UnregisteredFalsification):
-        inject_contextual(traj, NavStatus.UNDER_WAY_USING_ENGINE, REGISTRY)
+        inject_contextual(traj, "under_way_using_engine", REGISTRY)
 
 
 def test_contextual_rejects_unregistered_claim():
@@ -195,7 +195,7 @@ def test_contextual_rejects_unregistered_claim():
     traj = generate(small_config(contextual_rate=0.0, collective_rate=0.0),
                     REGISTRY).trajectories[0]
     with pytest.raises(UnregisteredFalsification):
-        inject_contextual(traj, NavStatus.OTHER, REGISTRY)
+        inject_contextual(traj, "other", REGISTRY)
 
 
 def test_contextual_truth_tags_whole_vessel():
@@ -324,10 +324,9 @@ def _reference_wrap_deg(angle: float) -> float:
     return angle % 360.0
 
 
-def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorModel,
-                               n_msgs: int, seed: int, registry: ContextRegistry,
+def _reference_simulate_vessel(mmsi: int, pair: tuple[int, int], behavior: BehaviorModel,
+                               n_msgs: int, seed: int,
                                ports: tuple[tuple[float, float], ...]) -> Trajectory:
-    label = registry.by_id(context_id)
     rng = np.random.default_rng([seed, mmsi])
 
     ts = START_TS + int(rng.integers(0, 86_400))
@@ -369,7 +368,7 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
     # zigzag geometry is redrawn per trawl pass (a few windows long) so the
     # spread lives between windows rather than averaging out inside one, and
     # no vessel owns a private operating point
-    half_period = max(3, int(round(rng.normal(behavior.zigzag_period, 1.0))))
+    half_period = max(3, int(round(rng.normal(ZIGZAG_PERIOD, 1.0))))
     zz_phase = int(rng.integers(0, 2 * half_period))
     pass_left = 0
     amp = behavior.zigzag_amplitude_deg
@@ -436,7 +435,7 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
                 base_speed = float(rng.uniform(behavior.speed_lo,
                                                behavior.speed_hi))
                 half_period = min(max(
-                    round(rng.normal(behavior.zigzag_period, 1.5)), 7), 14)
+                    round(rng.normal(ZIGZAG_PERIOD, 1.5)), 7), 14)
             cyc = (i + zz_phase) // half_period
             sign = 1.0 if cyc % 2 == 0 else -1.0
             base_course = min(max(base_course + rng.normal(0.0, 0.5), 75.0),
@@ -453,7 +452,7 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
             current_bearing += float(rng.normal(0.0, 4.0))
             course = current_bearing + float(
                 rng.normal(0.0, behavior.turn_sigma_deg))
-            if haversine(lat, lon, *anchor) > behavior.anchor_radius_m:
+            if haversine(lat, lon, *anchor) > ANCHOR_RADIUS_M:
                 course = bearing(lat, lon, *anchor) + float(rng.normal(0.0, 10.0))
             speed = abs(float(rng.normal(0.0, 0.15)))
         else:  # moored
@@ -465,9 +464,8 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
         speed = min(max(speed, 0.0), 30.0)
 
         if i > 0:
-            dt = max(1, int(round(behavior.interval_s + float(
-                rng.uniform(-behavior.interval_jitter_s,
-                            behavior.interval_jitter_s)))))
+            dt = max(1, int(round(INTERVAL_S + float(
+                rng.uniform(-INTERVAL_JITTER_S, INTERVAL_JITTER_S)))))
             ts += dt
             lat, lon = destination(lat, lon, course, speed * KNOT_MPS * dt)
 
@@ -487,7 +485,7 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
                             0.0), 40.0), 1)
         cog = _reference_wrap_deg(round(_reference_wrap_deg(
             course + float(rng.normal(0.0, 1.0 * quality))), 1))
-        if rng.random() < behavior.heading_unavailable_rate:
+        if rng.random() < HEADING_UNAVAILABLE_RATE:
             heading = nan
         else:
             heading = float(int(_reference_wrap_deg(
@@ -498,15 +496,15 @@ def _reference_simulate_vessel(mmsi: int, context_id: int, behavior: BehaviorMod
     rep_lat, rep_lon = destination_array(lat, lon, noise_brg, noise_r)
     return Trajectory(
         mmsi=mmsi, ts=ts, lat=rep_lat, lon=rep_lon, sog=sog, cog=cog, heading=heading,
-        status=np.full(n_msgs, NAV_STATUSES.index(label.nav_status), dtype=np.uint8),
-        vtype=np.full(n_msgs, VESSEL_TYPES.index(label.vessel_type), dtype=np.uint8))
+        status=np.full(n_msgs, pair[1], dtype=np.uint8),
+        vtype=np.full(n_msgs, pair[0], dtype=np.uint8))
 
 
 ORACLE_PLANS = (
     ContextPlan(context_id=0, behavior=PRESETS["transit"], vessels=2,
-                falsify_to=NavStatus.MOORED),
+                falsify_to="moored"),
     ContextPlan(context_id=16, behavior=PRESETS["fishing_zigzag"], vessels=2,
-                falsify_to=NavStatus.UNDER_WAY_USING_ENGINE),
+                falsify_to="under_way_using_engine"),
     ContextPlan(context_id=10, behavior=PRESETS["loiter"], vessels=2),
     ContextPlan(context_id=5, behavior=PRESETS["anchor_drift"], vessels=2),
     ContextPlan(context_id=12, behavior=PRESETS["moored"], vessels=2),
