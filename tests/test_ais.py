@@ -88,6 +88,12 @@ class TestRegistry:
         assert reg.context_ids(*codes(vt, ns)) == cid
         assert reg.pairs[cid] == codes(vt, ns)
 
+    def test_lookup_matches_by_id(self):
+        reg = context_registry()
+        for cid, (vt, ns) in enumerate(reg.pairs):
+            assert reg.context_ids(vt, ns) == cid
+            assert reg.pairs[reg.context_ids(vt, ns)] == (vt, ns)
+
     def test_unregistered_pair_maps_to_none(self):
         reg = context_registry()
         assert reg.context_ids(*codes("set_longlines", "moored")) == -1
